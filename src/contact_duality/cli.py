@@ -10,7 +10,6 @@ key).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -50,7 +49,7 @@ def run_spectrum(cfg: ExperimentConfig) -> RunArtifacts:
     dom = cfg.domain()
     model = cfg.coupling_model()
     op = cached_build(cfg["formulation"], dom, model)
-    res = solve(op, cfg["levels"], tol=cfg["solver_tol"], seed=cfg["seed"])
+    res = solve(op, cfg["levels"], seed=cfg["seed"])
     rows = [(cfg["formulation"], 0, dom.spacing, i, e, r)
             for i, (e, r) in enumerate(zip(res.eigenvalues, res.residuals))]
     report = {
@@ -60,6 +59,7 @@ def run_spectrum(cfg: ExperimentConfig) -> RunArtifacts:
         "formulation": cfg["formulation"],
         "eigenvalues": res.eigenvalues.tolist(),
         "residuals": res.residuals.tolist(),
+        "certificate": res.certificate(),
         "symmetry_residual": op.symmetry_residual(seed=cfg["seed"]),
     }
     gates = [Gate("solver_residual", float(np.max(res.residuals)), cfg["gate.residual"])]
@@ -75,7 +75,7 @@ def run_duality(cfg: ExperimentConfig) -> RunArtifacts:
     dom = cfg.domain()
     model = cfg.coupling_model()
     rep = duality_report(dom, model, cfg["levels"], cfg["refinements"],
-                         tol=cfg["solver_tol"], seed=cfg["seed"])
+                         seed=cfg["seed"])
     gates = []
     for pair, devs in rep.pair_deviations.items():
         gates.append(Gate(f"pairwise[{pair[0]}|{pair[1]}]", devs[-1], cfg["gate.pairwise"]))
@@ -107,7 +107,7 @@ def run_scale_invariance(cfg: ExperimentConfig) -> RunArtifacts:
     rep = scale_invariance_report(dom, model, cfg["dilation"], cfg["levels"],
                                   control_model=control,
                                   translation=cfg["translation"],
-                                  tol=cfg["solver_tol"], seed=cfg["seed"])
+                                  seed=cfg["seed"])
     gates = []
     for form in FORMULATIONS:
         gates.append(Gate(f"scaled[{form}]", rep.scaled_deviation[form],
@@ -305,18 +305,6 @@ RUNNERS = {
 }
 
 
-def _cap_threads(n: int):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        pass
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="contact-duality",
@@ -325,12 +313,8 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(RUNNERS))
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None, help="worker cap")
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
-
-    if args.threads:
-        _cap_threads(args.threads)
 
     started = time.time()
     try:

@@ -108,14 +108,12 @@ SCHEMAS = {
         "formulation": Field("str", "sector",
                              choices=("sector", "delta_bose", "epsilon_fermi")),
         "levels": Field("int", 5),
-        "solver_tol": Field("float", 1e-10),
         "gate.residual": Field("float", 1e-8),
     },
     "duality": {
         **_COMMON, **_DOMAIN,
         "levels": Field("int", 5),
         "refinements": Field("int", 3),
-        "solver_tol": Field("float", 1e-10),
         "gate.pairwise": Field("float", 0.005),
         "gate.order_min": Field("float", 1.7),
         "gate.order_max": Field("float", 2.3),
@@ -127,7 +125,6 @@ SCHEMAS = {
         "dilation": Field("float", 2.0),
         "translation": Field("float", None),
         "control": Field("coupling", robin(-1.0)),
-        "solver_tol": Field("float", 1e-10),
         "gate.scaled": Field("float", 0.005),
         "gate.translation": Field("float", 1e-8),
         "gate.control_min": Field("float", 0.05),

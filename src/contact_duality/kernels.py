@@ -81,7 +81,7 @@ def free_kernel(n: int) -> KernelEvaluator:
         y = _points(y, n)
         d2 = np.sum((x - y) ** 2, axis=-1)
         out = np.exp(-d2 / (2.0 * tau)) / (2.0 * np.pi * tau) ** (n / 2.0)
-        return out if out.size > 1 else float(out.ravel()[0])
+        return out
 
     return KernelEvaluator(evaluate=evaluate, space="full", n=n, stat=None,
                            coupling=None, label=f"free[{n}]")
@@ -177,7 +177,7 @@ def robin_pair_kernel(a) -> KernelEvaluator:
         ux, cx = split(x)
         uy, cy = split(y)
         out = gaussian_1d(cx - cy, tau) * k_rel(ux, uy, tau)
-        return out if out.size > 1 else float(out.ravel()[0])
+        return out
 
     def face_residual(y, tau, samples=8):
         """Face boundary operator applied analytically at u = 0.
@@ -224,7 +224,7 @@ def permutation_sum(kernel: KernelEvaluator, stat: Statistics,
         total = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
         for chi, sigma in zip(chars, group):
             total = total + chi * np.asarray(kernel.evaluate(x, sigma.apply(y), tau))
-        return total if total.size > 1 else float(total.ravel()[0])
+        return total
 
     return KernelEvaluator(evaluate=evaluate, space="sector", n=n, stat=stat,
                            coupling=kernel.coupling,
@@ -250,7 +250,7 @@ def dual_pair_from_sector(sector_kernel: KernelEvaluator):
             ys, _, sy = sorting_permutations_batch(y)
             chi = sx * sy if stat is Statistics.FERMI else 1
             out = chi * np.asarray(sector_kernel.evaluate(xs, ys, tau)) / fact
-            return out if out.size > 1 else float(np.asarray(out).ravel()[0])
+            return out
 
         return KernelEvaluator(evaluate=evaluate, space="full", n=n, stat=stat,
                                coupling=sector_kernel.coupling,

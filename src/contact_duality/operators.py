@@ -31,13 +31,14 @@ symmetric form D^{-1/2} A D^{-1/2}.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .coordinates import hyperradius_batch
 from .coupling import CouplingModel
@@ -121,8 +122,19 @@ class DomainSpec:
 
 
 def content_hash(dom: DomainSpec, model: CouplingModel) -> str:
-    """Short reproducibility hash for artifact file names."""
-    text = dom.label() + "|" + model.label()
+    """Short reproducibility hash for artifact file names and cache keys.
+
+    Built from the full-precision ``repr`` of every domain field and
+    coupling entry, so inputs that differ in any digit get distinct keys
+    (the ``:g`` labels round to six significant digits).  Numbers are
+    hashed as floats, so 10 and 10.0 share a key.
+    """
+    def text_of(value):
+        return repr(float(value)) if isinstance(value, (int, float)) else repr(value)
+
+    fields = [text_of(getattr(dom, f.name)) for f in dataclasses.fields(dom)]
+    entries = [f"{e.kind}:{text_of(e.value)}" for e in model.entries]
+    text = ",".join(fields) + "|" + ",".join(entries)
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
@@ -525,10 +537,25 @@ def cached_build(formulation: str, dom: DomainSpec, model: CouplingModel) -> Gri
 
 @dataclass
 class SpectrumResult:
+    """Lowest eigenpairs of an operator with their inertia certificate.
+
+    ``shift`` is the sigma of the accepted shift-invert solve and
+    ``top_shift`` a point just above the highest reported eigenvalue;
+    ``below_shift`` and ``below_top`` count the eigenvalues below each
+    by Sylvester inertia.  A certified result has 0 and k.
+    ``rejected_shift`` is the caller's sigma when it failed the
+    certificate and the Gershgorin shift was used instead.
+    """
+
     eigenvalues: np.ndarray
     residuals: np.ndarray
     operator: GridOperator
     vectors: np.ndarray = None  # columns are node-value eigenvectors
+    shift: float = None
+    top_shift: float = None
+    below_shift: int = None
+    below_top: int = None
+    rejected_shift: float = None
 
     def __post_init__(self):
         order = np.argsort(self.eigenvalues)
@@ -537,38 +564,112 @@ class SpectrumResult:
         if self.vectors is not None:
             self.vectors = np.asarray(self.vectors)[:, order]
 
+    def certificate(self) -> dict:
+        """Shifts and inertia counts, as plain JSON values."""
+        return {"shift": self.shift, "top_shift": self.top_shift,
+                "below_shift": self.below_shift, "below_top": self.below_top,
+                "rejected_shift": self.rejected_shift}
 
-def solve(op: GridOperator, k: int, tol: float = 1e-10, seed: int = 0,
-          with_vectors: bool = True) -> SpectrumResult:
-    """Lowest k eigenpairs of a grid operator.
 
-    Shift-invert Lanczos anchored below the Gershgorin lower bound; a
-    fixed seeded start vector makes repeated solves bit-reproducible.
-    Residual norms ||A v - lambda v|| are reported per pair.
+def gershgorin_shift(a: sparse.csr_matrix) -> float:
+    """A shift safely below the Gershgorin lower bound of ``a``."""
+    diag = a.diagonal()
+    row_abs = np.asarray(abs(a).sum(axis=1)).ravel()
+    lower = float(np.min(diag - (row_abs - np.abs(diag))))
+    return lower - 0.1 * max(1.0, abs(lower))
+
+
+def _factor(a: sparse.csr_matrix, shift: float):
+    """LU factor of a - shift I under a symmetric fill-reducing ordering.
+
+    Diagonal pivoting keeps the row permutation equal to the column one,
+    so the factor is P (a - shift I) P^T = L U and U's diagonal carries
+    the inertia.  None if the factor is singular.
+    """
+    shifted = (a - shift * sparse.identity(a.shape[0], format="csr")).tocsc()
+    try:
+        return splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                    options={"SymmetricMode": True})
+    except RuntimeError:
+        return None
+
+
+def _negative_pivots(lu) -> int | None:
+    if lu is None or not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal() < 0))
+
+
+def inertia_count(a: sparse.csr_matrix, shift: float) -> int | None:
+    """Number of eigenvalues of symmetric ``a`` below ``shift``.
+
+    Sylvester's law of inertia on the symmetric LU factor of
+    a - shift I: the count of negative pivots.  None when the factor is
+    singular or its pivoting was not a symmetric permutation.
+    """
+    return _negative_pivots(_factor(a, shift))
+
+
+def _shift_invert(a: sparse.csr_matrix, k: int, shift: float, v0: np.ndarray) -> dict:
+    """Shift-invert Lanczos at ``shift`` with its inertia certificate.
+
+    One factor serves both the inertia count at the shift and every
+    solve of the Lanczos run; it is released before the second factor,
+    at a point just above the highest eigenvalue found, is made.  The
+    returned dict holds the counts, and the eigenpairs when certified.
+    """
+    lu = _factor(a, shift)
+    out = {"shift": shift, "below_shift": _negative_pivots(lu)}
+    if out["below_shift"] != 0:
+        return out
+    opinv = LinearOperator(a.shape, matvec=lu.solve, dtype=a.dtype)
+    try:
+        vals, vecs = eigsh(a, k=k, sigma=shift, which="LM", v0=v0, tol=0, OPinv=opinv)
+    except ArpackNoConvergence as err:
+        raise NotConverged("eigensolver did not converge",
+                           diagnostics={"eigenvalues": getattr(err, "eigenvalues", None),
+                                        "shift": shift})
+    del lu, opinv
+    residuals = np.linalg.norm(a @ vecs - vecs * vals[None, :], axis=0)
+    top = float(np.max(vals))
+    out["top_shift"] = top + max(10.0 * float(np.max(residuals)),
+                                 1e-9 * max(1.0, abs(top)))
+    out["below_top"] = inertia_count(a, out["top_shift"])
+    if out["below_top"] == k:
+        out["pairs"] = (vals, vecs, residuals)
+    return out
+
+
+def solve(op: GridOperator, k: int, seed: int = 0, with_vectors: bool = True,
+          shift: float = None) -> SpectrumResult:
+    """Lowest k eigenpairs of a grid operator, certified by inertia.
+
+    Shift-invert Lanczos at ``shift`` (a point just below the lowest
+    eigenvalue, e.g. from a coarser grid) or, without one, below the
+    Gershgorin lower bound.  The result is accepted only if Sylvester
+    inertia counts no eigenvalue below the shift and exactly k below a
+    point just above the k-th eigenvalue; a caller's shift that fails
+    is retried once from the Gershgorin bound, and NotConverged carries
+    the counts of every attempt when that fails too.  A fixed seeded
+    start vector makes repeated solves bit-reproducible.  Residual norms
+    ||A v - lambda v|| are reported per pair.
     """
     a = op.matrix
     dim = a.shape[0]
     if not 1 <= k < dim:
         raise ValueError(f"need 1 <= k < dimension, got k={k}, dim={dim}")
-    diag = a.diagonal()
-    row_abs = np.asarray(abs(a).sum(axis=1)).ravel()
-    lower = float(np.min(diag - (row_abs - np.abs(diag))))
-    sigma = lower - 0.1 * max(1.0, abs(lower))
-    rng = np.random.default_rng(seed)
-    v0 = rng.uniform(-1.0, 1.0, size=dim)
-    try:
-        vals, vecs = eigsh(a, k=k, sigma=sigma, which="LM", v0=v0, tol=0)
-    except ArpackNoConvergence as err:
-        raise NotConverged("eigensolver did not converge",
-                           diagnostics={"eigenvalues": getattr(err, "eigenvalues", None)})
-    except RuntimeError:
-        # factorization trouble: fall back to the plain smallest-algebraic mode
-        try:
-            vals, vecs = eigsh(a, k=k, which="SA", v0=v0, tol=tol, maxiter=50 * dim)
-        except ArpackNoConvergence as err:
-            raise NotConverged("eigensolver did not converge",
-                               diagnostics={"eigenvalues": getattr(err, "eigenvalues", None)})
-    residuals = np.linalg.norm(a @ vecs - vecs * vals[None, :], axis=0)
+    v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=dim)
+    shifts = [gershgorin_shift(a)] if shift is None else [float(shift), gershgorin_shift(a)]
+    attempts = []
+    for sigma in shifts:
+        found = _shift_invert(a, k, sigma, v0)
+        if "pairs" in found:
+            break
+        attempts.append(found)
+    else:
+        raise NotConverged("no shift gave a certified lowest-k spectrum",
+                           diagnostics={"k": k, "attempts": attempts})
+    vals, vecs, residuals = found["pairs"]
     node_vectors = None
     if with_vectors:
         node_vectors = vecs / np.sqrt(op.mass)[:, None]
@@ -577,6 +678,8 @@ def solve(op: GridOperator, k: int, tol: float = 1e-10, seed: int = 0,
             j = int(np.argmax(np.abs(node_vectors[:, i])))
             if node_vectors[j, i] < 0:
                 node_vectors[:, i] *= -1
-                vecs[:, i] *= -1
     return SpectrumResult(eigenvalues=vals, residuals=residuals, operator=op,
-                          vectors=node_vectors)
+                          vectors=node_vectors, shift=sigma,
+                          top_shift=found["top_shift"], below_shift=found["below_shift"],
+                          below_top=found["below_top"],
+                          rejected_shift=attempts[0]["shift"] if attempts else None)

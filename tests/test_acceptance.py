@@ -5,7 +5,8 @@ carries a documented expected failure: at box length 10 with coupling
 length 1, the walls squeeze the bound pair and shift the true continuum
 relative energy by about +5% off the infinite-line value -1/(4 a^2), so
 no discretization can land within the demanded 1% (see the companion
-large-box test, which does converge to -0.25, and notes/decisions.md).
+large-box test, which does converge to -0.25, and
+tests/test_independent_oracle.py, which confirms the finite-box value).
 """
 
 import math

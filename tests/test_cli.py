@@ -130,6 +130,9 @@ levels = 3
     rows = next(iter(sorted(out.glob("spectra_*.csv")))).read_text().splitlines()
     assert rows[0] == "formulation,level,h,index,eigenvalue,residual"
     assert len(rows) == 4
+    cert = json.loads((out / "report.json").read_text())["certificate"]
+    assert (cert["below_shift"], cert["below_top"]) == (0, 3)
+    assert cert["shift"] < cert["top_shift"]
 
 
 def test_propagate_run(tmp_path):
@@ -188,6 +191,48 @@ gate.composition = 1e-5
     report = json.loads((out / "report.json").read_text())
     assert report["pde_gate"] < 1e-6
     assert report["boundary"]["max"] < 1e-8
+
+
+@pytest.mark.parametrize("seed", [19, 48])
+def test_kernel_properties_pair_heat_gate_at_hard_seeds(tmp_path, seed):
+    # sample points where the heat-equation stencils used to exceed 1e-6
+    cfg = write(tmp_path, "kph.cfg", f"""
+command = kernel-properties
+n = 2
+kernel = pair
+coupling = robin:-1
+pairs = 2
+quad_tol = 1e-7
+gate.composition = 1e-5
+seed = {seed}
+""")
+    out = tmp_path / "kph"
+    assert main(["kernel-properties", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["heat_equation"]["max"] < 1e-6
+
+
+def test_kernel_properties_single_pair(tmp_path):
+    # one sample pair: every kernel evaluation returns a length-1 array
+    cfg = write(tmp_path, "k1.cfg", """
+command = kernel-properties
+n = 2
+kernel = free
+statistics = fermi
+pairs = 1
+""")
+    out = tmp_path / "k1"
+    assert main(["kernel-properties", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert len(report["heat_equation"]["values"]) == 1
+
+
+def test_removed_solver_knobs_are_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="solver_tol"):
+        validate_config(DUALITY_CFG + "solver_tol = 1e-10\n")
+    cfg = write(tmp_path, "d.cfg", DUALITY_CFG)
+    with pytest.raises(SystemExit):
+        main(["duality", "--config", cfg, "--threads", "2"])
 
 
 def test_dual_kernels_run_with_realtime(tmp_path):

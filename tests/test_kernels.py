@@ -38,7 +38,7 @@ def test_free_kernel_composition_by_quadrature():
     val, _ = integrate_box(
         lambda z: np.asarray(k(x[None, :], z, 0.5)) * np.asarray(k(z, y[None, :], 0.5)),
         np.array([[-9.0, 9.0]]), tol=1e-11, order=8)
-    np.testing.assert_allclose(val, float(k(x[None, :], y[None, :], 1.0)), rtol=1e-9)
+    np.testing.assert_allclose(val, k(x[None, :], y[None, :], 1.0).item(), rtol=1e-9)
 
 
 def test_relative_kernel_limits():
@@ -110,9 +110,9 @@ def test_permutation_sum_face_values():
     y = np.array([[1.2, -0.3]])
     bose = permutation_sum(kf, Statistics.BOSE)
     fermi = permutation_sum(kf, Statistics.FERMI)
-    np.testing.assert_allclose(float(bose(x_face, y, 0.7)),
-                               2.0 * float(kf(x_face, y, 0.7)), rtol=1e-14)
-    assert abs(float(fermi(x_face, y, 0.7))) < 1e-16
+    np.testing.assert_allclose(bose(x_face, y, 0.7).item(),
+                               2.0 * kf(x_face, y, 0.7).item(), rtol=1e-14)
+    assert abs(fermi(x_face, y, 0.7).item()) < 1e-16
 
 
 def test_permutation_sum_cap():
@@ -128,7 +128,7 @@ def test_determinant_permanent_identity():
             ks = permutation_sum(k, stat)
             x = np.sort(rng.normal(size=n))[::-1]
             y = np.sort(rng.normal(size=n))[::-1]
-            direct = float(ks(x[None, :], y[None, :], 0.45))
+            direct = ks(x[None, :], y[None, :], 0.45).item()
             closed = one_body_matrix_sum(gaussian_1d, x, y, 0.45, stat)
             np.testing.assert_allclose(direct, closed, rtol=1e-12, atol=1e-15)
 
@@ -139,11 +139,11 @@ def test_dual_pair_reconstruction_identity():
     xs = np.array([[0.9, -0.2]])
     ys = np.array([[1.4, 0.1]])
     tau = 0.5
-    sum_b = sum(float(k_bose(xs, s.apply(ys[0])[None, :], tau))
+    sum_b = sum(k_bose(xs, s.apply(ys[0])[None, :], tau).item()
                 for s in enumerate_group(2))
-    sum_f = sum(s.sign * float(k_fermi(xs, s.apply(ys[0])[None, :], tau))
+    sum_f = sum(s.sign * k_fermi(xs, s.apply(ys[0])[None, :], tau).item()
                 for s in enumerate_group(2))
-    direct = float(pk(xs, ys, tau))
+    direct = pk(xs, ys, tau).item()
     np.testing.assert_allclose(sum_b, direct, rtol=1e-14)
     np.testing.assert_allclose(sum_f, direct, rtol=1e-14)
 
@@ -154,10 +154,10 @@ def test_dual_pair_exchange_symmetry():
     x = np.array([[0.4, -0.7]])
     sx = np.array([[-0.7, 0.4]])
     y = np.array([[1.1, 0.3]])
-    np.testing.assert_allclose(float(k_bose(sx, y, 0.3)),
-                               float(k_bose(x, y, 0.3)), rtol=1e-14)
-    np.testing.assert_allclose(float(k_fermi(sx, y, 0.3)),
-                               -float(k_fermi(x, y, 0.3)), rtol=1e-14)
+    np.testing.assert_allclose(k_bose(sx, y, 0.3).item(),
+                               k_bose(x, y, 0.3).item(), rtol=1e-14)
+    np.testing.assert_allclose(k_fermi(sx, y, 0.3).item(),
+                               -k_fermi(x, y, 0.3).item(), rtol=1e-14)
 
 
 def test_sector_heat_kernels_positive():
@@ -169,13 +169,13 @@ def test_sector_heat_kernels_positive():
         x = np.sort(rng.uniform(-2, 2, size=2))[::-1]
         y = np.sort(rng.uniform(-2, 2, size=2))[::-1]
         tau = rng.uniform(0.05, 2.0)
-        assert float(bose(x[None, :], y[None, :], tau)) > 0
-        assert float(pair(x[None, :], y[None, :], tau)) > 0
+        assert bose(x[None, :], y[None, :], tau).item() > 0
+        assert pair(x[None, :], y[None, :], tau).item() > 0
 
 
 def test_sector_kernel_symmetry_in_arguments():
     pk = robin_pair_kernel(robin(-1.3))
     x = np.array([[0.7, -0.4]])
     y = np.array([[1.5, 0.2]])
-    np.testing.assert_allclose(float(pk(x, y, 0.6)), float(pk(y, x, 0.6)),
+    np.testing.assert_allclose(pk(x, y, 0.6).item(), pk(y, x, 0.6).item(),
                                rtol=1e-14)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from contact_duality.coupling import (
     CouplingModel,
@@ -9,15 +10,19 @@ from contact_duality.coupling import (
     scale_invariant,
     uniform_model,
 )
-from contact_duality.errors import GridTooCoarse, UnsupportedCoupling
+from contact_duality.errors import GridTooCoarse, NotConverged, UnsupportedCoupling
 from contact_duality.operators import (
     DomainSpec,
+    GridOperator,
     build_delta_bose,
     build_epsilon_fermi,
     build_sector,
     content_hash,
+    gershgorin_shift,
+    inertia_count,
     solve,
 )
+from contact_duality.spectra import seeded_shift
 
 
 def box_level(k, length):
@@ -158,6 +163,86 @@ def test_content_hash_distinguishes():
     h1 = content_hash(dom, uniform_model(2, robin(-1.0)))
     h2 = content_hash(dom, uniform_model(2, robin(-2.0)))
     assert h1 != h2 and len(h1) == 12
+
+
+def test_content_hash_full_precision():
+    # six-significant-digit labels used to give these three one key
+    dom = DomainSpec(n=2, length=10.0, points=32)
+    near = DomainSpec(n=2, length=10.0000001, points=32)
+    keys = {content_hash(dom, uniform_model(2, robin(-1.0))),
+            content_hash(dom, uniform_model(2, robin(-1.0000001))),
+            content_hash(near, uniform_model(2, robin(-1.0)))}
+    assert len(keys) == 3
+    assert content_hash(DomainSpec(n=2, length=10, points=32),
+                        uniform_model(2, robin(-1))) == content_hash(
+        dom, uniform_model(2, robin(-1.0)))
+
+
+SMALL_OPERATORS = [
+    (build_sector, DomainSpec(n=2, length=6.0, points=12), uniform_model(2, robin(-1.0))),
+    (build_delta_bose, DomainSpec(n=2, length=6.0, points=10), uniform_model(2, robin(1.0))),
+    (build_sector, DomainSpec(n=3, length=6.0, points=8),
+     CouplingModel((robin(-1.0), robin(-2.0)))),
+    (build_epsilon_fermi, DomainSpec(n=3, length=6.0, points=7),
+     CouplingModel((robin(-1.0), scale_invariant(1.0)))),
+]
+
+
+@pytest.mark.parametrize("build, dom, model", SMALL_OPERATORS)
+def test_inertia_counts_match_dense_spectrum(build, dom, model):
+    op = build(dom, model)
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    k = 4
+    res = solve(op, k)
+    np.testing.assert_allclose(res.eigenvalues, dense[:k], rtol=1e-10)
+    assert res.below_shift == np.count_nonzero(dense < res.shift) == 0
+    assert res.below_top == np.count_nonzero(dense < res.top_shift) == k
+    # between every pair of neighbouring levels, and beyond them
+    probes = np.concatenate([[dense[0] - 1.0], 0.5 * (dense[:12] + dense[1:13])])
+    for probe in probes:
+        assert inertia_count(op.matrix, probe) == np.count_nonzero(dense < probe)
+
+
+def test_shift_above_ground_level_is_rejected():
+    dom = DomainSpec(n=3, length=6.0, points=8)
+    op = build_sector(dom, CouplingModel((robin(-1.0), robin(-2.0))))
+    plain = solve(op, 4)
+    bad = 0.5 * (plain.eigenvalues[0] + plain.eigenvalues[1])
+    retried = solve(op, 4, shift=bad)
+    assert retried.rejected_shift == bad
+    assert retried.shift == plain.shift == gershgorin_shift(op.matrix)
+    np.testing.assert_allclose(retried.eigenvalues, plain.eigenvalues, rtol=1e-10)
+    assert (retried.below_shift, retried.below_top) == (0, 4)
+
+
+def test_seeded_and_gershgorin_shifts_agree():
+    model = CouplingModel((robin(-1.0), robin(-2.0)))
+    coarse = solve(build_sector(DomainSpec(n=3, length=6.0, points=8), model), 5)
+    op = build_sector(DomainSpec(n=3, length=6.0, points=16), model)
+    shift = seeded_shift(coarse.eigenvalues)
+    seeded = solve(op, 5, shift=shift)
+    plain = solve(op, 5)
+    assert seeded.shift == shift and seeded.rejected_shift is None
+    assert plain.shift < shift < seeded.eigenvalues[0]
+    np.testing.assert_allclose(seeded.eigenvalues, plain.eigenvalues, rtol=1e-10)
+    assert np.max(seeded.residuals) < 1e-8
+
+
+def test_degenerate_cut_fails_certificate():
+    # a double eigenvalue at the k-th place leaves the lowest k ambiguous:
+    # both shifts count 3 levels below the cut and the solve refuses
+    dom = DomainSpec(n=2, length=6.0, points=6)
+    diag = np.array([1.0, 2.0, 2.0, 3.0, 4.0, 5.0])
+    op = GridOperator(matrix=sparse.diags(diag).tocsr(), mass=np.ones(6),
+                      dofs=np.zeros((6, 2), dtype=int), coords=np.zeros((6, 2)),
+                      lattice=np.zeros(7), formulation="sector", dom=dom,
+                      model=uniform_model(2, robin(-1.0)))
+    with pytest.raises(NotConverged) as err:
+        solve(op, 2, shift=0.5)
+    attempts = err.value.diagnostics["attempts"]
+    assert [a["below_shift"] for a in attempts] == [0, 0]
+    assert [a["below_top"] for a in attempts] == [3, 3]
+    np.testing.assert_allclose(solve(op, 3).eigenvalues, [1.0, 2.0, 2.0], rtol=1e-14)
 
 
 def test_eigenvector_equivariance_through_extension():

@@ -51,6 +51,36 @@ def test_duality_report_three_body_distinct():
     assert rep.pair_deviations[("delta_bose", "epsilon_fermi")][-1] < 1e-12
 
 
+def test_duality_report_certifies_and_solves_each_operator_once(monkeypatch):
+    from contact_duality import spectra
+
+    calls = []
+
+    def counted(op, k, **kwargs):
+        calls.append((op.formulation, kwargs.get("shift")))
+        return spectra_solve(op, k, **kwargs)
+
+    spectra_solve = spectra.solve
+    monkeypatch.setattr(spectra, "solve", counted)
+    dom = DomainSpec(n=3, length=6.0, points=6)
+    model = CouplingModel((robin(-1.0), robin(-2.0)))
+    rep = duality_report(dom, model, k=3, refinements=3)
+    # the reduced delta and epsilon operators are bitwise equal
+    assert [form for form, _ in calls] == ["sector", "delta_bose"] * 3
+    assert rep.identical_by_construction == ["delta_bose|epsilon_fermi"]
+    assert rep.to_dict()["identical_by_construction"] == ["delta_bose|epsilon_fermi"]
+    for lv in rep.levels:
+        assert lv["reused"] == {"epsilon_fermi": "delta_bose"}
+        assert lv["eigenvalues"]["epsilon_fermi"] == lv["eigenvalues"]["delta_bose"]
+        for form in FORMULATIONS:
+            cert = lv["certificates"][form]
+            assert (cert["below_shift"], cert["below_top"]) == (0, 3)
+            assert cert["rejected_shift"] is None
+    # finer levels are shifted from the coarser level's eigenvalues
+    assert [shift is None for _, shift in calls] == [True, True] + [False] * 4
+    assert rep.pair_deviations[("delta_bose", "epsilon_fermi")] == [0.0] * 3
+
+
 def test_scale_invariance_report():
     dom = DomainSpec(n=3, length=6.0, points=12)
     model = uniform_model(3, scale_invariant(1.0))
