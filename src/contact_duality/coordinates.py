@@ -33,12 +33,6 @@ def coincidence_tolerance(a: float, b: float) -> float:
     return COINCIDENCE_RTOL * max(1.0, abs(a), abs(b))
 
 
-def min_pair_gap(coords) -> float:
-    """Smallest |x_j - x_k| over pairs."""
-    x = np.sort(np.asarray(coords, dtype=float))
-    return float(np.min(np.diff(x))) if x.size > 1 else np.inf
-
-
 @dataclass(frozen=True)
 class ConfigPoint:
     """Point of the coincidence-free space: pairwise distinct coordinates."""

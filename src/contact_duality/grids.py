@@ -18,21 +18,13 @@ import numpy as np
 
 from .coordinates import permutation_signs_batch
 from .errors import GridMismatch
+from .mesh import _encode
 
 
 def staggered_coords(length: float, points: int) -> np.ndarray:
     """Cell centers (i + 1/2) h of a box [0, length] with N cells."""
     h = length / points
     return (np.arange(points) + 0.5) * h
-
-
-def _encode(idx: np.ndarray, base: int) -> np.ndarray:
-    """Pack index tuples (M, n) into integers for table lookups."""
-    idx = np.asarray(idx, dtype=np.int64)
-    out = np.zeros(idx.shape[0], dtype=np.int64)
-    for k in range(idx.shape[1]):
-        out = out * base + idx[:, k]
-    return out
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,8 @@ def weakly_descending_tuples(points: int, n: int) -> np.ndarray:
 
 
 def _encode(idx: np.ndarray, base: int) -> np.ndarray:
+    """Pack index tuples (..., n) with entries below ``base`` into integers
+    that sort like the tuples."""
     idx = np.asarray(idx, dtype=np.int64)
     flat = idx.reshape(-1, idx.shape[-1])
     out = np.zeros(flat.shape[0], dtype=np.int64)
@@ -117,14 +119,6 @@ def local_matrices(seq: tuple, lengths: np.ndarray):
     return vol, stiff
 
 
-def facet_area(vertex_coords: np.ndarray) -> float:
-    """(n-1)-volume of a facet given its n vertex coordinates (n, n)."""
-    edges = vertex_coords[1:] - vertex_coords[0]
-    gram = edges @ edges.T
-    d = edges.shape[0]
-    return float(np.sqrt(max(np.linalg.det(gram), 0.0)) / math.factorial(d))
-
-
 def all_cells(cells_per_axis: int, n: int) -> np.ndarray:
     """All cell index tuples, shape (M^n, n)."""
     grids = np.indices((cells_per_axis,) * n).reshape(n, -1).T
@@ -144,16 +138,6 @@ def region_orderings(cells: np.ndarray, seq: tuple) -> np.ndarray:
         pos[axis] = m
     key = cells * n - pos[None, :]  # larger key = earlier in descending order
     return np.argsort(-key, axis=-1, kind="stable")
-
-
-def ordering_signs(pi: np.ndarray) -> np.ndarray:
-    """Signs of permutation rows (m, n)."""
-    m, n = pi.shape
-    inv = np.zeros(m, dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            inv += pi[:, i] > pi[:, j]
-    return np.where(inv % 2 == 0, 1, -1).astype(np.int64)
 
 
 def sector_element_mask(cells: np.ndarray, seq: tuple) -> np.ndarray:

@@ -10,17 +10,27 @@ throughout, kinetic term -(1/2) Laplacian):
   of h, hard walls eliminated.
 * ``delta_bose``: the full-box Hamiltonian with a surface term
   1/(sqrt(2) a_j) on every coincidence facet (the delta interaction of
-  strength 1/a_j on the plane, weighted by the coarea factor), assembled
-  over all n! ordering regions and then restricted to the
-  exchange-symmetric subspace by summing orbits.  Vertex lattice
-  staggered: interior layers at half-integer multiples of h, so planes
-  run midway between strict node layers.
-* ``epsilon_fermi``: the full-box Hamiltonian on the mesh cracked along
-  every coincidence facet, with the jump penalty
+  strength 1/a_j on the plane, weighted by the coarea factor).  Vertex
+  lattice staggered: interior layers at half-integer multiples of h, so
+  planes run midway between strict node layers.
+* ``epsilon_fermi``: the full-box Hamiltonian on the staggered lattice
+  cracked along every coincidence facet, with the jump penalty
   |[phi]|^2 / (4 sqrt(2) a_j) whose natural conditions are a value jump
   proportional to the one-sided derivative sum with the derivative
-  continuous; restricted to the antisymmetric subspace, where the jump
-  collapses to twice the one-sided facet value.
+  continuous.
+
+Restricted to the exchange-symmetric (delta) or antisymmetric
+(epsilon) subspace, both full-box forms are n! times the sector form on
+the staggered lattice: each sector element has n! images in the box and
+each coincidence facet n!/2, and on the antisymmetric subspace the jump
+is twice the one-sided value.  So the reduced operators of all three
+formulations come from one assembly over the sector elements with the
+facet term 1/(2 sqrt(2) a_j); the reduced delta and epsilon operators
+are bitwise equal, and differ from the sector one only in the lattice
+and in the factor n! on their mass.  The full-box loop over all n!
+ordering regions is kept for the unreduced operators
+(``reduced=False``), which the real-time propagation check compares
+against the reduced ones.
 
 The pair coupling attached to a facet is the entry a_{j*} with j* the
 rank of the colliding pair in the region's descending order, so distinct
@@ -58,6 +68,7 @@ from .mesh import (
     staggered_lattice,
     uniform_lattice,
     weakly_descending_tuples,
+    _encode,
     _vertex_offsets,
 )
 
@@ -122,7 +133,7 @@ class DomainSpec:
 
 
 def content_hash(dom: DomainSpec, model: CouplingModel) -> str:
-    """Short reproducibility hash for artifact file names and cache keys.
+    """Short reproducibility hash for artifact file names.
 
     Built from the full-precision ``repr`` of every domain field and
     coupling entry, so inputs that differ in any digit get distinct keys
@@ -145,7 +156,9 @@ class GridOperator:
     ``matrix`` acts on mass-scaled coefficients; node values of a state
     are ``vector / sqrt(mass)``.  ``dofs`` holds the vertex index tuple
     of every degree of freedom (sorted descending for reduced
-    operators), ``coords`` their coordinates.
+    operators), ``coords`` their coordinates.  The reduced delta and
+    epsilon ``mass`` is the full-box lumped mass summed over the orbit of
+    each node, n! times the sector-element mass.
     """
 
     matrix: sparse.csr_matrix
@@ -204,22 +217,6 @@ class _Accumulator:
         return mat.tocsr()
 
 
-def _facet_coefficient(formulation: str, a_values: np.ndarray) -> np.ndarray:
-    """Per-vertex surface-term coefficient for one facet batch.
-
-    sector: boundary Robin weak form, 1 / (2 sqrt2 a).
-    delta_bose: plane delta of strength 1/a with coarea factor 1/sqrt2.
-    epsilon_fermi: jump penalty |[phi]|^2/(4 sqrt2 a) with |[phi]| = 2|phi|
-    on the antisymmetric subspace.
-    """
-    if formulation == "sector":
-        return 1.0 / (2.0 * SQRT2 * a_values)
-    if formulation == "delta_bose":
-        return 1.0 / (SQRT2 * a_values)
-    # epsilon_fermi: (s_plus - s_minus)^2 = 4 on the antisymmetric subspace
-    return 4.0 / (4.0 * SQRT2 * a_values)
-
-
 def _check_model(formulation: str, model: CouplingModel, n: int):
     if model.n != n:
         raise UnsupportedCoupling(f"model has {model.n - 1} entries, need {n - 1}")
@@ -241,46 +238,42 @@ def _check_model(formulation: str, model: CouplingModel, n: int):
 
 def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
               formulation: str, reduced: bool):
+    """Assemble one formulation's operator on ``lattice``.
+
+    Reduced operators sum over the sector elements of the weakly
+    descending cells, with one dof per descending vertex tuple.
+    Unreduced ones sum over all M^n n! elements of the box, with one dof
+    per vertex, or per (vertex, region) pair on the cracked mesh.
+    """
     n = dom.n
     pts = lattice.size
-    cells_per_axis = pts - 1
     widths = np.diff(lattice)
-    cells = all_cells(cells_per_axis, n)
-    sector_only = formulation == "sector"
-
-    # Degree-of-freedom table
-    cracked = formulation == "epsilon_fermi" and not reduced
-    if reduced or sector_only:
-        table = DofTable(weakly_descending_tuples(pts, n), pts)
-        dim = table.size
-        dof_tuples = table.tuples
-        region_ranks = None
-    elif cracked:
-        table, dof_tuples, region_ranks, dim = None, None, None, None  # built below
-    else:
-        table = None
-        dim = pts**n
-        dof_tuples = None
-        region_ranks = None
-
     perm_list = insertion_orders(n)
-
-    if cracked:
-        # Enumerate (vertex, region) pairs actually touched by elements.
-        keys = []
-        for seq, _ in perm_list:
-            offs = _vertex_offsets(seq)
-            pis = region_orderings(cells, seq)
-            pi_rank = _rank_rows(pis, perm_list)
-            verts = cells[:, None, :] + offs[None, :, :]
-            ravel = _ravel(verts, pts)
-            keys.append((ravel + (pts**n) * pi_rank[:, None]).ravel())
-        all_keys = np.unique(np.concatenate(keys))
-        crack_keys_sorted = all_keys
-        dim = all_keys.size
-        vert_ravel = all_keys % (pts**n)
-        region_ranks = all_keys // (pts**n)
-        dof_tuples = _unravel(vert_ravel, pts, n)
+    cracked = formulation == "epsilon_fermi" and not reduced
+    region_ranks = None
+    if reduced:
+        cells = weakly_descending_tuples(pts - 1, n)
+        table = DofTable(weakly_descending_tuples(pts, n), pts)
+        dof_tuples = table.tuples
+    else:
+        cells = all_cells(pts - 1, n)
+        vertex_keys = np.arange(pts**n, dtype=np.int64)
+        if cracked:
+            # Enumerate (vertex, region) pairs actually touched by elements.
+            keys = []
+            for seq, _ in perm_list:
+                verts = cells[:, None, :] + _vertex_offsets(seq)[None, :, :]
+                pi_rank = _rank_rows(region_orderings(cells, seq), perm_list)
+                keys.append((_encode(verts, pts) + pts**n * pi_rank[:, None]).ravel())
+            crack_keys = np.unique(np.concatenate(keys))
+            vertex_keys = crack_keys % pts**n
+            region_ranks = crack_keys // pts**n
+        dof_tuples = np.stack(np.unravel_index(vertex_keys, (pts,) * n), axis=-1)
+    dim = dof_tuples.shape[0]
+    # per-vertex facet weight 1 / (facet_scale sqrt2 a): the sector's Robin
+    # term at reduced level; in the full box the plane delta of strength
+    # 1/a with coarea factor 1/sqrt2, or the jump penalty |[phi]|^2 / (4 sqrt2 a)
+    facet_scale = 2.0 if reduced else 4.0 if cracked else 1.0
 
     mass_diag = np.zeros(dim)
     drop_face_dofs = np.zeros(dim, dtype=bool)
@@ -289,22 +282,16 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
 
     def dof_ids(vertex_tuples, pi_rank=None):
         """Map element vertex tuples (K, n+1, n) to dof indices (K, n+1)."""
-        if reduced or sector_only:
-            sorted_desc = -np.sort(-vertex_tuples, axis=-1)
-            return table.rank(sorted_desc.reshape(-1, n)).reshape(vertex_tuples.shape[:2])
+        if reduced:  # sector element vertices are descending already
+            return table.rank(vertex_tuples.reshape(-1, n)).reshape(vertex_tuples.shape[:2])
+        keys = _encode(vertex_tuples, pts)
         if cracked:
-            ravel = _ravel(vertex_tuples, pts)
-            keys = ravel + (pts**n) * pi_rank[:, None]
-            pos = np.searchsorted(crack_keys_sorted, keys.ravel())
-            return pos.reshape(keys.shape)
-        return _ravel(vertex_tuples, pts)
+            return np.searchsorted(crack_keys, keys + pts**n * pi_rank[:, None])
+        return keys
 
     for seq, _perm in perm_list:
         offs = _vertex_offsets(seq)
-        if sector_only:
-            batch = cells[sector_element_mask(cells, seq)]
-        else:
-            batch = cells
+        batch = cells[sector_element_mask(cells, seq)] if reduced else cells
         if batch.shape[0] == 0:
             continue
         pis = region_orderings(batch, seq)
@@ -373,27 +360,22 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
                         if cracked:
                             drop_face_dofs[np.unique(ids_minus[sel][pinned])] = True
                     a_v = np.where(pinned, np.inf, a_v)
-                coef = _facet_coefficient(formulation, a_v)
+                coef = 1.0 / (facet_scale * SQRT2 * a_v)
                 share = coef * (areas[:, None] / n)
                 if cracked:
-                    # jump penalty couples the two one-sided values:
-                    # (1/(4 sqrt2 a)) (phi_plus - phi_minus)^2 per vertex share
-                    base = share / 4.0  # undo the subspace factor baked above
+                    # the jump penalty couples the two one-sided values
                     for rows_ids, cols_ids, sgn in (
                         (ids[sel], ids[sel], 1.0),
                         (ids[sel], ids_minus[sel], -1.0),
                         (ids_minus[sel], ids[sel], -1.0),
                         (ids_minus[sel], ids_minus[sel], 1.0),
                     ):
-                        facet_acc.add(rows_ids, cols_ids, sgn * base)
+                        facet_acc.add(rows_ids, cols_ids, sgn * share)
                 else:
                     facet_acc.add(ids[sel], ids[sel], share)
 
     facets = facet_acc.matrix(dim)
     hamiltonian = 0.5 * stiff + facets
-
-    if dof_tuples is None:
-        dof_tuples = _unravel(np.arange(dim, dtype=np.int64), pts, n)
     coords = lattice[dof_tuples]
 
     # potential on the lumped diagonal
@@ -413,6 +395,9 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
     inv_sqrt = sparse.diags(1.0 / np.sqrt(mass))
     normalized = (inv_sqrt @ hamiltonian @ inv_sqrt).tocsr()
     normalized.sum_duplicates()
+    if reduced and formulation != "sector":
+        # the full-box mass summed over the n! images of each node
+        mass = mass * math.factorial(n)
 
     return GridOperator(
         matrix=normalized,
@@ -423,7 +408,7 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
         formulation=formulation,
         dom=dom,
         model=model,
-        reduced=reduced or sector_only,
+        reduced=reduced,
         region_ranks=None if region_ranks is None else region_ranks[idx],
     )
 
@@ -437,30 +422,12 @@ def _facet_areas(fverts: np.ndarray, lattice: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / math.factorial(d)
 
 
-def _ravel(idx: np.ndarray, base: int) -> np.ndarray:
-    idx = np.asarray(idx, dtype=np.int64)
-    out = np.zeros(idx.shape[:-1], dtype=np.int64)
-    for k in range(idx.shape[-1]):
-        out = out * base + idx[..., k]
-    return out
-
-
-def _unravel(keys: np.ndarray, base: int, n: int) -> np.ndarray:
-    keys = np.asarray(keys, dtype=np.int64).copy()
-    out = np.zeros((keys.size, n), dtype=np.int64)
-    for k in range(n - 1, -1, -1):
-        out[:, k] = keys % base
-        keys //= base
-    return out
-
-
 def _rank_rows(pis: np.ndarray, perm_list) -> np.ndarray:
-    """Rank permutation rows by lexicographic order of images."""
+    """Rank permutation rows by lexicographic order of images, which is
+    the order of ``itertools.permutations``."""
     n = pis.shape[1]
-    key = _ravel(pis, n)
-    table = np.sort(np.asarray([_ravel(np.asarray(p.images)[None, :], n)[0]
-                                for _, p in perm_list]))
-    return np.searchsorted(table, key)
+    table = np.sort(_encode(np.asarray([p.images for _, p in perm_list]), n))
+    return np.searchsorted(table, _encode(pis, n))
 
 
 def _swap_entries(pis: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -481,8 +448,10 @@ def build_sector(dom: DomainSpec, model: CouplingModel) -> GridOperator:
 
 def build_delta_bose(dom: DomainSpec, model: CouplingModel,
                      reduced: bool = True) -> GridOperator:
-    """Full-box Hamiltonian with plane delta terms of strength 1/a_j,
-    restricted to the exchange-symmetric subspace."""
+    """Full-box Hamiltonian with plane delta terms of strength 1/a_j.
+
+    Reduced (the default) to the exchange-symmetric subspace, where it is
+    the sector form on the staggered lattice."""
     _check_model("delta_bose", model, dom.n)
     lattice = staggered_lattice(dom.length, dom.points, dom.offset)
     return _assemble(lattice, dom, model, "delta_bose", reduced=reduced)
@@ -491,7 +460,10 @@ def build_delta_bose(dom: DomainSpec, model: CouplingModel,
 def build_epsilon_fermi(dom: DomainSpec, model: CouplingModel,
                         reduced: bool = True) -> GridOperator:
     """Full-box Hamiltonian cracked along coincidence facets with the jump
-    penalty of strength a_j, restricted to the antisymmetric subspace."""
+    penalty of strength a_j.
+
+    Reduced (the default) to the antisymmetric subspace, where it is the
+    sector form on the staggered lattice."""
     _check_model("epsilon_fermi", model, dom.n)
     lattice = staggered_lattice(dom.length, dom.points, dom.offset)
     return _assemble(lattice, dom, model, "epsilon_fermi", reduced=reduced)
@@ -505,34 +477,13 @@ BUILDERS = {
 
 
 def cached_build(formulation: str, dom: DomainSpec, model: CouplingModel) -> GridOperator:
-    """Build an operator, memoized on disk when CONTACT_DUALITY_CACHE is set.
+    """Build an operator by formulation name through ``BUILDERS``.
 
-    The cache key hashes the domain, coupling model, and formulation;
-    entries store the assembled sparse matrix and its metadata arrays.
+    Nothing is cached.  The name stays because ``cli`` and ``spectra``
+    build through it and the benchmark's tracer (``perfbench/tracing.py``)
+    wraps it there by name.
     """
-    import os
-    from pathlib import Path
-
-    cache_dir = os.environ.get("CONTACT_DUALITY_CACHE")
-    if not cache_dir:
-        return BUILDERS[formulation](dom, model)
-    path = Path(cache_dir) / f"{formulation}_{content_hash(dom, model)}.npz"
-    if path.exists():
-        data = np.load(path, allow_pickle=False)
-        matrix = sparse.csr_matrix(
-            (data["data"], data["indices"], data["indptr"]),
-            shape=tuple(data["shape"]))
-        return GridOperator(matrix=matrix, mass=data["mass"], dofs=data["dofs"],
-                            coords=data["coords"], lattice=data["lattice"],
-                            formulation=formulation, dom=dom, model=model,
-                            reduced=True)
-    op = BUILDERS[formulation](dom, model)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, data=op.matrix.data, indices=op.matrix.indices,
-                        indptr=op.matrix.indptr, shape=np.asarray(op.matrix.shape),
-                        mass=op.mass, dofs=op.dofs, coords=op.coords,
-                        lattice=op.lattice)
-    return op
+    return BUILDERS[formulation](dom, model)
 
 
 @dataclass

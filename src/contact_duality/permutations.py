@@ -129,10 +129,6 @@ def enumerate_group(n: int, parity: str = "all", cap: int = DEFAULT_GROUP_CAP):
     return elements
 
 
-def group_order(n: int, parity: str = "all") -> int:
-    return math.factorial(n) if parity == "all" else math.factorial(n) // 2
-
-
 def permutation_matrix(p: Permutation) -> np.ndarray:
     """Matrix P with (P x)_i = x_{sigma(i)}."""
     mat = np.zeros((p.n, p.n))

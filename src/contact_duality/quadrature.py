@@ -176,14 +176,3 @@ def integrate_sector(f, lo: float, hi: float, n: int, tol: float = 1e-9,
     return _adaptive(lambda c: sector_rule(lo, hi, n, c, order), f, tol, floor,
                      start_cells, max_doublings)
 
-
-def gaussian_support_box(center, widths, drop: float = 1e-16):
-    """Box outside which exp(-((x-c)/w)^2-type factors fall below ``drop``.
-
-    widths are per-axis standard-deviation-like scales; the box extends
-    sqrt(-log(drop)) scaled widths on each side.
-    """
-    center = np.asarray(center, dtype=float)
-    widths = np.asarray(widths, dtype=float)
-    radius = np.sqrt(-np.log(drop)) * widths
-    return np.stack([center - radius, center + radius], axis=-1)

@@ -13,7 +13,6 @@ scaling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -47,26 +46,6 @@ def convergence_order(coarse, mid, fine, ratio: float = 2.0):
 
 def richardson_extrapolate(mid, fine, order: float, ratio: float = 2.0):
     return fine + (fine - mid) / (ratio**order - 1.0)
-
-
-def _strict_overlap(op: GridOperator, v_bose: np.ndarray, v_fermi: np.ndarray) -> float:
-    """Overlap of the mapped boson vector with the fermion vector.
-
-    Both reduced vectors hold values on descending representatives; on a
-    strict node x the boson extension is v[sorted x], the fermion one
-    sgn(sigma_x) v[sorted x], and the pair-sign product equals
-    sgn(sigma_x).  After multiplying the boson values by the sign
-    product, the two full-grid functions have the inner product below
-    (restricted to strict nodes; every strict orbit carries the same
-    weight, so the reduced mass works as the node weight).
-    """
-    strict = np.all(op.dofs[:, :-1] > op.dofs[:, 1:], axis=-1)
-    w = op.mass[strict]
-    b = v_bose[strict]
-    f = v_fermi[strict]
-    num = abs(np.sum(w * np.conj(b) * f))
-    den = math.sqrt(float(np.sum(w * np.abs(b) ** 2) * np.sum(w * np.abs(f) ** 2)))
-    return float(num / den)
 
 
 def bf_overlap_deviations(delta_res: SpectrumResult, fermi_res: SpectrumResult):
@@ -172,30 +151,44 @@ def _same_operator(a: GridOperator, b: GridOperator) -> bool:
             and np.array_equal(ma.data, mb.data) and np.array_equal(a.mass, b.mass))
 
 
+def _solve_formulations(dom: DomainSpec, model: CouplingModel, k: int, seed: int,
+                        shifts: dict = None):
+    """Build and solve every formulation on one domain.
+
+    ``shifts`` maps formulations to shift-invert sigmas (None: the
+    Gershgorin shift).  When the epsilon operator is bitwise equal to the
+    delta one (the reduced forms coincide by construction), the delta
+    result is reused instead of solved again.  Returns the results and a
+    map from each reused formulation to its source.
+    """
+    results, reused = {}, {}
+    for form in FORMULATIONS:
+        op = cached_build(form, dom, model)
+        if form == "epsilon_fermi" and _same_operator(op, results["delta_bose"].operator):
+            results[form] = replace(results["delta_bose"], operator=op)
+            reused[form] = "delta_bose"
+            continue
+        shift = None if shifts is None else shifts[form]
+        results[form] = solve(op, k, seed=seed, shift=shift)
+    return results, reused
+
+
 def duality_report(dom: DomainSpec, model: CouplingModel, k: int,
                    refinements: int = 3, seed: int = 0) -> DualityReport:
     """Compare the three formulations on a ladder of grid refinements.
 
     Each formulation's solve on a finer grid is shifted from its own
-    eigenvalues on the coarser one.  When the epsilon operator is
-    bitwise equal to the delta one (the reduced forms coincide by
-    construction), the delta result is reused instead of solved again.
+    eigenvalues on the coarser one; an epsilon operator bitwise equal to
+    the delta one reuses its result.
     """
     report = DualityReport(dom=dom, model=model, k=k, refinements=refinements)
     results_by_level = []
     for level in range(refinements):
         dom_l = dom.refined(2**level)
-        results = {}
-        reused = {}
-        for form in FORMULATIONS:
-            op = cached_build(form, dom_l, model)
-            if form == "epsilon_fermi" and _same_operator(op, results["delta_bose"].operator):
-                results[form] = replace(results["delta_bose"], operator=op)
-                reused[form] = "delta_bose"
-                continue
-            shift = (seeded_shift(results_by_level[-1][form].eigenvalues)
-                     if results_by_level else None)
-            results[form] = solve(op, k, seed=seed, shift=shift)
+        shifts = ({form: seeded_shift(res.eigenvalues)
+                   for form, res in results_by_level[-1].items()}
+                  if results_by_level else None)
+        results, reused = _solve_formulations(dom_l, model, k, seed, shifts)
         results_by_level.append(results)
         report.levels.append({
             "level": level,
@@ -285,6 +278,8 @@ def scale_invariance_report(dom: DomainSpec, model: CouplingModel, dilation: flo
     The box provides the only length scale of the scale-invariant model,
     so dilating it by lambda at fixed node count must rescale every
     eigenvalue by 1/lambda^2; a constant coupling length breaks this.
+    Like the duality report, it solves a bitwise-equal epsilon operator
+    once, through the delta one.
     """
     if dom.n != 3:
         raise UnsupportedCoupling("scale-invariance report is defined for n = 3")
@@ -302,13 +297,16 @@ def scale_invariance_report(dom: DomainSpec, model: CouplingModel, dilation: flo
     dom_shifted = DomainSpec(dom.n, dom.length, dom.points, dom.confinement,
                              dom.omega, dom.offset + translation)
 
+    cases = {"base": (dom, model), "dilated": (dom_dilated, model),
+             "shifted": (dom_shifted, model), "control": (dom, control_model),
+             "control_dilated": (dom_dilated, control_model)}
+    spectra = {}
+    for name, (dom_c, model_c) in cases.items():
+        results, _ = _solve_formulations(dom_c, model_c, k, seed)
+        spectra[name] = {form: res.eigenvalues for form, res in results.items()}
+    rel = lambda x, y: np.max(np.abs(x - y) / np.maximum(np.abs(x), 1e-12))
     for form in FORMULATIONS:
-        base = solve(cached_build(form, dom, model), k, seed=seed).eigenvalues
-        dil = solve(cached_build(form, dom_dilated, model), k, seed=seed).eigenvalues
-        shift = solve(cached_build(form, dom_shifted, model), k, seed=seed).eigenvalues
-        cb = solve(cached_build(form, dom, control_model), k, seed=seed).eigenvalues
-        cd = solve(cached_build(form, dom_dilated, control_model), k, seed=seed).eigenvalues
-        rel = lambda x, y: np.max(np.abs(x - y) / np.maximum(np.abs(x), 1e-12))
+        base, dil, shift, cb, cd = (spectra[name][form] for name in cases)
         report.base[form] = base.tolist()
         report.dilated[form] = dil.tolist()
         report.scaled_deviation[form] = float(rel(base, dil * dilation**2))

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from contact_duality.cli import main
@@ -146,21 +145,6 @@ quad_order = 8
 """)
     out = tmp_path / "prop"
     assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
-
-
-def test_operator_cache(tmp_path, monkeypatch):
-    from contact_duality.coupling import robin, uniform_model
-    from contact_duality.operators import DomainSpec, cached_build
-
-    monkeypatch.setenv("CONTACT_DUALITY_CACHE", str(tmp_path / "cache"))
-    dom = DomainSpec(n=2, length=6.0, points=10)
-    model = uniform_model(2, robin(-1.0))
-    op1 = cached_build("sector", dom, model)
-    files = list((tmp_path / "cache").glob("*.npz"))
-    assert len(files) == 1
-    op2 = cached_build("sector", dom, model)
-    assert np.array_equal(op1.matrix.toarray(), op2.matrix.toarray())
-    assert np.array_equal(op1.dofs, op2.dofs)
 
 
 def test_kernel_properties_run(tmp_path):

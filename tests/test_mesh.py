@@ -3,18 +3,18 @@ import math
 
 import numpy as np
 
+from contact_duality.coordinates import permutation_signs_batch
 from contact_duality.mesh import (
     _vertex_offsets,
     all_cells,
-    facet_area,
     local_matrices,
-    ordering_signs,
     region_orderings,
     sector_element_mask,
     staggered_lattice,
     uniform_lattice,
     weakly_descending_tuples,
 )
+from contact_duality.operators import _facet_areas
 
 
 def test_lattices():
@@ -78,10 +78,12 @@ def test_interior_stencil_is_standard_laplacian():
 
 
 def test_facet_area():
-    tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    np.testing.assert_allclose(facet_area(tri), 0.5)
-    seg = np.array([[0.0, 0.0], [1.0, 1.0]])
-    np.testing.assert_allclose(facet_area(seg), np.sqrt(2.0))
+    # vertex index tuples on the lattice (0, 1), so indices are coordinates
+    lattice = np.array([0.0, 1.0])
+    tri = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    np.testing.assert_allclose(_facet_areas(tri[None], lattice), [0.5])
+    seg = np.array([[0, 0], [1, 1]])
+    np.testing.assert_allclose(_facet_areas(seg[None], lattice), [np.sqrt(2.0)])
 
 
 def test_sector_mask_counts():
@@ -102,7 +104,7 @@ def test_region_orderings_signs():
     np.testing.assert_array_equal(pis[0], [0, 1, 2])
     np.testing.assert_array_equal(pis[1], [0, 1, 2])  # tie broken by insertion
     np.testing.assert_array_equal(pis[2], [2, 1, 0])
-    signs = ordering_signs(pis)
+    signs = permutation_signs_batch(pis)
     np.testing.assert_array_equal(signs, [1, 1, -1])
 
 

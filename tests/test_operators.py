@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import eigh
 
 from contact_duality.coupling import (
     CouplingModel,
@@ -10,7 +13,9 @@ from contact_duality.coupling import (
     scale_invariant,
     uniform_model,
 )
+from contact_duality.coordinates import permutation_signs_batch
 from contact_duality.errors import GridTooCoarse, NotConverged, UnsupportedCoupling
+from contact_duality.mesh import DofTable
 from contact_duality.operators import (
     DomainSpec,
     GridOperator,
@@ -74,6 +79,48 @@ def test_structural_strong_weak_pairing():
     a = build_delta_bose(dom, model).matrix
     b = build_epsilon_fermi(dom, model).matrix
     assert abs(a - b).max() < 1e-13 * abs(a).max()
+
+
+def _project_unreduced(full, red):
+    """Unreduced form and mass restricted to the span of the reduced dofs.
+
+    A reduced dof c extends to the box as c[sorted v] on every vertex v
+    (delta), or as sgn(pi) c[v sorted by pi] on the copy of v in region pi
+    of the cracked mesh (epsilon).  Returns S^T H S and S^T D S with
+    H = D^{1/2} A D^{1/2} the unnormalized form of the full operator.
+    """
+    table = DofTable(red.dofs, red.lattice.size)
+    if full.region_ranks is None:
+        cols = table.rank(-np.sort(-full.dofs, axis=-1))
+        vals = np.ones(full.dimension)
+    else:  # region ranks follow the itertools.permutations order
+        pis = np.asarray(list(itertools.permutations(range(red.dom.n))))[full.region_ranks]
+        cols = table.rank(np.take_along_axis(full.dofs, pis, axis=-1))
+        vals = permutation_signs_batch(pis).astype(float)
+    s = np.zeros((full.dimension, red.dimension))
+    s[np.arange(full.dimension), cols] = vals
+    root = np.sqrt(full.mass)
+    h = root[:, None] * full.matrix.toarray() * root[None, :]
+    return s.T @ h @ s, s.T @ (full.mass[:, None] * s)
+
+
+@pytest.mark.parametrize("build", [build_delta_bose, build_epsilon_fermi])
+@pytest.mark.parametrize("dom, model", [
+    (DomainSpec(n=2, length=6.0, points=8), uniform_model(2, robin(1.0))),
+    (DomainSpec(n=2, length=6.0, points=8), uniform_model(2, robin(-1.0))),
+    (DomainSpec(n=3, length=6.0, points=6), CouplingModel((robin(-1.0), robin(-2.0)))),
+    (DomainSpec(n=3, length=6.0, points=6), uniform_model(3, scale_invariant(1.0))),
+])
+def test_reduced_operator_is_projected_full_box_operator(build, dom, model):
+    # the full-box loop over every ordering region (the cracked mesh for
+    # epsilon) restricted to (anti)symmetric states checks the reduced
+    # sector-element assembly independently
+    red = build(dom, model)
+    h, d = _project_unreduced(build(dom, model, reduced=False), red)
+    np.testing.assert_array_equal(d, np.diag(np.diag(d)))
+    np.testing.assert_allclose(np.diag(d), red.mass, rtol=1e-14)
+    np.testing.assert_allclose(eigh(h, d, eigvals_only=True),
+                               np.linalg.eigvalsh(red.matrix.toarray()), rtol=1e-12)
 
 
 def test_operator_symmetry():

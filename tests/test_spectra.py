@@ -57,7 +57,7 @@ def test_duality_report_certifies_and_solves_each_operator_once(monkeypatch):
     calls = []
 
     def counted(op, k, **kwargs):
-        calls.append((op.formulation, kwargs.get("shift")))
+        calls.append((op, kwargs.get("shift")))
         return spectra_solve(op, k, **kwargs)
 
     spectra_solve = spectra.solve
@@ -66,7 +66,7 @@ def test_duality_report_certifies_and_solves_each_operator_once(monkeypatch):
     model = CouplingModel((robin(-1.0), robin(-2.0)))
     rep = duality_report(dom, model, k=3, refinements=3)
     # the reduced delta and epsilon operators are bitwise equal
-    assert [form for form, _ in calls] == ["sector", "delta_bose"] * 3
+    assert [op.formulation for op, _ in calls] == ["sector", "delta_bose"] * 3
     assert rep.identical_by_construction == ["delta_bose|epsilon_fermi"]
     assert rep.to_dict()["identical_by_construction"] == ["delta_bose|epsilon_fermi"]
     for lv in rep.levels:
@@ -79,6 +79,16 @@ def test_duality_report_certifies_and_solves_each_operator_once(monkeypatch):
     # finer levels are shifted from the coarser level's eigenvalues
     assert [shift is None for _, shift in calls] == [True, True] + [False] * 4
     assert rep.pair_deviations[("delta_bose", "epsilon_fermi")] == [0.0] * 3
+
+    # the scale-invariance report solves five domain/model cases
+    calls.clear()
+    scale = scale_invariance_report(DomainSpec(n=3, length=6.0, points=6),
+                                    uniform_model(3, scale_invariant(1.0)), dilation=2.0, k=3)
+    solved = [op for op, _ in calls]
+    assert [op.formulation for op in solved] == ["sector", "delta_bose"] * 5
+    assert not any(spectra._same_operator(a, b)
+                   for i, a in enumerate(solved) for b in solved[i + 1:])
+    assert scale.base["epsilon_fermi"] == scale.base["delta_bose"]
 
 
 def test_scale_invariance_report():
