@@ -21,6 +21,11 @@ import numpy as np
 from .coordinates import hyperradius_batch
 from .errors import DegenerateRadius, IndexOutOfRange, UnsupportedCoupling
 
+#: sqrt(2), the norm of the pair direction e_j - e_{j+1}: in the pair
+#: coordinate u = (x_j - x_{j+1}) / sqrt(2) a Robin length a becomes the
+#: half-line rate gamma = 1 / (sqrt(2) a).
+SQRT2 = math.sqrt(2.0)
+
 #: Hyperradius below which the scale-invariant coupling is declared
 #: degenerate (total-coincidence corner).
 RADIUS_TOL = 1e-12

@@ -15,10 +15,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .coupling import BoundaryCoupling
+from .coupling import SQRT2, BoundaryCoupling
 from .kernels import relative_half_line_kernel
-
-SQRT2 = np.sqrt(2.0)
 
 
 def _system(points: int, width: float, gamma):

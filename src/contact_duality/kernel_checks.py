@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_checks import connection_residual
+from .boundary_checks import _extrapolation_weights, connection_residual
 from .kernels import KernelEvaluator
 from .permutations import enumerate_group
 from .quadrature import integrate_box, integrate_sector
@@ -295,10 +295,9 @@ def face_boundary_residual(kernel: KernelEvaluator, model, j: int,
         u = np.array([step, 2 * step, 3 * step])
         samples = np.stack([slice_at(pts + uk * direction[None, :]) for uk in u],
                            axis=1)
-        v = np.vander(u, 3, increasing=True)
-        inv = np.linalg.inv(v)
-        value = samples @ inv[0]
-        pair_derivative = 2.0 * (samples @ inv[1])
+        wv, wd = _extrapolation_weights(u)
+        value = samples @ wv
+        pair_derivative = 2.0 * (samples @ wd)
         scale = max(float(np.max(np.abs(value))),
                     step * float(np.max(np.abs(pair_derivative))), 1e-300)
         if entry.kind == "dirichlet":

@@ -18,7 +18,11 @@ a < 0 through its e^{gamma^2 tau / 2} growth.
 Sector kernels arise from full-space ones as character-weighted sums
 over the permutation group; conversely a sector kernel induces the dual
 pair of exchange-symmetric full-space kernels through the sorting
-permutation of each argument.
+permutation of each argument.  For the free kernel, a product of
+one-body factors, the sum is the permanent (bosons) or the determinant
+(fermions) of the one-body matrix (Karlin and McGregor, Pacific J. Math.
+9, 1959).  ``permutation_sum`` evaluates it from the n x n table of
+one-body exponents, with no full-space evaluation.
 """
 
 from __future__ import annotations
@@ -30,11 +34,14 @@ import numpy as np
 from scipy.special import erfc, erfcx
 
 from .coordinates import sorting_permutations_batch
-from .coupling import BoundaryCoupling, dirichlet, neumann, robin
+from .coupling import SQRT2, BoundaryCoupling, dirichlet, neumann, robin
 from .permutations import enumerate_group
 from .wavefunctions import Statistics
 
-SQRT2 = math.sqrt(2.0)
+#: log of the smallest normal double.  Closed-form permutation sums flush
+#: exponents below it to exact zero: each such term is below 2.3e-308,
+#: and numpy's exp is about 100 times slower on a subnormal result.
+LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 def _points(x, n):
@@ -54,7 +61,11 @@ class KernelEvaluator:
     'full' or 'sector'; ``stat`` tags the exchange symmetry of full
     kernels; ``coupling`` records the pair coupling (None means free).
     ``pair_face_residual``, when present, returns the face boundary
-    operator applied to the kernel analytically.
+    operator applied to the kernel analytically.  ``log_one_body``, when
+    present, marks a product kernel
+    K(x, y; tau) = exp(sum_i log_one_body(x_i, y_i, tau)); it acts
+    elementwise on broadcastable coordinate arrays, and permutation sums
+    use it to evaluate in closed form.
     """
 
     evaluate: callable
@@ -64,6 +75,7 @@ class KernelEvaluator:
     coupling: object = None
     label: str = ""
     pair_face_residual: callable = None
+    log_one_body: callable = None
 
     def __call__(self, x, y, tau):
         return self.evaluate(x, y, tau)
@@ -84,7 +96,17 @@ def free_kernel(n: int) -> KernelEvaluator:
         return out
 
     return KernelEvaluator(evaluate=evaluate, space="full", n=n, stat=None,
-                           coupling=None, label=f"free[{n}]")
+                           coupling=None, label=f"free[{n}]",
+                           log_one_body=log_gaussian_1d)
+
+
+def log_gaussian_1d(u, v, tau: float) -> np.ndarray:
+    """log of the one-dimensional heat kernel between u and v."""
+    d = np.subtract(u, v, dtype=float)
+    d *= d
+    d *= -0.5 / tau
+    d -= 0.5 * math.log(2.0 * math.pi * tau)
+    return d
 
 
 def _as_pair_coupling(a) -> BoundaryCoupling:
@@ -207,10 +229,18 @@ def robin_pair_kernel(a) -> KernelEvaluator:
 
 def permutation_sum(kernel: KernelEvaluator, stat: Statistics,
                     cap: int = None) -> KernelEvaluator:
-    """Sector kernel as the character-weighted sum over relabelings.
+    """Sector kernel as the character-weighted sum over relabelings,
+    sum_sigma chi(sigma) K(x, sigma y).
 
-    Summation order is the fixed lexicographic group order, so results
-    are bitwise reproducible.
+    For a product kernel (``kernel.log_one_body`` set) the sum is the
+    permanent (Bose) or determinant (Fermi) of the one-body matrix
+    k(x_i, y_j).  It is evaluated from the table t[i, j] = log k(x_i, y_j),
+    built once per call on the broadcast batch shape, as
+    sum_sigma chi(sigma) exp(sum_i t[i, sigma(i)]): no coordinate gathers
+    and one exponential per group element.  Exponents below
+    ``LOG_TINY`` are flushed to exact zero.  Other kernels are summed as
+    n! full-space evaluations.  Summation order is the fixed
+    lexicographic group order, so results are bitwise reproducible.
     """
     if kernel.space != "full":
         raise ValueError("permutation sum needs a full-space kernel")
@@ -226,9 +256,31 @@ def permutation_sum(kernel: KernelEvaluator, stat: Statistics,
             total = total + chi * np.asarray(kernel.evaluate(x, sigma.apply(y), tau))
         return total
 
-    return KernelEvaluator(evaluate=evaluate, space="sector", n=n, stat=stat,
-                           coupling=kernel.coupling,
-                           label=f"sum[{stat.value},{kernel.label}]")
+    def evaluate_product(x, y, tau):
+        x = _points(x, n)
+        y = _points(y, n)
+        # table[i, j] = log k(x_i, y_j), batch axes last so that every
+        # entry is one contiguous array
+        table = kernel.log_one_body(np.moveaxis(x, -1, 0)[:, None],
+                                    np.moveaxis(y, -1, 0)[None, :], tau)
+        total = np.zeros(table.shape[2:])
+        exponent = np.empty_like(total)
+        for chi, sigma in zip(chars, group):
+            np.copyto(exponent, table[0, sigma(0)])
+            for i in range(1, n):
+                exponent += table[i, sigma(i)]
+            term = np.exp(exponent, out=np.zeros_like(total),
+                          where=exponent >= LOG_TINY)
+            if chi > 0:
+                total += term
+            else:
+                total -= term
+        return total
+
+    return KernelEvaluator(
+        evaluate=evaluate if kernel.log_one_body is None else evaluate_product,
+        space="sector", n=n, stat=stat, coupling=kernel.coupling,
+        label=f"sum[{stat.value},{kernel.label}]")
 
 
 def dual_pair_from_sector(sector_kernel: KernelEvaluator):
@@ -257,19 +309,3 @@ def dual_pair_from_sector(sector_kernel: KernelEvaluator):
                                label=f"dual[{stat.value},{sector_kernel.label}]")
 
     return make(Statistics.BOSE), make(Statistics.FERMI)
-
-
-def one_body_matrix_sum(kernel_1d, x: np.ndarray, y: np.ndarray, tau: float,
-                        stat: Statistics) -> float:
-    """Determinant (Fermi) or permanent (Bose) of the one-body kernel
-    matrix, the closed form of the permutation sum for product kernels."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.size
-    mat = kernel_1d(x[:, None] - y[None, :], tau)
-    if stat is Statistics.FERMI:
-        return float(np.linalg.det(mat))
-    total = 0.0
-    for sigma in enumerate_group(n):
-        total += float(np.prod([mat[i, sigma(i)] for i in range(n)]))
-    return total

@@ -44,12 +44,28 @@ def staggered_lattice(length: float, points: int, offset: float = 0.0) -> np.nda
     return offset + np.concatenate(([0.0], inner, [length]))
 
 
+def descending_combinations(points: int, n: int) -> np.ndarray:
+    """All weakly descending index tuples over range(points), in the order
+    of ``itertools.combinations_with_replacement(range(points - 1, -1, -1), n)``.
+
+    Built column by column: each row of the first k columns is repeated
+    once for every admissible next entry (from its last entry down to 0).
+    """
+    rows = np.arange(points - 1, -1, -1, dtype=np.int64)[:, None]
+    for _ in range(n - 1):
+        last = rows[:, -1]
+        counts = last + 1
+        starts = np.cumsum(counts) - counts
+        offset = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(starts, counts)
+        rows = np.column_stack([np.repeat(rows, counts, axis=0),
+                                np.repeat(last, counts) - offset])
+    return rows
+
+
 def weakly_descending_tuples(points: int, n: int) -> np.ndarray:
     """All weakly descending index tuples over range(points), sorted rows."""
-    combos = itertools.combinations_with_replacement(range(points - 1, -1, -1), n)
-    arr = np.asarray([c for c in combos], dtype=np.int64)
-    keys = _encode(arr, points)
-    return arr[np.argsort(keys)]
+    # the combinations come in descending lexicographic order
+    return np.ascontiguousarray(descending_combinations(points, n)[::-1])
 
 
 def _encode(idx: np.ndarray, base: int) -> np.ndarray:

@@ -51,7 +51,7 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .coordinates import hyperradius_batch
-from .coupling import CouplingModel
+from .coupling import SQRT2, CouplingModel
 from .errors import (
     GridTooCoarse,
     NotConverged,
@@ -71,8 +71,6 @@ from .mesh import (
     _encode,
     _vertex_offsets,
 )
-
-SQRT2 = math.sqrt(2.0)
 
 #: Minimum cells per axis so each face keeps a few interior layers.
 MIN_POINTS = 6

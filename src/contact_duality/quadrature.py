@@ -12,16 +12,23 @@ with Jacobian prod_i u_i^(g-i).  The integrand is smooth on every panel,
 so refinement in the panel count converges at the full Gauss order.
 Adaptive drivers double the panel count until two successive estimates
 agree to the requested tolerance.
+
+Rules are generated as a stream of blocks of at most ``EVAL_CHUNK``
+points.  Adaptive integration builds, evaluates and sums one block at a
+time and never holds a whole rule.  Sector cells are enumerated and
+grouped by tie pattern with array operations.  ``box_rule`` and
+``sector_rule`` concatenate the same blocks, so a whole rule and its
+stream agree point for point and bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import QuadratureNotConverged
+from .mesh import descending_combinations
 
 
 @lru_cache(maxsize=None)
@@ -74,8 +81,19 @@ def _pattern_rule(pattern: tuple, order: int):
     return pts, wts
 
 
-def box_rule(box, cells: int, order: int = 6):
-    """Tensor Gauss-Legendre rule over a box given as (n, 2) bounds."""
+#: Most points in one block of a rule.  Adaptive integrations build,
+#: evaluate and sum one block at a time, so their memory and cache
+#: footprint is that of a block, not of the rule; the size is chosen so
+#: that a block and its integrand temporaries stay in L2 cache.
+EVAL_CHUNK = 16_384
+
+
+def _box_blocks(box, cells: int, order: int):
+    """Blocks of the tensor rule over a box, in row-major point order.
+
+    The trailing axes whose tensor grid fits in a block are laid out
+    whole in every block; the leading axes are stepped through.
+    """
     box = np.asarray(box, dtype=float)
     n = box.shape[0]
     x1, w1 = _leggauss01(order)
@@ -85,11 +103,85 @@ def box_rule(box, cells: int, order: int = 6):
         h = edges[1] - edges[0]
         axis_pts.append((edges[:-1, None] + h * x1[None, :]).ravel())
         axis_wts.append(np.tile(h * w1, cells))
-    grids = np.meshgrid(*axis_pts, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*axis_wts, indexing="ij")
-    wts = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-    return pts, wts
+    m = cells * order
+    lead = n
+    while lead > 0 and m ** (n - lead + 1) <= EVAL_CHUNK:
+        lead -= 1
+    trail_index = _digits(np.arange(m ** (n - lead)), m, n - lead)
+    trail_pts = [a[i][None, :] for a, i in zip(axis_pts[lead:], trail_index)]
+    trail_wts = [w[i][None, :] for w, i in zip(axis_wts[lead:], trail_index)]
+    rows = max(1, EVAL_CHUNK // m ** (n - lead))
+    for start in range(0, m**lead, rows):
+        lead_index = _digits(np.arange(start, min(start + rows, m**lead)), m, lead)
+        coords = [a[i][:, None] for a, i in zip(axis_pts, lead_index)] + trail_pts
+        factors = [w[i][:, None] for w, i in zip(axis_wts, lead_index)] + trail_wts
+        shape = np.broadcast_shapes(*(c.shape for c in coords))
+        pts = np.empty((*shape, n))
+        for d, c in enumerate(coords):
+            pts[..., d] = c
+        # the weight is the product over axes, taken left to right
+        wts = factors[0]
+        for factor in factors[1:]:
+            wts = wts * factor
+        yield pts.reshape(-1, n), np.broadcast_to(wts, shape).ravel()
+
+
+def _digits(flat: np.ndarray, base: int, k: int) -> list:
+    """Row-major multi-index of flat indices into the grid (base,) * k."""
+    digits = []
+    for _ in range(k):
+        flat, digit = np.divmod(flat, base)
+        digits.append(digit)
+    return digits[::-1]
+
+
+def _tie_pattern(code: int, n: int) -> tuple:
+    """Composition of n whose groups are the runs of tied indices; bit k
+    of ``code`` says index k ties with index k + 1."""
+    pattern = [1]
+    for k in range(n - 1):
+        if code >> k & 1:
+            pattern[-1] += 1
+        else:
+            pattern.append(1)
+    return tuple(pattern)
+
+
+def _sector_blocks(lo: float, hi: float, n: int, cells: int, order: int):
+    """Blocks of the sector rule: cells grouped by tie pattern in order of
+    first appearance, each pattern's cells in enumeration order."""
+    edges = np.linspace(lo, hi, cells + 1)
+    h = edges[1] - edges[0]
+    vol = h**n
+    tuples = descending_combinations(cells, n)
+    codes = (tuples[:, :-1] == tuples[:, 1:]) @ (1 << np.arange(n - 1))
+    found, first = np.unique(codes, return_index=True)
+    for code in found[np.argsort(first)]:
+        local_pts, local_wts = _pattern_rule(_tie_pattern(int(code), n), order)
+        local_pts = h * local_pts
+        local_wts = vol * local_wts
+        origins = edges[tuples[codes == code]]
+        per_cell = local_wts.size
+        cells_per_block = max(1, EVAL_CHUNK // per_cell)
+        local_step = min(per_cell, EVAL_CHUNK)
+        for start in range(0, origins.shape[0], cells_per_block):
+            block = origins[start:start + cells_per_block]
+            for part in range(0, per_cell, local_step):
+                local = slice(part, part + local_step)
+                pts = np.empty((block.shape[0], local_wts[local].size, n))
+                for d in range(n):  # one axis at a time keeps numpy's inner loops long
+                    np.add(block[:, d, None], local_pts[None, local, d], out=pts[..., d])
+                yield pts.reshape(-1, n), np.tile(local_wts[local], block.shape[0])
+
+
+def _whole(blocks):
+    pts, wts = zip(*blocks)
+    return np.concatenate(pts, axis=0), np.concatenate(wts)
+
+
+def box_rule(box, cells: int, order: int = 6):
+    """Tensor Gauss-Legendre rule over a box given as (n, 2) bounds."""
+    return _whole(_box_blocks(box, cells, order))
 
 
 def sector_rule(lo: float, hi: float, n: int, cells: int, order: int = 6):
@@ -99,50 +191,21 @@ def sector_rule(lo: float, hi: float, n: int, cells: int, order: int = 6):
     descending index tuple contributes its sector part, built from the
     tie pattern of repeated indices.
     """
-    edges = np.linspace(lo, hi, cells + 1)
-    h = edges[1] - edges[0]
-    by_pattern: dict = {}
-    for c in itertools.combinations_with_replacement(range(cells - 1, -1, -1), n):
-        pattern = []
-        run = 1
-        for a, b in zip(c[:-1], c[1:]):
-            if a == b:
-                run += 1
-            else:
-                pattern.append(run)
-                run = 1
-        pattern.append(run)
-        by_pattern.setdefault(tuple(pattern), []).append(c)
-    all_pts, all_wts = [], []
-    vol = h**n
-    for pattern, cell_list in by_pattern.items():
-        local_pts, local_wts = _pattern_rule(pattern, order)
-        origins = edges[np.asarray(cell_list, dtype=int)]
-        pts = origins[:, None, :] + h * local_pts[None, :, :]
-        all_pts.append(pts.reshape(-1, n))
-        all_wts.append(np.tile(vol * local_wts, len(cell_list)))
-    return np.concatenate(all_pts, axis=0), np.concatenate(all_wts)
+    return _whole(_sector_blocks(lo, hi, n, cells, order))
 
 
-#: Quadrature points are fed to integrands in blocks of this many rows to
-#: bound peak memory on fine panel grids.
-EVAL_CHUNK = 2_000_000
-
-
-def _chunked_sum(f, pts, wts):
+def _chunked_sum(f, blocks):
     total = 0.0
-    for start in range(0, pts.shape[0], EVAL_CHUNK):
-        block = slice(start, start + EVAL_CHUNK)
-        total = total + np.sum(wts[block] * np.asarray(f(pts[block])))
+    for pts, wts in blocks:
+        total = total + np.sum(wts * np.asarray(f(pts)))
     return complex(total)
 
 
-def _adaptive(rule_at, f, tol: float, floor: float, start_cells: int, max_doublings: int):
+def _adaptive(blocks_at, f, tol: float, floor: float, start_cells: int, max_doublings: int):
     prev = None
     cells = start_cells
     for _ in range(max_doublings + 1):
-        pts, wts = rule_at(cells)
-        val = _chunked_sum(f, pts, wts)
+        val = _chunked_sum(f, blocks_at(cells))
         if val.imag == 0.0:
             val = val.real
         if prev is not None:
@@ -165,7 +228,7 @@ def integrate_box(f, box, tol: float = 1e-9, order: int = 6,
     f maps an (M, n) array of points to (M,) values.  Returns (value,
     error estimate); raises QuadratureNotConverged on failure.
     """
-    return _adaptive(lambda c: box_rule(box, c, order), f, tol, floor,
+    return _adaptive(lambda c: _box_blocks(box, c, order), f, tol, floor,
                      start_cells, max_doublings)
 
 
@@ -173,6 +236,6 @@ def integrate_sector(f, lo: float, hi: float, n: int, tol: float = 1e-9,
                      order: int = 6, start_cells: int = 2, max_doublings: int = 7,
                      floor: float = 1e-300):
     """Adaptive quadrature over the descending sector of [lo, hi]^n."""
-    return _adaptive(lambda c: sector_rule(lo, hi, n, c, order), f, tol, floor,
+    return _adaptive(lambda c: _sector_blocks(lo, hi, n, c, order), f, tol, floor,
                      start_cells, max_doublings)
 

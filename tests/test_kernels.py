@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from contact_duality.kernels import (
     dual_pair_from_sector,
     free_kernel,
     gaussian_1d,
-    one_body_matrix_sum,
     permutation_sum,
     relative_half_line_kernel,
     robin_pair_kernel,
@@ -120,17 +121,64 @@ def test_permutation_sum_cap():
         permutation_sum(free_kernel(5), Statistics.BOSE, cap=4)
 
 
+def _loop_sum(kernel, stat, x, y, tau):
+    """The defining sum over the group: sum_sigma chi(sigma) K(x, sigma y)."""
+    total = 0.0
+    for sigma in enumerate_group(kernel.n):
+        chi = 1 if stat is Statistics.BOSE else sigma.sign
+        total = total + chi * kernel(x, sigma.apply(y), tau)
+    return total
+
+
 def test_determinant_permanent_identity():
+    # The closed-form free-kernel sums (permanent for bosons, determinant
+    # for fermions) agree with the defining loop to 1e-13 of the Bose sum.
     rng = np.random.default_rng(3)
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5):
         k = free_kernel(n)
-        for stat in Statistics:
-            ks = permutation_sum(k, stat)
-            x = np.sort(rng.normal(size=n))[::-1]
-            y = np.sort(rng.normal(size=n))[::-1]
-            direct = ks(x[None, :], y[None, :], 0.45).item()
-            closed = one_body_matrix_sum(gaussian_1d, x, y, 0.45, stat)
-            np.testing.assert_allclose(direct, closed, rtol=1e-12, atol=1e-15)
+        base = np.sort(rng.normal(size=n))[::-1]
+        tied = base.copy()
+        tied[1] = tied[0] - 1e-6
+        spread = np.linspace(3.0, -3.0, n) + 0.1 * rng.normal(size=n)
+        cases = [
+            # single points
+            (base[None, :], np.sort(rng.normal(size=n))[::-1][None, :], 0.45),
+            # the (b, 1, n) x (1, M, n) broadcast of propagate_at
+            (rng.normal(size=(4, 1, n)), rng.normal(size=(1, 50, n)), 0.3),
+            # next to a coincidence plane, where the Fermi sum cancels
+            (tied + 1e-7 * rng.normal(size=(20, n)), base[None, :] + 0.3, 0.45),
+            # tau = 0.004: every term but a few underflows
+            (spread[None, :], spread + 0.05 * rng.normal(size=(30, n)), 0.004),
+        ]
+        for x, y, tau in cases:
+            bose = permutation_sum(k, Statistics.BOSE)(x, y, tau)
+            for stat in Statistics:
+                closed = permutation_sum(k, stat)(x, y, tau)
+                loop = _loop_sum(k, stat, x, y, tau)
+                assert closed.shape == loop.shape
+                assert np.all(np.abs(closed - loop) <= 1e-13 * bose), (n, stat, tau)
+
+
+def test_permutation_sum_uses_the_one_body_factor():
+    # The free kernel's one-body factor selects the closed form, which
+    # makes no full-space evaluation; without it the sum is the n! loop.
+    k = free_kernel(3)
+    calls = []
+    inner = k.evaluate
+
+    def counted(x, y, tau):
+        calls.append(1)
+        return inner(x, y, tau)
+
+    k.evaluate = counted
+    x = np.array([[1.0, 0.2, -0.9]])
+    y = np.array([[0.8, 0.1, -1.2]])
+    closed = permutation_sum(k, Statistics.FERMI)(x, y, 0.3)
+    assert not calls
+    loop = permutation_sum(dataclasses.replace(k, log_one_body=None),
+                           Statistics.FERMI)(x, y, 0.3)
+    assert len(calls) == 6
+    np.testing.assert_allclose(closed, loop, rtol=1e-14)
 
 
 def test_dual_pair_reconstruction_identity():
