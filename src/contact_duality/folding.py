@@ -89,7 +89,9 @@ class GaussianTestFunction:
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         d = np.asarray(y, dtype=float) - self.center
-        vals = np.exp(-np.einsum("mi,ij,mj->m", d, self.matrix, d))
+        # (d A d^T)_mm as a sum over the n rows of d.T, fast for row-major
+        # points and for the column-major ones Permutation.apply returns
+        vals = np.exp(-(d.T * (self.matrix @ d.T)).sum(0))
         if self.linear is not None:
             vals = vals * (y @ self.linear)
         return vals

@@ -4,10 +4,11 @@ Every box cell of the lattice splits into n! congruent simplices, one per
 ordering of the local coordinates; the ordering planes x_j = x_k of any
 cell with equal interval indices are then exact unions of simplex facets.
 That alignment is what lets the three dual Hamiltonians be assembled on
-the same footing: bulk kinetic terms are ordinary piecewise-linear
-stiffness sums (which reduce to the standard second-order Laplacian
-stencil at interior vertices), and every contact term is a facet mass
-term on coincidence facets.
+the same footing: every simplex is a path of n axis-aligned edges, so
+the bulk kinetic term is a weighted sum of squared differences along
+those edges (exactly the standard (2n+1)-point Laplacian stencil at
+interior vertices, with no other coupling), and every contact term is a
+facet mass term on coincidence facets.
 
 Index conventions: a lattice with P vertex coordinates per axis has
 M = P - 1 cells per axis; cells and vertices are integer tuples; an
@@ -118,21 +119,17 @@ def _vertex_offsets(seq: tuple) -> np.ndarray:
 
 
 def local_matrices(seq: tuple, lengths: np.ndarray):
-    """Volume, lumped-mass share, and stiffness of one element.
+    """Volume and path-edge weights of one element.
 
-    lengths are the per-axis cell widths; stiffness entries are
-    vol * grad(lambda_p) . grad(lambda_q).
+    Vertex m+1 steps from vertex m along axis seq[m], so the
+    barycentric gradients are e_{seq[m-1]}/h_{seq[m-1]} - e_{seq[m]}/h_{seq[m]}
+    (one-sided at both ends) and the element stiffness form is exactly
+    sum_m w[m] (u_{m+1} - u_m)^2 with w[m] = vol / h_{seq[m]}^2, h being
+    ``lengths``: only the n axis-aligned path edges carry stiffness.
     """
-    n = len(seq)
-    offs = _vertex_offsets(seq).astype(float) * np.asarray(lengths)[None, :]
-    edges = offs[1:] - offs[0]
-    vol = abs(np.linalg.det(edges)) / math.factorial(n)
-    grads = np.zeros((n + 1, n))
-    # barycentric gradients are the rows of the inverse edge-column matrix
-    grads[1:] = np.linalg.inv(edges.T)
-    grads[0] = -grads[1:].sum(axis=0)
-    stiff = vol * (grads @ grads.T)
-    return vol, stiff
+    lengths = np.asarray(lengths, dtype=float)
+    vol = float(np.prod(lengths)) / math.factorial(len(seq))
+    return vol, vol / lengths[list(seq)] ** 2
 
 
 def all_cells(cells_per_axis: int, n: int) -> np.ndarray:

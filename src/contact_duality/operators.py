@@ -32,6 +32,16 @@ ordering regions is kept for the unreduced operators
 (``reduced=False``), which the real-time propagation check compares
 against the reduced ones.
 
+Every element is a path simplex whose vertices step along one axis at a
+time, so its stiffness form is closed-form (``mesh.local_matrices``):
+(1/2) sum_m w_m (u_{m+1} - u_m)^2 over its n axis-aligned path edges.
+A coincidence facet, the face opposite the vertex that steps along the
+second of two tied axes p and q, has area sqrt(2) n vol / h_p, so its
+per-vertex share of the facet weight 1 / (facet_scale sqrt(2) a) is
+vol / (facet_scale a h_p).  Kinetic, facet and potential terms go into
+one accumulator of edges and diagonal shares, and every operator is the
+(2n+1)-point stencil plus a facet term, with no other stored entry.
+
 The pair coupling attached to a facet is the entry a_{j*} with j* the
 rank of the colliding pair in the region's descending order, so distinct
 per-face couplings act exactly on their own plane segments.  Mass
@@ -51,7 +61,7 @@ from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .coordinates import hyperradius_batch
-from .coupling import SQRT2, CouplingModel
+from .coupling import CouplingModel
 from .errors import (
     GridTooCoarse,
     NotConverged,
@@ -192,27 +202,36 @@ class GridOperator:
 
 
 class _Accumulator:
-    """COO triplet collector."""
+    """A weighted graph Laplacian plus a diagonal, summed into CSR form.
 
-    def __init__(self):
-        self.rows = []
-        self.cols = []
-        self.vals = []
+    ``edges(a, b, w)`` adds the form w (u_a - u_b)^2 and
+    ``diagonal(i, d)`` adds d u_i^2; repeated entries add up.  Each edge
+    is kept as one triplet with 32-bit indices and the diagonal as a
+    dense vector, so the memory held is about 16 bytes per edge added.
+    """
 
-    def add(self, rows, cols, vals):
-        self.rows.append(np.asarray(rows, dtype=np.int64).ravel())
-        self.cols.append(np.asarray(cols, dtype=np.int64).ravel())
-        self.vals.append(np.asarray(vals, dtype=float).ravel())
+    def __init__(self, dim: int):
+        self.diag = np.zeros(dim)
+        self.index_dtype = np.int32 if dim < 2**31 else np.int64
+        self.rows, self.cols, self.vals = [], [], []
 
-    def matrix(self, dim: int) -> sparse.csr_matrix:
-        if not self.rows:
-            return sparse.csr_matrix((dim, dim))
-        mat = sparse.coo_matrix(
-            (np.concatenate(self.vals),
-             (np.concatenate(self.rows), np.concatenate(self.cols))),
-            shape=(dim, dim),
-        )
-        return mat.tocsr()
+    def diagonal(self, i, d):
+        i, d = map(np.ravel, np.broadcast_arrays(i, d))
+        self.diag += np.bincount(i, weights=d, minlength=self.diag.size)
+
+    def edges(self, a, b, w):
+        a, b, w = map(np.ravel, np.broadcast_arrays(a, b, w))
+        self.diagonal(np.concatenate([a, b]), np.concatenate([w, w]))
+        self.rows.append(a.astype(self.index_dtype))
+        self.cols.append(b.astype(self.index_dtype))
+        self.vals.append(w)
+
+    def matrix(self) -> sparse.csr_matrix:
+        dim = self.diag.size
+        off = sparse.coo_matrix((np.concatenate(self.vals),
+                                 (np.concatenate(self.rows), np.concatenate(self.cols))),
+                                shape=(dim, dim)).tocsr()
+        return (sparse.diags(self.diag) - off - off.T).tocsr()
 
 
 def _check_model(formulation: str, model: CouplingModel, n: int):
@@ -275,8 +294,7 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
 
     mass_diag = np.zeros(dim)
     drop_face_dofs = np.zeros(dim, dtype=bool)
-    stiff = sparse.csr_matrix((dim, dim))
-    facet_acc = _Accumulator()
+    acc = _Accumulator(dim)
 
     def dof_ids(vertex_tuples, pi_rank=None):
         """Map element vertex tuples (K, n+1, n) to dof indices (K, n+1)."""
@@ -295,19 +313,15 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
         pis = region_orderings(batch, seq)
         pi_rank = _rank_rows(pis, perm_list) if cracked else None
 
-        seq_acc = _Accumulator()
+        # kinetic term (1/2) sum_m w_m (u_{m+1} - u_m)^2 over the path edges
+        elem_vol = np.empty(batch.shape[0])
         for lengths, rows in length_pattern_groups(batch, widths):
-            vol, stiff_local = local_matrices(seq, lengths)
-            group = batch[rows]
-            verts = group[:, None, :] + offs[None, :, :]
+            vol, w = local_matrices(seq, lengths)
+            elem_vol[rows] = vol
+            verts = batch[rows][:, None, :] + offs[None, :, :]
             ids = dof_ids(verts, pi_rank[rows] if cracked else None)
-            k = group.shape[0]
-            pp, qq = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-            seq_acc.add(ids[:, pp.ravel()], ids[:, qq.ravel()],
-                        np.broadcast_to(stiff_local.ravel(), (k, (n + 1) ** 2)))
-            np.add.at(mass_diag, ids.ravel(),
-                      np.full(ids.size, vol / (n + 1)))
-        stiff = stiff + seq_acc.matrix(dim)
+            acc.edges(ids[:, :-1], ids[:, 1:], 0.5 * w)
+            mass_diag += vol / (n + 1) * np.bincount(ids.ravel(), minlength=dim)
 
         # Coincidence facets: adjacent tied axes in the insertion order.
         for m in range(n - 1):
@@ -319,6 +333,10 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
                 continue
             fcells = batch[tied]
             fpis = pis[tied]
+            # the facet dropping vertex m+1 has area sqrt2 n vol / h_p, so its
+            # per-vertex share area / n of 1 / (facet_scale sqrt2 a) is
+            # vol / (facet_scale a h_p)
+            vol_per_h = elem_vol[tied] / widths[fcells[:, p_axis]]
             # rank of the colliding pair in the region's descending order
             pos = np.argsort(fpis, axis=-1, kind="stable")
             jstar = pos[:, p_axis] + 1  # 1-based face index
@@ -327,8 +345,9 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
             verts = fcells[:, None, :] + offs_f[None, :, :]
             if cracked:
                 ids = dof_ids(verts, _rank_rows(fpis, perm_list))
-                mirror_pis = _swap_entries(fpis, p_axis, q_axis)
-                ids_minus = dof_ids(verts, _rank_rows(mirror_pis, perm_list))
+                mirror = np.arange(n)  # swaps the colliding pair's axes
+                mirror[[p_axis, q_axis]] = q_axis, p_axis
+                ids_minus = dof_ids(verts, _rank_rows(mirror[fpis], perm_list))
             else:
                 ids = dof_ids(verts)
 
@@ -337,8 +356,6 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
                 if not np.any(sel):
                     continue
                 entry = model.entry(j)
-                fverts = verts[sel]
-                coords_v = lattice[fverts]
                 if entry.kind == "neumann":
                     continue
                 if entry.kind == "dirichlet":
@@ -346,11 +363,10 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
                         [ids[sel].ravel(), ids_minus[sel].ravel()])
                     drop_face_dofs[np.unique(drop)] = True
                     continue
-                areas = _facet_areas(fverts, lattice)
                 if entry.kind == "robin":
-                    a_v = np.full(coords_v.shape[:2], entry.value)
+                    a_v = entry.value
                 else:  # scale-invariant a = g r, pinned where r vanishes
-                    r = hyperradius_batch(coords_v)
+                    r = hyperradius_batch(lattice[verts[sel]])
                     a_v = entry.value * r
                     pinned = r < 1e-12 * max(1.0, dom.length)
                     if np.any(pinned):
@@ -358,27 +374,16 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
                         if cracked:
                             drop_face_dofs[np.unique(ids_minus[sel][pinned])] = True
                     a_v = np.where(pinned, np.inf, a_v)
-                coef = 1.0 / (facet_scale * SQRT2 * a_v)
-                share = coef * (areas[:, None] / n)
-                if cracked:
-                    # the jump penalty couples the two one-sided values
-                    for rows_ids, cols_ids, sgn in (
-                        (ids[sel], ids[sel], 1.0),
-                        (ids[sel], ids_minus[sel], -1.0),
-                        (ids_minus[sel], ids[sel], -1.0),
-                        (ids_minus[sel], ids_minus[sel], 1.0),
-                    ):
-                        facet_acc.add(rows_ids, cols_ids, sgn * share)
+                share = vol_per_h[sel][:, None] / (facet_scale * a_v)
+                if cracked:  # the jump penalty on the two one-sided values
+                    acc.edges(ids[sel], ids_minus[sel], share)
                 else:
-                    facet_acc.add(ids[sel], ids[sel], share)
+                    acc.diagonal(ids[sel], share)
 
-    facets = facet_acc.matrix(dim)
-    hamiltonian = 0.5 * stiff + facets
     coords = lattice[dof_tuples]
-
     # potential on the lumped diagonal
-    pot = dom.potential(coords)
-    hamiltonian = hamiltonian + sparse.diags(pot * mass_diag)
+    acc.diagonal(np.arange(dim), dom.potential(coords) * mass_diag)
+    hamiltonian = acc.matrix()
 
     # hard walls and face eliminations
     keep = ~drop_face_dofs
@@ -411,30 +416,12 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
     )
 
 
-def _facet_areas(fverts: np.ndarray, lattice: np.ndarray) -> np.ndarray:
-    """Areas of facet simplices given vertex index tuples (K, n, n)."""
-    coords = lattice[fverts]
-    edges = coords[:, 1:, :] - coords[:, :1, :]
-    gram = edges @ np.swapaxes(edges, 1, 2)
-    d = edges.shape[1]
-    return np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / math.factorial(d)
-
-
 def _rank_rows(pis: np.ndarray, perm_list) -> np.ndarray:
     """Rank permutation rows by lexicographic order of images, which is
     the order of ``itertools.permutations``."""
     n = pis.shape[1]
     table = np.sort(_encode(np.asarray([p.images for _, p in perm_list]), n))
     return np.searchsorted(table, _encode(pis, n))
-
-
-def _swap_entries(pis: np.ndarray, a: int, b: int) -> np.ndarray:
-    out = pis.copy()
-    mask_a = pis == a
-    mask_b = pis == b
-    out[mask_a] = b
-    out[mask_b] = a
-    return out
 
 
 def build_sector(dom: DomainSpec, model: CouplingModel) -> GridOperator:

@@ -279,7 +279,10 @@ def scale_invariance_report(dom: DomainSpec, model: CouplingModel, dilation: flo
     so dilating it by lambda at fixed node count must rescale every
     eigenvalue by 1/lambda^2; a constant coupling length breaks this.
     Like the duality report, it solves a bitwise-equal epsilon operator
-    once, through the delta one.
+    once, through the delta one.  The dilated and translated spectra are
+    known in advance (base / lambda^2 and base), so their solves are
+    shifted from the base eigenvalues; the control cases break the
+    scaling on purpose and keep the Gershgorin shift.
     """
     if dom.n != 3:
         raise UnsupportedCoupling("scale-invariance report is defined for n = 3")
@@ -300,9 +303,12 @@ def scale_invariance_report(dom: DomainSpec, model: CouplingModel, dilation: flo
     cases = {"base": (dom, model), "dilated": (dom_dilated, model),
              "shifted": (dom_shifted, model), "control": (dom, control_model),
              "control_dilated": (dom_dilated, control_model)}
+    expected_scale = {"dilated": dilation**-2, "shifted": 1.0}
     spectra = {}
     for name, (dom_c, model_c) in cases.items():
-        results, _ = _solve_formulations(dom_c, model_c, k, seed)
+        shifts = ({form: seeded_shift(spectra["base"][form] * expected_scale[name])
+                   for form in FORMULATIONS} if name in expected_scale else None)
+        results, _ = _solve_formulations(dom_c, model_c, k, seed, shifts)
         spectra[name] = {form: res.eigenvalues for form, res in results.items()}
     rel = lambda x, y: np.max(np.abs(x - y) / np.maximum(np.abs(x), 1e-12))
     for form in FORMULATIONS:

@@ -2,8 +2,10 @@ import itertools
 import math
 
 import numpy as np
+from scipy import sparse
 
 from contact_duality.coordinates import permutation_signs_batch
+from contact_duality.coupling import neumann, robin, uniform_model
 from contact_duality.mesh import (
     _vertex_offsets,
     all_cells,
@@ -14,7 +16,37 @@ from contact_duality.mesh import (
     uniform_lattice,
     weakly_descending_tuples,
 )
-from contact_duality.operators import _facet_areas
+from contact_duality.operators import (
+    DomainSpec,
+    build_delta_bose,
+    build_epsilon_fermi,
+    build_sector,
+)
+
+
+def _path_stiffness(w):
+    """(n+1)x(n+1) matrix of the form sum_m w[m] (u_{m+1} - u_m)^2."""
+    n = len(w)
+    stiff = np.zeros((n + 1, n + 1))
+    for m in range(n):
+        stiff[m, m] += w[m]
+        stiff[m + 1, m + 1] += w[m]
+        stiff[m, m + 1] -= w[m]
+        stiff[m + 1, m] -= w[m]
+    return stiff
+
+
+def _barycentric_reference(seq, lengths):
+    """Volume and stiffness vol * grad(lambda_p) . grad(lambda_q) of one
+    element from the determinant and inverse of its edge matrix."""
+    n = len(seq)
+    offs = _vertex_offsets(seq).astype(float) * np.asarray(lengths)[None, :]
+    edges = offs[1:] - offs[0]
+    vol = abs(np.linalg.det(edges)) / math.factorial(n)
+    grads = np.zeros((n + 1, n))
+    grads[1:] = np.linalg.inv(edges.T)
+    grads[0] = -grads[1:].sum(axis=0)
+    return vol, vol * (grads @ grads.T)
 
 
 def test_lattices():
@@ -39,51 +71,111 @@ def test_simplices_tile_the_cube():
 
 
 def test_local_stiffness_1d():
-    vol, stiff = local_matrices((0,), np.array([0.5]))
+    vol, w = local_matrices((0,), np.array([0.5]))
     np.testing.assert_allclose(vol, 0.5)
-    np.testing.assert_allclose(stiff, [[2.0, -2.0], [-2.0, 2.0]])
+    np.testing.assert_allclose(w, [2.0])
+    np.testing.assert_allclose(_path_stiffness(w), [[2.0, -2.0], [-2.0, 2.0]])
 
 
 def test_local_stiffness_reference_triangle():
     # unit right triangle: stiffness of the linear hat functions
-    vol, stiff = local_matrices((0, 1), np.array([1.0, 1.0]))
+    vol, w = local_matrices((0, 1), np.array([1.0, 1.0]))
     np.testing.assert_allclose(vol, 0.5)
-    np.testing.assert_allclose(stiff.sum(axis=0), 0.0, atol=1e-14)
-    np.testing.assert_allclose(stiff, stiff.T)
-    np.testing.assert_allclose(np.diag(stiff), [0.5, 1.0, 0.5])
+    np.testing.assert_allclose(w, [0.5, 0.5])
+    np.testing.assert_allclose(np.diag(_path_stiffness(w)), [0.5, 1.0, 0.5])
+
+
+def test_path_weights_match_barycentric_stiffness():
+    # the closed form equals the det/inv barycentric stiffness for every
+    # insertion order and random cell widths
+    rng = np.random.default_rng(3)
+    for n in range(1, 6):
+        for _ in range(3):
+            lengths = rng.uniform(0.1, 2.0, size=n)
+            for seq in itertools.permutations(range(n)):
+                vol, w = local_matrices(seq, lengths)
+                vol_ref, stiff_ref = _barycentric_reference(seq, lengths)
+                scale = np.abs(stiff_ref).max()
+                assert abs(vol - vol_ref) <= 1e-13 * vol_ref
+                assert np.abs(_path_stiffness(w) - stiff_ref).max() <= 1e-13 * scale
+
+
+def _interior_rows(dofs, points):
+    """Dofs whose 2^n surrounding cells are all strictly descending and
+    whose axis neighbours are all kept (no wall, no face)."""
+    gaps = np.diff(-dofs, axis=1)
+    return np.nonzero((gaps.min(axis=1) >= 2) & (dofs.min(axis=1) >= 2)
+                      & (dofs.max(axis=1) <= points - 2))[0]
 
 
 def test_interior_stencil_is_standard_laplacian():
-    # assembled rows at interior vertices reduce to the (2n+1)-point stencil
-    from contact_duality.coupling import neumann, uniform_model
-    from contact_duality.operators import DomainSpec, build_sector
+    # every interior row stores exactly the (2n+1)-point stencil, also
+    # when the spacing is not a dyadic fraction
+    for n, points in ((2, 12), (3, 12), (4, 10)):
+        for length in (1.0, 1.3):
+            dom = DomainSpec(n=n, length=length, points=points)
+            op = build_sector(dom, uniform_model(n, neumann()))
+            h = dom.spacing
+            rows = _interior_rows(op.dofs, points)
+            assert rows.size > 0
+            assert np.all(np.diff(op.matrix.indptr)[rows] == 2 * n + 1)
+            sqrt_mass = sparse.diags(np.sqrt(op.mass))
+            stencil = (sqrt_mass @ op.matrix @ sqrt_mass).tocsr()[rows].tocoo()
+            centre = stencil.col == rows[stencil.row]
+            mass = op.mass[rows[stencil.row]]
+            np.testing.assert_allclose(stencil.data[centre], n / h**2 * mass[centre],
+                                       rtol=1e-12)
+            np.testing.assert_allclose(stencil.data[~centre], -0.5 / h**2 * mass[~centre],
+                                       rtol=1e-12)
 
-    dom = DomainSpec(n=2, length=1.0, points=12)
-    op = build_sector(dom, uniform_model(2, neumann()))
-    h = dom.spacing
-    # pick an interior strict dof away from all faces and walls
-    dofs = op.dofs
-    target = None
-    for i, t in enumerate(dofs):
-        if t[0] - t[1] >= 3 and t.min() >= 3 and t.max() <= dom.points - 3:
-            target = int(i)
-            break
-    assert target is not None
-    row = (np.sqrt(op.mass)[target] * op.matrix[target].toarray().ravel()
-           * np.sqrt(op.mass))
-    expected_diag = 0.5 * 4.0 / h**2 * op.mass[target]
-    np.testing.assert_allclose(row[target], expected_diag, rtol=1e-12)
-    neighbors = np.nonzero(np.abs(row) > 1e-12)[0]
-    assert len(neighbors) == 5  # itself plus four axis neighbors
+
+def test_stored_entries_do_not_depend_on_the_length():
+    # the stencil is structural: the same grid at L = 6 and L = 10 stores
+    # the same entries in every formulation
+    model = uniform_model(3, robin(-1.0))
+    for build in (build_sector, build_delta_bose, build_epsilon_fermi):
+        nnz = {length: build(DomainSpec(n=3, length=length, points=14), model).matrix.nnz
+               for length in (6.0, 10.0)}
+        assert nnz[6.0] == nnz[10.0]
 
 
 def test_facet_area():
-    # vertex index tuples on the lattice (0, 1), so indices are coordinates
-    lattice = np.array([0.0, 1.0])
-    tri = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    np.testing.assert_allclose(_facet_areas(tri[None], lattice), [0.5])
-    seg = np.array([[0, 0], [1, 1]])
-    np.testing.assert_allclose(_facet_areas(seg[None], lattice), [np.sqrt(2.0)])
+    # assembled facet term against the Gram-determinant facet areas: on
+    # the reduced delta operator, diag(H(robin a) - H(neumann)) at each
+    # vertex is the sum of area / (n 2 sqrt2 a) over its coincidence
+    # facets (the sector element mass is the reduced mass over n!)
+    a = 0.7
+    for n, points in ((2, 7), (3, 6)):
+        dom = DomainSpec(n=n, length=5.3, points=points)
+        lattice = staggered_lattice(dom.length, dom.points)
+        reference = {}
+        cells = weakly_descending_tuples(lattice.size - 1, n)
+        for seq in itertools.permutations(range(n)):
+            batch = cells[sector_element_mask(cells, seq)]
+            offs = _vertex_offsets(seq)
+            for m in range(n - 1):
+                tied = batch[:, seq[m]] == batch[:, seq[m + 1]]
+                verts = batch[tied][:, None, :] + np.delete(offs, m + 1, axis=0)[None]
+                coords = lattice[verts]
+                edges = coords[:, 1:, :] - coords[:, :1, :]
+                gram = edges @ np.swapaxes(edges, 1, 2)
+                areas = np.sqrt(np.linalg.det(gram)) / math.factorial(n - 1)
+                for face, area in zip(verts, areas):
+                    for v in map(tuple, face):
+                        reference[v] = reference.get(v, 0.0) + area / (n * 2 * np.sqrt(2) * a)
+
+        def unnormalized(op):
+            sqrt_mass = sparse.diags(np.sqrt(op.mass / math.factorial(n)))
+            return (sqrt_mass @ op.matrix @ sqrt_mass).diagonal()
+
+        op_r = build_delta_bose(dom, uniform_model(n, robin(a)))
+        op_n = build_delta_bose(dom, uniform_model(n, neumann()))
+        np.testing.assert_array_equal(op_r.dofs, op_n.dofs)
+        facet = unnormalized(op_r) - unnormalized(op_n)
+        expected = np.array([reference.get(tuple(t), 0.0) for t in op_r.dofs])
+        assert np.count_nonzero(expected) > 0
+        np.testing.assert_allclose(facet, expected, rtol=0,
+                                   atol=1e-12 * np.abs(unnormalized(op_n)).max())
 
 
 def test_sector_mask_counts():

@@ -202,3 +202,14 @@ def test_random_gaussian_exact_integral():
     spec = QuadSpec(box=f.support_box(), tol=1e-10, order=8)
     res = fold_integral_check(f, spec)
     np.testing.assert_allclose(res.lhs, f.exact_integral(), rtol=1e-8)
+
+
+def test_gaussian_test_function_matches_pointwise_form():
+    # row- and column-major points give the pointwise exp(-d.A.d)
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4):
+        f = random_gaussian(n, rng)
+        y = rng.normal(size=(50, n))
+        expected = [np.exp(-(p - f.center) @ f.matrix @ (p - f.center)) for p in y]
+        for points in (y, np.asfortranarray(y)):
+            np.testing.assert_allclose(f(points), expected, rtol=1e-13)

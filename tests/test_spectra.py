@@ -57,8 +57,9 @@ def test_duality_report_certifies_and_solves_each_operator_once(monkeypatch):
     calls = []
 
     def counted(op, k, **kwargs):
-        calls.append((op, kwargs.get("shift")))
-        return spectra_solve(op, k, **kwargs)
+        result = spectra_solve(op, k, **kwargs)
+        calls.append((op, kwargs.get("shift"), result))
+        return result
 
     spectra_solve = spectra.solve
     monkeypatch.setattr(spectra, "solve", counted)
@@ -66,7 +67,7 @@ def test_duality_report_certifies_and_solves_each_operator_once(monkeypatch):
     model = CouplingModel((robin(-1.0), robin(-2.0)))
     rep = duality_report(dom, model, k=3, refinements=3)
     # the reduced delta and epsilon operators are bitwise equal
-    assert [op.formulation for op, _ in calls] == ["sector", "delta_bose"] * 3
+    assert [op.formulation for op, _, _ in calls] == ["sector", "delta_bose"] * 3
     assert rep.identical_by_construction == ["delta_bose|epsilon_fermi"]
     assert rep.to_dict()["identical_by_construction"] == ["delta_bose|epsilon_fermi"]
     for lv in rep.levels:
@@ -77,18 +78,29 @@ def test_duality_report_certifies_and_solves_each_operator_once(monkeypatch):
             assert (cert["below_shift"], cert["below_top"]) == (0, 3)
             assert cert["rejected_shift"] is None
     # finer levels are shifted from the coarser level's eigenvalues
-    assert [shift is None for _, shift in calls] == [True, True] + [False] * 4
+    assert [shift is None for _, shift, _ in calls] == [True, True] + [False] * 4
     assert rep.pair_deviations[("delta_bose", "epsilon_fermi")] == [0.0] * 3
 
     # the scale-invariance report solves five domain/model cases
     calls.clear()
     scale = scale_invariance_report(DomainSpec(n=3, length=6.0, points=6),
                                     uniform_model(3, scale_invariant(1.0)), dilation=2.0, k=3)
-    solved = [op for op, _ in calls]
+    solved = [op for op, _, _ in calls]
     assert [op.formulation for op in solved] == ["sector", "delta_bose"] * 5
     assert not any(spectra._same_operator(a, b)
                    for i, a in enumerate(solved) for b in solved[i + 1:])
     assert scale.base["epsilon_fermi"] == scale.base["delta_bose"]
+    # the dilated and shifted cases are seeded from the base spectrum, the
+    # base and the controls start from the Gershgorin shift
+    assert [shift is None for _, shift, _ in calls] == [True] * 2 + [False] * 4 + [True] * 4
+    base = [np.asarray(scale.base[form]) for form in ("sector", "delta_bose")]
+    assert [shift for _, shift, _ in calls[2:6]] == (
+        [spectra.seeded_shift(b / 4.0) for b in base] + [spectra.seeded_shift(b) for b in base])
+    for op, shift, result in calls:
+        if shift is not None:
+            assert result.rejected_shift is None and result.shift == shift
+            reference = spectra_solve(op, 3).eigenvalues
+            np.testing.assert_allclose(result.eigenvalues, reference, rtol=1e-10)
 
 
 def test_scale_invariance_report():
