@@ -13,7 +13,12 @@ face condition exactly:
 with phi the one-dimensional heat kernel and gamma = 1 / (sqrt(2) a).
 The correction term reduces to the image sums in the Dirichlet
 (a -> 0) and Neumann (1/a -> 0) limits and carries the bound state for
-a < 0 through its e^{gamma^2 tau / 2} growth.
+a < 0 through its e^{gamma^2 tau / 2} growth.  Its erfcx/erfc calls are
+most of the pair kernel's cost, so when the two arguments span disjoint
+axes (targets against a rule) k_rel is tabulated over the distinct
+relative coordinates of each side and gathered.  Equal floats give
+equal values, so the result is bitwise the direct evaluation: no key
+is rounded and nothing is cached between calls.
 
 Sector kernels arise from full-space ones as character-weighted sums
 over the permutation group; conversely a sector kernel induces the dual
@@ -185,6 +190,17 @@ def robin_pair_kernel(a) -> KernelEvaluator:
 
     ``a`` may be a BoundaryCoupling or a float (0 means the hard-core
     limit, inf the free-boson limit).
+
+    When x and y both hold more than one point and span disjoint axes
+    (x.size * y.size points no more than their broadcast, as in the
+    (b, 1, 2) x (1, M, 2) blocks of propagation), k_rel is evaluated once
+    on the table of distinct relative coordinates, u_x by u_y, and
+    gathered; the center-of-mass factor is evaluated on the broadcast as
+    before.  k_rel acts elementwise and np.unique merges only equal
+    floats (and +0.0 with -0.0, which k_rel does not tell apart), so the
+    table holds exactly the values the direct evaluation computes.
+    Single points and pairwise (N, 2) x (N, 2) inputs take the direct
+    path, with no sort.
     """
     entry = _as_pair_coupling(a)
     k_rel, dk_rel = relative_half_line_kernel(entry)
@@ -198,8 +214,17 @@ def robin_pair_kernel(a) -> KernelEvaluator:
     def evaluate(x, y, tau):
         ux, cx = split(x)
         uy, cy = split(y)
-        out = gaussian_1d(cx - cy, tau) * k_rel(ux, uy, tau)
-        return out
+        size = math.prod(np.broadcast_shapes(ux.shape, uy.shape))
+        if ux.size > 1 and uy.size > 1 and ux.size * uy.size <= size:
+            # x and y span disjoint axes: evaluate k_rel once per pair of
+            # distinct relative coordinates and gather the table
+            vx, ix = np.unique(ux, return_inverse=True)
+            vy, iy = np.unique(uy, return_inverse=True)
+            table = k_rel(vx[:, None], vy[None, :], tau).ravel()
+            rel = table[ix.reshape(ux.shape) * vy.size + iy.reshape(uy.shape)]
+        else:
+            rel = k_rel(ux, uy, tau)
+        return gaussian_1d(cx - cy, tau) * rel
 
     def face_residual(y, tau, samples=8):
         """Face boundary operator applied analytically at u = 0.

@@ -54,26 +54,36 @@ class PropagationQuad:
         return sector_rule(self.lo, self.hi, n, self.cells, self.order)
 
 
-def propagate_at(kernel: KernelEvaluator, psi0, tau: float, targets: np.ndarray,
-                 quad: PropagationQuad, chunk: int = 64) -> np.ndarray:
-    """Sector-kernel propagation evaluated at target sector points."""
-    if kernel.space != "sector":
-        raise ValueError("need a sector kernel")
-    n = kernel.n
-    pts, wts = quad.rule(n)
-    weights = wts * np.asarray(psi0(pts))
+#: Targets per kernel evaluation in the quadrature routes; the kernel
+#: matrix held at once is TARGET_BLOCK rows by the rule's points.
+TARGET_BLOCK = 64
+
+
+def _integrate_rule(kernel: KernelEvaluator, targets: np.ndarray, pts: np.ndarray,
+                    weights: np.ndarray, tau: float) -> np.ndarray:
+    """sum_j K(x_i, pts_j; tau) weights_j at every target x_i, one block of
+    ``TARGET_BLOCK`` targets per kernel evaluation."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     out = np.empty(targets.shape[0], dtype=float)
-    for start in range(0, targets.shape[0], chunk):
-        block = targets[start:start + chunk]
+    for start in range(0, targets.shape[0], TARGET_BLOCK):
+        block = targets[start:start + TARGET_BLOCK]
         vals = np.asarray(kernel.evaluate(block[:, None, :], pts[None, :, :], tau))
-        out[start:start + chunk] = vals @ weights
+        out[start:start + TARGET_BLOCK] = vals @ weights
     return out
 
 
+def propagate_at(kernel: KernelEvaluator, psi0, tau: float, targets: np.ndarray,
+                 quad: PropagationQuad) -> np.ndarray:
+    """Sector-kernel propagation evaluated at target sector points."""
+    if kernel.space != "sector":
+        raise ValueError("need a sector kernel")
+    pts, wts = quad.rule(kernel.n)
+    weights = wts * np.asarray(psi0(pts))
+    return _integrate_rule(kernel, targets, pts, weights, tau)
+
+
 def propagate_equivariant(kernel: KernelEvaluator, stat: Statistics, psi0, tau: float,
-                          targets: np.ndarray, quad: PropagationQuad,
-                          chunk: int = 64) -> np.ndarray:
+                          targets: np.ndarray, quad: PropagationQuad) -> np.ndarray:
     """Full-space propagation of the equivariant extension of psi0.
 
     The integral over all orderings is carried out sector by sector: the
@@ -85,15 +95,10 @@ def propagate_equivariant(kernel: KernelEvaluator, stat: Statistics, psi0, tau: 
     n = kernel.n
     pts, wts = quad.rule(n)
     weights = wts * np.asarray(psi0(pts))
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    out = np.zeros(targets.shape[0], dtype=float)
+    out = 0.0
     for sigma in enumerate_group(n):
         chi = 1 if stat is Statistics.BOSE else sigma.sign
-        mapped = sigma.apply(pts)
-        for start in range(0, targets.shape[0], chunk):
-            block = targets[start:start + chunk]
-            vals = np.asarray(kernel.evaluate(block[:, None, :], mapped[None, :, :], tau))
-            out[start:start + chunk] += chi * (vals @ weights)
+        out = out + chi * _integrate_rule(kernel, targets, sigma.apply(pts), weights, tau)
     return out
 
 
@@ -165,17 +170,9 @@ def ground_state_projection_check(op: GridOperator, tau: float, seed: int = 0,
 def two_stage_values(kernel: KernelEvaluator, psi0, tau1: float, tau2: float,
                      targets: np.ndarray, quad: PropagationQuad) -> np.ndarray:
     """Propagate by tau1, then by tau2, through the sector quadrature."""
-    n = kernel.n
-    pts2, wts2 = quad.rule(n)
+    pts2, wts2 = quad.rule(kernel.n)
     stage1 = propagate_at(kernel, psi0, tau1, pts2, quad)
-    weights = wts2 * stage1
-    targets = np.atleast_2d(targets)
-    out = np.empty(targets.shape[0])
-    for i in range(0, targets.shape[0], 64):
-        block = targets[i:i + 64]
-        vals = np.asarray(kernel.evaluate(block[:, None, :], pts2[None, :, :], tau2))
-        out[i:i + 64] = vals @ weights
-    return out
+    return _integrate_rule(kernel, targets, pts2, wts2 * stage1, tau2)
 
 
 @dataclass

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from contact_duality.coupling import dirichlet, neumann, robin
+from contact_duality import kernels
+from contact_duality.coupling import SQRT2, dirichlet, neumann, robin
 from contact_duality.errors import CapExceeded
 from contact_duality.kernels import (
     dual_pair_from_sector,
@@ -14,7 +15,7 @@ from contact_duality.kernels import (
     robin_pair_kernel,
 )
 from contact_duality.permutations import enumerate_group
-from contact_duality.quadrature import integrate_box
+from contact_duality.quadrature import integrate_box, sector_rule
 from contact_duality.wavefunctions import Statistics
 
 
@@ -103,6 +104,76 @@ def test_pair_kernel_accepts_floats():
     assert robin_pair_kernel(0.0).coupling.kind == "dirichlet"
     assert robin_pair_kernel(np.inf).coupling.kind == "neumann"
     assert robin_pair_kernel(-2.0).coupling.value == -2.0
+
+
+def _relative(points):
+    return (points[..., 0] - points[..., 1]) / SQRT2
+
+
+def _count_error_function_arguments(monkeypatch):
+    """Count the arguments passed to erfcx and erfc inside the kernels."""
+    seen = []
+    for name in ("erfcx", "erfc"):
+        inner = getattr(kernels, name)
+
+        def counted(z, inner=inner):
+            seen.append(np.size(z))
+            return inner(z)
+
+        monkeypatch.setattr(kernels, name, counted)
+    return seen
+
+
+def test_pair_kernel_table_is_bitwise_the_direct_path():
+    # Targets against a point set (the propagation broadcast) tabulate the
+    # relative factor over distinct relative coordinates; one target at a
+    # time evaluates it directly.  Equal floats give equal values, so the
+    # two agree bit for bit, on the face u = 0 and where the attractive
+    # correction takes its erfc branch (w + gamma tau < 0) too.
+    rule, _ = sector_rule(-7.0, 7.0, 2, 20, 8)
+    face = np.stack([np.linspace(-2.0, 2.0, 5)] * 2, axis=-1)
+    near = face + np.array([0.01, -0.01])
+    pts = np.concatenate([rule, face, near])
+    targets = np.concatenate([rule[::1500], face[::2], near[::2], face[:1]])
+    attractive = np.min(_relative(targets)[:, None] + _relative(pts)[None, :])
+    assert attractive + 0.4 / (SQRT2 * -1.0) < 0
+    for a in (1.0, -1.0, 0.05, -0.05, 0.0, np.inf):
+        pk = robin_pair_kernel(a)
+        for tau in (0.05, 0.4, 2.0):
+            table = pk(targets[:, None, :], pts[None, :, :], tau)
+            direct = np.stack([pk(x[None, :], pts, tau) for x in targets])
+            assert table.shape == direct.shape == (targets.shape[0], pts.shape[0])
+            assert np.array_equal(table, direct), (a, tau)
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0])
+def test_pair_kernel_error_functions_see_distinct_relative_coordinates(monkeypatch, a):
+    # 64 targets against the 13,440-point sector rule: the special
+    # functions see at most one argument per pair of distinct relative
+    # coordinates, not one per (target, point) pair.
+    rule, _ = sector_rule(-7.0, 7.0, 2, 20, 8)
+    targets = rule[:64]
+    seen = _count_error_function_arguments(monkeypatch)
+    robin_pair_kernel(a)(targets[:, None, :], rule[None, :, :], 0.4)
+    distinct = np.unique(_relative(rule)).size
+    assert 0 < sum(seen) <= 64 * distinct < 64 * rule.shape[0]
+
+
+def test_pair_kernel_pairwise_points_stay_elementwise(monkeypatch):
+    # (N, 2) x (N, 2) pairs each x with its own y: no table, one special
+    # function argument per pair, and the unfactored formula bit for bit.
+    rng = np.random.default_rng(11)
+    x = -np.sort(-rng.uniform(-2.0, 2.0, size=(40, 2)), axis=-1)
+    y = -np.sort(-rng.uniform(-2.0, 2.0, size=(40, 2)), axis=-1)
+    k_rel, _ = relative_half_line_kernel(robin(-1.0))
+    cx = (x[:, 0] + x[:, 1]) / SQRT2
+    cy = (y[:, 0] + y[:, 1]) / SQRT2
+    formula = gaussian_1d(cx - cy, 0.4) * k_rel(_relative(x), _relative(y), 0.4)
+    seen = _count_error_function_arguments(monkeypatch)
+    values = robin_pair_kernel(-1.0)(x, y, 0.4)
+    assert sum(seen) == 40
+    assert values.shape == (40,)
+    assert np.array_equal(values, formula)
 
 
 def test_permutation_sum_face_values():
