@@ -4,60 +4,67 @@ Crank-Nicolson time stepping on a finite-volume discretization of
 d/dtau w = (1/2) w'' on [0, U] with the face condition w'(0) = gamma w(0)
 and a far Dirichlet wall.  The half-cell treatment of the face node
 makes the scheme second order in the mesh width; the stepping is second
-order in dtau.  The solver shares nothing with the closed-form kernel it
-validates: the gate evolves a kernel profile from tau0 to tau1 and
-compares against the closed form at tau1.
+order in dtau.  The step matrix M + (dt/2) K is symmetric positive
+definite and tridiagonal, so it is factored once as L D L^T (LAPACK
+``dpttrf``) and each step is a ``dpttrs`` solve against a right-hand
+side formed from the diagonals.  The solver shares nothing with the
+closed-form kernel it validates: the gate evolves a kernel profile from
+tau0 to tau1 and compares against the closed form at tau1.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .coupling import SQRT2, BoundaryCoupling
+from .errors import ContactDualityError
 from .kernels import relative_half_line_kernel
 
 
 def _system(points: int, width: float, gamma):
-    """Mass diagonal and stiffness on the retained nodes.
+    """Mass diagonal, stiffness diagonal and stiffness off-diagonal on the
+    retained nodes.
 
     Nodes sit at u_i = i h, i = 0..points; the far wall node is
     eliminated (Dirichlet).  gamma = None eliminates the face node too
     (Dirichlet face); otherwise the face node keeps a half cell with the
     flux condition w'(0) = gamma w(0), contributing 1/h + gamma to its
-    stiffness diagonal.
+    stiffness diagonal.  The stiffness is that of (1/2) w''.
     """
     h = width / points
-    if gamma is None:
-        size = points - 1  # nodes 1..points-1
-        diag = np.full(size, 2.0 / h)
-        off = np.full(size - 1, -1.0 / h)
-        mass = np.full(size, h)
-    else:
-        size = points  # nodes 0..points-1
-        diag = np.full(size, 2.0 / h)
-        diag[0] = 1.0 / h + gamma
-        off = np.full(size - 1, -1.0 / h)
-        mass = np.full(size, h)
+    size = points - 1 if gamma is None else points
+    diag = np.full(size, 1.0 / h)
+    mass = np.full(size, h)
+    if gamma is not None:
+        diag[0] = 0.5 * (1.0 / h + gamma)
         mass[0] = h / 2.0
-    stiff = sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
-    return mass, 0.5 * stiff
+    return mass, diag, -0.5 / h
 
 
 def evolve_half_line(w0: np.ndarray, width: float, gamma, tau_span: float,
                      steps: int) -> np.ndarray:
-    """Crank-Nicolson evolution of retained-node values over tau_span."""
+    """Crank-Nicolson evolution of retained-node values over tau_span.
+
+    Raises ContactDualityError when the step matrix is not positive
+    definite (a face coupling too attractive for the mesh).
+    """
     points = w0.size if gamma is not None else w0.size + 1
-    mass, stiff = _system(points, width, gamma)
+    mass, diag, off = _system(points, width, gamma)
     dt = tau_span / steps
-    m = sparse.diags(mass)
-    lhs = (m + (dt / 2.0) * stiff).tocsc()
-    rhs = (m - (dt / 2.0) * stiff).tocsr()
-    lu = splu(lhs)
+    d, e, info = dpttrf(mass + (dt / 2.0) * diag,
+                        np.full(diag.size - 1, (dt / 2.0) * off))
+    if info != 0:
+        raise ContactDualityError(
+            f"Crank-Nicolson step matrix is not positive definite (dpttrf info={info})")
+    rhs_diag = mass - (dt / 2.0) * diag
+    rhs_off = -(dt / 2.0) * off
     w = w0.copy()
     for _ in range(steps):
-        w = lu.solve(rhs @ w)
+        r = rhs_diag * w
+        r[:-1] += rhs_off * w[1:]
+        r[1:] += rhs_off * w[:-1]
+        w, _ = dpttrs(d, e, r, overwrite_b=True)
     return w
 
 

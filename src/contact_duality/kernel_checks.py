@@ -11,6 +11,20 @@ the face boundary condition as the fifth check.
 ``dual_reconstruction_check`` compares the two character-weighted sums
 built from exchange-symmetric kernel pairs and reports the connection
 residuals of each input.
+
+Both quadrature checks truncate their integrand to a per-axis box of
+radius ``_support_radius`` about the fixed arguments: prod_k [x_k - r,
+x_k + r] for the short-time check, prod_k [min(x_k, y_k) - r, max(x_k,
+y_k) + r] for composition.  Full-space kernels integrate over the box
+itself; sector kernels integrate over the sector part of the hull-grid
+cells that meet it (see ``quadrature``).  The truncation holds for a
+sector kernel by the same bound as for a full-space one.  A permutation
+sum over sorted x and z is a sum of Gaussians in z - sigma(x), and by
+the rearrangement inequality the identity pairing makes |z - sigma(x)|
+smallest, so no sigma-term exceeds the identity Gaussian, which is
+below ``drop`` wherever some |z_k - x_k| exceeds r.  The pair kernel's
+bound-state tail decays in the pair separation, and
+``bound_state_scale`` widens r to cover it in the box and sector alike.
 """
 
 from __future__ import annotations
@@ -104,15 +118,13 @@ def composition_residual(kernel: KernelEvaluator, x, y, tau1: float, tau2: float
             kernel.evaluate(z, y[None, :], tau2))
 
     target = _value(kernel, x, y, tau1 + tau2)
+    box = np.stack([np.minimum(x, y) - radius, np.maximum(x, y) + radius], axis=-1)
     if kernel.space == "sector":
-        lo = float(min(x.min(), y.min()) - radius)
-        hi = float(max(x.max(), y.max()) + radius)
-        value, _ = integrate_sector(integrand, lo, hi, n, tol=spec.quad_tol,
-                                    order=spec.quad_order,
+        value, _ = integrate_sector(integrand, box[:, 0], box[:, 1], n,
+                                    tol=spec.quad_tol, order=spec.quad_order,
                                     start_cells=spec.quad_start_cells,
                                     max_doublings=spec.quad_max_doublings)
     else:
-        box = np.stack([np.minimum(x, y) - radius, np.maximum(x, y) + radius], axis=-1)
         value, _ = integrate_box(integrand, box, tol=spec.quad_tol,
                                  order=spec.quad_order,
                                  start_cells=spec.quad_start_cells,
@@ -154,15 +166,13 @@ def initial_condition_intercept(kernel: KernelEvaluator, x, spec: SamplingSpec):
         def integrand(y):
             return np.asarray(kernel.evaluate(x[None, :], y, tau)) * probe(y)
 
+        box = np.stack([x - radius, x + radius], axis=-1)
         if kernel.space == "sector":
-            lo = float(x.min() - radius)
-            hi = float(x.max() + radius)
-            value, _ = integrate_sector(integrand, lo, hi, n, tol=spec.quad_tol,
-                                        order=spec.quad_order,
+            value, _ = integrate_sector(integrand, box[:, 0], box[:, 1], n,
+                                        tol=spec.quad_tol, order=spec.quad_order,
                                         start_cells=spec.quad_start_cells,
                                         max_doublings=spec.quad_max_doublings)
         else:
-            box = np.stack([x - radius, x + radius], axis=-1)
             value, _ = integrate_box(integrand, box, tol=spec.quad_tol,
                                      order=spec.quad_order,
                                      start_cells=spec.quad_start_cells,

@@ -13,6 +13,14 @@ so refinement in the panel count converges at the full Gauss order.
 Adaptive drivers double the panel count until two successive estimates
 agree to the requested tolerance.
 
+Sector bounds are either scalars, for the cube [lo, hi]^n, or per-axis
+arrays of shape (n,), for a box prod_k [lo_k, hi_k].  The panel grid is
+always the uniform grid on the hull cube [min lo, max hi]^n; with
+per-axis bounds only the hull-grid cells that meet the box are kept.  A
+kept cell holds the same points and weights as in the hull-cube rule, so
+an integrand negligible outside the box integrates to the hull-cube
+value.  Scalar bounds keep every cell and give the rule unchanged.
+
 Rules are generated as a stream of blocks of at most ``EVAL_CHUNK``
 points.  Adaptive integration builds, evaluates and sums one block at a
 time and never holds a whole rule.  Sector cells are enumerated and
@@ -147,13 +155,21 @@ def _tie_pattern(code: int, n: int) -> tuple:
     return tuple(pattern)
 
 
-def _sector_blocks(lo: float, hi: float, n: int, cells: int, order: int):
+def _sector_blocks(lo, hi, n: int, cells: int, order: int):
     """Blocks of the sector rule: cells grouped by tie pattern in order of
-    first appearance, each pattern's cells in enumeration order."""
-    edges = np.linspace(lo, hi, cells + 1)
+    first appearance, each pattern's cells in enumeration order.
+
+    ``lo`` and ``hi`` are scalars or per-axis arrays of shape (n,).  The
+    grid is the uniform grid on the hull [min lo, max hi]; only the cells
+    that meet the box prod_k [lo_k, hi_k] are kept (all of them for
+    scalar bounds).
+    """
+    lo, hi = np.broadcast_to(lo, (n,)), np.broadcast_to(hi, (n,))
+    edges = np.linspace(lo.min(), hi.max(), cells + 1)
     h = edges[1] - edges[0]
     vol = h**n
     tuples = descending_combinations(cells, n)
+    tuples = tuples[np.all((edges[tuples + 1] > lo) & (edges[tuples] < hi), axis=1)]
     codes = (tuples[:, :-1] == tuples[:, 1:]) @ (1 << np.arange(n - 1))
     found, first = np.unique(codes, return_index=True)
     for code in found[np.argsort(first)]:
@@ -184,12 +200,15 @@ def box_rule(box, cells: int, order: int = 6):
     return _whole(_box_blocks(box, cells, order))
 
 
-def sector_rule(lo: float, hi: float, n: int, cells: int, order: int = 6):
+def sector_rule(lo, hi, n: int, cells: int, order: int = 6):
     """Rule over the descending sector of the cube [lo, hi]^n.
 
     Panels are the cells of the uniform grid; a cell with weakly
     descending index tuple contributes its sector part, built from the
-    tie pattern of repeated indices.
+    tie pattern of repeated indices.  Per-axis bounds (arrays of shape
+    (n,)) lay the grid on the hull cube [min lo, max hi]^n and keep only
+    the cells that meet the box prod_k [lo_k, hi_k]; scalar bounds keep
+    every cell, so their rule is unchanged.
     """
     return _whole(_sector_blocks(lo, hi, n, cells, order))
 
@@ -232,10 +251,16 @@ def integrate_box(f, box, tol: float = 1e-9, order: int = 6,
                      start_cells, max_doublings)
 
 
-def integrate_sector(f, lo: float, hi: float, n: int, tol: float = 1e-9,
+def integrate_sector(f, lo, hi, n: int, tol: float = 1e-9,
                      order: int = 6, start_cells: int = 2, max_doublings: int = 7,
                      floor: float = 1e-300):
-    """Adaptive quadrature over the descending sector of [lo, hi]^n."""
+    """Adaptive quadrature over the descending sector of [lo, hi]^n.
+
+    With per-axis bounds of shape (n,), each rule is ``sector_rule``'s:
+    the hull-grid cells that meet the box prod_k [lo_k, hi_k], so the
+    integral is over the sector part of the cells covering that box.
+    Scalar bounds integrate over every cell of the cube.
+    """
     return _adaptive(lambda c: _sector_blocks(lo, hi, n, c, order), f, tol, floor,
                      start_cells, max_doublings)
 

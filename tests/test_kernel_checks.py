@@ -1,7 +1,11 @@
 import numpy as np
+import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
-from contact_duality.coupling import dirichlet, neumann, robin, uniform_model
-from contact_duality.heat_solver import pair_kernel_pde_gate
+from contact_duality.coupling import SQRT2, dirichlet, neumann, robin, uniform_model
+from contact_duality.errors import ContactDualityError
+from contact_duality.heat_solver import evolve_half_line, pair_kernel_pde_gate
 from contact_duality.kernel_checks import (
     SamplingSpec,
     dual_reconstruction_check,
@@ -13,6 +17,7 @@ from contact_duality.kernels import (
     dual_pair_from_sector,
     free_kernel,
     permutation_sum,
+    relative_half_line_kernel,
     robin_pair_kernel,
 )
 from contact_duality.wavefunctions import Statistics
@@ -55,6 +60,52 @@ def test_pair_kernel_pde_gate():
 def test_pde_gate_limits():
     assert pair_kernel_pde_gate(dirichlet()) < 1e-6
     assert pair_kernel_pde_gate(neumann()) < 1e-6
+
+
+def _splu_evolve(w0, width, gamma, tau_span, steps):
+    """Reference Crank-Nicolson stepping: the finite-volume system as
+    sparse matrices, a SuperLU factor and a CSR right-hand side."""
+    points = w0.size if gamma is not None else w0.size + 1
+    h = width / points
+    size = w0.size
+    diag = np.full(size, 2.0 / h)
+    mass = np.full(size, h)
+    if gamma is not None:
+        diag[0] = 1.0 / h + gamma
+        mass[0] = h / 2.0
+    off = np.full(size - 1, -1.0 / h)
+    stiff = 0.5 * sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
+    dt = tau_span / steps
+    m = sparse.diags(mass)
+    lu = splu((m + (dt / 2.0) * stiff).tocsc())
+    rhs = (m - (dt / 2.0) * stiff).tocsr()
+    w = w0.copy()
+    for _ in range(steps):
+        w = lu.solve(rhs @ w)
+    return w
+
+
+@pytest.mark.parametrize("entry", [robin(1.0), robin(-1.0), dirichlet(), neumann()])
+def test_tridiagonal_stepping_matches_splu_reference(entry):
+    kernel, _ = relative_half_line_kernel(entry)
+    width, points = 24.0, 20000
+    h = width / points
+    if entry.kind == "dirichlet":
+        gamma, grid = None, np.arange(1, points) * h
+    else:
+        gamma = 0.0 if entry.kind == "neumann" else 1.0 / (SQRT2 * entry.value)
+        grid = np.arange(0, points) * h
+    w0 = kernel(grid, np.full_like(grid, 0.8), 0.25)
+    got = evolve_half_line(w0, width, gamma, 0.025, 200)
+    ref = _splu_evolve(w0, width, gamma, 0.025, 200)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_evolve_half_line_refuses_an_indefinite_step_matrix():
+    # a face coupling far too attractive for the mesh makes the first
+    # diagonal entry of M + (dt/2) K negative
+    with pytest.raises(ContactDualityError, match="positive definite"):
+        evolve_half_line(np.ones(2000), 24.0, -1e4, 0.25, 10)
 
 
 def test_sector_sum_properties_bose():

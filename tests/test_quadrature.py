@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -14,6 +15,12 @@ from contact_duality.folding import (
     random_gaussian,
 )
 from contact_duality import quadrature
+from contact_duality.kernel_checks import (
+    SamplingSpec,
+    _sample_points,
+    initial_condition_intercept,
+)
+from contact_duality.kernels import free_kernel, permutation_sum
 from contact_duality.quadrature import (
     EVAL_CHUNK,
     _box_blocks,
@@ -25,6 +32,7 @@ from contact_duality.quadrature import (
     integrate_sector,
     sector_rule,
 )
+from contact_duality.wavefunctions import Statistics
 
 
 def test_ordered_cube_rule_volume():
@@ -87,11 +95,15 @@ def _whole_box_rule(box, cells, order):
 
 def _whole_sector_rule(lo, hi, n, cells, order):
     """The sector rule built whole, grouping cells by tie pattern one
-    index tuple at a time."""
-    edges = np.linspace(lo, hi, cells + 1)
+    index tuple at a time.  Per-axis bounds keep the cells of the grid
+    on the hull [min lo, max hi] that meet the box."""
+    lo, hi = np.broadcast_to(lo, (n,)), np.broadcast_to(hi, (n,))
+    edges = np.linspace(lo.min(), hi.max(), cells + 1)
     h = edges[1] - edges[0]
     by_pattern = {}
     for c in itertools.combinations_with_replacement(range(cells - 1, -1, -1), n):
+        if not all(edges[t + 1] > a and edges[t] < b for t, a, b in zip(c, lo, hi)):
+            continue
         runs = [len(list(group)) for _, group in itertools.groupby(c)]
         by_pattern.setdefault(tuple(runs), []).append(c)
     all_pts, all_wts = [], []
@@ -111,8 +123,12 @@ def _same_bits(a, b):
 def test_blocks_concatenate_to_the_whole_rule(monkeypatch, chunk):
     # Streamed blocks are the whole rule cut in order: points, weights
     # and their order agree bitwise, and no block exceeds EVAL_CHUNK.
+    # Per-axis sector bounds: a box about a descending point whose hull
+    # is the scalar case's [-1.3, 2.1].
     monkeypatch.setattr(quadrature, "EVAL_CHUNK", chunk)
     box = np.array([[-1.3, 2.1], [0.5, 0.9], [-3.0, -1.0], [0.0, 1.0]])
+    lo = np.array([0.2, -0.6, -1.1, -1.3])
+    hi = np.array([2.1, 1.0, 0.3, -0.4])
     for n in (1, 2, 3, 4):
         for cells, order in ((1, 4), (3, 3), (5, 2), (6, 6)):
             if n == 4 and cells * order > 12:
@@ -121,6 +137,9 @@ def test_blocks_concatenate_to_the_whole_rule(monkeypatch, chunk):
                     (_sector_blocks(-1.3, 2.1, n, cells, order),
                      sector_rule(-1.3, 2.1, n, cells, order),
                      _whole_sector_rule(-1.3, 2.1, n, cells, order)),
+                    (_sector_blocks(lo[:n], hi[:n], n, cells, order),
+                     sector_rule(lo[:n], hi[:n], n, cells, order),
+                     _whole_sector_rule(lo[:n], hi[:n], n, cells, order)),
                     (_box_blocks(box[:n], cells, order), box_rule(box[:n], cells, order),
                      _whole_box_rule(box[:n], cells, order))):
                 blocks = list(blocks)
@@ -130,6 +149,48 @@ def test_blocks_concatenate_to_the_whole_rule(monkeypatch, chunk):
                 wts = np.concatenate([w for _, w in blocks])
                 for got in ((pts, wts), rule):
                     assert _same_bits(got[0], whole[0]) and _same_bits(got[1], whole[1])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_box_clipped_sector_matches_the_hull_cube(n):
+    # A Gaussian below 1e-16 outside the box integrates over the cells
+    # that meet the box to its value over the whole hull cube.
+    center = np.array([1.0, -0.5, -2.0])[:n]
+    width = 0.1
+    radius = width * math.sqrt(2.0 * math.log(1e16))
+    f = lambda z: np.exp(-np.sum((z - center) ** 2, axis=-1) / (2.0 * width**2))
+    lo, hi = center - radius, center + radius
+    kw = dict(tol=1e-11, order=8, start_cells=4, max_doublings=6)
+    clipped, _ = integrate_sector(f, lo, hi, n, **kw)
+    hull, _ = integrate_sector(f, lo.min(), hi.max(), n, **kw)
+    np.testing.assert_allclose(clipped, hull, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(clipped, (2.0 * np.pi * width**2) ** (n / 2), rtol=1e-12)
+    assert sector_rule(lo, hi, n, 16)[1].size < sector_rule(lo.min(), hi.max(), n, 16)[1].size
+
+
+#: Kernel points the short-time check below evaluates when its sector
+#: integrals run over every cell of the hull cube.
+HULL_CUBE_POINTS = 14_381_280
+
+
+def test_short_time_check_evaluates_under_half_the_hull_cube_points():
+    # The n=3 Fermi suite at the benchmark's settings: its sector
+    # integrals need only the cells that meet the truncation box.
+    spec = SamplingSpec(seed=0, pairs=2, quad_tol=1e-5, quad_order=6,
+                        initial_depth=3, spread=2.2)
+    kernel = permutation_sum(free_kernel(3), Statistics.FERMI)
+    points = []
+
+    def evaluate(x, y, tau):
+        values = kernel.evaluate(x, y, tau)
+        points.append(np.size(values))
+        return values
+
+    counted = dataclasses.replace(kernel, evaluate=evaluate)
+    x = _sample_points(spec, 3, spec.pairs, sector=True)[0]
+    intercept, _ = initial_condition_intercept(counted, x, spec)
+    assert intercept < 1e-4
+    assert 0 < sum(points) < HULL_CUBE_POINTS / 2
 
 
 def test_integrate_sector_memory_is_bounded_by_the_block():
