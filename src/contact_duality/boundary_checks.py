@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coordinates import permutation_signs_batch
 from .coupling import CouplingModel, coupling_values_batch
 from .errors import GridTooCoarse
 from .mesh import DofTable
@@ -252,8 +253,6 @@ def reduced_state_evaluator(fn: MeshFunction, antisymmetric: bool):
         sorted_idx = np.take_along_axis(idx, order, axis=-1)
         vals = fn.lookup(sorted_idx)
         if antisymmetric:
-            from .coordinates import permutation_signs_batch
-
             vals = vals * permutation_signs_batch(order)
         return vals
 

@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from .configio import ExperimentConfig, validate_config
-from .coupling import dirichlet, uniform_model
+from .coupling import dirichlet, neumann, uniform_model
 from .errors import ConfigError, ContactDualityError, UnsupportedCoupling, UnsupportedN
 from .folding import QuadSpec, fold_integral_check, random_gaussian
 from .heat_solver import pair_kernel_pde_gate
@@ -32,7 +32,7 @@ from .kernels import (
     permutation_sum,
     robin_pair_kernel,
 )
-from .operators import cached_build, solve
+from .operators import DomainSpec, cached_build, content_hash, solve
 from .propagation import (
     PropagationQuad,
     propagate_at,
@@ -63,7 +63,6 @@ def run_spectrum(cfg: ExperimentConfig) -> RunArtifacts:
         "symmetry_residual": op.symmetry_residual(seed=cfg["seed"]),
     }
     gates = [Gate("solver_residual", float(np.max(res.residuals)), cfg["gate.residual"])]
-    from .operators import content_hash
 
     tables = {f"spectra_{content_hash(dom, model)}":
               (("formulation", "level", "h", "index", "eigenvalue", "residual"),
@@ -130,7 +129,6 @@ def _kernel_from_config(cfg: ExperimentConfig):
         stat = Statistics.BOSE if cfg["statistics"] == "bose" else Statistics.FERMI
         kernel = permutation_sum(free_kernel(n), stat)
         face = dirichlet() if stat is Statistics.FERMI else None
-        from .coupling import neumann
         model = uniform_model(n, face if face is not None else neumann())
         return kernel, model, 0.0
     if n != 2:
@@ -206,8 +204,6 @@ def run_dual_kernels(cfg: ExperimentConfig) -> RunArtifacts:
     if cfg["realtime"]:
         if n != 2:
             raise UnsupportedN("the real-time matrix check is two-body")
-        from .operators import DomainSpec
-
         dom = DomainSpec(n=2, length=cfg["realtime_length"],
                          points=cfg["realtime_points"])
         model = uniform_model(2, entry if entry.kind == "robin" else dirichlet())

@@ -14,7 +14,10 @@ Index conventions: a lattice with P vertex coordinates per axis has
 M = P - 1 cells per axis; cells and vertices are integer tuples; an
 element is a (cell, insertion order) pair, where the insertion order
 ``seq`` lists the axes in the order their local coordinate increases
-first, carving out the region z_{seq[0]} >= ... >= z_{seq[n-1]}.
+first, carving out the region z_{seq[0]} >= ... >= z_{seq[n-1]}.  A set
+of elements is one array: the cells (E, n) and, per row, an index into
+the (n!, n) table of ``insertion_orders`` (``element_array``).  The
+per-element helpers take one order per row, or one order for all rows.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-
-from .permutations import Permutation
 
 
 def uniform_lattice(length: float, points: int, offset: float = 0.0) -> np.ndarray:
@@ -118,8 +119,8 @@ def _vertex_offsets(seq: tuple) -> np.ndarray:
     return offs
 
 
-def local_matrices(seq: tuple, lengths: np.ndarray):
-    """Volume and path-edge weights of one element.
+def local_matrices(seqs, lengths):
+    """Volumes and path-edge weights of elements with cell widths ``lengths``.
 
     Vertex m+1 steps from vertex m along axis seq[m], so the
     barycentric gradients are e_{seq[m-1]}/h_{seq[m-1]} - e_{seq[m]}/h_{seq[m]}
@@ -127,9 +128,11 @@ def local_matrices(seq: tuple, lengths: np.ndarray):
     sum_m w[m] (u_{m+1} - u_m)^2 with w[m] = vol / h_{seq[m]}^2, h being
     ``lengths``: only the n axis-aligned path edges carry stiffness.
     """
+    seqs = np.asarray(seqs)
     lengths = np.asarray(lengths, dtype=float)
-    vol = float(np.prod(lengths)) / math.factorial(len(seq))
-    return vol, vol / lengths[list(seq)] ** 2
+    vol = np.prod(lengths, axis=-1) / math.factorial(seqs.shape[-1])
+    steps = np.take_along_axis(lengths, np.broadcast_to(seqs, lengths.shape), axis=-1)
+    return vol, np.expand_dims(vol, -1) / steps**2
 
 
 def all_cells(cells_per_axis: int, n: int) -> np.ndarray:
@@ -138,33 +141,38 @@ def all_cells(cells_per_axis: int, n: int) -> np.ndarray:
     return np.ascontiguousarray(grids.astype(np.int64))
 
 
-def region_orderings(cells: np.ndarray, seq: tuple) -> np.ndarray:
+def region_orderings(cells: np.ndarray, seqs) -> np.ndarray:
     """Descending axis order of each element's region.
 
     Axes sort by cell index (descending); ties resolve by insertion
     order, since the axis inserted first carries the larger local
     coordinate.  Rows are permutations pi with x_{pi[0]} >= x_{pi[1]} >= ...
     """
-    n = len(seq)
-    pos = np.empty(n, dtype=np.int64)
-    for m, axis in enumerate(seq):
-        pos[axis] = m
-    key = cells * n - pos[None, :]  # larger key = earlier in descending order
+    n = cells.shape[1]
+    key = cells * n - np.argsort(seqs, axis=-1)  # larger key = earlier in descending order
     return np.argsort(-key, axis=-1, kind="stable")
 
 
-def sector_element_mask(cells: np.ndarray, seq: tuple) -> np.ndarray:
-    """Elements lying in the closed descending sector x_1 >= ... >= x_n."""
-    n = len(seq)
-    pos = np.empty(n, dtype=np.int64)
-    for m, axis in enumerate(seq):
-        pos[axis] = m
-    mask = np.ones(cells.shape[0], dtype=bool)
-    for i in range(n - 1):
-        gt = cells[:, i] > cells[:, i + 1]
-        tie_ok = (cells[:, i] == cells[:, i + 1]) & (pos[i] < pos[i + 1])
-        mask &= gt | tie_ok
-    return mask
+def sector_element_mask(cells: np.ndarray, seqs) -> np.ndarray:
+    """Elements lying in the closed descending sector x_1 >= ... >= x_n.
+
+    A tied pair of axes must be inserted in increasing axis order.
+    """
+    pos = np.broadcast_to(np.argsort(seqs, axis=-1), cells.shape)  # step of each axis
+    tie_ok = (cells[:, :-1] == cells[:, 1:]) & (pos[:, :-1] < pos[:, 1:])
+    return np.all((cells[:, :-1] > cells[:, 1:]) | tie_ok, axis=1)
+
+
+def element_array(cells: np.ndarray, orders: np.ndarray, sector: bool):
+    """Elements as (cells (E, n), index into ``orders`` (E,)): every cell
+    with every order, or with ``sector`` only the pairs in the sector, so
+    a cell with tie groups of sizes k_1..k_r keeps n! / prod k_g! of them."""
+    order_of = np.repeat(np.arange(len(orders)), cells.shape[0])
+    cells = np.tile(cells, (len(orders), 1))
+    if not sector:
+        return cells, order_of
+    keep = sector_element_mask(cells, orders[order_of])
+    return cells[keep], order_of[keep]
 
 
 def length_pattern_groups(cells: np.ndarray, widths: np.ndarray):
@@ -181,6 +189,7 @@ def length_pattern_groups(cells: np.ndarray, widths: np.ndarray):
         yield w[rows[0]], rows
 
 
-def insertion_orders(n: int):
-    """All insertion orders with their Permutation objects."""
-    return [(seq, Permutation(seq)) for seq in itertools.permutations(range(n))]
+def insertion_orders(n: int) -> np.ndarray:
+    """All n! insertion orders, shape (n!, n), in the lexicographic order of
+    ``itertools.permutations``."""
+    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)

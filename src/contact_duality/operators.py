@@ -27,10 +27,13 @@ is twice the one-sided value.  So the reduced operators of all three
 formulations come from one assembly over the sector elements with the
 facet term 1/(2 sqrt(2) a_j); the reduced delta and epsilon operators
 are bitwise equal, and differ from the sector one only in the lattice
-and in the factor n! on their mass.  The full-box loop over all n!
-ordering regions is kept for the unreduced operators
+and in the factor n! on their mass.  The unreduced operators
 (``reduced=False``), which the real-time propagation check compares
-against the reduced ones.
+against the reduced ones, come from the same assembly over all M^n n!
+elements of the box.  Either way the elements form one array of cells
+and insertion orders (``mesh.element_array``), and the assembly is one
+pass over it: one kinetic batch, one lumped mass, and one facet batch
+per path position.
 
 Every element is a path simplex whose vertices step along one axis at a
 time, so its stiffness form is closed-form (``mesh.local_matrices``):
@@ -70,17 +73,20 @@ from .errors import (
 from .mesh import (
     DofTable,
     all_cells,
+    element_array,
     insertion_orders,
-    length_pattern_groups,
     local_matrices,
     region_orderings,
-    sector_element_mask,
     staggered_lattice,
     uniform_lattice,
     weakly_descending_tuples,
     _encode,
     _vertex_offsets,
 )
+# Assembly calls neither of these here.  Both stay importable on this
+# module because the benchmark's tracer (perfbench/tracing.py) wraps them
+# here by name; ROADMAP item 1 drops them with that patching.
+from .mesh import length_pattern_groups, sector_element_mask  # noqa: F401
 
 #: Minimum cells per axis so each face keeps a few interior layers.
 MIN_POINTS = 6
@@ -196,10 +202,6 @@ class GridOperator:
             worst = max(worst, abs(v @ au - u @ av) / (scale * np.linalg.norm(u) * np.linalg.norm(v)))
         return worst
 
-    def node_values(self, vector: np.ndarray) -> np.ndarray:
-        """Turn a mass-normalized eigenvector into node values."""
-        return vector / np.sqrt(self.mass)
-
 
 class _Accumulator:
     """A weighted graph Laplacian plus a diagonal, summed into CSR form.
@@ -221,7 +223,8 @@ class _Accumulator:
 
     def edges(self, a, b, w):
         a, b, w = map(np.ravel, np.broadcast_arrays(a, b, w))
-        self.diagonal(np.concatenate([a, b]), np.concatenate([w, w]))
+        self.diagonal(a, w)
+        self.diagonal(b, w)
         self.rows.append(a.astype(self.index_dtype))
         self.cols.append(b.astype(self.index_dtype))
         self.vals.append(w)
@@ -257,32 +260,40 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
               formulation: str, reduced: bool):
     """Assemble one formulation's operator on ``lattice``.
 
-    Reduced operators sum over the sector elements of the weakly
-    descending cells, with one dof per descending vertex tuple.
-    Unreduced ones sum over all M^n n! elements of the box, with one dof
-    per vertex, or per (vertex, region) pair on the cracked mesh.
+    The elements form one array: a cell (E, n) and an insertion-order
+    index per row.  Reduced operators take the sector elements of the
+    weakly descending cells, with one dof per descending vertex tuple.
+    Unreduced ones take all M^n n! elements of the box, with one dof per
+    vertex, or per (vertex, region) pair on the cracked mesh.
     """
     n = dom.n
     pts = lattice.size
     widths = np.diff(lattice)
-    perm_list = insertion_orders(n)
+    orders = insertion_orders(n)
     cracked = formulation == "epsilon_fermi" and not reduced
     region_ranks = None
+    cells = weakly_descending_tuples(pts - 1, n) if reduced else all_cells(pts - 1, n)
+    cells, order_of = element_array(cells, orders, sector=reduced)
+    seqs = orders[order_of]
+
+    # dof of every element vertex, one vertex position at a time
+    ids = np.empty((cells.shape[0], n + 1), dtype=np.int64)
+    offsets = np.stack([_vertex_offsets(tuple(seq)) for seq in orders])
     if reduced:
-        cells = weakly_descending_tuples(pts - 1, n)
         table = DofTable(weakly_descending_tuples(pts, n), pts)
+        for k in range(n + 1):  # sector element vertices are descending already
+            ids[:, k] = table.rank(cells + offsets[order_of, k])
         dof_tuples = table.tuples
     else:
-        cells = all_cells(pts - 1, n)
+        for k in range(n + 1):
+            ids[:, k] = _encode(cells + offsets[order_of, k], pts)
         vertex_keys = np.arange(pts**n, dtype=np.int64)
         if cracked:
-            # Enumerate (vertex, region) pairs actually touched by elements.
-            keys = []
-            for seq, _ in perm_list:
-                verts = cells[:, None, :] + _vertex_offsets(seq)[None, :, :]
-                pi_rank = _rank_rows(region_orderings(cells, seq), perm_list)
-                keys.append((_encode(verts, pts) + pts**n * pi_rank[:, None]).ravel())
-            crack_keys = np.unique(np.concatenate(keys))
+            # the (vertex, region) pairs the elements touch
+            pi_rank = _rank_rows(region_orderings(cells, seqs), orders)
+            ids += pts**n * pi_rank[:, None]
+            crack_keys, ids = np.unique(ids, return_inverse=True)
+            ids = ids.reshape(cells.shape[0], n + 1)
             vertex_keys = crack_keys % pts**n
             region_ranks = crack_keys // pts**n
         dof_tuples = np.stack(np.unravel_index(vertex_keys, (pts,) * n), axis=-1)
@@ -292,93 +303,67 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
     # 1/a with coarea factor 1/sqrt2, or the jump penalty |[phi]|^2 / (4 sqrt2 a)
     facet_scale = 2.0 if reduced else 4.0 if cracked else 1.0
 
-    mass_diag = np.zeros(dim)
-    drop_face_dofs = np.zeros(dim, dtype=bool)
+    # kinetic term (1/2) sum_m w_m (u_{m+1} - u_m)^2 over the path edges
+    elem_vol, w = local_matrices(seqs, widths[cells])
     acc = _Accumulator(dim)
+    acc.edges(ids[:, :-1], ids[:, 1:], 0.5 * w)
+    mass_diag = np.bincount(ids.ravel(), minlength=dim,
+                            weights=np.repeat(elem_vol / (n + 1), n + 1))
+    drop_face_dofs = np.zeros(dim, dtype=bool)
 
-    def dof_ids(vertex_tuples, pi_rank=None):
-        """Map element vertex tuples (K, n+1, n) to dof indices (K, n+1)."""
-        if reduced:  # sector element vertices are descending already
-            return table.rank(vertex_tuples.reshape(-1, n)).reshape(vertex_tuples.shape[:2])
-        keys = _encode(vertex_tuples, pts)
+    # Coincidence facets: adjacent tied axes p, q at path position m.
+    rows = np.arange(cells.shape[0])
+    for m in range(n - 1):
+        p_axis, q_axis = seqs[:, m], seqs[:, m + 1]
+        # p < q counts each geometric facet once
+        tied = np.nonzero((p_axis < q_axis)
+                          & (cells[rows, p_axis] == cells[rows, q_axis]))[0]
+        p_axis, q_axis = p_axis[tied], q_axis[tied]
+        fpis = region_orderings(cells[tied], seqs[tied])
+        # the facet dropping vertex m+1 has area sqrt2 n vol / h_p, so its
+        # per-vertex share area / n of 1 / (facet_scale sqrt2 a) is
+        # vol / (facet_scale a h_p)
+        vol_per_h = elem_vol[tied] / widths[cells[tied, p_axis]]
+        # rank of the colliding pair in the region's descending order
+        pos = np.argsort(fpis, axis=-1, kind="stable")
+        jstar = np.take_along_axis(pos, p_axis[:, None], axis=-1)[:, 0] + 1  # 1-based
+        ids_f = np.delete(ids[tied], m + 1, axis=1)
         if cracked:
-            return np.searchsorted(crack_keys, keys + pts**n * pi_rank[:, None])
-        return keys
+            # the same vertices in the region with the colliding pair swapped
+            mirror = np.where(fpis == p_axis[:, None], q_axis[:, None],
+                              np.where(fpis == q_axis[:, None], p_axis[:, None], fpis))
+            ids_minus = np.searchsorted(crack_keys, vertex_keys[ids_f]
+                                        + pts**n * _rank_rows(mirror, orders)[:, None])
 
-    for seq, _perm in perm_list:
-        offs = _vertex_offsets(seq)
-        batch = cells[sector_element_mask(cells, seq)] if reduced else cells
-        if batch.shape[0] == 0:
-            continue
-        pis = region_orderings(batch, seq)
-        pi_rank = _rank_rows(pis, perm_list) if cracked else None
-
-        # kinetic term (1/2) sum_m w_m (u_{m+1} - u_m)^2 over the path edges
-        elem_vol = np.empty(batch.shape[0])
-        for lengths, rows in length_pattern_groups(batch, widths):
-            vol, w = local_matrices(seq, lengths)
-            elem_vol[rows] = vol
-            verts = batch[rows][:, None, :] + offs[None, :, :]
-            ids = dof_ids(verts, pi_rank[rows] if cracked else None)
-            acc.edges(ids[:, :-1], ids[:, 1:], 0.5 * w)
-            mass_diag += vol / (n + 1) * np.bincount(ids.ravel(), minlength=dim)
-
-        # Coincidence facets: adjacent tied axes in the insertion order.
-        for m in range(n - 1):
-            p_axis, q_axis = seq[m], seq[m + 1]
-            if p_axis > q_axis:
-                continue  # count each geometric facet once
-            tied = batch[:, p_axis] == batch[:, q_axis]
-            if not np.any(tied):
+        for j in range(1, n):
+            sel = jstar == j
+            if not np.any(sel):
                 continue
-            fcells = batch[tied]
-            fpis = pis[tied]
-            # the facet dropping vertex m+1 has area sqrt2 n vol / h_p, so its
-            # per-vertex share area / n of 1 / (facet_scale sqrt2 a) is
-            # vol / (facet_scale a h_p)
-            vol_per_h = elem_vol[tied] / widths[fcells[:, p_axis]]
-            # rank of the colliding pair in the region's descending order
-            pos = np.argsort(fpis, axis=-1, kind="stable")
-            jstar = pos[:, p_axis] + 1  # 1-based face index
-
-            offs_f = np.delete(offs, m + 1, axis=0)
-            verts = fcells[:, None, :] + offs_f[None, :, :]
-            if cracked:
-                ids = dof_ids(verts, _rank_rows(fpis, perm_list))
-                mirror = np.arange(n)  # swaps the colliding pair's axes
-                mirror[[p_axis, q_axis]] = q_axis, p_axis
-                ids_minus = dof_ids(verts, _rank_rows(mirror[fpis], perm_list))
+            entry = model.entry(j)
+            if entry.kind == "neumann":
+                continue
+            if entry.kind == "dirichlet":
+                drop = ids_f[sel] if not cracked else np.concatenate(
+                    [ids_f[sel].ravel(), ids_minus[sel].ravel()])
+                drop_face_dofs[np.unique(drop)] = True
+                continue
+            if entry.kind == "robin":
+                a_v = entry.value
+            else:  # scale-invariant a = g r, pinned where r vanishes
+                r = hyperradius_batch(lattice[dof_tuples[ids_f[sel]]])
+                a_v = entry.value * r
+                pinned = r < 1e-12 * max(1.0, dom.length)
+                if np.any(pinned):
+                    drop_face_dofs[np.unique(ids_f[sel][pinned])] = True
+                    if cracked:
+                        drop_face_dofs[np.unique(ids_minus[sel][pinned])] = True
+                a_v = np.where(pinned, np.inf, a_v)
+            share = vol_per_h[sel][:, None] / (facet_scale * a_v)
+            if cracked:  # the jump penalty on the two one-sided values
+                acc.edges(ids_f[sel], ids_minus[sel], share)
             else:
-                ids = dof_ids(verts)
-
-            for j in range(1, n):
-                sel = jstar == j
-                if not np.any(sel):
-                    continue
-                entry = model.entry(j)
-                if entry.kind == "neumann":
-                    continue
-                if entry.kind == "dirichlet":
-                    drop = ids[sel] if not cracked else np.concatenate(
-                        [ids[sel].ravel(), ids_minus[sel].ravel()])
-                    drop_face_dofs[np.unique(drop)] = True
-                    continue
-                if entry.kind == "robin":
-                    a_v = entry.value
-                else:  # scale-invariant a = g r, pinned where r vanishes
-                    r = hyperradius_batch(lattice[verts[sel]])
-                    a_v = entry.value * r
-                    pinned = r < 1e-12 * max(1.0, dom.length)
-                    if np.any(pinned):
-                        drop_face_dofs[np.unique(ids[sel][pinned])] = True
-                        if cracked:
-                            drop_face_dofs[np.unique(ids_minus[sel][pinned])] = True
-                    a_v = np.where(pinned, np.inf, a_v)
-                share = vol_per_h[sel][:, None] / (facet_scale * a_v)
-                if cracked:  # the jump penalty on the two one-sided values
-                    acc.edges(ids[sel], ids_minus[sel], share)
-                else:
-                    acc.diagonal(ids[sel], share)
+                acc.diagonal(ids_f[sel], share)
+    del cells, seqs, order_of, ids, elem_vol, w  # before the CSR conversion's peak
 
     coords = lattice[dof_tuples]
     # potential on the lumped diagonal
@@ -416,12 +401,12 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
     )
 
 
-def _rank_rows(pis: np.ndarray, perm_list) -> np.ndarray:
-    """Rank permutation rows by lexicographic order of images, which is
-    the order of ``itertools.permutations``."""
+def _rank_rows(pis: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Rank permutation rows in ``orders``, the table of
+    ``mesh.insertion_orders``: its rows are sorted lexicographically, as
+    their encodings are."""
     n = pis.shape[1]
-    table = np.sort(_encode(np.asarray([p.images for _, p in perm_list]), n))
-    return np.searchsorted(table, _encode(pis, n))
+    return np.searchsorted(_encode(orders, n), _encode(pis, n))
 
 
 def build_sector(dom: DomainSpec, model: CouplingModel) -> GridOperator:

@@ -53,8 +53,9 @@ def test_pair_kernel_properties():
 
 
 def test_pair_kernel_pde_gate():
-    assert pair_kernel_pde_gate(robin(-1.0)) < 1e-6
-    assert pair_kernel_pde_gate(robin(1.0)) < 1e-6
+    # strong attraction (|a| < 1) refines the gate's mesh with 1/|a|
+    for a in (-1.0, 1.0, -0.3, -0.5):
+        assert pair_kernel_pde_gate(robin(a)) < 1e-6
 
 
 def test_pde_gate_limits():

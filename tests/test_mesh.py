@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 from scipy import sparse
@@ -9,6 +10,8 @@ from contact_duality.coupling import neumann, robin, uniform_model
 from contact_duality.mesh import (
     _vertex_offsets,
     all_cells,
+    element_array,
+    insertion_orders,
     local_matrices,
     region_orderings,
     sector_element_mask,
@@ -187,6 +190,32 @@ def test_sector_mask_counts():
             total += int(np.sum(sector_element_mask(cells, seq)))
         assert total == cells.shape[0] * math.factorial(n) // math.factorial(n)
         assert total == cells.shape[0]  # one region copy of each cell volume
+
+    # the element array with one insertion order per row
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 4):
+        orders = insertion_orders(n)
+        cells = weakly_descending_tuples(5, n)
+        full_cells, _ = element_array(cells, orders, sector=False)
+        assert full_cells.shape[0] == cells.shape[0] * math.factorial(n)
+        elem_cells, order_of = element_array(cells, orders, sector=True)
+        expected = {(tuple(c), k) for k, seq in enumerate(itertools.permutations(range(n)))
+                    for c in cells[sector_element_mask(cells, seq)].tolist()}
+        got = set(zip(map(tuple, elem_cells.tolist()), order_of.tolist()))
+        assert len(got) == order_of.size and got == expected
+        owned = Counter(map(tuple, elem_cells.tolist()))
+        for c in map(tuple, cells.tolist()):
+            ties = math.prod(math.factorial(k) for k in Counter(c).values())
+            assert owned[c] == math.factorial(n) // ties
+
+        seqs = orders[order_of]
+        lengths = rng.uniform(0.1, 2.0, size=elem_cells.shape)
+        vol, w = local_matrices(seqs, lengths)
+        pis = region_orderings(elem_cells, seqs)
+        for i, seq in enumerate(map(tuple, seqs.tolist())):
+            vol_i, w_i = local_matrices(seq, lengths[i])
+            assert vol_i == vol[i] and np.array_equal(w_i, w[i])
+            np.testing.assert_array_equal(region_orderings(elem_cells[i:i + 1], seq), pis[i:i + 1])
 
 
 def test_region_orderings_signs():
