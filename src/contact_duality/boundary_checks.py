@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coordinates import permutation_signs_batch
 from .coupling import CouplingModel, coupling_values_batch
 from .errors import GridTooCoarse
 from .mesh import DofTable
 from .operators import GridOperator
+from .permutations import permutation_signs_batch
 
 #: Quadratic extrapolation to the plane from three one-sided samples at
 #: parameters u_1 < u_2 < u_3: value and slope of the interpolant at 0.

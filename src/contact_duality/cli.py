@@ -180,6 +180,10 @@ def run_kernel_properties(cfg: ExperimentConfig) -> RunArtifacts:
 def run_dual_kernels(cfg: ExperimentConfig) -> RunArtifacts:
     n = cfg["n"]
     entry = cfg["coupling"]
+    if cfg["realtime"] and entry.kind == "dirichlet":
+        raise UnsupportedCoupling(
+            "Dirichlet sentinel not valid for delta builder; use a finite "
+            "robin coupling for the real-time check")
     if entry.kind == "dirichlet":
         sector = permutation_sum(free_kernel(n), Statistics.FERMI)
         k_bose, _ = dual_pair_from_sector(sector)
@@ -201,17 +205,10 @@ def run_dual_kernels(cfg: ExperimentConfig) -> RunArtifacts:
     rep = dual_reconstruction_check(k_bose, k_fermi, spec, coupling=coupling)
     gates = [Gate("deviation", rep["max_deviation"], cfg["gate.deviation"])]
     report = {"kind": "dual_kernels", "coupling": entry.label(), **rep}
-    if cfg["realtime"]:
-        if n != 2:
-            raise UnsupportedN("the real-time matrix check is two-body")
+    if cfg["realtime"]:  # robin, so two-body
         dom = DomainSpec(n=2, length=cfg["realtime_length"],
                          points=cfg["realtime_points"])
-        model = uniform_model(2, entry if entry.kind == "robin" else dirichlet())
-        if entry.kind == "dirichlet":
-            raise UnsupportedCoupling(
-                "Dirichlet sentinel not valid for delta builder; use a finite "
-                "robin coupling for the real-time check")
-        chk = real_time_cross_check(dom, model, t=cfg["realtime_time"])
+        chk = real_time_cross_check(dom, uniform_model(2, entry), t=cfg["realtime_time"])
         report["realtime"] = {
             "bose_deviation": chk.bose_deviation,
             "fermi_deviation": chk.fermi_deviation,

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TiedCoordinates
-from .permutations import Permutation
+from .permutations import Permutation, permutation_signs_batch
 
 #: Relative tolerance below which two coordinates count as coincident.
 COINCIDENCE_RTOL = 1e-12
@@ -194,17 +194,6 @@ def sorting_permutations_batch(x: np.ndarray):
     y = np.take_along_axis(x, order, axis=-1)
     signs = permutation_signs_batch(order)
     return y, order, signs
-
-
-def permutation_signs_batch(order: np.ndarray) -> np.ndarray:
-    """Signs of a batch of permutations shaped (..., n) via inversion count."""
-    order = np.asarray(order)
-    n = order.shape[-1]
-    inversions = np.zeros(order.shape[:-1], dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            inversions += order[..., i] > order[..., j]
-    return np.where(inversions % 2 == 0, 1, -1).astype(np.int64)
 
 
 def sign_product(x: np.ndarray) -> np.ndarray:

@@ -136,19 +136,19 @@ class BoundaryFace:
         return normal_vector(self.j, self.n)
 
 
-def coupling_value(model: CouplingModel, j: int, x, face_rtol: float = 1e-8):
+def coupling_value(model: CouplingModel, j: int, x):
     """Boundary length a_j at a point of face j.
 
     Robin returns its constant, the limits return their sentinels
     (0 for Dirichlet, +inf for Neumann), and the scale-invariant model
     returns g_j times the hyperradius of x.  The point must satisfy
-    x_j = x_{j+1} within tolerance.
+    x_j = x_{j+1} within a relative tolerance of 1e-8.
     """
     entry = model.entry(j)
     x = np.asarray(x, dtype=float)
     gap = abs(x[j - 1] - x[j])
     scale = max(1.0, abs(x[j - 1]), abs(x[j]))
-    if gap > face_rtol * scale:
+    if gap > 1e-8 * scale:
         raise ValueError(f"point is not on face {j}: |x_j - x_j+1| = {gap:g}")
     if entry.kind == "robin":
         return entry.value

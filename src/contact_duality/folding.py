@@ -111,13 +111,11 @@ class GaussianTestFunction:
         return float(np.pi ** (n / 2.0) / np.sqrt(np.linalg.det(self.matrix)))
 
 
-def random_gaussian(n: int, rng: np.random.Generator,
-                    with_linear: bool = False) -> GaussianTestFunction:
+def random_gaussian(n: int, rng: np.random.Generator) -> GaussianTestFunction:
     """Random well-conditioned anisotropic Gaussian for fold checks."""
     basis = rng.normal(size=(n, n))
     q, _ = np.linalg.qr(basis)
     scales = rng.uniform(0.6, 2.5, size=n)
     mat = q @ np.diag(scales) @ q.T
     center = rng.uniform(-0.8, 0.8, size=n)
-    linear = rng.normal(size=n) if with_linear else None
-    return GaussianTestFunction(matrix=mat, center=center, linear=linear)
+    return GaussianTestFunction(matrix=mat, center=center)

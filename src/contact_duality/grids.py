@@ -6,25 +6,26 @@ satisfy x_j = x_k, so exchange signs are always +-1 and contact planes
 run midway between node layers.  The sector grid keeps the strictly
 descending tuples, the full grid all pairwise-distinct ones; the full
 grid is the disjoint union of the permuted copies of the sector grid.
+Node tables come from the ``mesh`` lattice helpers, ranks from
+``mesh.DofTable`` and sorting signs from ``permutations``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coordinates import permutation_signs_batch
 from .errors import GridMismatch
-from .mesh import _encode
+from .mesh import DofTable, all_cells, staggered_lattice, weakly_descending_tuples
+from .permutations import permutation_signs_batch
 
 
 def staggered_coords(length: float, points: int) -> np.ndarray:
-    """Cell centers (i + 1/2) h of a box [0, length] with N cells."""
-    h = length / points
-    return (np.arange(points) + 0.5) * h
+    """Cell centers (i + 1/2) h of a box [0, length] with N cells: the
+    interior of the staggered lattice."""
+    return staggered_lattice(length, points)[1:-1]
 
 
 @dataclass(frozen=True)
@@ -44,8 +45,10 @@ class SectorGrid:
         return staggered_coords(self.length, self.points)
 
     def node_indices(self) -> np.ndarray:
-        combos = list(itertools.combinations(range(self.points - 1, -1, -1), self.n))
-        return np.asarray(sorted(combos), dtype=np.int64)
+        """Strictly descending tuples, sorted: the weakly descending ones
+        over range(points - n + 1) plus (n-1, ..., 0)."""
+        steps = np.arange(self.n - 1, -1, -1)
+        return weakly_descending_tuples(self.points - self.n + 1, self.n) + steps
 
     def nodes(self) -> np.ndarray:
         return self.coords_1d[self.node_indices()]
@@ -60,13 +63,10 @@ class SectorGrid:
 
     def rank_of(self, idx: np.ndarray) -> np.ndarray:
         """Ranks of descending index tuples in node order."""
-        keys = _encode(self.node_indices(), self.points)
-        order = np.argsort(keys)
-        wanted = _encode(idx, self.points)
-        pos = np.searchsorted(keys[order], wanted)
-        if np.any(keys[order][pos] != wanted):
-            raise GridMismatch("index tuple not on the sector grid")
-        return order[pos]
+        try:
+            return DofTable(self.node_indices(), self.points).rank(idx)
+        except KeyError:
+            raise GridMismatch("index tuple not on the sector grid") from None
 
 
 @dataclass(frozen=True)
@@ -89,11 +89,10 @@ class FullGrid:
         return SectorGrid(n=self.n, length=self.length, points=self.points)
 
     def node_indices(self) -> np.ndarray:
-        tuples = [
-            t for t in itertools.product(range(self.points), repeat=self.n)
-            if len(set(t)) == self.n
-        ]
-        return np.asarray(tuples, dtype=np.int64)
+        """Pairwise-distinct tuples in the order of ``mesh.all_cells``."""
+        idx = all_cells(self.points, self.n)
+        ordered = np.sort(idx, axis=-1)
+        return idx[np.all(ordered[:, 1:] != ordered[:, :-1], axis=-1)]
 
     def nodes(self) -> np.ndarray:
         return self.coords_1d[self.node_indices()]
@@ -120,10 +119,7 @@ class FullGrid:
         idx = self.node_indices()
         swapped = idx.copy()
         swapped[:, [j, j + 1]] = swapped[:, [j + 1, j]]
-        keys = _encode(idx, self.points)
-        order = np.argsort(keys)
-        pos = np.searchsorted(keys[order], _encode(swapped, self.points))
-        return order[pos]
+        return DofTable(idx, self.points).rank(swapped)
 
 
 @dataclass

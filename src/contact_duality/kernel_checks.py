@@ -29,15 +29,17 @@ bound-state tail decays in the pair separation, and
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary_checks import _extrapolation_weights, connection_residual
-from .kernels import KernelEvaluator
+from .kernels import KernelEvaluator, permutation_sum
 from .permutations import enumerate_group
 from .quadrature import integrate_box, integrate_sector
+from .wavefunctions import Statistics
 
 
 @dataclass
@@ -99,6 +101,21 @@ def _support_radius(spec: SamplingSpec, tau: float, product: bool = False) -> fl
     return max(gauss, slow) + 0.5
 
 
+def _integrate(kernel: KernelEvaluator, integrand, box: np.ndarray,
+               spec: SamplingSpec) -> float:
+    """Adaptive integral of ``integrand`` over the per-axis box (n, 2): the
+    box itself for a full-space kernel, the sector part of the hull-grid
+    cells meeting it for a sector kernel."""
+    controls = dict(tol=spec.quad_tol, order=spec.quad_order,
+                    start_cells=spec.quad_start_cells,
+                    max_doublings=spec.quad_max_doublings)
+    if kernel.space == "sector":
+        value, _ = integrate_sector(integrand, box[:, 0], box[:, 1], kernel.n, **controls)
+    else:
+        value, _ = integrate_box(integrand, box, **controls)
+    return value
+
+
 def _value(kernel: KernelEvaluator, x, y, tau: float) -> float:
     """Kernel value at one point pair."""
     return np.asarray(kernel.evaluate(np.asarray(x)[None, :], np.asarray(y)[None, :],
@@ -108,7 +125,6 @@ def _value(kernel: KernelEvaluator, x, y, tau: float) -> float:
 def composition_residual(kernel: KernelEvaluator, x, y, tau1: float, tau2: float,
                          spec: SamplingSpec) -> float:
     """Relative defect of K(.,tau1) * K(.,tau2) = K(.,tau1+tau2)."""
-    n = kernel.n
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     radius = _support_radius(spec, max(tau1, tau2), product=True)
@@ -119,16 +135,7 @@ def composition_residual(kernel: KernelEvaluator, x, y, tau1: float, tau2: float
 
     target = _value(kernel, x, y, tau1 + tau2)
     box = np.stack([np.minimum(x, y) - radius, np.maximum(x, y) + radius], axis=-1)
-    if kernel.space == "sector":
-        value, _ = integrate_sector(integrand, box[:, 0], box[:, 1], n,
-                                    tol=spec.quad_tol, order=spec.quad_order,
-                                    start_cells=spec.quad_start_cells,
-                                    max_doublings=spec.quad_max_doublings)
-    else:
-        value, _ = integrate_box(integrand, box, tol=spec.quad_tol,
-                                 order=spec.quad_order,
-                                 start_cells=spec.quad_start_cells,
-                                 max_doublings=spec.quad_max_doublings)
+    value = _integrate(kernel, integrand, box, spec)
     return abs(value - target) / max(abs(target), 1e-300)
 
 
@@ -149,7 +156,6 @@ def initial_condition_intercept(kernel: KernelEvaluator, x, spec: SamplingSpec):
     the probe value at the source point is extrapolated to tau = 0 by
     iterated Richardson steps.  Returns (intercept magnitude, ladder).
     """
-    n = kernel.n
     x = np.asarray(x, dtype=float)
     w = spec.probe_width
 
@@ -167,16 +173,7 @@ def initial_condition_intercept(kernel: KernelEvaluator, x, spec: SamplingSpec):
             return np.asarray(kernel.evaluate(x[None, :], y, tau)) * probe(y)
 
         box = np.stack([x - radius, x + radius], axis=-1)
-        if kernel.space == "sector":
-            value, _ = integrate_sector(integrand, box[:, 0], box[:, 1], n,
-                                        tol=spec.quad_tol, order=spec.quad_order,
-                                        start_cells=spec.quad_start_cells,
-                                        max_doublings=spec.quad_max_doublings)
-        else:
-            value, _ = integrate_box(integrand, box, tol=spec.quad_tol,
-                                     order=spec.quad_order,
-                                     start_cells=spec.quad_start_cells,
-                                     max_doublings=spec.quad_max_doublings)
+        value = _integrate(kernel, integrand, box, spec)
         ladder.append(float(value) - 1.0)  # probe(x) = 1 at its center
     return abs(_richardson_intercept(ladder)), ladder
 
@@ -223,8 +220,8 @@ def verify_assumptions(kernel: KernelEvaluator, spec: SamplingSpec = None) -> di
     n = kernel.n
     sector = kernel.space == "sector"
     xs = _sample_points(spec, n, spec.pairs, sector)
-    ys = _sample_points(SamplingSpec(**{**spec.__dict__, "seed": spec.seed + 1}),
-                        n, spec.pairs, sector)
+    ys = _sample_points(dataclasses.replace(spec, seed=spec.seed + 1), n, spec.pairs,
+                        sector)
     tau1, tau2 = spec.taus
 
     composition = [composition_residual(kernel, x, y, tau1, tau2, spec)
@@ -277,13 +274,13 @@ def face_points(spec: SamplingSpec, n: int, j: int, count: int) -> np.ndarray:
 
 
 def face_boundary_residual(kernel: KernelEvaluator, model, j: int,
-                           spec: SamplingSpec, step: float = None) -> float:
+                           spec: SamplingSpec) -> float:
     """Face condition residual of a sector kernel on face j.
 
     Uses the kernel's analytic face operator when available, otherwise
     one-sided quadratic extrapolation with pair separations step,
-    2 step, 3 step.  Dirichlet data measures the face value itself,
-    Neumann the pair derivative.
+    2 step, 3 step, where step is ``spec.fd_step``.  Dirichlet data
+    measures the face value itself, Neumann the pair derivative.
     """
     entry = model.entry(j)
     n = kernel.n
@@ -292,7 +289,7 @@ def face_boundary_residual(kernel: KernelEvaluator, model, j: int,
     if kernel.pair_face_residual is not None and entry.kind == "robin":
         return max(kernel.pair_face_residual(y[None, :], tau) for y in ys)
 
-    step = step or spec.fd_step
+    step = spec.fd_step
     pts = face_points(spec, n, j, spec.pairs)
     direction = np.zeros(n)
     direction[j - 1] = 0.5
@@ -324,16 +321,17 @@ def face_boundary_residual(kernel: KernelEvaluator, model, j: int,
     return worst
 
 
-def verify_sector_properties(kernel: KernelEvaluator, model, spec: SamplingSpec = None,
-                             faces=None) -> dict:
+def verify_sector_properties(kernel: KernelEvaluator, model,
+                             spec: SamplingSpec = None) -> dict:
     """Residual report for a sector kernel: composition over the sector,
-    weak short-time limit, symmetry, heat equation, face conditions."""
+    weak short-time limit, symmetry, heat equation, and the condition on
+    every face."""
     spec = spec or SamplingSpec()
     if kernel.space != "sector":
         raise ValueError("need a sector kernel")
     base = verify_assumptions(kernel, spec)
-    faces = faces or range(1, kernel.n)
-    boundary = {j: face_boundary_residual(kernel, model, j, spec) for j in faces}
+    boundary = {j: face_boundary_residual(kernel, model, j, spec)
+                for j in range(1, kernel.n)}
     base["boundary"] = {"max": max(boundary.values()), "per_face": boundary}
     return base
 
@@ -350,20 +348,17 @@ def dual_reconstruction_check(k_bose: KernelEvaluator, k_fermi: KernelEvaluator,
     """
     spec = spec or SamplingSpec()
     n = k_bose.n
-    group = enumerate_group(n)
     xs = _sample_points(spec, n, spec.pairs, sector=True)
-    ys = _sample_points(SamplingSpec(**{**spec.__dict__, "seed": spec.seed + 5}),
-                        n, spec.pairs, sector=True)
+    ys = _sample_points(dataclasses.replace(spec, seed=spec.seed + 5), n, spec.pairs,
+                        sector=True)
     tau = sum(spec.taus)
+    sum_b = permutation_sum(k_bose, Statistics.BOSE)
+    sum_f = permutation_sum(k_fermi, Statistics.FERMI)
 
     deviations = []
     for x, y in zip(xs, ys):
-        s_b = 0.0
-        s_f = 0.0
-        for sigma in group:
-            yy = sigma.apply(y)
-            s_b += _value(k_bose, x, yy, tau)
-            s_f += sigma.sign * _value(k_fermi, x, yy, tau)
+        s_b = _value(sum_b, x, y, tau)
+        s_f = _value(sum_f, x, y, tau)
         deviations.append(abs(s_b - s_f) / max(abs(s_b), abs(s_f), 1e-300))
 
     connection = {}

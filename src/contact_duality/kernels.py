@@ -40,7 +40,7 @@ from scipy.special import erfc, erfcx
 
 from .coordinates import sorting_permutations_batch
 from .coupling import SQRT2, BoundaryCoupling, dirichlet, neumann, robin
-from .permutations import enumerate_group
+from .permutations import enumerate_group, group_table
 from .wavefunctions import Statistics
 
 #: log of the smallest normal double.  Closed-form permutation sums flush
@@ -226,14 +226,14 @@ def robin_pair_kernel(a) -> KernelEvaluator:
             rel = k_rel(ux, uy, tau)
         return gaussian_1d(cx - cy, tau) * rel
 
-    def face_residual(y, tau, samples=8):
+    def face_residual(y, tau):
         """Face boundary operator applied analytically at u = 0.
 
-        Returns max |(d/dx1 - d/dx2) K - (1/a) K| over a center-of-mass
-        scan, scaled by the kernel magnitude.
+        Returns max |(d/dx1 - d/dx2) K - (1/a) K| over an eight-point
+        center-of-mass scan, scaled by the kernel magnitude.
         """
         uy, cy = split(y)
-        c_scan = np.linspace(cy.min() - 1.0, cy.max() + 1.0, samples)
+        c_scan = np.linspace(cy.min() - 1.0, cy.max() + 1.0, 8)
         cm = gaussian_1d(c_scan[:, None] - cy[None, :], tau)
         zero = np.zeros_like(uy)
         pair_derivative = SQRT2 * dk_rel(zero, uy, tau)[None, :] * cm
@@ -271,7 +271,8 @@ def permutation_sum(kernel: KernelEvaluator, stat: Statistics,
         raise ValueError("permutation sum needs a full-space kernel")
     n = kernel.n
     group = enumerate_group(n) if cap is None else enumerate_group(n, cap=cap)
-    chars = [1 if stat is Statistics.BOSE else sigma.sign for sigma in group]
+    signs = group_table(n)[1].tolist()
+    chars = signs if stat is Statistics.FERMI else [1] * len(signs)
 
     def evaluate(x, y, tau):
         x = _points(x, n)

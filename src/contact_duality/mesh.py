@@ -16,17 +16,20 @@ element is a (cell, insertion order) pair, where the insertion order
 ``seq`` lists the axes in the order their local coordinate increases
 first, carving out the region z_{seq[0]} >= ... >= z_{seq[n-1]}.  A set
 of elements is one array: the cells (E, n) and, per row, an index into
-the (n!, n) table of ``insertion_orders`` (``element_array``).  The
-per-element helpers take one order per row, or one order for all rows.
+the (n!, n) table of ``insertion_orders``, which is the image table of
+``permutations.group_table`` (``element_array``).  The per-element
+helpers take one order per row, or one order for all rows.  Vertex
+index tuples are ranked through ``DofTable``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
 import numpy as np
+
+from .permutations import group_table
 
 
 def uniform_lattice(length: float, points: int, offset: float = 0.0) -> np.ndarray:
@@ -190,6 +193,7 @@ def length_pattern_groups(cells: np.ndarray, widths: np.ndarray):
 
 
 def insertion_orders(n: int) -> np.ndarray:
-    """All n! insertion orders, shape (n!, n), in the lexicographic order of
-    ``itertools.permutations``."""
-    return np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    """All n! insertion orders, shape (n!, n): the read-only image table of
+    ``permutations.group_table``, so an order's row index is its
+    ``permutations.permutation_ranks`` rank."""
+    return group_table(n)[0]

@@ -83,6 +83,8 @@ from .mesh import (
     _encode,
     _vertex_offsets,
 )
+from .permutations import permutation_ranks
+
 # Assembly calls neither of these here.  Both stay importable on this
 # module because the benchmark's tracer (perfbench/tracing.py) wraps them
 # here by name; ROADMAP item 1 drops them with that patching.
@@ -190,11 +192,12 @@ class GridOperator:
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    def symmetry_residual(self, seed: int = 0, trials: int = 5) -> float:
+    def symmetry_residual(self, seed: int = 0) -> float:
+        """Worst |v.Au - u.Av| / (max|A| |u| |v|) over five seeded random pairs."""
         rng = np.random.default_rng(seed)
         worst = 0.0
         scale = abs(self.matrix).max()
-        for _ in range(trials):
+        for _ in range(5):
             u = rng.normal(size=self.dimension)
             v = rng.normal(size=self.dimension)
             au = self.matrix @ u
@@ -210,6 +213,9 @@ class _Accumulator:
     ``diagonal(i, d)`` adds d u_i^2; repeated entries add up.  Each edge
     is kept as one triplet with 32-bit indices and the diagonal as a
     dense vector, so the memory held is about 16 bytes per edge added.
+    The matrix stores every diagonal entry and both entries of every
+    edge, even where they sum to zero, so its pattern does not depend
+    on rounding.
     """
 
     def __init__(self, dim: int):
@@ -231,10 +237,16 @@ class _Accumulator:
 
     def matrix(self) -> sparse.csr_matrix:
         dim = self.diag.size
+        # edge weights summed per (a, b) pair; CSR conversion keeps zeros
         off = sparse.coo_matrix((np.concatenate(self.vals),
                                  (np.concatenate(self.rows), np.concatenate(self.cols))),
-                                shape=(dim, dim)).tocsr()
-        return (sparse.diags(self.diag) - off - off.T).tocsr()
+                                shape=(dim, dim)).tocsr().tocoo()
+        # the diagonal and both edge halves as one triplet set
+        at = np.arange(dim, dtype=off.row.dtype)
+        rows = np.concatenate([at, off.row, off.col])
+        cols = np.concatenate([at, off.col, off.row])
+        vals = np.concatenate([self.diag, -off.data, -off.data])
+        return sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
 def _check_model(formulation: str, model: CouplingModel, n: int):
@@ -290,7 +302,7 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
         vertex_keys = np.arange(pts**n, dtype=np.int64)
         if cracked:
             # the (vertex, region) pairs the elements touch
-            pi_rank = _rank_rows(region_orderings(cells, seqs), orders)
+            pi_rank = permutation_ranks(region_orderings(cells, seqs))
             ids += pts**n * pi_rank[:, None]
             crack_keys, ids = np.unique(ids, return_inverse=True)
             ids = ids.reshape(cells.shape[0], n + 1)
@@ -333,7 +345,7 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
             mirror = np.where(fpis == p_axis[:, None], q_axis[:, None],
                               np.where(fpis == q_axis[:, None], p_axis[:, None], fpis))
             ids_minus = np.searchsorted(crack_keys, vertex_keys[ids_f]
-                                        + pts**n * _rank_rows(mirror, orders)[:, None])
+                                        + pts**n * permutation_ranks(mirror)[:, None])
 
         for j in range(1, n):
             sel = jstar == j
@@ -375,14 +387,15 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
     wall = (dof_tuples == 0) | (dof_tuples == pts - 1)
     keep &= ~np.any(wall, axis=-1)
     idx = np.nonzero(keep)[0]
-    hamiltonian = hamiltonian[idx][:, idx].tocsr()
+    normalized = hamiltonian[idx][:, idx]
     mass = mass_diag[idx]
     if np.any(mass <= 0):
         raise GridTooCoarse("degenerate lumped mass; refine the grid")
 
-    inv_sqrt = sparse.diags(1.0 / np.sqrt(mass))
-    normalized = (inv_sqrt @ hamiltonian @ inv_sqrt).tocsr()
-    normalized.sum_duplicates()
+    # D^{-1/2} A D^{-1/2} entry by entry, keeping every stored entry
+    inv_sqrt = 1.0 / np.sqrt(mass)
+    normalized.data *= np.repeat(inv_sqrt, np.diff(normalized.indptr))
+    normalized.data *= inv_sqrt[normalized.indices]
     if reduced and formulation != "sector":
         # the full-box mass summed over the n! images of each node
         mass = mass * math.factorial(n)
@@ -399,14 +412,6 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
         reduced=reduced,
         region_ranks=None if region_ranks is None else region_ranks[idx],
     )
-
-
-def _rank_rows(pis: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """Rank permutation rows in ``orders``, the table of
-    ``mesh.insertion_orders``: its rows are sorted lexicographically, as
-    their encodings are."""
-    n = pis.shape[1]
-    return np.searchsorted(_encode(orders, n), _encode(pis, n))
 
 
 def build_sector(dom: DomainSpec, model: CouplingModel) -> GridOperator:
@@ -561,7 +566,7 @@ def _shift_invert(a: sparse.csr_matrix, k: int, shift: float, v0: np.ndarray) ->
     return out
 
 
-def solve(op: GridOperator, k: int, seed: int = 0, with_vectors: bool = True,
+def solve(op: GridOperator, k: int, seed: int = 0,
           shift: float = None) -> SpectrumResult:
     """Lowest k eigenpairs of a grid operator, certified by inertia.
 
@@ -591,14 +596,12 @@ def solve(op: GridOperator, k: int, seed: int = 0, with_vectors: bool = True,
         raise NotConverged("no shift gave a certified lowest-k spectrum",
                            diagnostics={"k": k, "attempts": attempts})
     vals, vecs, residuals = found["pairs"]
-    node_vectors = None
-    if with_vectors:
-        node_vectors = vecs / np.sqrt(op.mass)[:, None]
-        # fix an overall sign deterministically
-        for i in range(node_vectors.shape[1]):
-            j = int(np.argmax(np.abs(node_vectors[:, i])))
-            if node_vectors[j, i] < 0:
-                node_vectors[:, i] *= -1
+    node_vectors = vecs / np.sqrt(op.mass)[:, None]
+    # fix an overall sign deterministically
+    for i in range(node_vectors.shape[1]):
+        j = int(np.argmax(np.abs(node_vectors[:, i])))
+        if node_vectors[j, i] < 0:
+            node_vectors[:, i] *= -1
     return SpectrumResult(eigenvalues=vals, residuals=residuals, operator=op,
                           vectors=node_vectors, shift=sigma,
                           top_shift=found["top_shift"], below_shift=found["below_shift"],

@@ -4,10 +4,12 @@ A permutation sigma acts on a coordinate tuple by relabelling slots,
 
     (sigma x)_i = x_{sigma(i)},
 
-so composition satisfies sigma (sigma' x) = (sigma sigma') x.  Signs are
-computed from the cycle decomposition.  Enumeration is in lexicographic
-order of the image tuples, which fixes the summation order of every
-permutation sum built on top of it.
+so composition satisfies sigma (sigma' x) = (sigma sigma') x.
+``group_table`` holds S_n once per n: a cached read-only table of image
+tuples in the lexicographic order of ``itertools.permutations``, which
+fixes the summation order of every permutation sum built on it, and
+their signs.  Every other module enumerates, signs and ranks
+permutations through this one.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,7 +69,7 @@ class Permutation:
     @property
     def sign(self) -> int:
         """+1 for even permutations, -1 for odd ones."""
-        return permutation_sign(self.images)
+        return int(permutation_signs_batch(self.images))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -88,27 +91,43 @@ def adjacent_transposition(n: int, j: int) -> Permutation:
     return transposition(n, j, j + 1)
 
 
-def permutation_sign(images) -> int:
-    """Sign from cycle decomposition, O(n)."""
-    n = len(images)
-    seen = [False] * n
-    sign = 1
-    for start in range(n):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = images[i]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def permutation_signs_batch(order) -> np.ndarray:
+    """Signs of a batch of permutations shaped (..., n) via inversion count."""
+    order = np.asarray(order)
+    n = order.shape[-1]
+    inversions = np.zeros(order.shape[:-1], dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            inversions += order[..., i] > order[..., j]
+    return np.where(inversions % 2 == 0, 1, -1).astype(np.int64)
 
 
-def enumerate_group(n: int, parity: str = "all", cap: int = DEFAULT_GROUP_CAP):
-    """List S_n (parity='all') or its even subgroup (parity='even').
+def permutation_ranks(order) -> np.ndarray:
+    """Row index in ``group_table`` of a batch of permutations shaped
+    (..., n): the Lehmer code read in the factorial base."""
+    order = np.asarray(order)
+    n = order.shape[-1]
+    ranks = np.zeros(order.shape[:-1], dtype=np.int64)
+    for i in range(n):
+        smaller = np.sum(order[..., i + 1:] < order[..., i, None], axis=-1)
+        ranks = ranks * (n - i) + smaller
+    return ranks
+
+
+@lru_cache(maxsize=None)
+def group_table(n: int):
+    """S_n as read-only arrays: images (n!, n), one permutation per row
+    in the lexicographic order of ``itertools.permutations``, and their
+    signs (n!,)."""
+    images = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    signs = permutation_signs_batch(images)
+    images.flags.writeable = False
+    signs.flags.writeable = False
+    return images, signs
+
+
+def enumerate_group(n: int, cap: int = DEFAULT_GROUP_CAP):
+    """List S_n as ``Permutation`` objects in ``group_table`` order.
 
     The order is lexicographic in the image tuples and therefore
     deterministic; permutation sums rely on this for bit-reproducible
@@ -121,12 +140,7 @@ def enumerate_group(n: int, parity: str = "all", cap: int = DEFAULT_GROUP_CAP):
         raise CapExceeded(
             f"n = {n} exceeds the enumeration cap {cap} ({math.factorial(n)} elements)"
         )
-    if parity not in ("all", "even"):
-        raise ValueError(f"parity must be 'all' or 'even', got {parity!r}")
-    elements = [Permutation(images) for images in itertools.permutations(range(n))]
-    if parity == "even":
-        elements = [p for p in elements if p.sign == 1]
-    return elements
+    return [Permutation(images) for images in map(tuple, group_table(n)[0].tolist())]
 
 
 def permutation_matrix(p: Permutation) -> np.ndarray:

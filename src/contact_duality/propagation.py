@@ -36,7 +36,7 @@ from .operators import (
     build_epsilon_fermi,
     solve,
 )
-from .permutations import enumerate_group
+from .permutations import enumerate_group, group_table, permutation_ranks
 from .quadrature import sector_rule
 from .wavefunctions import Statistics
 
@@ -204,7 +204,7 @@ def real_time_cross_check(dom: DomainSpec, model, t: float = 0.1) -> RealTimeChe
     group order, which converts full-box node weights to sector ones).
     """
     n = dom.n
-    group = enumerate_group(n)
+    images, signs = group_table(n)
     fact = math.factorial(n)
 
     op_red = build_delta_bose(dom, model, reduced=True)
@@ -215,35 +215,30 @@ def real_time_cross_check(dom: DomainSpec, model, t: float = 0.1) -> RealTimeChe
     k_bose = _dense_kernel_matrix(op_bose, t)
     k_fermi = _dense_kernel_matrix(op_fermi, t)
 
-    red_table = DofTable(op_red.dofs, op_red.lattice.size)
-    bose_table = DofTable(op_bose.dofs, op_bose.lattice.size)
+    pts = op_red.lattice.size
+    red_table = DofTable(op_red.dofs, pts)
+    bose_table = DofTable(op_bose.dofs, pts)
     # cracked dofs are keyed by vertex and region rank
-    fermi_keys = {}
-    for i, (tup, region) in enumerate(zip(map(tuple, op_fermi.dofs),
-                                          op_fermi.region_ranks)):
-        fermi_keys[(tup, int(region))] = i
+    fermi_table = DofTable(np.column_stack([op_fermi.dofs, op_fermi.region_ranks]),
+                           max(pts, fact))
 
-    perm_rank = {p.images: r for r, p in enumerate(group)}
+    def fermi_rank(tuples):
+        region = permutation_ranks(np.argsort(-tuples, axis=-1, kind="stable"))
+        return fermi_table.rank(np.column_stack([tuples, region]))
 
     strict = np.all(op_red.dofs[:, :-1] > op_red.dofs[:, 1:], axis=-1)
     strict_tuples = op_red.dofs[strict]
     red_idx = red_table.rank(strict_tuples)
 
-    def region_of(idx_tuple):
-        order = tuple(int(v) for v in np.argsort(-np.asarray(idx_tuple), kind="stable"))
-        return perm_rank[order]
-
     scale = float(np.max(np.abs(k_red)))
     xb_idx = bose_table.rank(strict_tuples)
-    xf_idx = np.asarray([fermi_keys[(tuple(t), region_of(t))] for t in strict_tuples])
+    xf_idx = fermi_rank(strict_tuples)
     sum_b = np.zeros((strict_tuples.shape[0],) * 2, dtype=complex)
     sum_f = np.zeros_like(sum_b)
-    for sigma in group:
-        mapped = strict_tuples[:, list(sigma.images)]
-        yb = bose_table.rank(mapped)
-        yf = np.asarray([fermi_keys[(tuple(t), region_of(t))] for t in mapped])
-        sum_b += k_bose[np.ix_(xb_idx, yb)]
-        sum_f += sigma.sign * k_fermi[np.ix_(xf_idx, yf)]
+    for image, chi in zip(images, signs.tolist()):
+        mapped = strict_tuples[:, image]
+        sum_b += k_bose[np.ix_(xb_idx, bose_table.rank(mapped))]
+        sum_f += chi * k_fermi[np.ix_(xf_idx, fermi_rank(mapped))]
     direct = fact * k_red[np.ix_(red_idx, red_idx)]
     dev_b = float(np.max(np.abs(sum_b - direct))) / scale
     dev_f = float(np.max(np.abs(sum_f - direct))) / scale

@@ -220,7 +220,7 @@ def _chunked_sum(f, blocks):
     return complex(total)
 
 
-def _adaptive(blocks_at, f, tol: float, floor: float, start_cells: int, max_doublings: int):
+def _adaptive(blocks_at, f, tol: float, start_cells: int, max_doublings: int):
     prev = None
     cells = start_cells
     for _ in range(max_doublings + 1):
@@ -229,7 +229,7 @@ def _adaptive(blocks_at, f, tol: float, floor: float, start_cells: int, max_doub
             val = val.real
         if prev is not None:
             err = abs(val - prev)
-            if err <= tol * max(abs(val), floor):
+            if err <= tol * max(abs(val), 1e-300):
                 return val, err
         prev = val
         cells *= 2
@@ -241,19 +241,18 @@ def _adaptive(blocks_at, f, tol: float, floor: float, start_cells: int, max_doub
 
 
 def integrate_box(f, box, tol: float = 1e-9, order: int = 6,
-                  start_cells: int = 2, max_doublings: int = 7, floor: float = 1e-300):
+                  start_cells: int = 2, max_doublings: int = 7):
     """Adaptive tensor quadrature of a vectorized f over a box.
 
     f maps an (M, n) array of points to (M,) values.  Returns (value,
     error estimate); raises QuadratureNotConverged on failure.
     """
-    return _adaptive(lambda c: _box_blocks(box, c, order), f, tol, floor,
+    return _adaptive(lambda c: _box_blocks(box, c, order), f, tol,
                      start_cells, max_doublings)
 
 
 def integrate_sector(f, lo, hi, n: int, tol: float = 1e-9,
-                     order: int = 6, start_cells: int = 2, max_doublings: int = 7,
-                     floor: float = 1e-300):
+                     order: int = 6, start_cells: int = 2, max_doublings: int = 7):
     """Adaptive quadrature over the descending sector of [lo, hi]^n.
 
     With per-axis bounds of shape (n,), each rule is ``sector_rule``'s:
@@ -261,6 +260,6 @@ def integrate_sector(f, lo, hi, n: int, tol: float = 1e-9,
     integral is over the sector part of the cells covering that box.
     Scalar bounds integrate over every cell of the cube.
     """
-    return _adaptive(lambda c: _sector_blocks(lo, hi, n, c, order), f, tol, floor,
+    return _adaptive(lambda c: _sector_blocks(lo, hi, n, c, order), f, tol,
                      start_cells, max_doublings)
 

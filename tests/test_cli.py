@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from contact_duality import cli
 from contact_duality.cli import main
 from contact_duality.configio import parse_coupling_entry, validate_config
 from contact_duality.errors import ConfigError
@@ -232,6 +233,22 @@ realtime_points = 10
     assert main(["dual-kernels", "--config", cfg, "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["realtime"]["bose_deviation"] < 1e-8
+
+
+def test_dual_kernels_realtime_rejects_dirichlet(tmp_path, monkeypatch):
+    # refused as a config error before any kernel is built or checked
+    def fail(*args, **kwargs):
+        raise AssertionError("kernel work before the config was rejected")
+
+    monkeypatch.setattr(cli, "dual_reconstruction_check", fail)
+    monkeypatch.setattr(cli, "permutation_sum", fail)
+    cfg = write(tmp_path, "dkd.cfg", """
+command = dual-kernels
+n = 2
+coupling = dirichlet
+realtime = true
+""")
+    assert main(["dual-kernels", "--config", cfg, "--out", str(tmp_path / "dkd")]) == 2
 
 
 def test_scale_invariance_run(tmp_path):

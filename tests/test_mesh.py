@@ -5,7 +5,6 @@ from collections import Counter
 import numpy as np
 from scipy import sparse
 
-from contact_duality.coordinates import permutation_signs_batch
 from contact_duality.coupling import neumann, robin, uniform_model
 from contact_duality.mesh import (
     _vertex_offsets,
@@ -25,6 +24,7 @@ from contact_duality.operators import (
     build_epsilon_fermi,
     build_sector,
 )
+from contact_duality.permutations import permutation_signs_batch
 
 
 def _path_stiffness(w):

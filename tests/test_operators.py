@@ -13,12 +13,12 @@ from contact_duality.coupling import (
     scale_invariant,
     uniform_model,
 )
-from contact_duality.coordinates import permutation_signs_batch
 from contact_duality.errors import GridTooCoarse, NotConverged, UnsupportedCoupling
 from contact_duality.mesh import DofTable
 from contact_duality.operators import (
     DomainSpec,
     GridOperator,
+    _Accumulator,
     build_delta_bose,
     build_epsilon_fermi,
     build_sector,
@@ -27,6 +27,7 @@ from contact_duality.operators import (
     inertia_count,
     solve,
 )
+from contact_duality.permutations import group_table, permutation_signs_batch
 from contact_duality.spectra import seeded_shift
 
 
@@ -121,6 +122,33 @@ def test_reduced_operator_is_projected_full_box_operator(build, dom, model):
     np.testing.assert_allclose(np.diag(d), red.mass, rtol=1e-14)
     np.testing.assert_allclose(eigh(h, d, eigvals_only=True),
                                np.linalg.eigvalsh(red.matrix.toarray()), rtol=1e-12)
+
+
+def test_cracked_dofs_lie_in_their_regions():
+    # a cracked dof's vertex, permuted by its region's row of the group
+    # table, is weakly descending
+    dom = DomainSpec(n=3, length=6.0, points=6)
+    op = build_epsilon_fermi(dom, CouplingModel((robin(-1.0), robin(-2.0))), reduced=False)
+    images = group_table(3)[0][op.region_ranks]
+    ordered = np.take_along_axis(op.dofs, images, axis=-1)
+    assert np.all(ordered[:, :-1] >= ordered[:, 1:])
+    assert sorted(set(op.region_ranks.tolist())) == list(range(6))
+
+
+def test_stored_pattern_does_not_depend_on_rounding():
+    # a diagonal entry that sums to exactly 0.0 is still stored
+    acc = _Accumulator(3)
+    acc.edges(np.array([0, 1]), np.array([1, 2]), np.array([1.0, 2.0]))
+    acc.diagonal(np.array([0]), np.array([-1.0]))
+    m = acc.matrix().tocoo()
+    assert sorted(zip(m.row.tolist(), m.col.tolist())) == [
+        (0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)]
+    np.testing.assert_array_equal(m.toarray(), [[0, -1, 0], [-1, 3, -2], [0, -2, 2]])
+    # on this operator the diagonal at the total-coincidence vertex sums
+    # to rounding error; every row still stores its diagonal
+    op = build_sector(DomainSpec(n=4, length=4.0, points=6), uniform_model(4, robin(-1.0)))
+    coo = op.matrix.tocoo()
+    assert np.count_nonzero(coo.row == coo.col) == op.dimension
 
 
 def test_operator_symmetry():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,10 +9,51 @@ from contact_duality.permutations import (
     Permutation,
     adjacent_transposition,
     enumerate_group,
+    group_table,
     identity,
     permutation_matrix,
+    permutation_ranks,
+    permutation_signs_batch,
     transposition,
 )
+
+
+def _cycle_sign(images) -> int:
+    """Reference sign from the cycle decomposition: -1 per even-length cycle."""
+    seen = [False] * len(images)
+    sign = 1
+    for start in range(len(images)):
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = images[i]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def test_group_table():
+    for n in range(1, 7):
+        images, signs = group_table(n)
+        reference = list(itertools.permutations(range(n)))
+        assert images.shape == (math.factorial(n), n) and signs.shape == (len(reference),)
+        assert [tuple(row) for row in images.tolist()] == reference
+        assert signs.tolist() == [_cycle_sign(p) for p in reference]
+        np.testing.assert_array_equal(permutation_ranks(images), np.arange(len(reference)))
+        np.testing.assert_array_equal(permutation_signs_batch(images), signs)
+        assert [p.images for p in enumerate_group(n)] == reference
+        assert [p.sign for p in enumerate_group(n)] == signs.tolist()
+        with pytest.raises(ValueError):
+            images[0, 0] = 1
+        with pytest.raises(ValueError):
+            signs[0] = -1
+    # batches of any leading shape rank and sign row by row
+    rows = group_table(4)[0][[[5, 0], [23, 11]]]
+    np.testing.assert_array_equal(permutation_ranks(rows), [[5, 0], [23, 11]])
+    np.testing.assert_array_equal(permutation_signs_batch(rows),
+                                  group_table(4)[1][[[5, 0], [23, 11]]])
 
 
 def test_apply_convention():
@@ -55,16 +97,16 @@ def test_enumeration_counts():
     assert len(enumerate_group(3)) == 6
     signs = [p.sign for p in enumerate_group(3)]
     assert signs.count(1) == 3 and signs.count(-1) == 3
-    even = enumerate_group(3, parity="even")
-    assert len(even) == 3 and all(p.sign == 1 for p in even)
-    assert [p.images for p in enumerate_group(2, parity="even")] == [(0, 1)]
+    even = [p for p in enumerate_group(3) if p.sign == 1]
+    assert len(even) == 3
+    assert [p.images for p in enumerate_group(2) if p.sign == 1] == [(0, 1)]
 
 
 def test_coset_partition():
     # A_n and A_n tau partition S_n for any transposition tau.
     for n in (2, 3, 4, 5):
         full = {p.images for p in enumerate_group(n)}
-        even = [p for p in enumerate_group(n, parity="even")]
+        even = [p for p in enumerate_group(n) if p.sign == 1]
         tau = transposition(n, 0, n - 1)
         odd = {p.compose(tau).images for p in even}
         even_set = {p.images for p in even}

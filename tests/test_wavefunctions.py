@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from contact_duality.errors import NotEquivariant
+from contact_duality.errors import GridMismatch, NotEquivariant
 from contact_duality.grids import FullGrid, SectorGrid, WavefunctionGrid, sample_sector_function
 from contact_duality.permutations import adjacent_transposition, enumerate_group
 from contact_duality.wavefunctions import (
@@ -21,6 +22,41 @@ def random_sector_state(n, points, seed, length=3.0):
     rng = np.random.default_rng(seed)
     values = rng.normal(size=grid.size) + 1j * rng.normal(size=grid.size)
     return WavefunctionGrid(grid, values, "sector")
+
+
+def test_grid_tables_and_ranks_match_itertools():
+    for n in (2, 3, 4):
+        points = 6
+        sector = SectorGrid(n=n, length=3.0, points=points)
+        full = FullGrid(n=n, length=3.0, points=points)
+        sector_ref = sorted(itertools.combinations(range(points - 1, -1, -1), n))
+        full_ref = [t for t in itertools.product(range(points), repeat=n)
+                    if len(set(t)) == n]
+        assert [tuple(t) for t in sector.node_indices().tolist()] == sector_ref
+        assert [tuple(t) for t in full.node_indices().tolist()] == full_ref
+        assert sector.size == len(sector_ref) and full.size == len(full_ref)
+        np.testing.assert_array_equal(sector.coords_1d,
+                                      (np.arange(points) + 0.5) * 3.0 / points)
+
+        rank = {t: k for k, t in enumerate(sector_ref)}
+        picked = np.random.default_rng(n).permutation(len(sector_ref))[:10]
+        wanted = np.asarray(sector_ref)[picked]
+        np.testing.assert_array_equal(sector.rank_of(wanted),
+                                      [rank[tuple(t)] for t in wanted.tolist()])
+        with pytest.raises(GridMismatch):
+            sector.rank_of(np.arange(n)[None, :])  # ascending: not a sector node
+
+        full_rank = {t: k for k, t in enumerate(full_ref)}
+        for j in range(n - 1):
+            swapped = [t[:j] + (t[j + 1], t[j]) + t[j + 2:] for t in full_ref]
+            np.testing.assert_array_equal(full.transposition_map(j),
+                                          [full_rank[t] for t in swapped])
+        ranks, signs = full.sector_decomposition()
+        sorted_ref = [tuple(sorted(t, reverse=True)) for t in full_ref]
+        np.testing.assert_array_equal(ranks, [rank[t] for t in sorted_ref])
+        pair_signs = [math.prod(1 if t[a] > t[b] else -1 for a, b in
+                                itertools.combinations(range(n), 2)) for t in full_ref]
+        np.testing.assert_array_equal(signs, pair_signs)
 
 
 def test_character_values():
