@@ -20,7 +20,7 @@ from .coupling import CouplingModel, coupling_values_batch
 from .errors import GridTooCoarse
 from .mesh import DofTable
 from .operators import GridOperator
-from .permutations import permutation_signs_batch
+from .permutations import sort_descending
 
 #: Quadratic extrapolation to the plane from three one-sided samples at
 #: parameters u_1 < u_2 < u_3: value and slope of the interpolant at 0.
@@ -249,11 +249,10 @@ def reduced_state_evaluator(fn: MeshFunction, antisymmetric: bool):
         idx = np.clip(idx, 0, lattice.size - 1).reshape(points.shape)
         if not np.allclose(lattice[idx], points, atol=0.25 * min_gap):
             raise ValueError("points are not lattice vertices")
-        order = np.argsort(-idx, axis=-1, kind="stable")
-        sorted_idx = np.take_along_axis(idx, order, axis=-1)
+        sorted_idx, _, signs = sort_descending(idx)
         vals = fn.lookup(sorted_idx)
         if antisymmetric:
-            vals = vals * permutation_signs_batch(order)
+            vals = vals * signs
         return vals
 
     return evaluate

@@ -18,11 +18,17 @@ from .coupling import (
     robin,
     scale_invariant,
 )
-from .errors import ConfigError
+from .errors import ConfigError, GridTooCoarse
 from .operators import DomainSpec
 
 COMMANDS = ("spectrum", "duality", "scale-invariance", "kernel-properties",
             "dual-kernels", "propagate", "fold-check")
+
+#: Commands that build a ``DomainSpec`` and a coupling model.
+SPECTRAL_COMMANDS = ("spectrum", "duality", "scale-invariance")
+
+#: Smallest particle number of the commands with no domain.
+MIN_N = {"kernel-properties": 2, "dual-kernels": 2, "fold-check": 1}
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False}
 
@@ -226,8 +232,7 @@ def validate_config(text: str) -> ExperimentConfig:
     values = {}
     couplings = {}
     for key, raw_value in raw.items():
-        if key.startswith("coupling.") and command in ("spectrum", "duality",
-                                                       "scale-invariance"):
+        if key.startswith("coupling.") and command in SPECTRAL_COMMANDS:
             try:
                 j = int(key.split(".", 1)[1])
             except ValueError:
@@ -247,10 +252,17 @@ def validate_config(text: str) -> ExperimentConfig:
 
     cfg = ExperimentConfig(command=command, values=values, couplings=couplings,
                            text=text)
-    if command in ("spectrum", "duality", "scale-invariance"):
-        n = values["n"]
+    n = values["n"]
+    if command in SPECTRAL_COMMANDS:
+        try:
+            cfg.domain()
+        except (ValueError, GridTooCoarse) as err:
+            # DomainSpec's messages start with the offending key
+            raise ConfigError(f"key {str(err).split()[0]!r}: {err}") from err
         for j in couplings:
             if not 1 <= j <= n - 1:
                 raise ConfigError(f"key 'coupling.{j}': face index outside 1..{n - 1}")
         cfg.coupling_model()  # raises on missing faces
+    elif command in MIN_N and n < MIN_N[command]:
+        raise ConfigError(f"key 'n': {command} needs n >= {MIN_N[command]}, got {n}")
     return cfg

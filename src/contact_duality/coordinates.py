@@ -13,6 +13,10 @@ of the relative configuration:
 
 In the Jacobi frame the descending sector becomes the wedge
 0 < c_1 xi_1 < c_2 xi_2 < ... with c_j = sqrt(j (j+1) / 2).
+
+``canonicalize`` sorts one point into the sector with
+``permutations.sort_descending`` and rejects points on the coincidence
+set; batches are sorted and signed by ``sort_descending`` itself.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import TiedCoordinates
-from .permutations import Permutation, permutation_signs_batch
+from .permutations import Permutation, sort_descending
 
 #: Relative tolerance below which two coordinates count as coincident.
 COINCIDENCE_RTOL = 1e-12
@@ -175,37 +179,9 @@ def canonicalize(point):
     coincidence set and the sorting permutation is ambiguous.
     """
     x = point.array() if hasattr(point, "array") else np.asarray(point, dtype=float)
-    order = np.argsort(-x, kind="stable")
-    y = x[order]
+    y, order, _ = sort_descending(x)
     for a, b in zip(y[:-1], y[1:]):
         if a - b < coincidence_tolerance(a, b):
             raise TiedCoordinates(f"cannot order coincident coordinates {a}, {b}")
     return SectorPoint(tuple(y)), Permutation(tuple(int(i) for i in order))
 
-
-def sorting_permutations_batch(x: np.ndarray):
-    """Descending sort of a batch shaped (m, n).
-
-    Returns (sorted values (m, n), slot permutations (m, n), signs (m,)).
-    Ties are broken stably; callers on strict grids never hit them.
-    """
-    x = np.asarray(x, dtype=float)
-    order = np.argsort(-x, axis=-1, kind="stable")
-    y = np.take_along_axis(x, order, axis=-1)
-    signs = permutation_signs_batch(order)
-    return y, order, signs
-
-
-def sign_product(x: np.ndarray) -> np.ndarray:
-    """Product of sgn(x_j - x_k) over pairs j < k, for points (..., n).
-
-    Equals the sign of the permutation sorting x in descending order;
-    zero never occurs on grids that avoid the coincidence set.
-    """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[-1]
-    out = np.ones(x.shape[:-1])
-    for j in range(n):
-        for k in range(j + 1, n):
-            out = out * np.sign(x[..., j] - x[..., k])
-    return out

@@ -9,12 +9,19 @@ computed with independent adaptive quadratures and compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .permutations import enumerate_group
 from .quadrature import integrate_box, integrate_sector
+
+#: Grid doublings of each adaptive rule before the check gives up.
+MAX_DOUBLINGS = 6
+#: Smallest |lhs| the residual is taken relative to.
+RESIDUAL_FLOOR = 1e-12
+#: Value of a test function at the edge of its support box.
+SUPPORT_DROP = 1e-16
 
 
 @dataclass
@@ -24,9 +31,6 @@ class QuadSpec:
     box: np.ndarray  # (n, 2) truncation bounds per axis
     tol: float = 1e-9
     order: int = 8
-    start_cells: int = 2
-    max_doublings: int = 6
-    floor: float = 1e-12
 
     def __post_init__(self):
         self.box = np.asarray(self.box, dtype=float)
@@ -47,14 +51,12 @@ def fold_integral_check(f, quad: QuadSpec) -> FoldCheckResult:
     f must be vectorized over points shaped (M, n).  The sector side
     integrates sum_sigma f(sigma y) over the descending sector of the
     cube hulling the truncation box.  Returns both values and the
-    relative residual |lhs - rhs| / max(|lhs|, floor).
+    relative residual |lhs - rhs| / max(|lhs|, RESIDUAL_FLOOR).
     """
     n = quad.box.shape[0]
     group = enumerate_group(n)
-    lhs, lhs_err = integrate_box(
-        f, quad.box, tol=quad.tol, order=quad.order,
-        start_cells=quad.start_cells, max_doublings=quad.max_doublings,
-    )
+    lhs, lhs_err = integrate_box(f, quad.box, tol=quad.tol, order=quad.order,
+                                 max_doublings=MAX_DOUBLINGS)
 
     def symmetrized(y):
         total = np.zeros(y.shape[0])
@@ -64,11 +66,9 @@ def fold_integral_check(f, quad: QuadSpec) -> FoldCheckResult:
 
     lo = float(np.min(quad.box[:, 0]))
     hi = float(np.max(quad.box[:, 1]))
-    rhs, rhs_err = integrate_sector(
-        symmetrized, lo, hi, n, tol=quad.tol, order=quad.order,
-        start_cells=quad.start_cells, max_doublings=quad.max_doublings,
-    )
-    residual = abs(lhs - rhs) / max(abs(lhs), quad.floor)
+    rhs, rhs_err = integrate_sector(symmetrized, lo, hi, n, tol=quad.tol,
+                                    order=quad.order, max_doublings=MAX_DOUBLINGS)
+    residual = abs(lhs - rhs) / max(abs(lhs), RESIDUAL_FLOOR)
     return FoldCheckResult(lhs=float(lhs), rhs=float(rhs), residual=float(residual),
                            lhs_error=float(lhs_err), rhs_error=float(rhs_err))
 
@@ -79,34 +79,28 @@ class GaussianTestFunction:
 
     matrix: np.ndarray
     center: np.ndarray
-    linear: np.ndarray = field(default=None)  # optional odd prefactor c . y
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
         self.center = np.asarray(self.center, dtype=float)
-        if self.linear is not None:
-            self.linear = np.asarray(self.linear, dtype=float)
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         d = np.asarray(y, dtype=float) - self.center
         # (d A d^T)_mm as a sum over the n rows of d.T, fast for row-major
         # points and for the column-major ones Permutation.apply returns
-        vals = np.exp(-(d.T * (self.matrix @ d.T)).sum(0))
-        if self.linear is not None:
-            vals = vals * (y @ self.linear)
-        return vals
+        return np.exp(-(d.T * (self.matrix @ d.T)).sum(0))
 
-    def support_box(self, drop: float = 1e-16) -> np.ndarray:
+    def support_box(self) -> np.ndarray:
+        """Per-axis box (n, 2) outside which the function is below
+        ``SUPPORT_DROP``."""
         lam_min = np.linalg.eigvalsh(self.matrix)[0]
-        radius = np.sqrt(-np.log(drop) / lam_min)
+        radius = np.sqrt(-np.log(SUPPORT_DROP) / lam_min)
         lo = self.center - radius
         hi = self.center + radius
         return np.stack([lo, hi], axis=-1)
 
     def exact_integral(self) -> float:
-        """Closed form over all of R^n (only for the pure Gaussian)."""
-        if self.linear is not None:
-            raise ValueError("no closed form with the linear prefactor")
+        """Closed form over all of R^n."""
         n = self.matrix.shape[0]
         return float(np.pi ** (n / 2.0) / np.sqrt(np.linalg.det(self.matrix)))
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import GridMismatch
 from .mesh import DofTable, all_cells, staggered_lattice, weakly_descending_tuples
-from .permutations import permutation_signs_batch
+from .permutations import sort_descending
 
 
 def staggered_coords(length: float, points: int) -> np.ndarray:
@@ -107,10 +107,7 @@ class FullGrid:
     def sector_decomposition(self):
         """Per node: rank of its sorted tuple on the sector grid and the
         sign of the descending sorting permutation."""
-        idx = self.node_indices()
-        order = np.argsort(-idx, axis=-1, kind="stable")
-        sorted_idx = np.take_along_axis(idx, order, axis=-1)
-        signs = permutation_signs_batch(order)
+        sorted_idx, _, signs = sort_descending(self.node_indices())
         ranks = self.sector().rank_of(sorted_idx)
         return ranks, signs
 

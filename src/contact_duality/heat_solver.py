@@ -23,6 +23,15 @@ from .coupling import SQRT2, BoundaryCoupling
 from .errors import ContactDualityError
 from .kernels import relative_half_line_kernel
 
+#: Source point of the evolved kernel profile.
+GATE_SOURCE = 0.8
+#: The gate evolves the closed form from GATE_TAU0 to GATE_TAU1.
+GATE_TAU0 = 0.25
+GATE_TAU1 = 0.5
+#: Half-line truncation width and number of Crank-Nicolson steps.
+GATE_WIDTH = 24.0
+GATE_STEPS = 2000
+
 
 def _system(points: int, width: float, gamma):
     """Mass diagonal, stiffness diagonal and stiffness off-diagonal on the
@@ -70,14 +79,12 @@ def evolve_half_line(w0: np.ndarray, width: float, gamma, tau_span: float,
     return w
 
 
-def pair_kernel_pde_gate(entry: BoundaryCoupling, source: float = 0.8,
-                         tau0: float = 0.25, tau1: float = 0.5,
-                         width: float = 24.0, steps: int = 2000) -> float:
+def pair_kernel_pde_gate(entry: BoundaryCoupling) -> float:
     """Max relative deviation between the evolved and closed-form kernels.
 
-    Starts from the closed-form relative kernel at tau0 (a smooth
-    profile), marches the PDE to tau1, and compares with the closed form
-    there.  This is the independent gate the pair kernel must pass
+    Starts from the closed-form relative kernel at GATE_TAU0 (a smooth
+    profile), marches the PDE to GATE_TAU1, and compares with the closed
+    form there.  This is the independent gate the pair kernel must pass
     before its residual suite counts.  The mesh has 20,000 cells, and
     20,000 / |a| for an attractive Robin coupling with |a| < 1, whose
     bound state exp(u / (sqrt2 a)) narrows with |a|.
@@ -86,15 +93,16 @@ def pair_kernel_pde_gate(entry: BoundaryCoupling, source: float = 0.8,
     points = 20000
     if entry.kind == "robin" and -1.0 < entry.value < 0.0:
         points = math.ceil(points / abs(entry.value))
-    h = width / points
+    h = GATE_WIDTH / points
     if entry.kind == "dirichlet":
         gamma = None
         grid = np.arange(1, points) * h
     else:
         gamma = 0.0 if entry.kind == "neumann" else 1.0 / (SQRT2 * entry.value)
         grid = np.arange(0, points) * h
-    w0 = kernel(grid, np.full_like(grid, source), tau0)
-    evolved = evolve_half_line(w0, width, gamma, tau1 - tau0, steps)
-    exact = kernel(grid, np.full_like(grid, source), tau1)
+    source = np.full_like(grid, GATE_SOURCE)
+    w0 = kernel(grid, source, GATE_TAU0)
+    evolved = evolve_half_line(w0, GATE_WIDTH, gamma, GATE_TAU1 - GATE_TAU0, GATE_STEPS)
+    exact = kernel(grid, source, GATE_TAU1)
     scale = float(np.max(np.abs(exact)))
     return float(np.max(np.abs(evolved - exact))) / scale

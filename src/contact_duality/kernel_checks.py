@@ -22,7 +22,7 @@ sector kernel by the same bound as for a full-space one.  A permutation
 sum over sorted x and z is a sum of Gaussians in z - sigma(x), and by
 the rearrangement inequality the identity pairing makes |z - sigma(x)|
 smallest, so no sigma-term exceeds the identity Gaussian, which is
-below ``drop`` wherever some |z_k - x_k| exceeds r.  The pair kernel's
+below ``DROP`` wherever some |z_k - x_k| exceeds r.  The pair kernel's
 bound-state tail decays in the pair separation, and
 ``bound_state_scale`` widens r to cover it in the box and sector alike.
 """
@@ -36,17 +36,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary_checks import _extrapolation_weights, connection_residual
+from .errors import UnsupportedN
 from .kernels import KernelEvaluator, permutation_sum
 from .permutations import enumerate_group
 from .quadrature import integrate_box, integrate_sector
 from .wavefunctions import Statistics
+
+#: Smallest gap between the coordinates of a sample point.
+MIN_GAP = 1.1
+#: Width of the Gaussian probe of the short-time check.
+PROBE_WIDTH = 0.5
+#: Largest tau of the short-time check's dyadic ladder.
+INITIAL_TAU0 = 0.016
+#: Cells per axis the adaptive rules start from.
+QUAD_START_CELLS = 4
+#: Integrand size at the edge of the truncation boxes.
+DROP = 1e-12
 
 
 @dataclass
 class SamplingSpec:
     """Deterministic sampling plan for kernel residual suites.
 
-    ``initial_tau0`` seeds a dyadic tau ladder of ``initial_depth``
+    ``INITIAL_TAU0`` seeds a dyadic tau ladder of ``initial_depth``
     points for the short-time check; ``bound_state_scale`` is the
     slowest exponential decay length of the kernel in the pair
     separation (zero for purely Gaussian kernels) and widens the
@@ -57,33 +69,36 @@ class SamplingSpec:
     pairs: int = 3
     taus: tuple = (0.25, 0.35)
     spread: float = 1.6
-    min_gap: float = 1.1
-    probe_width: float = 0.5
-    initial_tau0: float = 0.016
     initial_depth: int = 5
     fd_step: float = 0.012
     quad_tol: float = 1e-9
     quad_order: int = 8
-    quad_start_cells: int = 4
     quad_max_doublings: int = 6
-    drop: float = 1e-12
     bound_state_scale: float = 0.0
 
     def rng(self):
         return np.random.default_rng(self.seed)
 
     def initial_taus(self):
-        return [self.initial_tau0 / 2**i for i in range(self.initial_depth)]
+        return [INITIAL_TAU0 / 2**i for i in range(self.initial_depth)]
 
 
 def _sample_points(spec: SamplingSpec, n: int, count: int, sector: bool):
-    """Well-separated sample points, strictly descending if sector."""
+    """Well-separated sample points, strictly descending if sector.
+
+    Raises UnsupportedN when n points at gaps of ``MIN_GAP`` do not fit
+    in [-spread, spread], where the rejection loop would never end.
+    """
+    if (n - 1) * MIN_GAP >= 2.0 * spec.spread:
+        raise UnsupportedN(
+            f"n = {n} sample points {MIN_GAP} apart do not fit in "
+            f"[-{spec.spread}, {spec.spread}]")
     rng = spec.rng()
     out = []
     while len(out) < count:
         x = rng.uniform(-spec.spread, spec.spread, size=n)
         x = np.sort(x)[::-1]
-        if np.min(np.diff(-x)) < spec.min_gap:
+        if np.min(np.diff(-x)) < MIN_GAP:
             continue
         if not sector:
             rng.shuffle(x)
@@ -92,12 +107,12 @@ def _sample_points(spec: SamplingSpec, n: int, count: int, sector: bool):
 
 
 def _support_radius(spec: SamplingSpec, tau: float, product: bool = False) -> float:
-    """Truncation radius beyond which the integrand is below ``drop``.
+    """Truncation radius beyond which the integrand is below ``DROP``.
 
     ``product`` halves the exponential decay length (two kernel factors)."""
-    gauss = math.sqrt(2.0 * tau * math.log(1.0 / spec.drop))
+    gauss = math.sqrt(2.0 * tau * math.log(1.0 / DROP))
     length = spec.bound_state_scale * (0.5 if product else 1.0)
-    slow = length * math.log(1.0 / spec.drop)
+    slow = length * math.log(1.0 / DROP)
     return max(gauss, slow) + 0.5
 
 
@@ -107,7 +122,7 @@ def _integrate(kernel: KernelEvaluator, integrand, box: np.ndarray,
     box itself for a full-space kernel, the sector part of the hull-grid
     cells meeting it for a sector kernel."""
     controls = dict(tol=spec.quad_tol, order=spec.quad_order,
-                    start_cells=spec.quad_start_cells,
+                    start_cells=QUAD_START_CELLS,
                     max_doublings=spec.quad_max_doublings)
     if kernel.space == "sector":
         value, _ = integrate_sector(integrand, box[:, 0], box[:, 1], kernel.n, **controls)
@@ -157,7 +172,7 @@ def initial_condition_intercept(kernel: KernelEvaluator, x, spec: SamplingSpec):
     iterated Richardson steps.  Returns (intercept magnitude, ladder).
     """
     x = np.asarray(x, dtype=float)
-    w = spec.probe_width
+    w = PROBE_WIDTH
 
     def probe(y):
         d = np.asarray(y) - x[None, :]
@@ -167,7 +182,7 @@ def initial_condition_intercept(kernel: KernelEvaluator, x, spec: SamplingSpec):
     for tau in spec.initial_taus():
         # the probe is bounded by one, so the kernel's own support radius
         # truncates the integrand
-        radius = math.sqrt(2.0 * tau * math.log(1.0 / spec.drop)) + 0.2
+        radius = math.sqrt(2.0 * tau * math.log(1.0 / DROP)) + 0.2
 
         def integrand(y):
             return np.asarray(kernel.evaluate(x[None, :], y, tau)) * probe(y)

@@ -38,9 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, erfcx
 
-from .coordinates import sorting_permutations_batch
 from .coupling import SQRT2, BoundaryCoupling, dirichlet, neumann, robin
-from .permutations import enumerate_group, group_table
+from .permutations import enumerate_group, group_table, sort_descending
 from .wavefunctions import Statistics
 
 #: log of the smallest normal double.  Closed-form permutation sums flush
@@ -252,8 +251,7 @@ def robin_pair_kernel(a) -> KernelEvaluator:
                            pair_face_residual=face_residual)
 
 
-def permutation_sum(kernel: KernelEvaluator, stat: Statistics,
-                    cap: int = None) -> KernelEvaluator:
+def permutation_sum(kernel: KernelEvaluator, stat: Statistics) -> KernelEvaluator:
     """Sector kernel as the character-weighted sum over relabelings,
     sum_sigma chi(sigma) K(x, sigma y).
 
@@ -270,7 +268,7 @@ def permutation_sum(kernel: KernelEvaluator, stat: Statistics,
     if kernel.space != "full":
         raise ValueError("permutation sum needs a full-space kernel")
     n = kernel.n
-    group = enumerate_group(n) if cap is None else enumerate_group(n, cap=cap)
+    group = enumerate_group(n)
     signs = group_table(n)[1].tolist()
     chars = signs if stat is Statistics.FERMI else [1] * len(signs)
 
@@ -324,8 +322,8 @@ def dual_pair_from_sector(sector_kernel: KernelEvaluator):
         def evaluate(x, y, tau):
             x = _points(x, n)
             y = _points(y, n)
-            xs, _, sx = sorting_permutations_batch(x)
-            ys, _, sy = sorting_permutations_batch(y)
+            xs, _, sx = sort_descending(x)
+            ys, _, sy = sort_descending(y)
             chi = sx * sy if stat is Statistics.FERMI else 1
             out = chi * np.asarray(sector_kernel.evaluate(xs, ys, tau)) / fact
             return out

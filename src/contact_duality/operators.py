@@ -114,16 +114,17 @@ class DomainSpec:
     offset: float = 0.0
 
     def __post_init__(self):
+        # each message starts with the field it rejects
         if not 2 <= self.n <= MAX_SPECTRAL_N:
             raise ValueError(f"n must be between 2 and {MAX_SPECTRAL_N}")
         if self.length <= 0:
-            raise ValueError("box length must be positive")
+            raise ValueError("length must be positive")
         if self.points < MIN_POINTS:
-            raise GridTooCoarse(f"need at least {MIN_POINTS} cells per axis")
+            raise GridTooCoarse(f"points must be at least {MIN_POINTS} (cells per axis)")
         if self.confinement not in ("box", "harmonic"):
             raise ValueError("confinement must be 'box' or 'harmonic'")
         if self.confinement == "harmonic" and self.omega <= 0:
-            raise ValueError("harmonic confinement needs omega > 0")
+            raise ValueError("omega must be positive with harmonic confinement")
 
     @property
     def spacing(self) -> float:

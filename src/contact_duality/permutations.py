@@ -4,11 +4,13 @@ A permutation sigma acts on a coordinate tuple by relabelling slots,
 
     (sigma x)_i = x_{sigma(i)},
 
-so composition satisfies sigma (sigma' x) = (sigma sigma') x.
-``group_table`` holds S_n once per n: a cached read-only table of image
-tuples in the lexicographic order of ``itertools.permutations``, which
-fixes the summation order of every permutation sum built on it, and
-their signs.  Every other module enumerates, signs and ranks
+so sigma (sigma' x) = (sigma sigma') x.  ``group_table`` holds S_n once
+per n: a cached read-only table of image tuples in the lexicographic
+order of ``itertools.permutations``, which fixes the summation order of
+every permutation sum built on it, and their signs.
+``sort_descending`` is the one descending sort: it sorts a point or a
+batch into the descending sector and returns the sorting permutation
+and its sign.  Every other module enumerates, sorts, signs and ranks
 permutations through this one.
 """
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import CapExceeded
 
-#: Largest particle number enumerated by default (8! = 40320 elements).
+#: Largest particle number ``enumerate_group`` lists (8! = 40320 elements).
 DEFAULT_GROUP_CAP = 8
 
 
@@ -54,41 +56,10 @@ class Permutation:
         x = np.asarray(x)
         return x[..., list(self.images)]
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Product sigma * other with sigma(other x) = (sigma * other) x."""
-        if self.n != other.n:
-            raise ValueError("size mismatch")
-        return Permutation(tuple(other.images[i] for i in self.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
-
     @property
     def sign(self) -> int:
         """+1 for even permutations, -1 for odd ones."""
         return int(permutation_signs_batch(self.images))
-
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
-
-
-def identity(n: int) -> Permutation:
-    return Permutation(tuple(range(n)))
-
-
-def transposition(n: int, i: int, j: int) -> Permutation:
-    """The swap of slots i and j (0-based)."""
-    images = list(range(n))
-    images[i], images[j] = images[j], images[i]
-    return Permutation(tuple(images))
-
-
-def adjacent_transposition(n: int, j: int) -> Permutation:
-    """Swap of adjacent slots j and j+1 (0-based j in 0..n-2)."""
-    return transposition(n, j, j + 1)
 
 
 def permutation_signs_batch(order) -> np.ndarray:
@@ -114,6 +85,19 @@ def permutation_ranks(order) -> np.ndarray:
     return ranks
 
 
+def sort_descending(x):
+    """Stable descending sort of one point (n,) or a batch (..., n).
+
+    Returns (sorted values, order, sign): sorted = x[..., order] row by
+    row, ties keep their slot order, the dtype of x is kept, and sign is
+    the int64 sign of each sorting permutation, which equals the product
+    of sgn(x_j - x_k) over pairs j < k when no two coordinates tie.
+    """
+    x = np.asarray(x)
+    order = np.argsort(-x, axis=-1, kind="stable")
+    return np.take_along_axis(x, order, axis=-1), order, permutation_signs_batch(order)
+
+
 @lru_cache(maxsize=None)
 def group_table(n: int):
     """S_n as read-only arrays: images (n!, n), one permutation per row
@@ -126,26 +110,20 @@ def group_table(n: int):
     return images, signs
 
 
-def enumerate_group(n: int, cap: int = DEFAULT_GROUP_CAP):
+def enumerate_group(n: int):
     """List S_n as ``Permutation`` objects in ``group_table`` order.
 
     The order is lexicographic in the image tuples and therefore
     deterministic; permutation sums rely on this for bit-reproducible
-    results.  Raises CapExceeded above the configured cap since the cost
-    of everything downstream is n! kernel evaluations.
+    results.  Raises CapExceeded above ``DEFAULT_GROUP_CAP`` since the
+    cost of everything downstream is n! kernel evaluations.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
+    if n > DEFAULT_GROUP_CAP:
         raise CapExceeded(
-            f"n = {n} exceeds the enumeration cap {cap} ({math.factorial(n)} elements)"
+            f"n = {n} exceeds the enumeration cap {DEFAULT_GROUP_CAP} "
+            f"({math.factorial(n)} elements)"
         )
     return [Permutation(images) for images in map(tuple, group_table(n)[0].tolist())]
 
-
-def permutation_matrix(p: Permutation) -> np.ndarray:
-    """Matrix P with (P x)_i = x_{sigma(i)}."""
-    mat = np.zeros((p.n, p.n))
-    for i, j in enumerate(p.images):
-        mat[i, j] = 1.0
-    return mat

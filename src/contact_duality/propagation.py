@@ -36,7 +36,7 @@ from .operators import (
     build_epsilon_fermi,
     solve,
 )
-from .permutations import enumerate_group, group_table, permutation_ranks
+from .permutations import enumerate_group, group_table, permutation_ranks, sort_descending
 from .quadrature import sector_rule
 from .wavefunctions import Statistics
 
@@ -223,7 +223,7 @@ def real_time_cross_check(dom: DomainSpec, model, t: float = 0.1) -> RealTimeChe
                            max(pts, fact))
 
     def fermi_rank(tuples):
-        region = permutation_ranks(np.argsort(-tuples, axis=-1, kind="stable"))
+        region = permutation_ranks(sort_descending(tuples)[1])
         return fermi_table.rank(np.column_stack([tuples, region]))
 
     strict = np.all(op_red.dofs[:, :-1] > op_red.dofs[:, 1:], axis=-1)

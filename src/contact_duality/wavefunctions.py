@@ -19,10 +19,9 @@ import math
 
 import numpy as np
 
-from .coordinates import sign_product
 from .errors import GridMismatch, NotEquivariant
 from .grids import FullGrid, WavefunctionGrid
-from .permutations import Permutation
+from .permutations import Permutation, sort_descending
 
 #: Relative tolerance for the exchange-symmetry check; extension itself is
 #: exact arithmetic, so only round-off accumulates.
@@ -48,8 +47,9 @@ def _require(cond: bool, message: str):
         raise GridMismatch(message)
 
 
-def extend(psi: WavefunctionGrid, stat: Statistics, full: FullGrid = None) -> WavefunctionGrid:
-    """Extend a sector wavefunction equivariantly to the full grid.
+def extend(psi: WavefunctionGrid, stat: Statistics) -> WavefunctionGrid:
+    """Extend a sector wavefunction equivariantly to the full grid, the
+    symmetric closure of its sector grid.
 
     On the region sorted by sigma the output equals
     chi(sigma) psi(sigma x) / sqrt(n!); the n! copies each carry 1/n! of
@@ -57,12 +57,7 @@ def extend(psi: WavefunctionGrid, stat: Statistics, full: FullGrid = None) -> Wa
     """
     _require(psi.space == "sector", "extend expects a sector wavefunction")
     sector = psi.grid
-    if full is None:
-        full = FullGrid(n=sector.n, length=sector.length, points=sector.points)
-    _require(
-        (full.n, full.length, full.points) == (sector.n, sector.length, sector.points),
-        "full grid is not the symmetric closure of the sector grid",
-    )
+    full = FullGrid(n=sector.n, length=sector.length, points=sector.points)
     ranks, signs = full.sector_decomposition()
     chi = signs if stat is Statistics.FERMI else np.ones_like(signs)
     values = chi * psi.values[ranks] / math.sqrt(math.factorial(sector.n))
@@ -90,9 +85,9 @@ def equivariance_residual(psi: WavefunctionGrid, stat: Statistics):
     return worst[0] / scale, worst[1], worst[2]
 
 
-def check_equivariant(psi: WavefunctionGrid, stat: Statistics, rtol: float = EQUIVARIANCE_RTOL):
+def check_equivariant(psi: WavefunctionGrid, stat: Statistics):
     residual, node, swap = equivariance_residual(psi, stat)
-    if residual > rtol:
+    if residual > EQUIVARIANCE_RTOL:
         raise NotEquivariant(
             f"exchange symmetry violated: relative residual {residual:.3e} "
             f"at node {node} under swap of slots {swap},{swap + 1}",
@@ -118,11 +113,13 @@ def restrict(psi: WavefunctionGrid, stat: Statistics) -> WavefunctionGrid:
 
 
 def bf_map(psi_b: WavefunctionGrid) -> WavefunctionGrid:
-    """Map a Bose function to its Fermi partner by the pair-sign product.
+    """Map a Bose function to its Fermi partner: each node value times the
+    sign of the permutation sorting the node, which is the product of
+    pair signs sgn(x_j - x_k), j < k.
 
     Node magnitudes are untouched, so probability densities agree, and
     applying the map twice returns the input.
     """
     check_equivariant(psi_b, Statistics.BOSE)
-    signs = sign_product(psi_b.grid.nodes())
+    _, _, signs = sort_descending(psi_b.grid.node_indices())
     return WavefunctionGrid(psi_b.grid, signs * psi_b.values, "full", Statistics.FERMI)

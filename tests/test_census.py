@@ -1,0 +1,63 @@
+"""Census of the package's settable values.
+
+A settable value is a function parameter with a default or a dataclass
+field with a default, counted over the AST of ``src/contact_duality``.
+The bound is the count when options that no caller sets became
+constants; a new option has to raise it on purpose.
+"""
+
+import ast
+import pathlib
+
+import contact_duality
+
+#: Settable values in the package; raise it only together with a new option.
+SETTABLE_BOUND = 100
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def settable_values(source: str) -> int:
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            count += len(node.args.defaults)
+            count += sum(d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            count += sum(isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                         for stmt in node.body)
+    return count
+
+
+def test_census_counts_defaults_and_dataclass_fields():
+    source = '''
+from dataclasses import dataclass, field
+
+def f(a, b=1, *, c=2, d):
+    return lambda x=0: x
+
+@dataclass(frozen=True)
+class Spec:
+    box: object
+    tol: float = 1e-9
+    extra: list = field(default_factory=list)
+
+class Plain:
+    size: int = 3
+'''
+    assert settable_values(source) == 5
+
+
+def test_settable_values_stay_within_the_bound():
+    package = pathlib.Path(contact_duality.__file__).parent
+    total = sum(settable_values(path.read_text(encoding="utf-8"))
+                for path in sorted(package.glob("*.py")))
+    assert total <= SETTABLE_BOUND, (
+        f"{total} settable values (bound {SETTABLE_BOUND}): make a new option a "
+        "constant unless a caller sets it, or raise the bound on purpose")

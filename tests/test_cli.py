@@ -264,3 +264,47 @@ dilation = 2.0
 """)
     out = tmp_path / "si"
     assert main(["scale-invariance", "--config", cfg, "--out", str(out)]) == 0
+
+
+SPECTRUM_BASE = {"command": "spectrum", "n": "2", "length": "6.0", "points": "10"}
+
+
+@pytest.mark.parametrize("changes, key", [
+    ({"n": "5"}, "n"),
+    ({"n": "0"}, "n"),
+    ({"length": "-6"}, "length"),
+    ({"points": "3"}, "points"),
+    ({"confinement": "harmonic"}, "omega"),
+])
+@pytest.mark.parametrize("command", ["spectrum", "duality", "scale-invariance"])
+def test_out_of_range_domain_is_a_config_error(tmp_path, capsys, command, changes, key):
+    values = {**SPECTRUM_BASE, "command": command, **changes}
+    n = int(values["n"])
+    lines = [f"{k} = {v}" for k, v in values.items()]
+    lines += [f"coupling.{j} = robin:-1" for j in range(1, n)]
+    with pytest.raises(ConfigError, match=f"key '{key}'"):
+        validate_config("\n".join(lines) + "\n")
+    cfg = write(tmp_path, "bad.cfg", "\n".join(lines) + "\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, n", [
+    ("kernel-properties", 0), ("kernel-properties", 1),
+    ("dual-kernels", 0), ("dual-kernels", 1),
+    ("fold-check", 0),
+])
+def test_particle_number_below_the_command_minimum(tmp_path, capsys, command, n):
+    text = f"command = {command}\nn = {n}\n"
+    with pytest.raises(ConfigError, match="key 'n'"):
+        validate_config(text)
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_kernel_properties_with_too_many_particles_to_sample(tmp_path, capsys):
+    # five points 1.1 apart do not fit in [-2.2, 2.2]: refused, not sampled forever
+    cfg = write(tmp_path, "k5.cfg", "command = kernel-properties\nn = 5\nkernel = free\n")
+    assert main(["kernel-properties", "--config", cfg, "--out", str(tmp_path / "k5")]) == 2
+    assert "do not fit" in capsys.readouterr().err

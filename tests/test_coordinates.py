@@ -9,7 +9,6 @@ from contact_duality.coordinates import (
     hyperradius,
     in_sector_jacobi,
     jacobi_matrix,
-    sign_product,
     to_jacobi,
 )
 from contact_duality.errors import TiedCoordinates
@@ -83,7 +82,7 @@ def test_canonicalize_examples():
 
     y, sigma = canonicalize(np.array([3.0, 2.0, 1.0]))
     assert y.coords == (3.0, 2.0, 1.0)
-    assert sigma.is_identity() and sigma.sign == 1
+    assert sigma.images == (0, 1, 2) and sigma.sign == 1
 
     # Sorting (1, 3, 2) descending needs the cyclic rotation (2, 3, 1),
     # which is even; its sign agrees with the pair-sign product +1.
@@ -129,12 +128,3 @@ def test_sector_point_validation():
         SectorPoint((1.0, 1.0, 0.0))
     with pytest.raises(TiedCoordinates):
         SectorPoint((0.0, 1.0))
-
-
-def test_sign_product_matches_sorting_sign():
-    rng = np.random.default_rng(17)
-    for n in (2, 3, 4):
-        for _ in range(40):
-            x = rng.normal(size=n)
-            _, sigma = canonicalize(x)
-            assert sign_product(x) == sigma.sign

@@ -4,7 +4,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from contact_duality.coupling import SQRT2, dirichlet, neumann, robin, uniform_model
-from contact_duality.errors import ContactDualityError
+from contact_duality.errors import ContactDualityError, UnsupportedN
 from contact_duality.heat_solver import evolve_half_line, pair_kernel_pde_gate
 from contact_duality.kernel_checks import (
     SamplingSpec,
@@ -30,6 +30,14 @@ def test_free_kernel_assumptions_two_body():
     assert rep["symmetry"]["max"] < 1e-12
     assert rep["heat_equation"]["max"] < 1e-6
     assert rep["permutation_invariance"]["max"] < 1e-12
+
+
+def test_sampling_refuses_points_that_cannot_fit():
+    # (n - 1) * MIN_GAP >= 2 * spread: no draw is accepted, so none is tried
+    with pytest.raises(UnsupportedN, match="do not fit"):
+        verify_assumptions(free_kernel(5), SamplingSpec(pairs=1, spread=2.2))
+    with pytest.raises(UnsupportedN):
+        verify_assumptions(free_kernel(3), SamplingSpec(pairs=1, spread=1.1))
 
 
 def test_broken_kernel_negative_control():

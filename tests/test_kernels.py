@@ -189,7 +189,7 @@ def test_permutation_sum_face_values():
 
 def test_permutation_sum_cap():
     with pytest.raises(CapExceeded):
-        permutation_sum(free_kernel(5), Statistics.BOSE, cap=4)
+        permutation_sum(free_kernel(9), Statistics.BOSE)
 
 
 def _loop_sum(kernel, stat, x, y, tau):

@@ -238,9 +238,12 @@ def test_fold_identity_gaussian_n3():
 
 def test_fold_identity_asymmetric_integrand():
     # The identity holds for arbitrary test functions, not only symmetric.
-    f = GaussianTestFunction(matrix=np.diag([1.0, 2.0]), center=np.array([0.3, -0.2]),
-                             linear=np.array([1.0, 0.0]))
-    spec = QuadSpec(box=f.support_box(), tol=1e-10, order=8)
+    g = GaussianTestFunction(matrix=np.diag([1.0, 2.0]), center=np.array([0.3, -0.2]))
+
+    def f(y):
+        return g(y) * y[:, 0]  # odd prefactor
+
+    spec = QuadSpec(box=g.support_box(), tol=1e-10, order=8)
     res = fold_integral_check(f, spec)
     assert isinstance(res, FoldCheckResult)
     assert res.residual <= 1e-8

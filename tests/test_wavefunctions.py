@@ -6,7 +6,7 @@ import pytest
 
 from contact_duality.errors import GridMismatch, NotEquivariant
 from contact_duality.grids import FullGrid, SectorGrid, WavefunctionGrid, sample_sector_function
-from contact_duality.permutations import adjacent_transposition, enumerate_group
+from contact_duality.permutations import Permutation, enumerate_group
 from contact_duality.wavefunctions import (
     Statistics,
     bf_map,
@@ -60,9 +60,9 @@ def test_grid_tables_and_ranks_match_itertools():
 
 
 def test_character_values():
-    tau = adjacent_transposition(3, 0)
+    tau = Permutation((1, 0, 2))
     assert character(Statistics.FERMI, tau) == -1
-    three_cycle = tau.compose(adjacent_transposition(3, 1))
+    three_cycle = Permutation((1, 2, 0))
     assert character(Statistics.FERMI, three_cycle) == 1
     for sigma in enumerate_group(3):
         assert character(Statistics.BOSE, sigma) == 1
@@ -73,7 +73,8 @@ def test_character_homomorphism_exhaustive():
         for stat in Statistics:
             for sigma in enumerate_group(n):
                 for tau in enumerate_group(n):
-                    assert character(stat, sigma.compose(tau)) == (
+                    product = Permutation(tuple(tau.images[i] for i in sigma.images))
+                    assert character(stat, product) == (
                         character(stat, sigma) * character(stat, tau)
                     )
 
@@ -140,10 +141,24 @@ def test_bf_map_probability_and_involution():
     np.testing.assert_allclose(again.values, bose.values, rtol=1e-14)
 
 
-def bf_map_values_back(fermi_state):
-    from contact_duality.coordinates import sign_product
+def _pair_sign_product(x) -> np.ndarray:
+    """prod_{j<k} sgn(x_j - x_k) over the last axis."""
+    out = np.ones(x.shape[:-1])
+    for j, k in itertools.combinations(range(x.shape[-1]), 2):
+        out = out * np.sign(x[..., j] - x[..., k])
+    return out
 
-    return sign_product(fermi_state.grid.nodes()) * fermi_state.values
+
+def bf_map_values_back(fermi_state):
+    return _pair_sign_product(fermi_state.grid.nodes()) * fermi_state.values
+
+
+def test_bf_map_signs_are_pair_sign_products():
+    for n, points in ((2, 7), (3, 6), (4, 6)):
+        bose = extend(random_sector_state(n, points, seed=n), Statistics.BOSE)
+        fermi = bf_map(bose)
+        np.testing.assert_array_equal(fermi.values,
+                                      _pair_sign_product(bose.grid.nodes()) * bose.values)
 
 
 def test_two_body_sign_example():
