@@ -17,7 +17,13 @@ import numpy as np
 
 from .configio import ExperimentConfig, validate_config
 from .coupling import dirichlet, neumann, uniform_model
-from .errors import ConfigError, ContactDualityError, UnsupportedCoupling, UnsupportedN
+from .errors import (
+    ConfigError,
+    ContactDualityError,
+    LevelsOutOfRange,
+    UnsupportedCoupling,
+    UnsupportedN,
+)
 from .folding import QuadSpec, fold_integral_check, random_gaussian
 from .heat_solver import pair_kernel_pde_gate
 from .kernel_checks import (
@@ -324,6 +330,9 @@ def main(argv=None) -> int:
         artifacts = RUNNERS[cfg.command](cfg)
     except (ConfigError, UnsupportedCoupling, UnsupportedN) as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except LevelsOutOfRange as err:  # every solve here asks for `levels` pairs
+        print(f"config error: key 'levels': {err}", file=sys.stderr)
         return 2
     except ContactDualityError as err:
         print(f"run failed: {err}", file=sys.stderr)

@@ -30,6 +30,9 @@ SPECTRAL_COMMANDS = ("spectrum", "duality", "scale-invariance")
 #: Smallest particle number of the commands with no domain.
 MIN_N = {"kernel-properties": 2, "dual-kernels": 2, "fold-check": 1}
 
+#: Counts that must be at least 1 in every schema that has them.
+POSITIVE_COUNTS = ("levels", "count", "pairs", "refinements")
+
 _BOOL = {"true": True, "false": False, "yes": True, "no": False}
 
 
@@ -249,6 +252,10 @@ def validate_config(text: str) -> ExperimentConfig:
         if spec.required:
             raise ConfigError(f"missing required key {key!r}")
         values[key] = spec.default
+
+    for key in POSITIVE_COUNTS:
+        if key in values and values[key] < 1:
+            raise ConfigError(f"key {key!r}: must be at least 1, got {values[key]}")
 
     cfg = ExperimentConfig(command=command, values=values, couplings=couplings,
                            text=text)

@@ -65,5 +65,9 @@ class NotConverged(ContactDualityError):
         self.diagnostics = diagnostics or {}
 
 
+class LevelsOutOfRange(ContactDualityError, ValueError):
+    """Eigenpair count outside 1 .. operator dimension - 1."""
+
+
 class ConfigError(ContactDualityError):
     """Invalid experiment configuration; message names the offending key."""

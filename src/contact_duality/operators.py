@@ -67,6 +67,7 @@ from .coordinates import hyperradius_batch
 from .coupling import CouplingModel
 from .errors import (
     GridTooCoarse,
+    LevelsOutOfRange,
     NotConverged,
     UnsupportedCoupling,
 )
@@ -95,6 +96,10 @@ MIN_POINTS = 6
 
 #: Spectral work is desk scale; larger n explodes as (grid)^n.
 MAX_SPECTRAL_N = 4
+
+#: Cells per axis of a one-shot solve's grid over those of the coarser
+#: grid its shift comes from.
+COARSENING = 4
 
 
 @dataclass(frozen=True)
@@ -470,8 +475,9 @@ class SpectrumResult:
     ``top_shift`` a point just above the highest reported eigenvalue;
     ``below_shift`` and ``below_top`` count the eigenvalues below each
     by Sylvester inertia.  A certified result has 0 and k.
-    ``rejected_shift`` is the caller's sigma when it failed the
-    certificate and the Gershgorin shift was used instead.
+    ``rejected_shift`` is the first sigma tried, the caller's or the one
+    seeded from a coarser grid, when it failed the certificate and the
+    Gershgorin shift was used instead.
     """
 
     eigenvalues: np.ndarray
@@ -567,25 +573,59 @@ def _shift_invert(a: sparse.csr_matrix, k: int, shift: float, v0: np.ndarray) ->
     return out
 
 
+def seeded_shift(eigenvalues) -> float:
+    """Shift-invert sigma for a finer grid from a coarser level's lowest
+    eigenvalues: below the ground level by half the spread of the k
+    values plus a small margin, so refinement may lower the levels a
+    little and the shift still stays below them."""
+    low, high = float(eigenvalues[0]), float(eigenvalues[-1])
+    return low - 0.5 * (high - low) - 1e-3 * max(1.0, abs(low))
+
+
+def _coarse_shift(op: GridOperator, k: int, seed: int) -> float | None:
+    """Shift for ``op`` seeded from the same operator on a coarser grid.
+
+    The coarse grid has ``COARSENING`` times fewer cells per axis, and
+    its solve takes its own shift from the next coarser grid in turn, as
+    long as a grid keeps ``MIN_POINTS`` cells per axis and more than k
+    dofs.  None when there is no such grid or its solve fails.
+    """
+    points = op.dom.points // COARSENING
+    if points < MIN_POINTS:
+        return None
+    dom = dataclasses.replace(op.dom, points=points)
+    build = BUILDERS[op.formulation]
+    try:
+        coarse = build(dom, op.model) if op.reduced else build(dom, op.model, reduced=False)
+        return seeded_shift(solve(coarse, k, seed=seed).eigenvalues)
+    except (GridTooCoarse, LevelsOutOfRange, NotConverged):
+        return None
+
+
 def solve(op: GridOperator, k: int, seed: int = 0,
           shift: float = None) -> SpectrumResult:
     """Lowest k eigenpairs of a grid operator, certified by inertia.
 
-    Shift-invert Lanczos at ``shift`` (a point just below the lowest
-    eigenvalue, e.g. from a coarser grid) or, without one, below the
-    Gershgorin lower bound.  The result is accepted only if Sylvester
-    inertia counts no eigenvalue below the shift and exactly k below a
-    point just above the k-th eigenvalue; a caller's shift that fails
-    is retried once from the Gershgorin bound, and NotConverged carries
-    the counts of every attempt when that fails too.  A fixed seeded
-    start vector makes repeated solves bit-reproducible.  Residual norms
-    ||A v - lambda v|| are reported per pair.
+    Shift-invert Lanczos at ``shift``, a point just below the lowest
+    eigenvalue.  Without one, the shift is seeded from the same
+    operator's solve on a grid ``COARSENING`` times coarser
+    (``seeded_shift``), and where no coarser grid gives one it lies
+    below the Gershgorin lower bound.  The result is accepted only if
+    Sylvester inertia counts no eigenvalue below the shift and exactly k
+    below a point just above the k-th eigenvalue; a caller's or seeded
+    shift that fails is retried once from the Gershgorin bound, and
+    NotConverged carries the counts of every attempt when that fails
+    too.  A fixed seeded start vector makes repeated solves
+    bit-reproducible.  Residual norms ||A v - lambda v|| are reported
+    per pair.
     """
     a = op.matrix
     dim = a.shape[0]
     if not 1 <= k < dim:
-        raise ValueError(f"need 1 <= k < dimension, got k={k}, dim={dim}")
+        raise LevelsOutOfRange(f"need 1 <= k < dimension, got k={k}, dim={dim}")
     v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=dim)
+    if shift is None:
+        shift = _coarse_shift(op, k, seed)
     shifts = [gershgorin_shift(a)] if shift is None else [float(shift), gershgorin_shift(a)]
     attempts = []
     for sigma in shifts:

@@ -25,6 +25,7 @@ from .operators import (
     SpectrumResult,
     cached_build,
     content_hash,
+    seeded_shift,
     solve,
 )
 
@@ -134,15 +135,6 @@ class DualityReport:
         return rows
 
 
-def seeded_shift(eigenvalues) -> float:
-    """Shift-invert sigma for a finer grid from a coarser level's lowest
-    eigenvalues: below the ground level by half the spread of the k
-    values plus a small margin, so refinement may lower the levels a
-    little and the shift still stays below them."""
-    low, high = float(eigenvalues[0]), float(eigenvalues[-1])
-    return low - 0.5 * (high - low) - 1e-3 * max(1.0, abs(low))
-
-
 def _same_operator(a: GridOperator, b: GridOperator) -> bool:
     """Bitwise equal matrices and masses, so every solve result is equal."""
     ma, mb = a.matrix, b.matrix
@@ -155,10 +147,11 @@ def _solve_formulations(dom: DomainSpec, model: CouplingModel, k: int, seed: int
                         shifts: dict = None):
     """Build and solve every formulation on one domain.
 
-    ``shifts`` maps formulations to shift-invert sigmas (None: the
-    Gershgorin shift).  When the epsilon operator is bitwise equal to the
-    delta one (the reduced forms coincide by construction), the delta
-    result is reused instead of solved again.  Returns the results and a
+    ``shifts`` maps formulations to shift-invert sigmas (None: the one
+    ``solve`` picks itself, seeded from a coarser grid where there is
+    one).  When the epsilon operator is bitwise equal to the delta one
+    (the reduced forms coincide by construction), the delta result is
+    reused instead of solved again.  Returns the results and a
     map from each reused formulation to its source.
     """
     results, reused = {}, {}
@@ -178,8 +171,9 @@ def duality_report(dom: DomainSpec, model: CouplingModel, k: int,
     """Compare the three formulations on a ladder of grid refinements.
 
     Each formulation's solve on a finer grid is shifted from its own
-    eigenvalues on the coarser one; an epsilon operator bitwise equal to
-    the delta one reuses its result.
+    eigenvalues on the coarser one, and level 0 takes the shift ``solve``
+    picks itself; an epsilon operator bitwise equal to the delta one
+    reuses its result.
     """
     report = DualityReport(dom=dom, model=model, k=k, refinements=refinements)
     results_by_level = []
@@ -281,8 +275,11 @@ def scale_invariance_report(dom: DomainSpec, model: CouplingModel, dilation: flo
     Like the duality report, it solves a bitwise-equal epsilon operator
     once, through the delta one.  The dilated and translated spectra are
     known in advance (base / lambda^2 and base), so their solves are
-    shifted from the base eigenvalues; the control cases break the
-    scaling on purpose and keep the Gershgorin shift.
+    shifted from the base eigenvalues.  The base and the control cases,
+    which break the scaling on purpose, take the shift ``solve`` picks
+    itself: seeded from a grid ``COARSENING`` times coarser when that
+    grid keeps ``MIN_POINTS`` cells per axis (points >= 24), below the
+    Gershgorin bound otherwise.
     """
     if dom.n != 3:
         raise UnsupportedCoupling("scale-invariance report is defined for n = 3")

@@ -308,3 +308,39 @@ def test_kernel_properties_with_too_many_particles_to_sample(tmp_path, capsys):
     cfg = write(tmp_path, "k5.cfg", "command = kernel-properties\nn = 5\nkernel = free\n")
     assert main(["kernel-properties", "--config", cfg, "--out", str(tmp_path / "k5")]) == 2
     assert "do not fit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [
+    ("spectrum", "levels"),
+    ("duality", "levels"),
+    ("duality", "refinements"),
+    ("scale-invariance", "levels"),
+    ("fold-check", "count"),
+    ("kernel-properties", "pairs"),
+    ("dual-kernels", "pairs"),
+])
+def test_zero_count_is_a_config_error(tmp_path, capsys, command, key):
+    if command in ("fold-check", "kernel-properties", "dual-kernels"):
+        lines = [f"command = {command}", "n = 2"]
+    else:
+        n = 3 if command == "scale-invariance" else 2
+        kind = "scale:1" if command == "scale-invariance" else "robin:-1"
+        lines = [f"command = {command}", f"n = {n}", "length = 6.0", "points = 8"]
+        lines += [f"coupling.{j} = {kind}" for j in range(1, n)]
+    text = "\n".join([*lines, f"{key} = 0"]) + "\n"
+    with pytest.raises(ConfigError, match=f"key '{key}'"):
+        validate_config(text)
+    cfg = write(tmp_path, "zero.cfg", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "duality"])
+def test_more_levels_than_dofs_is_a_config_error(tmp_path, capsys, command):
+    # n=2 N=6 has 15 sector dofs and fewer on the staggered lattices
+    text = (f"command = {command}\nn = 2\nlength = 6.0\npoints = 6\n"
+            "coupling.1 = robin:-1\nlevels = 100\n")
+    cfg = write(tmp_path, "many.cfg", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: key 'levels'" in err and "Traceback" not in err

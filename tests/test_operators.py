@@ -5,6 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import eigh
 
+from contact_duality import operators
 from contact_duality.coupling import (
     CouplingModel,
     dirichlet,
@@ -25,10 +26,10 @@ from contact_duality.operators import (
     content_hash,
     gershgorin_shift,
     inertia_count,
+    seeded_shift,
     solve,
 )
 from contact_duality.permutations import group_table, permutation_signs_batch
-from contact_duality.spectra import seeded_shift
 
 
 def box_level(k, length):
@@ -301,6 +302,89 @@ def test_seeded_and_gershgorin_shifts_agree():
     assert plain.shift < shift < seeded.eigenvalues[0]
     np.testing.assert_allclose(seeded.eigenvalues, plain.eigenvalues, rtol=1e-10)
     assert np.max(seeded.residuals) < 1e-8
+
+
+ROBIN_N64 = (DomainSpec(n=2, length=10.0, points=64), uniform_model(2, robin(-1.0)))
+
+
+@pytest.mark.parametrize("build", [build_sector, build_delta_bose])
+def test_one_shot_solve_is_seeded_from_a_coarser_grid(build):
+    op = build(*ROBIN_N64)
+    k = 5
+    res = solve(op, k)
+    assert gershgorin_shift(op.matrix) < res.shift < res.eigenvalues[0]
+    assert res.rejected_shift is None
+    assert (res.below_shift, res.below_top) == (0, k)
+    plain = solve(op, k, shift=gershgorin_shift(op.matrix))
+    np.testing.assert_allclose(res.eigenvalues, plain.eigenvalues, rtol=1e-10)
+
+
+def test_seeded_shift_above_ground_level_falls_back_to_gershgorin(monkeypatch):
+    op = build_sector(*ROBIN_N64)
+    k = 4
+    plain = solve(op, k, shift=gershgorin_shift(op.matrix))
+    bad = 0.5 * (plain.eigenvalues[0] + plain.eigenvalues[1])
+    # the one coarse rung (N=16) seeds the fine solve with a shift above lambda_1
+    monkeypatch.setattr(operators, "seeded_shift", lambda eigenvalues: bad)
+    res = solve(op, k)
+    assert res.rejected_shift == bad
+    assert res.shift == gershgorin_shift(op.matrix)
+    assert (res.below_shift, res.below_top) == (0, k)
+    np.testing.assert_allclose(res.eigenvalues, plain.eigenvalues, rtol=1e-10)
+
+
+@pytest.mark.parametrize("error", [NotConverged, GridTooCoarse])
+def test_failed_coarse_rung_leaves_the_gershgorin_solve(monkeypatch, error):
+    op = build_sector(*ROBIN_N64)
+    k = 4
+    plain = solve(op, k, shift=gershgorin_shift(op.matrix))
+
+    def failing(coarse_op, k, **kwargs):
+        assert coarse_op.dom.points == 16
+        raise error("coarse rung failed")
+
+    # the coarse rung solves through the module's name; the fine solve
+    # below is the function imported before the patch
+    monkeypatch.setattr(operators, "solve", failing)
+    res = solve(op, k)
+    assert res.shift == gershgorin_shift(op.matrix) and res.rejected_shift is None
+    assert (res.below_shift, res.below_top) == (0, k)
+    np.testing.assert_array_equal(res.eigenvalues, plain.eigenvalues)
+
+
+def test_coarse_grid_with_too_few_dofs_gives_no_seed():
+    # the 6-cell coarse grid has 15 sector dofs, too few for 16 levels
+    op = build_sector(DomainSpec(n=2, length=10.0, points=24), uniform_model(2, robin(-1.0)))
+    res = solve(op, 16)
+    assert res.shift == gershgorin_shift(op.matrix) and res.rejected_shift is None
+    assert (res.below_shift, res.below_top) == (0, 16)
+
+
+def test_seeded_one_shot_solve_needs_few_fine_level_applications(monkeypatch):
+    op = build_sector(DomainSpec(n=2, length=10.0, points=256), uniform_model(2, robin(-1.0)))
+    applications = []
+
+    class CountingFactor:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+        def solve(self, rhs):
+            applications.append(rhs.shape)
+            return self.lu.solve(rhs)
+
+    def factor(a, shift):
+        lu = operators_factor(a, shift)
+        return CountingFactor(lu) if lu is not None and a.shape == op.matrix.shape else lu
+
+    operators_factor = operators._factor
+    monkeypatch.setattr(operators, "_factor", factor)
+    res = solve(op, 5)
+    assert (res.below_shift, res.below_top, res.rejected_shift) == (0, 5, None)
+    # 761-788 applications from the Gershgorin shift, by seed
+    assert 0 < len(applications) <= 100
 
 
 def test_degenerate_cut_fails_certificate():
