@@ -16,7 +16,6 @@ from .coordinates import (  # noqa: F401
 )
 from .coupling import (  # noqa: F401
     BoundaryCoupling,
-    BoundaryFace,
     CouplingModel,
     coupling_value,
     dirichlet,
@@ -50,7 +49,7 @@ from .operators import (  # noqa: F401
     build_sector,
     solve,
 )
-from .permutations import Permutation, enumerate_group  # noqa: F401
+from .permutations import Permutation, Statistics  # noqa: F401
 from .propagation import propagate  # noqa: F401
 from .spectra import duality_report, scale_invariance_report  # noqa: F401
-from .wavefunctions import Statistics, bf_map, character, extend, restrict  # noqa: F401
+from .wavefunctions import bf_map, extend, restrict  # noqa: F401

@@ -20,7 +20,7 @@ from .coupling import CouplingModel, coupling_values_batch
 from .errors import GridTooCoarse
 from .mesh import DofTable
 from .operators import GridOperator
-from .permutations import sort_descending
+from .permutations import Statistics, sort_descending
 
 #: Quadratic extrapolation to the plane from three one-sided samples at
 #: parameters u_1 < u_2 < u_3: value and slope of the interpolant at 0.
@@ -231,12 +231,13 @@ def connection_residual(evaluate, kind: str, a: float, plane_points: np.ndarray,
     raise ValueError(f"kind must be 'delta' or 'epsilon', got {kind!r}")
 
 
-def reduced_state_evaluator(fn: MeshFunction, antisymmetric: bool):
+def reduced_state_evaluator(fn: MeshFunction, stat: Statistics):
     """Full-space evaluator of a reduced state at lattice points.
 
-    The symmetric extension returns the stored value of the descending
-    representative; the antisymmetric one multiplies by the sign of the
-    sorting permutation.  Points must be strict lattice vertices.
+    Returns the stored value of the descending representative times the
+    character of the sorting permutation: the symmetric extension for
+    BOSE, the antisymmetric one for FERMI.  Points must be strict
+    lattice vertices.
     """
     op = fn.op
     lattice = op.lattice
@@ -250,9 +251,6 @@ def reduced_state_evaluator(fn: MeshFunction, antisymmetric: bool):
         if not np.allclose(lattice[idx], points, atol=0.25 * min_gap):
             raise ValueError("points are not lattice vertices")
         sorted_idx, _, signs = sort_descending(idx)
-        vals = fn.lookup(sorted_idx)
-        if antisymmetric:
-            vals = vals * signs
-        return vals
+        return stat.character(signs) * fn.lookup(sorted_idx)
 
     return evaluate

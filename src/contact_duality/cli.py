@@ -39,6 +39,7 @@ from .kernels import (
     robin_pair_kernel,
 )
 from .operators import DomainSpec, cached_build, content_hash, solve
+from .permutations import Statistics
 from .propagation import (
     PropagationQuad,
     propagate_at,
@@ -48,7 +49,6 @@ from .propagation import (
 )
 from .reporting import Gate, RunArtifacts, write_run
 from .spectra import FORMULATIONS, duality_report, scale_invariance_report
-from .wavefunctions import Statistics
 
 
 def run_spectrum(cfg: ExperimentConfig) -> RunArtifacts:
@@ -132,10 +132,9 @@ def _kernel_from_config(cfg: ExperimentConfig):
     if cfg["kernel"] == "free":
         if cfg["statistics"] == "none":
             return free_kernel(n), None, 0.0
-        stat = Statistics.BOSE if cfg["statistics"] == "bose" else Statistics.FERMI
+        stat = Statistics(cfg["statistics"])
         kernel = permutation_sum(free_kernel(n), stat)
-        face = dirichlet() if stat is Statistics.FERMI else None
-        model = uniform_model(n, face if face is not None else neumann())
+        model = uniform_model(n, dirichlet() if stat is Statistics.FERMI else neumann())
         return kernel, model, 0.0
     if n != 2:
         raise UnsupportedN("the pair kernel is a two-body construction")

@@ -8,7 +8,7 @@ unknown keys are rejected by name so configs stay diff-able and honest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .coupling import (
     BoundaryCoupling,
@@ -196,14 +196,10 @@ class ExperimentConfig:
 
     command: str
     values: dict
-    couplings: dict = field(default_factory=dict)
-    text: str = ""
+    couplings: dict
 
     def __getitem__(self, key):
         return self.values[key]
-
-    def get(self, key, default=None):
-        return self.values.get(key, default)
 
     def domain(self) -> DomainSpec:
         return DomainSpec(
@@ -257,8 +253,7 @@ def validate_config(text: str) -> ExperimentConfig:
         if key in values and values[key] < 1:
             raise ConfigError(f"key {key!r}: must be at least 1, got {values[key]}")
 
-    cfg = ExperimentConfig(command=command, values=values, couplings=couplings,
-                           text=text)
+    cfg = ExperimentConfig(command=command, values=values, couplings=couplings)
     n = values["n"]
     if command in SPECTRAL_COMMANDS:
         try:

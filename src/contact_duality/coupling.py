@@ -121,21 +121,6 @@ def normal_vector(j: int, n: int) -> np.ndarray:
     return vec
 
 
-@dataclass(frozen=True)
-class BoundaryFace:
-    """Codimension-1 face where the adjacent pair (j, j+1) coincides."""
-
-    j: int
-    n: int
-
-    def __post_init__(self):
-        normal_vector(self.j, self.n)  # validates the index
-
-    @property
-    def normal(self) -> np.ndarray:
-        return normal_vector(self.j, self.n)
-
-
 def coupling_value(model: CouplingModel, j: int, x):
     """Boundary length a_j at a point of face j.
 

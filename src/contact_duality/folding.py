@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .permutations import enumerate_group
+from .permutations import group_table
 from .quadrature import integrate_box, integrate_sector
 
 #: Grid doublings of each adaptive rule before the check gives up.
@@ -54,14 +54,14 @@ def fold_integral_check(f, quad: QuadSpec) -> FoldCheckResult:
     relative residual |lhs - rhs| / max(|lhs|, RESIDUAL_FLOOR).
     """
     n = quad.box.shape[0]
-    group = enumerate_group(n)
+    rows = group_table(n)[0].tolist()
     lhs, lhs_err = integrate_box(f, quad.box, tol=quad.tol, order=quad.order,
                                  max_doublings=MAX_DOUBLINGS)
 
     def symmetrized(y):
         total = np.zeros(y.shape[0])
-        for sigma in group:
-            total = total + f(sigma.apply(y))
+        for image in rows:
+            total = total + f(y[..., image])
         return total
 
     lo = float(np.min(quad.box[:, 0]))
@@ -87,7 +87,7 @@ class GaussianTestFunction:
     def __call__(self, y: np.ndarray) -> np.ndarray:
         d = np.asarray(y, dtype=float) - self.center
         # (d A d^T)_mm as a sum over the n rows of d.T, fast for row-major
-        # points and for the column-major ones Permutation.apply returns
+        # points and for the column-major ones a y[..., image] gather returns
         return np.exp(-(d.T * (self.matrix @ d.T)).sum(0))
 
     def support_box(self) -> np.ndarray:

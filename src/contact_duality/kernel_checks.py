@@ -38,9 +38,8 @@ import numpy as np
 from .boundary_checks import _extrapolation_weights, connection_residual
 from .errors import UnsupportedN
 from .kernels import KernelEvaluator, permutation_sum
-from .permutations import enumerate_group
+from .permutations import Statistics, group_table
 from .quadrature import integrate_box, integrate_sector
-from .wavefunctions import Statistics
 
 #: Smallest gap between the coordinates of a sample point.
 MIN_GAP = 1.1
@@ -259,12 +258,12 @@ def verify_assumptions(kernel: KernelEvaluator, spec: SamplingSpec = None) -> di
         invariance = None
     else:
         rng = spec.rng()
-        group = enumerate_group(n)
+        images = group_table(n)[0]
         invariance = []
         for x, y in zip(xs, ys):
-            sigma = group[rng.integers(len(group))]
+            image = images[rng.integers(len(images))].tolist()
             k0 = _value(kernel, x, y, tau)
-            k1 = _value(kernel, sigma.apply(x), sigma.apply(y), tau)
+            k1 = _value(kernel, x[..., image], y[..., image], tau)
             invariance.append(abs(k0 - k1) / max(abs(k0), 1e-300))
 
     return {

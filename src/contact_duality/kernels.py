@@ -21,7 +21,8 @@ equal values, so the result is bitwise the direct evaluation: no key
 is rounded and nothing is cached between calls.
 
 Sector kernels arise from full-space ones as character-weighted sums
-over the permutation group; conversely a sector kernel induces the dual
+over the rows of ``group_table``, with chi from
+``Statistics.character``; conversely a sector kernel induces the dual
 pair of exchange-symmetric full-space kernels through the sorting
 permutation of each argument.  For the free kernel, a product of
 one-body factors, the sum is the permanent (bosons) or the determinant
@@ -38,9 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, erfcx
 
-from .coupling import SQRT2, BoundaryCoupling, dirichlet, neumann, robin
-from .permutations import enumerate_group, group_table, sort_descending
-from .wavefunctions import Statistics
+from .coupling import SQRT2, BoundaryCoupling
+from .permutations import Statistics, group_table, sort_descending
 
 #: log of the smallest normal double.  Closed-form permutation sums flush
 #: exponents below it to exact zero: each such term is below 2.3e-308,
@@ -62,8 +62,8 @@ class KernelEvaluator:
     """Vectorized propagator K(x, y; tau) with its contract metadata.
 
     ``evaluate`` broadcasts over leading point axes; ``space`` is
-    'full' or 'sector'; ``stat`` tags the exchange symmetry of full
-    kernels; ``coupling`` records the pair coupling (None means free).
+    'full' or 'sector'; ``coupling`` records the pair coupling (None
+    means free).
     ``pair_face_residual``, when present, returns the face boundary
     operator applied to the kernel analytically.  ``log_one_body``, when
     present, marks a product kernel
@@ -75,7 +75,6 @@ class KernelEvaluator:
     evaluate: callable
     space: str
     n: int
-    stat: object = None
     coupling: object = None
     label: str = ""
     pair_face_residual: callable = None
@@ -99,9 +98,8 @@ def free_kernel(n: int) -> KernelEvaluator:
         out = np.exp(-d2 / (2.0 * tau)) / (2.0 * np.pi * tau) ** (n / 2.0)
         return out
 
-    return KernelEvaluator(evaluate=evaluate, space="full", n=n, stat=None,
-                           coupling=None, label=f"free[{n}]",
-                           log_one_body=log_gaussian_1d)
+    return KernelEvaluator(evaluate=evaluate, space="full", n=n, coupling=None,
+                           label=f"free[{n}]", log_one_body=log_gaussian_1d)
 
 
 def log_gaussian_1d(u, v, tau: float) -> np.ndarray:
@@ -111,17 +109,6 @@ def log_gaussian_1d(u, v, tau: float) -> np.ndarray:
     d *= -0.5 / tau
     d -= 0.5 * math.log(2.0 * math.pi * tau)
     return d
-
-
-def _as_pair_coupling(a) -> BoundaryCoupling:
-    if isinstance(a, BoundaryCoupling):
-        return a
-    a = float(a)
-    if a == 0.0:
-        return dirichlet()
-    if math.isinf(a):
-        return neumann()
-    return robin(a)
 
 
 def relative_half_line_kernel(entry: BoundaryCoupling):
@@ -183,12 +170,10 @@ def relative_half_line_kernel(entry: BoundaryCoupling):
     return kernel, derivative
 
 
-def robin_pair_kernel(a) -> KernelEvaluator:
+def robin_pair_kernel(entry: BoundaryCoupling) -> KernelEvaluator:
     """Two-body sector kernel: free center of mass times the half-line
-    relative kernel satisfying the face condition for coupling ``a``.
-
-    ``a`` may be a BoundaryCoupling or a float (0 means the hard-core
-    limit, inf the free-boson limit).
+    relative kernel satisfying the face condition of ``entry`` (robin,
+    dirichlet or neumann).
 
     When x and y both hold more than one point and span disjoint axes
     (x.size * y.size points no more than their broadcast, as in the
@@ -201,7 +186,6 @@ def robin_pair_kernel(a) -> KernelEvaluator:
     Single points and pairwise (N, 2) x (N, 2) inputs take the direct
     path, with no sort.
     """
-    entry = _as_pair_coupling(a)
     k_rel, dk_rel = relative_half_line_kernel(entry)
 
     def split(x):
@@ -246,14 +230,14 @@ def robin_pair_kernel(a) -> KernelEvaluator:
         scale = max(float(np.max(np.abs(value))), float(np.max(np.abs(pair_derivative))), 1e-300)
         return float(np.max(resid)) / scale
 
-    return KernelEvaluator(evaluate=evaluate, space="sector", n=2, stat=None,
-                           coupling=entry, label=f"pair[{entry.label()}]",
+    return KernelEvaluator(evaluate=evaluate, space="sector", n=2, coupling=entry,
+                           label=f"pair[{entry.label()}]",
                            pair_face_residual=face_residual)
 
 
 def permutation_sum(kernel: KernelEvaluator, stat: Statistics) -> KernelEvaluator:
     """Sector kernel as the character-weighted sum over relabelings,
-    sum_sigma chi(sigma) K(x, sigma y).
+    sum_sigma chi(sigma) K(x, sigma y), over the rows of ``group_table``.
 
     For a product kernel (``kernel.log_one_body`` set) the sum is the
     permanent (Bose) or determinant (Fermi) of the one-body matrix
@@ -268,16 +252,16 @@ def permutation_sum(kernel: KernelEvaluator, stat: Statistics) -> KernelEvaluato
     if kernel.space != "full":
         raise ValueError("permutation sum needs a full-space kernel")
     n = kernel.n
-    group = enumerate_group(n)
-    signs = group_table(n)[1].tolist()
-    chars = signs if stat is Statistics.FERMI else [1] * len(signs)
+    images, signs = group_table(n)
+    chars = [stat.character(sign) for sign in signs.tolist()]
+    rows = images.tolist()
 
     def evaluate(x, y, tau):
         x = _points(x, n)
         y = _points(y, n)
         total = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
-        for chi, sigma in zip(chars, group):
-            total = total + chi * np.asarray(kernel.evaluate(x, sigma.apply(y), tau))
+        for chi, image in zip(chars, rows):
+            total = total + chi * np.asarray(kernel.evaluate(x, y[..., image], tau))
         return total
 
     def evaluate_product(x, y, tau):
@@ -289,10 +273,10 @@ def permutation_sum(kernel: KernelEvaluator, stat: Statistics) -> KernelEvaluato
                                     np.moveaxis(y, -1, 0)[None, :], tau)
         total = np.zeros(table.shape[2:])
         exponent = np.empty_like(total)
-        for chi, sigma in zip(chars, group):
-            np.copyto(exponent, table[0, sigma(0)])
+        for chi, image in zip(chars, rows):
+            np.copyto(exponent, table[0, image[0]])
             for i in range(1, n):
-                exponent += table[i, sigma(i)]
+                exponent += table[i, image[i]]
             term = np.exp(exponent, out=np.zeros_like(total),
                           where=exponent >= LOG_TINY)
             if chi > 0:
@@ -303,7 +287,7 @@ def permutation_sum(kernel: KernelEvaluator, stat: Statistics) -> KernelEvaluato
 
     return KernelEvaluator(
         evaluate=evaluate if kernel.log_one_body is None else evaluate_product,
-        space="sector", n=n, stat=stat, coupling=kernel.coupling,
+        space="sector", n=n, coupling=kernel.coupling,
         label=f"sum[{stat.value},{kernel.label}]")
 
 
@@ -324,11 +308,11 @@ def dual_pair_from_sector(sector_kernel: KernelEvaluator):
             y = _points(y, n)
             xs, _, sx = sort_descending(x)
             ys, _, sy = sort_descending(y)
-            chi = sx * sy if stat is Statistics.FERMI else 1
+            chi = stat.character(sx) * stat.character(sy)
             out = chi * np.asarray(sector_kernel.evaluate(xs, ys, tau)) / fact
             return out
 
-        return KernelEvaluator(evaluate=evaluate, space="full", n=n, stat=stat,
+        return KernelEvaluator(evaluate=evaluate, space="full", n=n,
                                coupling=sector_kernel.coupling,
                                label=f"dual[{stat.value},{sector_kernel.label}]")
 

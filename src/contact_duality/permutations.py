@@ -4,18 +4,22 @@ A permutation sigma acts on a coordinate tuple by relabelling slots,
 
     (sigma x)_i = x_{sigma(i)},
 
-so sigma (sigma' x) = (sigma sigma') x.  ``group_table`` holds S_n once
-per n: a cached read-only table of image tuples in the lexicographic
-order of ``itertools.permutations``, which fixes the summation order of
-every permutation sum built on it, and their signs.
-``sort_descending`` is the one descending sort: it sorts a point or a
-batch into the descending sector and returns the sorting permutation
-and its sign.  Every other module enumerates, sorts, signs and ranks
-permutations through this one.
+so sigma (sigma' x) = (sigma sigma') x.  ``group_table`` is the one
+enumeration of S_n: a cached read-only table of image tuples in the
+lexicographic order of ``itertools.permutations``, which fixes the
+summation order of every permutation sum built on it, and their signs.
+A permutation sum gathers x[..., image] row by row.  ``Statistics``
+holds the two one-dimensional characters of S_n, trivial (Bose) and
+the sign (Fermi); ``Statistics.character`` is the one map from a sign
+to chi.  ``sort_descending`` is the one descending sort: it sorts a
+point or a batch into the descending sector and returns the sorting
+permutation and its sign.  Every other module enumerates, sorts, signs,
+ranks and weights permutations through this one.
 """
 
 from __future__ import annotations
 
+import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,8 +29,20 @@ import numpy as np
 
 from .errors import CapExceeded
 
-#: Largest particle number ``enumerate_group`` lists (8! = 40320 elements).
+#: Largest particle number ``group_table`` lists (8! = 40320 elements).
 DEFAULT_GROUP_CAP = 8
+
+
+class Statistics(enum.Enum):
+    """Exchange statistics: the trivial (Bose) or sign (Fermi) character."""
+
+    BOSE = "bose"
+    FERMI = "fermi"
+
+    def character(self, sign):
+        """chi(sigma) from sgn(sigma), a scalar or an array of signs: the
+        sign itself for FERMI, the scalar 1 for BOSE (no ones array)."""
+        return sign if self is Statistics.FERMI else 1
 
 
 @dataclass(frozen=True)
@@ -43,9 +59,6 @@ class Permutation:
     @property
     def n(self) -> int:
         return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
 
     def apply(self, x):
         """Relabel coordinates: (sigma x)_i = x_{sigma(i)}.
@@ -102,21 +115,12 @@ def sort_descending(x):
 def group_table(n: int):
     """S_n as read-only arrays: images (n!, n), one permutation per row
     in the lexicographic order of ``itertools.permutations``, and their
-    signs (n!,)."""
-    images = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    signs = permutation_signs_batch(images)
-    images.flags.writeable = False
-    signs.flags.writeable = False
-    return images, signs
+    signs (n!,).
 
-
-def enumerate_group(n: int):
-    """List S_n as ``Permutation`` objects in ``group_table`` order.
-
-    The order is lexicographic in the image tuples and therefore
-    deterministic; permutation sums rely on this for bit-reproducible
-    results.  Raises CapExceeded above ``DEFAULT_GROUP_CAP`` since the
-    cost of everything downstream is n! kernel evaluations.
+    The order is deterministic; permutation sums rely on it for
+    bit-reproducible results.  Raises CapExceeded above
+    ``DEFAULT_GROUP_CAP`` since the cost of everything downstream is n!
+    kernel evaluations.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -125,5 +129,8 @@ def enumerate_group(n: int):
             f"n = {n} exceeds the enumeration cap {DEFAULT_GROUP_CAP} "
             f"({math.factorial(n)} elements)"
         )
-    return [Permutation(images) for images in map(tuple, group_table(n)[0].tolist())]
-
+    images = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    signs = permutation_signs_batch(images)
+    images.flags.writeable = False
+    signs.flags.writeable = False
+    return images, signs

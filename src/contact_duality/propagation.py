@@ -36,9 +36,8 @@ from .operators import (
     build_epsilon_fermi,
     solve,
 )
-from .permutations import enumerate_group, group_table, permutation_ranks, sort_descending
+from .permutations import Statistics, group_table, permutation_ranks, sort_descending
 from .quadrature import sector_rule
-from .wavefunctions import Statistics
 
 
 @dataclass
@@ -88,17 +87,19 @@ def propagate_equivariant(kernel: KernelEvaluator, stat: Statistics, psi0, tau: 
 
     The integral over all orderings is carried out sector by sector: the
     relabeling change of variables maps each ordering region onto the
-    fundamental sector and contributes chi(sigma) K(x, sigma z).
+    fundamental sector and contributes chi(sigma) K(x, sigma z), one
+    ``group_table`` row at a time.
     """
     if kernel.space != "full":
         raise ValueError("need a full-space kernel")
     n = kernel.n
     pts, wts = quad.rule(n)
     weights = wts * np.asarray(psi0(pts))
+    images, signs = group_table(n)
     out = 0.0
-    for sigma in enumerate_group(n):
-        chi = 1 if stat is Statistics.BOSE else sigma.sign
-        out = out + chi * _integrate_rule(kernel, targets, sigma.apply(pts), weights, tau)
+    for image, sign in zip(images.tolist(), signs.tolist()):
+        moved = _integrate_rule(kernel, targets, pts[..., image], weights, tau)
+        out = out + stat.character(sign) * moved
     return out
 
 

@@ -207,14 +207,10 @@ def duality_report(dom: DomainSpec, model: CouplingModel, k: int,
                 [np.abs(ea), np.abs(eb), np.full_like(ea, 1e-12)])
             devs.append(float(np.max(rel)))
         report.pair_deviations[(a, b)] = devs
-        orders = []
-        for i in range(len(devs) - 2):
-            if min(devs[i], devs[i + 1], devs[i + 2]) < 1e-13:
-                orders.append(None)  # structurally identical pair
-            else:
-                ratio = devs[i + 1] / devs[i + 2] if devs[i + 2] else None
-                orders.append(None if not ratio else float(np.log2(devs[i] / devs[i + 1])))
-        report.pair_deviation_orders[(a, b)] = orders
+        # None for a structurally identical pair
+        report.pair_deviation_orders[(a, b)] = [
+            None if min(devs[i:i + 3]) < 1e-13 else float(np.log2(devs[i] / devs[i + 1]))
+            for i in range(len(devs) - 2)]
 
     if refinements >= 3:
         for form in FORMULATIONS:
@@ -228,7 +224,8 @@ def duality_report(dom: DomainSpec, model: CouplingModel, k: int,
                 extrap.append(richardson_extrapolate(triple[1], triple[2], p)
                               if p is not None else triple[2])
             report.eigenvalue_orders[form] = per_index
-            report.extrapolated[form] = extrap
+            # per-index steps of close levels can cross; a spectrum ascends
+            report.extrapolated[form] = sorted(extrap)
 
     report.bf_check = bf_overlap_deviations(results_by_level[-1]["delta_bose"],
                                             results_by_level[-1]["epsilon_fermi"])

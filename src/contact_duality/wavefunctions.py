@@ -1,8 +1,9 @@
-"""Exchange statistics, equivariant extension, and the boson-fermion map.
+"""Equivariant extension and the boson-fermion map.
 
-A one-dimensional unitary character of the symmetric group is either
-trivial (Bose) or the sign (Fermi).  A wavefunction on the descending
-sector extends to the coincidence-free space via
+The exchange statistics is a one-dimensional unitary character of the
+symmetric group, trivial (Bose) or the sign (Fermi): ``Statistics``
+and its ``character`` live in ``permutations``.  A wavefunction on the
+descending sector extends to the coincidence-free space via
 
     psi_stat(x) = chi(sigma) psi(sigma x) / sqrt(n!),
 
@@ -14,32 +15,17 @@ yields the totally antisymmetric one with identical probability density.
 
 from __future__ import annotations
 
-import enum
 import math
 
 import numpy as np
 
 from .errors import GridMismatch, NotEquivariant
 from .grids import FullGrid, WavefunctionGrid
-from .permutations import Permutation, sort_descending
+from .permutations import Statistics, sort_descending
 
 #: Relative tolerance for the exchange-symmetry check; extension itself is
 #: exact arithmetic, so only round-off accumulates.
 EQUIVARIANCE_RTOL = 1e-10
-
-
-class Statistics(enum.Enum):
-    BOSE = "bose"
-    FERMI = "fermi"
-
-
-def character(stat: Statistics, sigma: Permutation) -> int:
-    """Value of the statistics character on a permutation: 1 or sign."""
-    if stat is Statistics.BOSE:
-        return 1
-    if stat is Statistics.FERMI:
-        return sigma.sign
-    raise ValueError(f"unknown statistics {stat!r}")
 
 
 def _require(cond: bool, message: str):
@@ -59,8 +45,8 @@ def extend(psi: WavefunctionGrid, stat: Statistics) -> WavefunctionGrid:
     sector = psi.grid
     full = FullGrid(n=sector.n, length=sector.length, points=sector.points)
     ranks, signs = full.sector_decomposition()
-    chi = signs if stat is Statistics.FERMI else np.ones_like(signs)
-    values = chi * psi.values[ranks] / math.sqrt(math.factorial(sector.n))
+    norm = math.sqrt(math.factorial(sector.n))
+    values = stat.character(signs) * psi.values[ranks] / norm
     return WavefunctionGrid(full, values, "full", stat)
 
 
@@ -75,9 +61,9 @@ def equivariance_residual(psi: WavefunctionGrid, stat: Statistics):
     grid = psi.grid
     scale = float(np.max(np.abs(psi.values))) or 1.0
     worst = (0.0, -1, -1)
+    chi = stat.character(-1)  # every swap is odd
     for j in range(grid.n - 1):
         perm = grid.transposition_map(j)
-        chi = -1.0 if stat is Statistics.FERMI else 1.0
         dev = np.abs(psi.values[perm] - chi * psi.values)
         k = int(np.argmax(dev))
         if dev[k] > worst[0]:

@@ -38,6 +38,7 @@ from contact_duality.kernels import (
     robin_pair_kernel,
 )
 from contact_duality.operators import DomainSpec, build_epsilon_fermi, build_sector, solve
+from contact_duality.permutations import Statistics
 from contact_duality.propagation import (
     PropagationQuad,
     ground_state_projection_check,
@@ -47,7 +48,6 @@ from contact_duality.propagation import (
     two_stage_values,
 )
 from contact_duality.spectra import FORMULATIONS, duality_report
-from contact_duality.wavefunctions import Statistics
 
 
 @pytest.fixture

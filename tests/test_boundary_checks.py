@@ -16,6 +16,7 @@ from contact_duality.operators import (
     build_sector,
     solve,
 )
+from contact_duality.permutations import Statistics
 
 
 def sector_ground(points, entry=robin(-1.0), length=10.0):
@@ -64,11 +65,11 @@ def test_connection_residuals_on_eigenstates():
     model = uniform_model(2, robin(-1.0))
     h = dom.spacing
     out = {}
-    for kind, build, anti in (("delta", build_delta_bose, False),
-                              ("epsilon", build_epsilon_fermi, True)):
+    for kind, build, stat in (("delta", build_delta_bose, Statistics.BOSE),
+                              ("epsilon", build_epsilon_fermi, Statistics.FERMI)):
         res = solve(build(dom, model), 1)
         fn = MeshFunction(res.operator, res.vectors[:, 0])
-        ev = reduced_state_evaluator(fn, anti)
+        ev = reduced_state_evaluator(fn, stat)
         t = res.operator.lattice[12:70:9]
         plane = np.stack([t, t], axis=-1)
         out[kind] = connection_residual(ev, kind, -1.0, plane, 1,
@@ -87,7 +88,7 @@ def test_connection_residual_refinement():
         dom = DomainSpec(n=2, length=10.0, points=points)
         res = solve(build_delta_bose(dom, model), 1)
         fn = MeshFunction(res.operator, res.vectors[:, 0])
-        ev = reduced_state_evaluator(fn, False)
+        ev = reduced_state_evaluator(fn, Statistics.BOSE)
         h = dom.spacing
         t = res.operator.lattice[points // 8: 7 * points // 8: max(points // 10, 1)]
         plane = np.stack([t, t], axis=-1)
@@ -130,7 +131,7 @@ def test_symmetry_reduction_equivalence_on_one_state():
     # sector side: the reduced values are sector node values
     sector_res = robin_residual(fn, 1, model)
     # full side: connection conditions of the symmetric extension
-    ev = reduced_state_evaluator(fn, False)
+    ev = reduced_state_evaluator(fn, Statistics.BOSE)
     h = dom.spacing
     t = res.operator.lattice[12:70:9]
     plane = np.stack([t, t], axis=-1)
@@ -142,7 +143,7 @@ def test_symmetry_reduction_equivalence_on_one_state():
 
     free = solve(build_delta_bose(dom, uniform_model(2, neumann())), 1)
     fn_free = MeshFunction(res.operator, free.vectors[:, 0])
-    ev_free = reduced_state_evaluator(fn_free, False)
+    ev_free = reduced_state_evaluator(fn_free, Statistics.BOSE)
     conn_free = connection_residual(ev_free, "delta", -1.0, plane, 1,
                                     (2 * h, 4 * h, 6 * h))
     assert robin_residual(fn_free, 1, model) > 0.3

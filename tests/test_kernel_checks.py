@@ -20,7 +20,7 @@ from contact_duality.kernels import (
     relative_half_line_kernel,
     robin_pair_kernel,
 )
-from contact_duality.wavefunctions import Statistics
+from contact_duality.permutations import Statistics
 
 
 def test_free_kernel_assumptions_two_body():

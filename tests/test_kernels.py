@@ -14,9 +14,8 @@ from contact_duality.kernels import (
     relative_half_line_kernel,
     robin_pair_kernel,
 )
-from contact_duality.permutations import enumerate_group
+from contact_duality.permutations import Statistics, group_table
 from contact_duality.quadrature import integrate_box, sector_rule
-from contact_duality.wavefunctions import Statistics
 
 
 def test_free_kernel_normalization():
@@ -100,10 +99,10 @@ def test_pair_kernel_face_residual():
     assert pk.pair_face_residual(y, 0.5) < 1e-12
 
 
-def test_pair_kernel_accepts_floats():
-    assert robin_pair_kernel(0.0).coupling.kind == "dirichlet"
-    assert robin_pair_kernel(np.inf).coupling.kind == "neumann"
-    assert robin_pair_kernel(-2.0).coupling.value == -2.0
+def test_pair_kernel_records_its_coupling():
+    assert robin_pair_kernel(dirichlet()).coupling.kind == "dirichlet"
+    assert robin_pair_kernel(neumann()).coupling.kind == "neumann"
+    assert robin_pair_kernel(robin(-2.0)).coupling.value == -2.0
 
 
 def _relative(points):
@@ -137,13 +136,14 @@ def test_pair_kernel_table_is_bitwise_the_direct_path():
     targets = np.concatenate([rule[::1500], face[::2], near[::2], face[:1]])
     attractive = np.min(_relative(targets)[:, None] + _relative(pts)[None, :])
     assert attractive + 0.4 / (SQRT2 * -1.0) < 0
-    for a in (1.0, -1.0, 0.05, -0.05, 0.0, np.inf):
-        pk = robin_pair_kernel(a)
+    for entry in (robin(1.0), robin(-1.0), robin(0.05), robin(-0.05), dirichlet(),
+                  neumann()):
+        pk = robin_pair_kernel(entry)
         for tau in (0.05, 0.4, 2.0):
             table = pk(targets[:, None, :], pts[None, :, :], tau)
             direct = np.stack([pk(x[None, :], pts, tau) for x in targets])
             assert table.shape == direct.shape == (targets.shape[0], pts.shape[0])
-            assert np.array_equal(table, direct), (a, tau)
+            assert np.array_equal(table, direct), (entry, tau)
 
 
 @pytest.mark.parametrize("a", [1.0, -1.0])
@@ -154,7 +154,7 @@ def test_pair_kernel_error_functions_see_distinct_relative_coordinates(monkeypat
     rule, _ = sector_rule(-7.0, 7.0, 2, 20, 8)
     targets = rule[:64]
     seen = _count_error_function_arguments(monkeypatch)
-    robin_pair_kernel(a)(targets[:, None, :], rule[None, :, :], 0.4)
+    robin_pair_kernel(robin(a))(targets[:, None, :], rule[None, :, :], 0.4)
     distinct = np.unique(_relative(rule)).size
     assert 0 < sum(seen) <= 64 * distinct < 64 * rule.shape[0]
 
@@ -170,7 +170,7 @@ def test_pair_kernel_pairwise_points_stay_elementwise(monkeypatch):
     cy = (y[:, 0] + y[:, 1]) / SQRT2
     formula = gaussian_1d(cx - cy, 0.4) * k_rel(_relative(x), _relative(y), 0.4)
     seen = _count_error_function_arguments(monkeypatch)
-    values = robin_pair_kernel(-1.0)(x, y, 0.4)
+    values = robin_pair_kernel(robin(-1.0))(x, y, 0.4)
     assert sum(seen) == 40
     assert values.shape == (40,)
     assert np.array_equal(values, formula)
@@ -194,10 +194,11 @@ def test_permutation_sum_cap():
 
 def _loop_sum(kernel, stat, x, y, tau):
     """The defining sum over the group: sum_sigma chi(sigma) K(x, sigma y)."""
+    images, signs = group_table(kernel.n)
     total = 0.0
-    for sigma in enumerate_group(kernel.n):
-        chi = 1 if stat is Statistics.BOSE else sigma.sign
-        total = total + chi * kernel(x, sigma.apply(y), tau)
+    for image, sign in zip(images, signs):
+        chi = 1 if stat is Statistics.BOSE else sign
+        total = total + chi * kernel(x, y[..., image], tau)
     return total
 
 
@@ -258,10 +259,10 @@ def test_dual_pair_reconstruction_identity():
     xs = np.array([[0.9, -0.2]])
     ys = np.array([[1.4, 0.1]])
     tau = 0.5
-    sum_b = sum(k_bose(xs, s.apply(ys[0])[None, :], tau).item()
-                for s in enumerate_group(2))
-    sum_f = sum(s.sign * k_fermi(xs, s.apply(ys[0])[None, :], tau).item()
-                for s in enumerate_group(2))
+    images, signs = group_table(2)
+    sum_b = sum(k_bose(xs, ys[:, image], tau).item() for image in images)
+    sum_f = sum(sign * k_fermi(xs, ys[:, image], tau).item()
+                for image, sign in zip(images, signs))
     direct = pk(xs, ys, tau).item()
     np.testing.assert_allclose(sum_b, direct, rtol=1e-14)
     np.testing.assert_allclose(sum_f, direct, rtol=1e-14)

@@ -7,12 +7,17 @@ import pytest
 from contact_duality.errors import CapExceeded
 from contact_duality.permutations import (
     Permutation,
-    enumerate_group,
+    Statistics,
     group_table,
     permutation_ranks,
     permutation_signs_batch,
     sort_descending,
 )
+
+
+def _group(n: int):
+    """S_n as ``Permutation`` objects built from the ``group_table`` rows."""
+    return [Permutation(tuple(row)) for row in group_table(n)[0].tolist()]
 
 
 def _compose(sigma, tau) -> Permutation:
@@ -54,8 +59,8 @@ def test_group_table():
         assert signs.tolist() == [_cycle_sign(p) for p in reference]
         np.testing.assert_array_equal(permutation_ranks(images), np.arange(len(reference)))
         np.testing.assert_array_equal(permutation_signs_batch(images), signs)
-        assert [p.images for p in enumerate_group(n)] == reference
-        assert [p.sign for p in enumerate_group(n)] == signs.tolist()
+        assert [p.images for p in _group(n)] == reference
+        assert [p.sign for p in _group(n)] == signs.tolist()
         with pytest.raises(ValueError):
             images[0, 0] = 1
         with pytest.raises(ValueError):
@@ -77,7 +82,7 @@ def test_apply_convention():
 def test_composition_action_law():
     rng = np.random.default_rng(7)
     for n in (2, 3, 4, 5):
-        perms = enumerate_group(n)
+        perms = _group(n)
         for _ in range(20):
             sigma = perms[rng.integers(len(perms))]
             tau = perms[rng.integers(len(perms))]
@@ -89,25 +94,25 @@ def test_composition_action_law():
 
 def test_sign_homomorphism_exhaustive():
     for n in (2, 3, 4):
-        for sigma in enumerate_group(n):
-            for tau in enumerate_group(n):
+        for sigma in _group(n):
+            for tau in _group(n):
                 assert _compose(sigma, tau).sign == sigma.sign * tau.sign
 
 
 def test_enumeration_counts():
-    assert len(enumerate_group(3)) == 6
-    signs = [p.sign for p in enumerate_group(3)]
+    assert len(_group(3)) == 6
+    signs = [p.sign for p in _group(3)]
     assert signs.count(1) == 3 and signs.count(-1) == 3
-    even = [p for p in enumerate_group(3) if p.sign == 1]
+    even = [p for p in _group(3) if p.sign == 1]
     assert len(even) == 3
-    assert [p.images for p in enumerate_group(2) if p.sign == 1] == [(0, 1)]
+    assert [p.images for p in _group(2) if p.sign == 1] == [(0, 1)]
 
 
 def test_coset_partition():
     # A_n and A_n tau partition S_n for any transposition tau.
     for n in (2, 3, 4, 5):
-        full = {p.images for p in enumerate_group(n)}
-        even = [p for p in enumerate_group(n) if p.sign == 1]
+        full = {p.images for p in _group(n)}
+        even = [p for p in _group(n) if p.sign == 1]
         tau = Permutation((n - 1, *range(1, n - 1), 0))  # swap of slots 0 and n-1
         odd = {_compose(p, tau).images for p in even}
         even_set = {p.images for p in even}
@@ -117,9 +122,35 @@ def test_coset_partition():
 
 
 def test_enumeration_cap():
-    assert len(enumerate_group(8)) == math.factorial(8)
+    images, signs = group_table(8)
+    assert images.shape == (math.factorial(8), 8) and signs.shape == (math.factorial(8),)
     with pytest.raises(CapExceeded):
-        enumerate_group(9)
+        group_table(9)
+    with pytest.raises(ValueError):
+        group_table(0)
+
+
+def test_character_values():
+    assert Permutation((1, 0, 2)).sign == -1 and Permutation((1, 2, 0)).sign == 1
+    for n in range(1, 6):
+        signs = group_table(n)[1]
+        np.testing.assert_array_equal(Statistics.FERMI.character(signs), signs)
+        assert [Statistics.FERMI.character(s) for s in signs.tolist()] == signs.tolist()
+        # Bose sums multiply by a scalar, never by a ones array
+        assert Statistics.BOSE.character(signs) == 1
+        assert [Statistics.BOSE.character(s) for s in signs.tolist()] == [1] * len(signs)
+
+
+def test_character_homomorphism_exhaustive():
+    for n in (2, 3, 4):
+        images, signs = group_table(n)
+        rows = list(zip(images.tolist(), signs.tolist()))
+        for stat in Statistics:
+            for sigma, sign_sigma in rows:
+                for tau, sign_tau in rows:
+                    product = Permutation(tuple(tau[i] for i in sigma))
+                    assert stat.character(product.sign) == (
+                        stat.character(sign_sigma) * stat.character(sign_tau))
 
 
 def test_invalid_images_rejected():

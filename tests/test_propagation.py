@@ -9,6 +9,7 @@ from contact_duality.kernels import (
     robin_pair_kernel,
 )
 from contact_duality.operators import DomainSpec, build_sector
+from contact_duality.permutations import Statistics
 from contact_duality.propagation import (
     PropagationQuad,
     ground_state_projection_check,
@@ -18,7 +19,6 @@ from contact_duality.propagation import (
     real_time_cross_check,
     two_stage_values,
 )
-from contact_duality.wavefunctions import Statistics
 
 
 def gaussian_profile(centers, width=1.0):

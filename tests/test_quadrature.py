@@ -21,6 +21,7 @@ from contact_duality.kernel_checks import (
     initial_condition_intercept,
 )
 from contact_duality.kernels import free_kernel, permutation_sum
+from contact_duality.permutations import Statistics
 from contact_duality.quadrature import (
     EVAL_CHUNK,
     _box_blocks,
@@ -32,7 +33,6 @@ from contact_duality.quadrature import (
     integrate_sector,
     sector_rule,
 )
-from contact_duality.wavefunctions import Statistics
 
 
 def test_ordered_cube_rule_volume():

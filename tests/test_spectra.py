@@ -43,6 +43,19 @@ def test_duality_report_structure_and_gates():
     assert len(as_dict["content_hash"]) == 12
 
 
+def test_extrapolated_spectrum_is_ascending():
+    # n=3, a=+1: the per-index Richardson values of the close levels 4 and
+    # 5 cross (sector 2.223342 then 2.221997), so the report sorts them
+    rep = duality_report(DomainSpec(n=3, length=6.0, points=12),
+                         uniform_model(3, robin(1.0)), k=5, refinements=3)
+    for form in FORMULATIONS:
+        ladder = [lv["eigenvalues"][form] for lv in rep.levels]
+        per_index = [richardson_extrapolate(mid, fine, convergence_order(coarse, mid, fine))
+                     for coarse, mid, fine in zip(*ladder)]
+        assert per_index != sorted(per_index)
+        assert rep.extrapolated[form] == sorted(per_index)
+
+
 def test_duality_report_three_body_distinct():
     dom = DomainSpec(n=3, length=6.0, points=8)
     model = CouplingModel((robin(-1.0), robin(-2.0)))

@@ -6,11 +6,9 @@ import pytest
 
 from contact_duality.errors import GridMismatch, NotEquivariant
 from contact_duality.grids import FullGrid, SectorGrid, WavefunctionGrid, sample_sector_function
-from contact_duality.permutations import Permutation, enumerate_group
+from contact_duality.permutations import Statistics
 from contact_duality.wavefunctions import (
-    Statistics,
     bf_map,
-    character,
     check_equivariant,
     extend,
     restrict,
@@ -57,26 +55,6 @@ def test_grid_tables_and_ranks_match_itertools():
         pair_signs = [math.prod(1 if t[a] > t[b] else -1 for a, b in
                                 itertools.combinations(range(n), 2)) for t in full_ref]
         np.testing.assert_array_equal(signs, pair_signs)
-
-
-def test_character_values():
-    tau = Permutation((1, 0, 2))
-    assert character(Statistics.FERMI, tau) == -1
-    three_cycle = Permutation((1, 2, 0))
-    assert character(Statistics.FERMI, three_cycle) == 1
-    for sigma in enumerate_group(3):
-        assert character(Statistics.BOSE, sigma) == 1
-
-
-def test_character_homomorphism_exhaustive():
-    for n in (2, 3, 4):
-        for stat in Statistics:
-            for sigma in enumerate_group(n):
-                for tau in enumerate_group(n):
-                    product = Permutation(tuple(tau.images[i] for i in sigma.images))
-                    assert character(stat, product) == (
-                        character(stat, sigma) * character(stat, tau)
-                    )
 
 
 def test_extend_two_body_values():
