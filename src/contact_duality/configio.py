@@ -31,7 +31,8 @@ SPECTRAL_COMMANDS = ("spectrum", "duality", "scale-invariance")
 MIN_N = {"kernel-properties": 2, "dual-kernels": 2, "fold-check": 1}
 
 #: Counts that must be at least 1 in every schema that has them.
-POSITIVE_COUNTS = ("levels", "count", "pairs", "refinements")
+POSITIVE_COUNTS = ("levels", "count", "pairs", "refinements", "quad_order",
+                   "quad_cells", "initial_depth")
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False}
 
@@ -267,4 +268,20 @@ def validate_config(text: str) -> ExperimentConfig:
         cfg.coupling_model()  # raises on missing faces
     elif command in MIN_N and n < MIN_N[command]:
         raise ConfigError(f"key 'n': {command} needs n >= {MIN_N[command]}, got {n}")
+    elif command == "propagate":
+        _check_propagate(values)
     return cfg
+
+
+def _check_propagate(values: dict) -> None:
+    """Refuse propagation settings that leave no time step, no state or no
+    rule to integrate on (written so that NaN is refused too)."""
+    for key in ("tau", "width"):
+        if not values[key] > 0:
+            raise ConfigError(f"key {key!r}: must be positive, got {values[key]}")
+    lo, hi = values["quad_lo"], values["quad_hi"]
+    if not lo < hi:
+        raise ConfigError(f"key 'quad_lo': must be below quad_hi = {hi}, got {lo}")
+    if not values["center1"] >= values["center2"]:
+        raise ConfigError(f"key 'center1': the sector needs center1 >= center2 = "
+                          f"{values['center2']}, got {values['center1']}")

@@ -14,6 +14,12 @@ integration schemes.  Route 3 also provides the real-time finite-matrix
 cross-check: at matrix level the character-weighted sums of the full
 delta and epsilon evolution kernels must reproduce the reduced sector
 evolution exactly.
+
+The semigroup check (``two_stage_values``) applies the rule-on-rule
+kernel matrix K(pts, pts; tau) and assumes it symmetric, K(x, y) =
+K(y, x), as every heat kernel is (``robin_pair_kernel`` bit for bit,
+the ``kernel-properties`` symmetry gate at 1e-12).  It evaluates each
+unordered pair of target blocks once and applies it both ways.
 """
 
 from __future__ import annotations
@@ -68,6 +74,26 @@ def _integrate_rule(kernel: KernelEvaluator, targets: np.ndarray, pts: np.ndarra
         block = targets[start:start + TARGET_BLOCK]
         vals = np.asarray(kernel.evaluate(block[:, None, :], pts[None, :, :], tau))
         out[start:start + TARGET_BLOCK] = vals @ weights
+    return out
+
+
+def _apply_on_rule(kernel: KernelEvaluator, pts: np.ndarray, weights: np.ndarray,
+                   tau: float) -> np.ndarray:
+    """sum_j K(pts_i, pts_j; tau) weights_j at every rule point, for a kernel
+    with K(x, y) = K(y, x).
+
+    Block ``pts[s:e]`` of ``TARGET_BLOCK`` rows is evaluated against
+    ``pts[s:]`` only: that slab gives the block's own rows, and its part
+    right of the diagonal block, transposed, gives the later rows' share
+    from this block.  Each unordered pair of blocks is evaluated once;
+    only the summation order differs from ``_integrate_rule``.
+    """
+    out = np.zeros(pts.shape[0], dtype=float)
+    for start in range(0, pts.shape[0], TARGET_BLOCK):
+        end = start + TARGET_BLOCK
+        vals = np.asarray(kernel.evaluate(pts[start:end, None, :], pts[None, start:, :], tau))
+        out[start:end] += vals @ weights[start:]
+        out[end:] += weights[start:end] @ vals[:, TARGET_BLOCK:]
     return out
 
 
@@ -170,10 +196,19 @@ def ground_state_projection_check(op: GridOperator, tau: float, seed: int = 0,
 
 def two_stage_values(kernel: KernelEvaluator, psi0, tau1: float, tau2: float,
                      targets: np.ndarray, quad: PropagationQuad) -> np.ndarray:
-    """Propagate by tau1, then by tau2, through the sector quadrature."""
-    pts2, wts2 = quad.rule(kernel.n)
-    stage1 = propagate_at(kernel, psi0, tau1, pts2, quad)
-    return _integrate_rule(kernel, targets, pts2, wts2 * stage1, tau2)
+    """Propagate by tau1, then by tau2, through the sector quadrature.
+
+    Stage 1 is the rule-on-rule matrix K(pts, pts; tau1) applied to
+    wts * psi0(pts).  It is evaluated once per unordered pair of target
+    blocks (``_apply_on_rule``), which assumes the kernel symmetric in
+    its arguments, K(x, y) = K(y, x).  Stage 2 evaluates the targets
+    against the rule as ``propagate_at`` does.
+    """
+    if kernel.space != "sector":
+        raise ValueError("need a sector kernel")
+    pts, wts = quad.rule(kernel.n)
+    stage1 = _apply_on_rule(kernel, pts, wts * np.asarray(psi0(pts)), tau1)
+    return _integrate_rule(kernel, targets, pts, wts * stage1, tau2)
 
 
 @dataclass

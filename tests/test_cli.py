@@ -318,9 +318,14 @@ def test_kernel_properties_with_too_many_particles_to_sample(tmp_path, capsys):
     ("fold-check", "count"),
     ("kernel-properties", "pairs"),
     ("dual-kernels", "pairs"),
+    ("fold-check", "quad_order"),
+    ("kernel-properties", "quad_order"),
+    ("kernel-properties", "initial_depth"),
+    ("propagate", "quad_order"),
+    ("propagate", "quad_cells"),
 ])
 def test_zero_count_is_a_config_error(tmp_path, capsys, command, key):
-    if command in ("fold-check", "kernel-properties", "dual-kernels"):
+    if command in ("fold-check", "kernel-properties", "dual-kernels", "propagate"):
         lines = [f"command = {command}", "n = 2"]
     else:
         n = 3 if command == "scale-invariance" else 2
@@ -333,6 +338,26 @@ def test_zero_count_is_a_config_error(tmp_path, capsys, command, key):
     cfg = write(tmp_path, "zero.cfg", text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert f"config error: key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("changes, key", [
+    ({"tau": "0"}, "tau"),
+    ({"tau": "-0.4"}, "tau"),
+    ({"width": "0"}, "width"),
+    ({"quad_lo": "7"}, "quad_lo"),
+    ({"center1": "-1", "center2": "1"}, "center1"),
+])
+def test_propagate_geometry_is_a_config_error(tmp_path, capsys, changes, key):
+    # no time step, no initial state, an empty rule or targets sampled
+    # outside the sector: refused by key before any kernel is evaluated
+    lines = ["command = propagate", "n = 2", *(f"{k} = {v}" for k, v in changes.items())]
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(ConfigError, match=f"key '{key}'"):
+        validate_config(text)
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: key '{key}'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["spectrum", "duality"])

@@ -294,8 +294,31 @@ def test_sector_heat_kernels_positive():
 
 
 def test_sector_kernel_symmetry_in_arguments():
-    pk = robin_pair_kernel(robin(-1.3))
-    x = np.array([[0.7, -0.4]])
-    y = np.array([[1.5, 0.2]])
-    np.testing.assert_allclose(pk(x, y, 0.6).item(), pk(y, x, 0.6).item(),
-                               rtol=1e-14)
+    # The semigroup check evaluates K(pts, pts) once per unordered block
+    # pair, so K(x, y) == K(y, x) must hold bit for bit, on the table path
+    # ((b, 1, 2) x (1, M, 2) blocks) and on the direct one (pairwise points).
+    rule, _ = sector_rule(-7.0, 7.0, 2, 20, 8)
+    face = np.stack([np.linspace(-2.0, 2.0, 5)] * 2, axis=-1)
+    x = np.concatenate([rule[::150], face])
+    y = np.concatenate([rule[75::150], face[::-1]])
+    assert x.shape == y.shape
+    for entry in (robin(-1.0), robin(1.0), dirichlet(), neumann(), robin(-1.3)):
+        pk = robin_pair_kernel(entry)
+        for tau in (0.05, 0.6, 2.0):
+            table = pk(x[:, None, :], y[None, :, :], tau)
+            assert np.array_equal(table, pk(y[:, None, :], x[None, :, :], tau).T)
+            assert np.array_equal(pk(x, y, tau), pk(y, x, tau))
+
+
+@pytest.mark.parametrize("stat", [Statistics.BOSE, Statistics.FERMI])
+def test_free_permutation_sums_are_symmetric_in_arguments(stat):
+    # n = 2: each term sums the same two exponents either way, bit for bit;
+    # n = 3: swapping the arguments reorders each term's three exponents
+    rng = np.random.default_rng(17)
+    for n, rtol in ((2, 0.0), (3, 1e-15)):
+        kernel = permutation_sum(free_kernel(n), stat)
+        x = -np.sort(-rng.uniform(-2.0, 2.0, size=(30, n)), axis=-1)
+        y = -np.sort(-rng.uniform(-2.0, 2.0, size=(40, n)), axis=-1)
+        xy = kernel(x[:, None, :], y[None, :, :], 0.3)
+        yx = kernel(y[:, None, :], x[None, :, :], 0.3).T
+        assert np.max(np.abs(xy - yx)) <= rtol * np.max(np.abs(xy))

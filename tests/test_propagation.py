@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from contact_duality.coupling import robin, uniform_model
 from contact_duality.grids import SectorGrid, sample_sector_function
@@ -11,7 +12,10 @@ from contact_duality.kernels import (
 from contact_duality.operators import DomainSpec, build_sector
 from contact_duality.permutations import Statistics
 from contact_duality.propagation import (
+    TARGET_BLOCK,
     PropagationQuad,
+    _apply_on_rule,
+    _integrate_rule,
     ground_state_projection_check,
     propagate,
     propagate_at,
@@ -65,6 +69,26 @@ def test_semigroup_property():
     one = propagate_at(sector, psi0, 0.4, targets, quad)
     two = two_stage_values(sector, psi0, 0.2, 0.2, targets, quad)
     assert np.max(np.abs(one - two)) / np.max(np.abs(one)) < 1e-7
+
+
+@pytest.mark.parametrize("kernel", [robin_pair_kernel(robin(-1.0)),
+                                    permutation_sum(free_kernel(2), Statistics.BOSE)],
+                         ids=["pair", "free_bose"])
+@pytest.mark.parametrize("cells, order, size", [
+    (2, 4, 48),    # smaller than one block
+    (3, 8, 384),   # six whole blocks
+    (6, 6, 756),   # eleven blocks and a partial one
+])
+def test_symmetric_stage_matches_the_rectangular_one(kernel, cells, order, size):
+    # the rule-on-rule stage evaluates each unordered block pair once; it
+    # must equal evaluating every target block against the whole rule
+    assert TARGET_BLOCK == 64
+    pts, wts = PropagationQuad(-6.0, 6.0, cells, order).rule(2)
+    assert pts.shape[0] == size
+    weights = wts * gaussian_profile([1.0, -1.0])(pts)
+    rect = _integrate_rule(kernel, pts, pts, weights, 0.2)
+    sym = _apply_on_rule(kernel, pts, weights, 0.2)
+    assert np.max(np.abs(sym - rect)) <= 1e-14 * np.max(np.abs(rect))
 
 
 def test_propagate_wavefunction_grid():
