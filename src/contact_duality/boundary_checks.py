@@ -22,14 +22,6 @@ from .mesh import DofTable
 from .operators import GridOperator
 from .permutations import Statistics, sort_descending
 
-#: Quadratic extrapolation to the plane from three one-sided samples at
-#: parameters u_1 < u_2 < u_3: value and slope of the interpolant at 0.
-def _extrapolation_weights(u: np.ndarray):
-    v = np.vander(u, 3, increasing=True)  # columns 1, u, u^2
-    inv = np.linalg.inv(v)
-    return inv[0], inv[1]  # value weights, slope weights
-
-
 @dataclass
 class MeshFunction:
     """Node values attached to a grid operator's degrees of freedom."""
@@ -156,13 +148,34 @@ def probability_flux(fn: MeshFunction, j: int) -> float:
     return float(np.max(flux)) / scale
 
 
+def one_sided_face_values(evaluate, plane_points: np.ndarray, j: int, u: np.ndarray,
+                          sign: float):
+    """Value and pair derivative (d/dx_j - d/dx_{j+1}) at the plane
+    x_j = x_{j+1}, extrapolated from one side.
+
+    ``evaluate`` maps points (M, n) to values; the three samples sit at
+    pair separations x_j - x_{j+1} = sign * u_k from ``plane_points``, on
+    the side x_j > x_{j+1} for sign +1.  The quadratic through them gives
+    the value and slope at u = 0.  Returns (values, pair derivatives), one
+    per plane point.
+    """
+    direction = np.zeros(plane_points.shape[1])
+    direction[j - 1] = 0.5
+    direction[j] = -0.5
+    samples = np.stack([evaluate(plane_points + sign * uk * direction[None, :])
+                        for uk in u], axis=1)  # (M, 3)
+    # rows 0 and 1 of the inverse Vandermonde (columns 1, u, u^2) give the
+    # interpolant's value and d/du at 0; the pair derivative is 2 d/du
+    wv, wd = np.linalg.inv(np.vander(u, 3, increasing=True))[:2]
+    return samples @ wv, 2.0 * sign * (samples @ wd)
+
+
 @dataclass
 class ConnectionResidual:
     """Relative residuals of a two-sided connection condition."""
 
     jump: float        # the condition carrying the coupling strength
     continuity: float  # the partner continuity condition
-    scale: float
 
 
 def connection_residual(evaluate, kind: str, a: float, plane_points: np.ndarray,
@@ -184,25 +197,8 @@ def connection_residual(evaluate, kind: str, a: float, plane_points: np.ndarray,
     u = np.asarray(u_offsets, dtype=float)
     if u.shape != (3,) or np.any(u <= 0):
         raise ValueError("need three positive pair separations")
-    wv, wd = _extrapolation_weights(u)
-    n = plane_points.shape[1]
-    direction = np.zeros(n)
-    direction[j - 1] = 0.5
-    direction[j] = -0.5
-
-    def one_side(sign):
-        samples = []
-        for uk in u:
-            samples.append(evaluate(plane_points + sign * uk * direction[None, :]))
-        samples = np.stack(samples, axis=1)  # (M, 3)
-        value = samples @ wv
-        # d/du of the interpolant; the physical pair derivative is
-        # (d/dx_j - d/dx_{j+1}) = 2 d/du
-        slope = samples @ wd
-        return value, 2.0 * sign * slope
-
-    v_plus, d_plus = one_side(+1.0)
-    v_minus, d_minus = one_side(-1.0)
+    v_plus, d_plus = one_sided_face_values(evaluate, plane_points, j, u, +1.0)
+    v_minus, d_minus = one_sided_face_values(evaluate, plane_points, j, u, -1.0)
 
     scale = float(np.max(np.abs(np.concatenate([v_plus, v_minus]))))
     dscale = float(np.max(np.abs(np.concatenate([d_plus, d_minus]))))
@@ -216,7 +212,6 @@ def connection_residual(evaluate, kind: str, a: float, plane_points: np.ndarray,
         return ConnectionResidual(
             jump=float(np.max(jump)) / jump_norm,
             continuity=float(np.max(cont)) / norm,
-            scale=norm,
         )
     if kind == "epsilon":
         jump = np.abs((v_plus - v_minus) - a * (d_plus + d_minus))
@@ -226,7 +221,6 @@ def connection_residual(evaluate, kind: str, a: float, plane_points: np.ndarray,
         return ConnectionResidual(
             jump=float(np.max(jump)) / jump_norm,
             continuity=float(np.max(cont)) / cont_norm,
-            scale=norm,
         )
     raise ValueError(f"kind must be 'delta' or 'epsilon', got {kind!r}")
 

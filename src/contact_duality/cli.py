@@ -38,7 +38,7 @@ from .kernels import (
     permutation_sum,
     robin_pair_kernel,
 )
-from .operators import DomainSpec, cached_build, content_hash, solve
+from .operators import cached_build, content_hash, solve
 from .permutations import Statistics
 from .propagation import (
     PropagationQuad,
@@ -131,27 +131,22 @@ def _kernel_from_config(cfg: ExperimentConfig):
     n = cfg["n"]
     if cfg["kernel"] == "free":
         if cfg["statistics"] == "none":
-            return free_kernel(n), None, 0.0
+            return free_kernel(n), None
         stat = Statistics(cfg["statistics"])
         kernel = permutation_sum(free_kernel(n), stat)
         model = uniform_model(n, dirichlet() if stat is Statistics.FERMI else neumann())
-        return kernel, model, 0.0
+        return kernel, model
     if n != 2:
         raise UnsupportedN("the pair kernel is a two-body construction")
     entry = cfg["coupling"]
-    kernel = robin_pair_kernel(entry)
-    model = uniform_model(2, entry)
-    scale = 2.0 * abs(entry.value) if entry.kind == "robin" else 0.0
-    return kernel, model, scale
+    return robin_pair_kernel(entry), uniform_model(2, entry)
 
 
 def run_kernel_properties(cfg: ExperimentConfig) -> RunArtifacts:
-    kernel, model, bound_scale = _kernel_from_config(cfg)
+    kernel, model = _kernel_from_config(cfg)
     spec = SamplingSpec(seed=cfg["seed"], pairs=cfg["pairs"],
                         quad_tol=cfg["quad_tol"], quad_order=cfg["quad_order"],
-                        initial_depth=cfg["initial_depth"],
-                        bound_state_scale=bound_scale,
-                        spread=2.2 if cfg["n"] >= 3 else 1.6)
+                        initial_depth=cfg["initial_depth"])
     if kernel.space == "sector":
         rep = verify_sector_properties(kernel, model, spec)
     else:
@@ -193,27 +188,20 @@ def run_dual_kernels(cfg: ExperimentConfig) -> RunArtifacts:
         sector = permutation_sum(free_kernel(n), Statistics.FERMI)
         k_bose, _ = dual_pair_from_sector(sector)
         k_fermi = free_kernel(n)
-        coupling = None
-        bound_scale = 0.0
     elif entry.kind == "robin":
         if n != 2:
             raise UnsupportedN("finite-coupling dual kernels are two-body")
         sector = robin_pair_kernel(entry)
         k_bose, k_fermi = dual_pair_from_sector(sector)
-        coupling = entry
-        bound_scale = 2.0 * abs(entry.value)
     else:
         raise UnsupportedCoupling("dual kernels need dirichlet or robin coupling")
-    spec = SamplingSpec(seed=cfg["seed"], pairs=cfg["pairs"],
-                        bound_state_scale=bound_scale,
-                        spread=2.2 if n >= 3 else 1.6)
-    rep = dual_reconstruction_check(k_bose, k_fermi, spec, coupling=coupling)
+    spec = SamplingSpec(seed=cfg["seed"], pairs=cfg["pairs"])
+    rep = dual_reconstruction_check(k_bose, k_fermi, spec)
     gates = [Gate("deviation", rep["max_deviation"], cfg["gate.deviation"])]
     report = {"kind": "dual_kernels", "coupling": entry.label(), **rep}
     if cfg["realtime"]:  # robin, so two-body
-        dom = DomainSpec(n=2, length=cfg["realtime_length"],
-                         points=cfg["realtime_points"])
-        chk = real_time_cross_check(dom, uniform_model(2, entry), t=cfg["realtime_time"])
+        chk = real_time_cross_check(cfg.domain(), uniform_model(2, entry),
+                                    t=cfg["realtime_time"])
         report["realtime"] = {
             "bose_deviation": chk.bose_deviation,
             "fermi_deviation": chk.fermi_deviation,

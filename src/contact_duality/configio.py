@@ -8,6 +8,7 @@ unknown keys are rejected by name so configs stay diff-able and honest.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .coupling import (
@@ -33,6 +34,9 @@ MIN_N = {"kernel-properties": 2, "dual-kernels": 2, "fold-check": 1}
 #: Counts that must be at least 1 in every schema that has them.
 POSITIVE_COUNTS = ("levels", "count", "pairs", "refinements", "quad_order",
                    "quad_cells", "initial_depth")
+
+#: Floats that must be above 0 in every schema that has them.
+POSITIVE_FLOATS = ("quad_tol", "dilation", "tau", "width")
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False}
 
@@ -82,17 +86,22 @@ def _convert(key: str, raw: str, spec: Field):
     try:
         if spec.kind == "int":
             return int(raw)
-        if spec.kind == "float":
-            return float(raw)
         if spec.kind == "bool":
             if raw.lower() not in _BOOL:
                 raise ValueError(raw)
             return _BOOL[raw.lower()]
-        if spec.kind == "coupling":
-            return parse_coupling_entry(raw)
-        value = raw
+        if spec.kind == "float":
+            value = float(raw)
+        elif spec.kind == "coupling":
+            value = parse_coupling_entry(raw)
+        else:
+            value = raw
     except (ValueError, ConfigError) as err:
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {spec.kind}") from err
+    # float() takes nan and inf; an infinite Robin length is written neumann
+    if spec.kind in ("float", "coupling") and not math.isfinite(
+            getattr(value, "value", value)):
+        raise ConfigError(f"key {key!r}: must be finite, got {raw!r}")
     if spec.choices and value not in spec.choices:
         raise ConfigError(f"key {key!r}: must be one of {spec.choices}, got {value!r}")
     return value
@@ -203,6 +212,9 @@ class ExperimentConfig:
         return self.values[key]
 
     def domain(self) -> DomainSpec:
+        if self.command == "dual-kernels":  # the box of the real-time check
+            return DomainSpec(n=2, length=self["realtime_length"],
+                              points=self["realtime_points"])
         return DomainSpec(
             n=self["n"], length=self["length"], points=self["points"],
             confinement=self["confinement"], omega=self["omega"],
@@ -237,7 +249,7 @@ def validate_config(text: str) -> ExperimentConfig:
                 j = int(key.split(".", 1)[1])
             except ValueError:
                 raise ConfigError(f"unknown key {key!r}")
-            couplings[j] = parse_coupling_entry(raw_value)
+            couplings[j] = _convert(key, raw_value, Field("coupling"))
             continue
         if key not in schema:
             raise ConfigError(f"unknown key {key!r} for command {command!r}")
@@ -253,15 +265,21 @@ def validate_config(text: str) -> ExperimentConfig:
     for key in POSITIVE_COUNTS:
         if key in values and values[key] < 1:
             raise ConfigError(f"key {key!r}: must be at least 1, got {values[key]}")
+    for key in POSITIVE_FLOATS:
+        if key in values and values[key] <= 0:
+            raise ConfigError(f"key {key!r}: must be positive, got {values[key]}")
 
     cfg = ExperimentConfig(command=command, values=values, couplings=couplings)
     n = values["n"]
-    if command in SPECTRAL_COMMANDS:
+    realtime = command == "dual-kernels" and values["realtime"]
+    if command in SPECTRAL_COMMANDS or realtime:
         try:
             cfg.domain()
         except (ValueError, GridTooCoarse) as err:
-            # DomainSpec's messages start with the offending key
-            raise ConfigError(f"key {str(err).split()[0]!r}: {err}") from err
+            # DomainSpec's messages start with the offending field
+            key = ("realtime_" if realtime else "") + str(err).split()[0]
+            raise ConfigError(f"key {key!r}: {err}") from err
+    if command in SPECTRAL_COMMANDS:
         for j in couplings:
             if not 1 <= j <= n - 1:
                 raise ConfigError(f"key 'coupling.{j}': face index outside 1..{n - 1}")
@@ -270,15 +288,15 @@ def validate_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"key 'n': {command} needs n >= {MIN_N[command]}, got {n}")
     elif command == "propagate":
         _check_propagate(values)
+    pair = command == "propagate" or values.get("kernel") == "pair"
+    if pair and values["coupling"].kind == "scale":
+        raise ConfigError("key 'coupling': the pair kernel takes robin, neumann or dirichlet")
     return cfg
 
 
 def _check_propagate(values: dict) -> None:
-    """Refuse propagation settings that leave no time step, no state or no
-    rule to integrate on (written so that NaN is refused too)."""
-    for key in ("tau", "width"):
-        if not values[key] > 0:
-            raise ConfigError(f"key {key!r}: must be positive, got {values[key]}")
+    """Refuse a propagation rule with no cells and targets sampled outside
+    the sector."""
     lo, hi = values["quad_lo"], values["quad_hi"]
     if not lo < hi:
         raise ConfigError(f"key 'quad_lo': must be below quad_hi = {hi}, got {lo}")

@@ -23,8 +23,9 @@ sum over sorted x and z is a sum of Gaussians in z - sigma(x), and by
 the rearrangement inequality the identity pairing makes |z - sigma(x)|
 smallest, so no sigma-term exceeds the identity Gaussian, which is
 below ``DROP`` wherever some |z_k - x_k| exceeds r.  The pair kernel's
-bound-state tail decays in the pair separation, and
-``bound_state_scale`` widens r to cover it in the box and sector alike.
+bound-state tail decays in the pair separation with length 2|a| for a
+Robin coupling a (``bound_state_length``), which widens r to cover it in
+the box and sector alike.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_checks import _extrapolation_weights, connection_residual
+from .boundary_checks import connection_residual, one_sided_face_values
 from .errors import UnsupportedN
 from .kernels import KernelEvaluator, permutation_sum
 from .permutations import Statistics, group_table
@@ -58,22 +59,19 @@ class SamplingSpec:
     """Deterministic sampling plan for kernel residual suites.
 
     ``INITIAL_TAU0`` seeds a dyadic tau ladder of ``initial_depth``
-    points for the short-time check; ``bound_state_scale`` is the
-    slowest exponential decay length of the kernel in the pair
-    separation (zero for purely Gaussian kernels) and widens the
-    truncation boxes accordingly.
+    points for the short-time check.  The sampling interval and the
+    truncation boxes follow from the kernel (``sampling_spread``,
+    ``bound_state_length``).
     """
 
     seed: int = 0
     pairs: int = 3
     taus: tuple = (0.25, 0.35)
-    spread: float = 1.6
     initial_depth: int = 5
     fd_step: float = 0.012
     quad_tol: float = 1e-9
     quad_order: int = 8
     quad_max_doublings: int = 6
-    bound_state_scale: float = 0.0
 
     def rng(self):
         return np.random.default_rng(self.seed)
@@ -82,20 +80,38 @@ class SamplingSpec:
         return [INITIAL_TAU0 / 2**i for i in range(self.initial_depth)]
 
 
+def sampling_spread(n: int) -> float:
+    """Half-width of the interval [-spread, spread] the n coordinates of a
+    sample point are drawn from; three or more points at gaps of
+    ``MIN_GAP`` need the wider one."""
+    return 2.2 if n >= 3 else 1.6
+
+
+def bound_state_length(kernel: KernelEvaluator) -> float:
+    """Slowest exponential decay length of the kernel in the pair
+    separation: 2|a| for a Robin pair coupling a, zero for Gaussian
+    kernels (free kernels, their sums, hard-core and Neumann faces)."""
+    coupling = kernel.coupling
+    if coupling is not None and coupling.kind == "robin":
+        return 2.0 * abs(coupling.value)
+    return 0.0
+
+
 def _sample_points(spec: SamplingSpec, n: int, count: int, sector: bool):
     """Well-separated sample points, strictly descending if sector.
 
     Raises UnsupportedN when n points at gaps of ``MIN_GAP`` do not fit
     in [-spread, spread], where the rejection loop would never end.
     """
-    if (n - 1) * MIN_GAP >= 2.0 * spec.spread:
+    spread = sampling_spread(n)
+    if (n - 1) * MIN_GAP >= 2.0 * spread:
         raise UnsupportedN(
             f"n = {n} sample points {MIN_GAP} apart do not fit in "
-            f"[-{spec.spread}, {spec.spread}]")
+            f"[-{spread}, {spread}]")
     rng = spec.rng()
     out = []
     while len(out) < count:
-        x = rng.uniform(-spec.spread, spec.spread, size=n)
+        x = rng.uniform(-spread, spread, size=n)
         x = np.sort(x)[::-1]
         if np.min(np.diff(-x)) < MIN_GAP:
             continue
@@ -105,12 +121,12 @@ def _sample_points(spec: SamplingSpec, n: int, count: int, sector: bool):
     return np.asarray(out)
 
 
-def _support_radius(spec: SamplingSpec, tau: float, product: bool = False) -> float:
+def _support_radius(kernel: KernelEvaluator, tau: float, product: bool = False) -> float:
     """Truncation radius beyond which the integrand is below ``DROP``.
 
     ``product`` halves the exponential decay length (two kernel factors)."""
     gauss = math.sqrt(2.0 * tau * math.log(1.0 / DROP))
-    length = spec.bound_state_scale * (0.5 if product else 1.0)
+    length = bound_state_length(kernel) * (0.5 if product else 1.0)
     slow = length * math.log(1.0 / DROP)
     return max(gauss, slow) + 0.5
 
@@ -141,7 +157,7 @@ def composition_residual(kernel: KernelEvaluator, x, y, tau1: float, tau2: float
     """Relative defect of K(.,tau1) * K(.,tau2) = K(.,tau1+tau2)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    radius = _support_radius(spec, max(tau1, tau2), product=True)
+    radius = _support_radius(kernel, max(tau1, tau2), product=True)
 
     def integrand(z):
         return np.asarray(kernel.evaluate(x[None, :], z, tau1)) * np.asarray(
@@ -305,20 +321,13 @@ def face_boundary_residual(kernel: KernelEvaluator, model, j: int,
 
     step = spec.fd_step
     pts = face_points(spec, n, j, spec.pairs)
-    direction = np.zeros(n)
-    direction[j - 1] = 0.5
-    direction[j] = -0.5
     worst = 0.0
     for y in ys:
         def slice_at(points):
             return np.asarray(kernel.evaluate(points, y[None, :], tau))
 
-        u = np.array([step, 2 * step, 3 * step])
-        samples = np.stack([slice_at(pts + uk * direction[None, :]) for uk in u],
-                           axis=1)
-        wv, wd = _extrapolation_weights(u)
-        value = samples @ wv
-        pair_derivative = 2.0 * (samples @ wd)
+        value, pair_derivative = one_sided_face_values(
+            slice_at, pts, j, np.array([step, 2 * step, 3 * step]), 1.0)
         scale = max(float(np.max(np.abs(value))),
                     step * float(np.max(np.abs(pair_derivative))), 1e-300)
         if entry.kind == "dirichlet":
@@ -351,14 +360,15 @@ def verify_sector_properties(kernel: KernelEvaluator, model,
 
 
 def dual_reconstruction_check(k_bose: KernelEvaluator, k_fermi: KernelEvaluator,
-                              spec: SamplingSpec = None, coupling=None) -> dict:
+                              spec: SamplingSpec = None) -> dict:
     """Compare the two character-weighted sums and the inputs' connection
     conditions.
 
     Both sums are evaluated at sampled sector pairs; the reported
     deviation is relative to the larger sum.  The delta-type conditions
     are checked on the boson kernel and the epsilon-type ones on the
-    fermion kernel whenever a finite coupling is supplied.
+    fermion kernel whenever the boson kernel carries a finite (Robin)
+    coupling.
     """
     spec = spec or SamplingSpec()
     n = k_bose.n
@@ -376,21 +386,17 @@ def dual_reconstruction_check(k_bose: KernelEvaluator, k_fermi: KernelEvaluator,
         deviations.append(abs(s_b - s_f) / max(abs(s_b), abs(s_f), 1e-300))
 
     connection = {}
+    coupling = k_bose.coupling
     if coupling is not None and coupling.kind == "robin":
         step = spec.fd_step
         plane = face_points(spec, n, 1, spec.pairs)
-        y_ref = ys[0]
+        u, a = (step, 2 * step, 3 * step), coupling.value
 
-        def bose_slice(points):
-            return np.asarray(k_bose.evaluate(points, y_ref[None, :], tau))
+        def slice_of(kernel):
+            return lambda points: np.asarray(kernel.evaluate(points, ys[0][None, :], tau))
 
-        def fermi_slice(points):
-            return np.asarray(k_fermi.evaluate(points, y_ref[None, :], tau))
-
-        res_b = connection_residual(bose_slice, "delta", coupling.value, plane, 1,
-                                    (step, 2 * step, 3 * step))
-        res_f = connection_residual(fermi_slice, "epsilon", coupling.value, plane, 1,
-                                    (step, 2 * step, 3 * step))
+        res_b = connection_residual(slice_of(k_bose), "delta", a, plane, 1, u)
+        res_f = connection_residual(slice_of(k_fermi), "epsilon", a, plane, 1, u)
         connection = {
             "bose_delta": {"jump": res_b.jump, "continuity": res_b.continuity},
             "fermi_epsilon": {"jump": res_f.jump, "continuity": res_f.continuity},

@@ -255,7 +255,8 @@ class _Accumulator:
         return sparse.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
-def _check_model(formulation: str, model: CouplingModel, n: int):
+def check_model(formulation: str, model: CouplingModel, n: int):
+    """Refuse a model the formulation's builder cannot take."""
     if model.n != n:
         raise UnsupportedCoupling(f"model has {model.n - 1} entries, need {n - 1}")
     for j in range(1, n):
@@ -422,7 +423,7 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
 
 def build_sector(dom: DomainSpec, model: CouplingModel) -> GridOperator:
     """Free Hamiltonian on the closed descending sector with Robin faces."""
-    _check_model("sector", model, dom.n)
+    check_model("sector", model, dom.n)
     lattice = uniform_lattice(dom.length, dom.points, dom.offset)
     return _assemble(lattice, dom, model, "sector", reduced=True)
 
@@ -433,7 +434,7 @@ def build_delta_bose(dom: DomainSpec, model: CouplingModel,
 
     Reduced (the default) to the exchange-symmetric subspace, where it is
     the sector form on the staggered lattice."""
-    _check_model("delta_bose", model, dom.n)
+    check_model("delta_bose", model, dom.n)
     lattice = staggered_lattice(dom.length, dom.points, dom.offset)
     return _assemble(lattice, dom, model, "delta_bose", reduced=reduced)
 
@@ -445,7 +446,7 @@ def build_epsilon_fermi(dom: DomainSpec, model: CouplingModel,
 
     Reduced (the default) to the antisymmetric subspace, where it is the
     sector form on the staggered lattice."""
-    _check_model("epsilon_fermi", model, dom.n)
+    check_model("epsilon_fermi", model, dom.n)
     lattice = staggered_lattice(dom.length, dom.points, dom.offset)
     return _assemble(lattice, dom, model, "epsilon_fermi", reduced=reduced)
 

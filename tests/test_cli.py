@@ -360,6 +360,53 @@ def test_propagate_geometry_is_a_config_error(tmp_path, capsys, changes, key):
     assert f"config error: key '{key}'" in err and "Traceback" not in err
 
 
+#: Valid settings each case below changes one value of.
+UNUSABLE_BASE = {
+    "spectrum": {"n": "2", "length": "6.0", "points": "10", "coupling.1": "robin:-1"},
+    "scale-invariance": {"n": "3", "length": "6.0", "points": "10",
+                         "coupling.1": "scale:1", "coupling.2": "scale:1"},
+    "dual-kernels": {"n": "2", "coupling": "robin:-1", "realtime": "yes"},
+    "kernel-properties": {"n": "2", "kernel": "pair"},
+    "propagate": {"n": "2"},
+    "fold-check": {"n": "2"},
+}
+
+
+@pytest.mark.parametrize("command, changes, key", [
+    # the pair kernel has no scale-invariant face
+    ("kernel-properties", {"coupling": "scale:1"}, "coupling"),
+    ("propagate", {"coupling": "scale:1"}, "coupling"),
+    # the real-time check's box and the dilation
+    ("dual-kernels", {"realtime_length": "-1"}, "realtime_length"),
+    ("dual-kernels", {"realtime_points": "3"}, "realtime_points"),
+    ("scale-invariance", {"dilation": "0"}, "dilation"),
+    ("scale-invariance", {"dilation": "-1"}, "dilation"),
+    # non-finite floats and couplings, and a tolerance that is not positive
+    ("spectrum", {"length": "nan"}, "length"),
+    ("spectrum", {"length": "inf"}, "length"),
+    ("spectrum", {"offset": "nan"}, "offset"),
+    ("spectrum", {"confinement": "harmonic", "omega": "nan"}, "omega"),
+    ("spectrum", {"coupling.1": "robin:nan"}, "coupling.1"),
+    ("spectrum", {"coupling.1": "robin:inf"}, "coupling.1"),
+    ("scale-invariance", {"dilation": "nan"}, "dilation"),
+    ("scale-invariance", {"translation": "nan"}, "translation"),
+    ("kernel-properties", {"coupling": "robin:nan"}, "coupling"),
+    ("kernel-properties", {"quad_tol": "0"}, "quad_tol"),
+    ("kernel-properties", {"quad_tol": "-1"}, "quad_tol"),
+    ("fold-check", {"quad_tol": "0"}, "quad_tol"),
+])
+def test_unusable_value_is_a_config_error(tmp_path, capsys, command, changes, key):
+    # refused by key before any operator, kernel or rule is built
+    values = {"command": command, **UNUSABLE_BASE[command], **changes}
+    text = "".join(f"{k} = {v}\n" for k, v in values.items())
+    with pytest.raises(ConfigError, match=f"key '{key}'"):
+        validate_config(text)
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: key '{key}'" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command", ["spectrum", "duality"])
 def test_more_levels_than_dofs_is_a_config_error(tmp_path, capsys, command):
     # n=2 N=6 has 15 sector dofs and fewer on the staggered lattices

@@ -8,7 +8,9 @@ from contact_duality.errors import ContactDualityError, UnsupportedN
 from contact_duality.heat_solver import evolve_half_line, pair_kernel_pde_gate
 from contact_duality.kernel_checks import (
     SamplingSpec,
+    bound_state_length,
     dual_reconstruction_check,
+    sampling_spread,
     verify_assumptions,
     verify_sector_properties,
 )
@@ -35,9 +37,22 @@ def test_free_kernel_assumptions_two_body():
 def test_sampling_refuses_points_that_cannot_fit():
     # (n - 1) * MIN_GAP >= 2 * spread: no draw is accepted, so none is tried
     with pytest.raises(UnsupportedN, match="do not fit"):
-        verify_assumptions(free_kernel(5), SamplingSpec(pairs=1, spread=2.2))
-    with pytest.raises(UnsupportedN):
-        verify_assumptions(free_kernel(3), SamplingSpec(pairs=1, spread=1.1))
+        verify_assumptions(free_kernel(5), SamplingSpec(pairs=1))
+
+
+def test_sampling_plan_follows_from_the_kernel():
+    # the sampling interval widens from three particles on
+    assert [sampling_spread(n) for n in (2, 3, 4)] == [1.6, 2.2, 2.2]
+    # the pair kernel's bound-state tail decays over 2|a|, in the sector
+    # kernel and in both full-space kernels it induces
+    for a in (-1.0, 1.0):
+        pk = robin_pair_kernel(robin(a))
+        assert [bound_state_length(k) for k in (pk, *dual_pair_from_sector(pk))] == [2.0] * 3
+    # Gaussian kernels: free kernels, their sums and the hard-core pair
+    gaussian = [free_kernel(2), robin_pair_kernel(dirichlet()),
+                *dual_pair_from_sector(permutation_sum(free_kernel(3), Statistics.FERMI))]
+    gaussian += [permutation_sum(free_kernel(3), stat) for stat in Statistics]
+    assert [bound_state_length(k) for k in gaussian] == [0.0] * len(gaussian)
 
 
 def test_broken_kernel_negative_control():
@@ -51,8 +66,7 @@ def test_broken_kernel_negative_control():
 
 def test_pair_kernel_properties():
     pk = robin_pair_kernel(robin(-1.0))
-    spec = SamplingSpec(pairs=2, bound_state_scale=2.0, quad_tol=1e-7,
-                        quad_max_doublings=7)
+    spec = SamplingSpec(pairs=2, quad_tol=1e-7, quad_max_doublings=7)
     rep = verify_sector_properties(pk, uniform_model(2, robin(-1.0)), spec)
     assert rep["composition"]["max"] < 1e-5
     assert rep["boundary"]["max"] < 1e-8
@@ -143,9 +157,7 @@ def test_dual_reconstruction_hard_core():
 def test_dual_reconstruction_finite_coupling():
     pk = robin_pair_kernel(robin(-1.0))
     k_bose, k_fermi = dual_pair_from_sector(pk)
-    rep = dual_reconstruction_check(k_bose, k_fermi,
-                                    SamplingSpec(pairs=2, bound_state_scale=2.0),
-                                    coupling=robin(-1.0))
+    rep = dual_reconstruction_check(k_bose, k_fermi, SamplingSpec(pairs=2))
     assert rep["max_deviation"] < 1e-6
     assert rep["connection"]["bose_delta"]["jump"] < 1e-3
     assert rep["connection"]["bose_delta"]["continuity"] < 1e-10

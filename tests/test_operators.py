@@ -74,13 +74,22 @@ def test_all_three_formulations_agree():
 
 
 def test_structural_strong_weak_pairing():
-    # the same model drives both full-space builders; their reductions
-    # coincide entry by entry (the coupling pairing is exact by construction)
-    dom = DomainSpec(n=3, length=6.0, points=12)
-    model = CouplingModel((robin(-1.0), robin(2.0)))
-    a = build_delta_bose(dom, model).matrix
-    b = build_epsilon_fermi(dom, model).matrix
-    assert abs(a - b).max() < 1e-13 * abs(a).max()
+    # the same model drives both full-space builders; their reductions are
+    # bitwise equal, which lets the spectral reports solve only the delta one
+    cases = [
+        (DomainSpec(n=3, length=6.0, points=12), uniform_model(3, robin(-1.0))),
+        (DomainSpec(n=3, length=6.0, points=12), CouplingModel((robin(-1.0), robin(2.0)))),
+        (DomainSpec(n=3, length=6.0, points=8), uniform_model(3, scale_invariant(1.0))),
+        (DomainSpec(n=2, length=8.0, points=12, confinement="harmonic", omega=1.0),
+         uniform_model(2, robin(-1.0))),
+    ]
+    for dom, model in cases:
+        a = build_delta_bose(dom, model)
+        b = build_epsilon_fermi(dom, model)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a.matrix, part), getattr(b.matrix, part))
+        assert np.array_equal(a.mass, b.mass)
+        assert np.array_equal(a.dofs, b.dofs)
 
 
 def _project_unreduced(full, red):

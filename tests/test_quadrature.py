@@ -177,7 +177,7 @@ def test_short_time_check_evaluates_under_half_the_hull_cube_points():
     # The n=3 Fermi suite at the benchmark's settings: its sector
     # integrals need only the cells that meet the truncation box.
     spec = SamplingSpec(seed=0, pairs=2, quad_tol=1e-5, quad_order=6,
-                        initial_depth=3, spread=2.2)
+                        initial_depth=3)
     kernel = permutation_sum(free_kernel(3), Statistics.FERMI)
     points = []
 

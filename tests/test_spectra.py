@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from contact_duality.coupling import CouplingModel, robin, scale_invariant, uniform_model
+from contact_duality.coupling import (
+    CouplingModel,
+    neumann,
+    robin,
+    scale_invariant,
+    uniform_model,
+)
 from contact_duality.errors import UnsupportedCoupling
 from contact_duality.operators import DomainSpec
 from contact_duality.spectra import (
@@ -100,8 +106,13 @@ def test_duality_report_certifies_and_solves_each_operator_once(monkeypatch):
                                     uniform_model(3, scale_invariant(1.0)), dilation=2.0, k=3)
     solved = [op for op, _, _ in calls]
     assert [op.formulation for op in solved] == ["sector", "delta_bose"] * 5
-    assert not any(spectra._same_operator(a, b)
-                   for i, a in enumerate(solved) for b in solved[i + 1:])
+    def same(a, b):
+        ma, mb = a.matrix, b.matrix
+        return (ma.shape == mb.shape and np.array_equal(ma.indptr, mb.indptr)
+                and np.array_equal(ma.indices, mb.indices)
+                and np.array_equal(ma.data, mb.data) and np.array_equal(a.mass, b.mass))
+
+    assert not any(same(a, b) for i, a in enumerate(solved) for b in solved[i + 1:])
     assert scale.base["epsilon_fermi"] == scale.base["delta_bose"]
     # the dilated and shifted cases are seeded from the base spectrum, the
     # base and the controls start from the Gershgorin shift
@@ -114,6 +125,36 @@ def test_duality_report_certifies_and_solves_each_operator_once(monkeypatch):
             assert result.rejected_shift is None and result.shift == shift
             reference = spectra_solve(op, 3).eigenvalues
             np.testing.assert_allclose(result.eigenvalues, reference, rtol=1e-10)
+
+
+def test_reports_never_build_the_epsilon_operator(monkeypatch):
+    from contact_duality import spectra
+
+    built = []
+    build = spectra.cached_build
+
+    def counted(formulation, dom, model):
+        built.append(formulation)
+        return build(formulation, dom, model)
+
+    monkeypatch.setattr(spectra, "cached_build", counted)
+    duality_report(DomainSpec(n=2, length=6.0, points=6), uniform_model(2, robin(-1.0)),
+                   k=2, refinements=2)
+    scale_invariance_report(DomainSpec(n=3, length=6.0, points=6),
+                            uniform_model(3, scale_invariant(1.0)), dilation=2.0, k=2)
+    # two duality levels and five scale-invariance cases
+    assert built == ["sector", "delta_bose"] * 7
+
+
+def test_reports_refuse_a_neumann_face_for_the_epsilon_model():
+    # the epsilon operator is never built, but its builder's checks still run
+    with pytest.raises(UnsupportedCoupling, match="epsilon builder"):
+        duality_report(DomainSpec(n=2, length=6.0, points=6), uniform_model(2, neumann()),
+                       k=2, refinements=1)
+    with pytest.raises(UnsupportedCoupling, match="epsilon builder"):
+        scale_invariance_report(DomainSpec(n=3, length=6.0, points=6),
+                                CouplingModel((scale_invariant(1.0), neumann())),
+                                dilation=2.0, k=2)
 
 
 def test_scale_invariance_report():
