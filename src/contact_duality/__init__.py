@@ -5,28 +5,16 @@ permutation-sum propagator construction that ties them together."""
 
 __version__ = "0.1.0"
 
-from .coordinates import (  # noqa: F401
-    ConfigPoint,
-    JacobiPoint,
-    SectorPoint,
-    canonicalize,
-    from_jacobi,
-    hyperradius,
-    to_jacobi,
-)
 from .coupling import (  # noqa: F401
     BoundaryCoupling,
     CouplingModel,
-    coupling_value,
     dirichlet,
     neumann,
-    normal_vector,
     robin,
     scale_invariant,
     uniform_model,
 )
 from .folding import QuadSpec, fold_integral_check, random_gaussian  # noqa: F401
-from .grids import FullGrid, SectorGrid, WavefunctionGrid  # noqa: F401
 from .kernels import (  # noqa: F401
     KernelEvaluator,
     dual_pair_from_sector,
@@ -50,6 +38,4 @@ from .operators import (  # noqa: F401
     solve,
 )
 from .permutations import Permutation, Statistics  # noqa: F401
-from .propagation import propagate  # noqa: F401
 from .spectra import duality_report, scale_invariance_report  # noqa: F401
-from .wavefunctions import bf_map, extend, restrict  # noqa: F401

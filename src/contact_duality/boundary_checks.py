@@ -4,9 +4,8 @@ These checks act on discrete states (eigenvectors of the grid
 Hamiltonians) or on arbitrary evaluators (kernel slices), always through
 one-sided second-order stencils along the pair direction
 e_j - e_{j+1}.  The Robin residual measures the sector boundary
-condition, the probability flux the normal component of the current,
-and the connection residual the jump/continuity data of the delta- and
-epsilon-type interactions across a coincidence plane.
+condition, and the connection residual the jump/continuity data of the
+delta- and epsilon-type interactions across a coincidence plane.
 """
 
 from __future__ import annotations
@@ -128,24 +127,6 @@ def robin_residual(fn: MeshFunction, j: int, model: CouplingModel) -> float:
         a = coupling_values_batch(model, j, coords)
         res = np.abs(pair_derivative - stencil[:, 0] / a)
     return float(np.max(res)) / scale
-
-
-def probability_flux(fn: MeshFunction, j: int) -> float:
-    """Worst normal component of the probability current on face j.
-
-    Computes max |Im(conj(psi) (d/dx_j - d/dx_{j+1}) psi)| over face
-    nodes, scaled by max |psi|^2; it vanishes identically for real
-    states and to O(h^2) for any state obeying a real Robin condition.
-    """
-    op = fn.op
-    scale = float(np.max(np.abs(fn.values)) ** 2)
-    if scale == 0.0:
-        raise ValueError("zero state")
-    _, stencil, _ = _face_stencil(fn, j)
-    h = op.dom.spacing
-    pair_derivative = _pair_derivative(stencil, h)
-    flux = np.abs(np.imag(np.conj(stencil[:, 0]) * pair_derivative))
-    return float(np.max(flux)) / scale
 
 
 def one_sided_face_values(evaluate, plane_points: np.ndarray, j: int, u: np.ndarray,

@@ -288,6 +288,12 @@ def validate_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"key 'n': {command} needs n >= {MIN_N[command]}, got {n}")
     elif command == "propagate":
         _check_propagate(values)
+    if realtime and values["realtime_time"] == 0:
+        # every propagator is the identity at t = 0; a negative t is a
+        # valid backward check
+        raise ConfigError("key 'realtime_time': must be nonzero, got 0")
+    if values.get("kernel") == "free" and "coupling" in raw:
+        raise ConfigError("key 'coupling': the free kernel takes no coupling")
     pair = command == "propagate" or values.get("kernel") == "pair"
     if pair and values["coupling"].kind == "scale":
         raise ConfigError("key 'coupling': the pair kernel takes robin, neumann or dirichlet")

@@ -18,17 +18,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coordinates import hyperradius_batch
-from .errors import DegenerateRadius, IndexOutOfRange, UnsupportedCoupling
+from .errors import IndexOutOfRange, UnsupportedCoupling
 
 #: sqrt(2), the norm of the pair direction e_j - e_{j+1}: in the pair
 #: coordinate u = (x_j - x_{j+1}) / sqrt(2) a Robin length a becomes the
 #: half-line rate gamma = 1 / (sqrt(2) a).
 SQRT2 = math.sqrt(2.0)
 
-#: Hyperradius below which the scale-invariant coupling is declared
-#: degenerate (total-coincidence corner).
-RADIUS_TOL = 1e-12
+
+def hyperradius_batch(x: np.ndarray) -> np.ndarray:
+    """Translation-invariant size sqrt((1/n) sum_{j<k} (x_j - x_k)^2) of
+    each point of a batch shaped (..., n).
+
+    Computed from mean-centered coordinates; the textbook form
+    x.x - (sum x)^2 / n cancels catastrophically near total coincidence.
+    """
+    x = np.asarray(x, dtype=float)
+    shifted = x - x[..., :1]  # exact translation, zero for total coincidence
+    centered = shifted - np.mean(shifted, axis=-1, keepdims=True)
+    return np.sqrt(np.sum(centered**2, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -107,48 +115,11 @@ def uniform_model(n: int, entry: BoundaryCoupling) -> CouplingModel:
     return CouplingModel(tuple(entry for _ in range(n - 1)))
 
 
-def normal_vector(j: int, n: int) -> np.ndarray:
-    """Inward normal data of face j: gradient of x_j - x_{j+1}.
-
-    Entries (0, ..., 1, -1, ..., 0) with +1 in slot j (1-based); the
-    Euclidean norm is sqrt(2).
-    """
-    if not 1 <= j <= n - 1:
-        raise IndexOutOfRange(f"face index {j} outside 1..{n - 1}")
-    vec = np.zeros(n)
-    vec[j - 1] = 1.0
-    vec[j] = -1.0
-    return vec
-
-
-def coupling_value(model: CouplingModel, j: int, x):
-    """Boundary length a_j at a point of face j.
-
-    Robin returns its constant, the limits return their sentinels
-    (0 for Dirichlet, +inf for Neumann), and the scale-invariant model
-    returns g_j times the hyperradius of x.  The point must satisfy
-    x_j = x_{j+1} within a relative tolerance of 1e-8.
-    """
-    entry = model.entry(j)
-    x = np.asarray(x, dtype=float)
-    gap = abs(x[j - 1] - x[j])
-    scale = max(1.0, abs(x[j - 1]), abs(x[j]))
-    if gap > 1e-8 * scale:
-        raise ValueError(f"point is not on face {j}: |x_j - x_j+1| = {gap:g}")
-    if entry.kind == "robin":
-        return entry.value
-    if entry.kind == "neumann":
-        return math.inf
-    if entry.kind == "dirichlet":
-        return 0.0
-    r = float(hyperradius_batch(x[None, :])[0])
-    if r < RADIUS_TOL:
-        raise DegenerateRadius("hyperradius vanishes at the total-coincidence corner")
-    return entry.value * r
-
-
 def coupling_values_batch(model: CouplingModel, j: int, points: np.ndarray) -> np.ndarray:
-    """Vectorized a_j over face points (no face-membership check)."""
+    """Boundary length a_j at each point of face j: the Robin constant,
+    the limit sentinels (0 for Dirichlet, +inf for Neumann), or g_j times
+    the hyperradius for the scale-invariant model.  Face membership is
+    not checked."""
     entry = model.entry(j)
     points = np.asarray(points, dtype=float)
     m = points.shape[0]

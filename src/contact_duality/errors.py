@@ -5,11 +5,6 @@ class ContactDualityError(Exception):
     """Base class for all package-specific errors."""
 
 
-class TiedCoordinates(ContactDualityError):
-    """Two coordinates coincide within tolerance, so the point lies on the
-    coincidence set and has no well-defined ordering."""
-
-
 class CapExceeded(ContactDualityError):
     """Requested particle number exceeds the group-enumeration cap."""
 
@@ -23,30 +18,12 @@ class QuadratureNotConverged(ContactDualityError):
         self.error = error
 
 
-class GridMismatch(ContactDualityError):
-    """Sector and full grids are not related by symmetric closure."""
-
-
-class NotEquivariant(ContactDualityError):
-    """A full-space array fails the required exchange symmetry."""
-
-    def __init__(self, message, node=None, partner=None, residual=None):
-        super().__init__(message)
-        self.node = node
-        self.partner = partner
-        self.residual = residual
-
-
 class GridTooCoarse(ContactDualityError):
     """Grid does not resolve a boundary face well enough for the stencil."""
 
 
 class IndexOutOfRange(ContactDualityError):
     """Boundary-face index outside 1..n-1."""
-
-
-class DegenerateRadius(ContactDualityError):
-    """Scale-invariant coupling evaluated where the hyperradius vanishes."""
 
 
 class UnsupportedCoupling(ContactDualityError):

@@ -63,8 +63,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .coordinates import hyperradius_batch
-from .coupling import CouplingModel
+from .coupling import CouplingModel, hyperradius_batch
 from .errors import (
     GridTooCoarse,
     LevelsOutOfRange,
@@ -88,7 +87,7 @@ from .permutations import permutation_ranks
 
 # Assembly calls neither of these here.  Both stay importable on this
 # module because the benchmark's tracer (perfbench/tracing.py) wraps them
-# here by name; ROADMAP item 1 drops them with that patching.
+# here by name; ROADMAP item 4 drops them with that patching.
 from .mesh import length_pattern_groups, sector_element_mask  # noqa: F401
 
 #: Minimum cells per axis so each face keeps a few interior layers.

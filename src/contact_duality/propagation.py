@@ -31,8 +31,6 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-from .errors import QuadratureNotConverged
-from .grids import SectorGrid, WavefunctionGrid
 from .kernels import KernelEvaluator
 from .mesh import DofTable
 from .operators import (
@@ -52,8 +50,8 @@ class PropagationQuad:
 
     lo: float
     hi: float
-    cells: int = 24
-    order: int = 8
+    cells: int
+    order: int
 
     def rule(self, n: int):
         return sector_rule(self.lo, self.hi, n, self.cells, self.order)
@@ -127,38 +125,6 @@ def propagate_equivariant(kernel: KernelEvaluator, stat: Statistics, psi0, tau: 
         moved = _integrate_rule(kernel, targets, pts[..., image], weights, tau)
         out = out + stat.character(sign) * moved
     return out
-
-
-def propagate(kernel: KernelEvaluator, psi0: WavefunctionGrid, tau: float,
-              quad: PropagationQuad = None, tol: float = None) -> WavefunctionGrid:
-    """Quadrature propagation of a sector wavefunction grid.
-
-    The initial state must carry its generating profile (sampled grids
-    alone cannot be evaluated at quadrature points without losing the
-    order of the panel rule).  When ``tol`` is given, the integral is
-    repeated on a refined panel rule and QuadratureNotConverged is
-    raised if the two disagree beyond ``tol`` relative to the peak.
-    """
-    if psi0.space != "sector":
-        raise ValueError("need a sector wavefunction")
-    if psi0.profile is None:
-        raise ValueError("initial state needs an analytic profile")
-    grid: SectorGrid = psi0.grid
-    if quad is None:
-        quad = PropagationQuad(lo=0.0, hi=grid.length, cells=max(2 * grid.points, 16))
-    values = propagate_at(kernel, psi0.profile, tau, grid.nodes(), quad)
-    if tol is not None:
-        finer = PropagationQuad(quad.lo, quad.hi, quad.cells + quad.cells // 2,
-                                quad.order + 2)
-        check = propagate_at(kernel, psi0.profile, tau, grid.nodes(), finer)
-        err = float(np.max(np.abs(values - check)))
-        scale = float(np.max(np.abs(check))) or 1.0
-        if err > tol * scale:
-            raise QuadratureNotConverged(
-                f"propagation quadrature off by {err / scale:.2e} (tol {tol})",
-                estimate=check, error=err)
-        values = check
-    return WavefunctionGrid(grid, values, "sector", None)
 
 
 def propagate_operator(op: GridOperator, psi0_values: np.ndarray, tau: float) -> np.ndarray:

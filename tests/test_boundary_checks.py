@@ -4,7 +4,6 @@ import pytest
 from contact_duality.boundary_checks import (
     MeshFunction,
     connection_residual,
-    probability_flux,
     reduced_state_evaluator,
     robin_residual,
 )
@@ -47,17 +46,6 @@ def test_robin_residual_negative_control():
 def test_dirichlet_residual_is_zero():
     fn, model = sector_ground(40, entry=dirichlet(), length=np.pi)
     assert robin_residual(fn, 1, model) == 0.0
-
-
-def test_flux_vanishes_for_real_states():
-    fn, _ = sector_ground(40)
-    assert probability_flux(fn, 1) < 1e-15
-
-
-def test_flux_negative_control():
-    fn, _ = sector_ground(40)
-    wave = MeshFunction(fn.op, np.exp(1j * fn.op.coords @ np.array([1.1, -0.7])))
-    assert probability_flux(wave, 1) > 0.1
 
 
 def test_connection_residuals_on_eigenstates():

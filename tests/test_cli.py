@@ -394,6 +394,10 @@ UNUSABLE_BASE = {
     ("kernel-properties", {"quad_tol": "0"}, "quad_tol"),
     ("kernel-properties", {"quad_tol": "-1"}, "quad_tol"),
     ("fold-check", {"quad_tol": "0"}, "quad_tol"),
+    # at t = 0 every propagator is the identity and the gates compare nothing
+    ("dual-kernels", {"realtime_time": "0"}, "realtime_time"),
+    # the free kernel takes no coupling
+    ("kernel-properties", {"kernel": "free", "coupling": "robin:5"}, "coupling"),
 ])
 def test_unusable_value_is_a_config_error(tmp_path, capsys, command, changes, key):
     # refused by key before any operator, kernel or rule is built
@@ -405,6 +409,14 @@ def test_unusable_value_is_a_config_error(tmp_path, capsys, command, changes, ke
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert f"config error: key '{key}'" in err and "Traceback" not in err
+
+
+def test_negative_realtime_time_is_valid():
+    # a backward real-time check compares nonidentity propagators
+    values = {"command": "dual-kernels", **UNUSABLE_BASE["dual-kernels"],
+              "realtime_time": "-0.1"}
+    cfg = validate_config("".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert cfg["realtime_time"] == -0.1
 
 
 @pytest.mark.parametrize("command", ["spectrum", "duality"])

@@ -5,37 +5,29 @@ import pytest
 
 from contact_duality.coupling import (
     CouplingModel,
-    coupling_value,
+    coupling_values_batch,
     dirichlet,
+    hyperradius_batch,
     neumann,
-    normal_vector,
     robin,
     scale_invariant,
     uniform_model,
 )
-from contact_duality.errors import (
-    DegenerateRadius,
-    IndexOutOfRange,
-    UnsupportedCoupling,
-)
+from contact_duality.errors import IndexOutOfRange, UnsupportedCoupling
 
 
-def test_normal_vectors():
-    np.testing.assert_array_equal(normal_vector(1, 3), [1.0, -1.0, 0.0])
-    np.testing.assert_array_equal(normal_vector(2, 3), [0.0, 1.0, -1.0])
-    for n in (2, 3, 5):
-        for j in range(1, n):
-            np.testing.assert_allclose(np.linalg.norm(normal_vector(j, n)), np.sqrt(2))
-    with pytest.raises(IndexOutOfRange):
-        normal_vector(0, 3)
-    with pytest.raises(IndexOutOfRange):
-        normal_vector(3, 3)
+def test_hyperradius_values():
+    # (1, 0, -1), total coincidence, and (1, 0, -1) translated by 5
+    r = hyperradius_batch(np.array([[1.0, 0.0, -1.0], [0.7, 0.7, 0.7], [6.0, 5.0, 4.0]]))
+    np.testing.assert_allclose(r[0], np.sqrt(2), rtol=1e-12)
+    assert r[1] == 0.0
+    np.testing.assert_allclose(r[2], r[0], rtol=1e-12)
 
 
 def test_scale_invariant_value():
     model = uniform_model(3, scale_invariant(2.0))
     x = np.array([0.5, 0.5, -1.0])
-    a = coupling_value(model, 1, x)
+    a = coupling_values_batch(model, 1, x[None, :])[0]
     np.testing.assert_allclose(a, 2.0 * np.sqrt(1.5), rtol=1e-12)
     np.testing.assert_allclose(a, 2.44949, atol=5e-6)
 
@@ -47,34 +39,22 @@ def test_scale_invariant_translation_invariance():
         c = rng.normal() * 5
         x = np.array([0.2, 0.2, -0.7])
         np.testing.assert_allclose(
-            coupling_value(model, 1, x),
-            coupling_value(model, 1, x + c),
+            coupling_values_batch(model, 1, x[None, :])[0],
+            coupling_values_batch(model, 1, (x + c)[None, :])[0],
             rtol=1e-12,
         )
 
 
 def test_robin_constant_model():
     model = uniform_model(3, robin(-1.0))
-    assert coupling_value(model, 2, np.array([1.0, 0.3, 0.3])) == -1.0
-    assert coupling_value(model, 1, np.array([0.5, 0.5, 0.0])) == -1.0
+    assert coupling_values_batch(model, 2, np.array([[1.0, 0.3, 0.3]]))[0] == -1.0
+    assert coupling_values_batch(model, 1, np.array([[0.5, 0.5, 0.0]]))[0] == -1.0
 
 
 def test_limit_sentinels():
     model = CouplingModel((neumann(), dirichlet()))
-    assert math.isinf(coupling_value(model, 1, np.array([1.0, 1.0, 0.0])))
-    assert coupling_value(model, 2, np.array([2.0, 1.0, 1.0])) == 0.0
-
-
-def test_degenerate_radius():
-    model = uniform_model(3, scale_invariant(1.0))
-    with pytest.raises(DegenerateRadius):
-        coupling_value(model, 1, np.array([0.5, 0.5, 0.5]))
-
-
-def test_face_membership_enforced():
-    model = uniform_model(3, robin(1.0))
-    with pytest.raises(ValueError):
-        coupling_value(model, 1, np.array([1.0, 0.0, -1.0]))
+    assert math.isinf(coupling_values_batch(model, 1, np.array([[1.0, 1.0, 0.0]]))[0])
+    assert coupling_values_batch(model, 2, np.array([[2.0, 1.0, 1.0]]))[0] == 0.0
 
 
 def test_scale_invariant_needs_three_bodies():

@@ -3,10 +3,12 @@ import math
 from collections import Counter
 
 import numpy as np
+import pytest
 from scipy import sparse
 
 from contact_duality.coupling import neumann, robin, uniform_model
 from contact_duality.mesh import (
+    DofTable,
     _vertex_offsets,
     all_cells,
     element_array,
@@ -238,3 +240,19 @@ def test_weakly_descending_tuples():
 def test_vertex_offsets():
     offs = _vertex_offsets((1, 0))
     np.testing.assert_array_equal(offs, [[0, 0], [0, 1], [1, 1]])
+
+
+def test_dof_table_ranks_match_itertools():
+    points = 6
+    for n in (2, 3, 4):
+        # strictly descending tuples in itertools order, which is not the
+        # sorted order the table searches in
+        ref = list(itertools.combinations(range(points - 1, -1, -1), n))
+        table = DofTable(np.array(ref), points)
+        rank = {t: k for k, t in enumerate(ref)}
+        picked = np.random.default_rng(n).permutation(len(ref))[:10]
+        wanted = np.asarray(ref)[picked]
+        np.testing.assert_array_equal(table.rank(wanted),
+                                      [rank[tuple(t)] for t in wanted.tolist()])
+        with pytest.raises(KeyError):
+            table.rank(np.arange(n)[None, :])  # ascending: not in the table

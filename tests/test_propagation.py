@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from contact_duality.coupling import robin, uniform_model
-from contact_duality.grids import SectorGrid, sample_sector_function
 from contact_duality.kernels import (
     dual_pair_from_sector,
     free_kernel,
@@ -17,7 +16,6 @@ from contact_duality.propagation import (
     _apply_on_rule,
     _integrate_rule,
     ground_state_projection_check,
-    propagate,
     propagate_at,
     propagate_equivariant,
     real_time_cross_check,
@@ -25,11 +23,11 @@ from contact_duality.propagation import (
 )
 
 
-def gaussian_profile(centers, width=1.0):
+def gaussian_profile(centers):
     centers = np.asarray(centers, dtype=float)
 
     def profile(z):
-        d = (np.asarray(z) - centers[None, :]) / width
+        d = np.asarray(z) - centers[None, :]
         return np.exp(-np.sum(d * d, axis=-1))
 
     return profile
@@ -91,17 +89,6 @@ def test_symmetric_stage_matches_the_rectangular_one(kernel, cells, order, size)
     assert np.max(np.abs(sym - rect)) <= 1e-14 * np.max(np.abs(rect))
 
 
-def test_propagate_wavefunction_grid():
-    grid = SectorGrid(n=2, length=6.0, points=14)
-    psi0 = sample_sector_function(grid, gaussian_profile([4.0, 2.0], width=0.8))
-    kernel = robin_pair_kernel(robin(-1.0))
-    quad = PropagationQuad(0.0, 6.0, 20, 8)
-    out = propagate(kernel, psi0, 0.3, quad)
-    assert out.space == "sector"
-    assert out.values.shape == psi0.values.shape
-    assert float(np.max(out.values)) > 0
-
-
 def test_ground_state_projection():
     dom = DomainSpec(n=2, length=10.0, points=40)
     op = build_sector(dom, uniform_model(2, robin(-1.0)))
@@ -143,17 +130,3 @@ def test_quadrature_route_against_matrix_exponential():
     scale = float(np.max(np.abs(direct)))
     dev = float(np.max(np.abs(direct - evolved[inner]))) / scale
     assert dev < 5e-3  # discretization-limited agreement
-
-
-def test_propagate_convergence_guard():
-    import pytest
-
-    from contact_duality.errors import QuadratureNotConverged
-
-    grid = SectorGrid(n=2, length=6.0, points=10)
-    psi0 = sample_sector_function(grid, gaussian_profile([4.0, 2.0], width=0.8))
-    kernel = robin_pair_kernel(robin(-1.0))
-    out = propagate(kernel, psi0, 0.3, PropagationQuad(0.0, 6.0, 18, 8), tol=1e-7)
-    assert out.values.shape == psi0.values.shape
-    with pytest.raises(QuadratureNotConverged):
-        propagate(kernel, psi0, 0.3, PropagationQuad(0.0, 6.0, 2, 2), tol=1e-9)
