@@ -16,7 +16,8 @@ import numpy as np
 from .permutations import group_table
 from .quadrature import integrate_box, integrate_sector
 
-#: Grid doublings of each adaptive rule before the check gives up.
+#: Refinement depth of each adaptive integral: a cell is split at most
+#: this many times before the check gives up.
 MAX_DOUBLINGS = 6
 #: Smallest |lhs| the residual is taken relative to.
 RESIDUAL_FLOOR = 1e-12

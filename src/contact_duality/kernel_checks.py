@@ -61,7 +61,10 @@ class SamplingSpec:
     ``INITIAL_TAU0`` seeds a dyadic tau ladder of ``initial_depth``
     points for the short-time check.  The sampling interval and the
     truncation boxes follow from the kernel (``sampling_spread``,
-    ``bound_state_length``).
+    ``bound_state_length``).  ``quad_tol`` and ``quad_order`` are the
+    adaptive integrals' tolerance and Gauss order, and
+    ``quad_max_doublings`` their refinement depth: a cell of the starting
+    grid is split at most that many times.
     """
 
     seed: int = 0

@@ -10,8 +10,14 @@ substitution
 which carries the unit cube onto the order simplex 1 >= z_1 >= ... >= z_g
 with Jacobian prod_i u_i^(g-i).  The integrand is smooth on every panel,
 so refinement in the panel count converges at the full Gauss order.
-Adaptive drivers double the panel count until two successive estimates
-agree to the requested tolerance.
+
+Adaptive drivers refine locally.  They start from the uniform grid and,
+in each round, split every cell whose estimate has not settled into the
+2^n cells of half its width.  A cell settles when its estimate and the
+sum over its children agree to its share of the requested tolerance,
+and that sum is final.  Cells where the integrand is negligible or
+already resolved are not evaluated again, so the work follows the
+integrand instead of the grid.
 
 Sector bounds are either scalars, for the cube [lo, hi]^n, or per-axis
 arrays of shape (n,), for a box prod_k [lo_k, hi_k].  The panel grid is
@@ -23,14 +29,16 @@ value.  Scalar bounds keep every cell and give the rule unchanged.
 
 Rules are generated as a stream of blocks of at most ``EVAL_CHUNK``
 points.  Adaptive integration builds, evaluates and sums one block at a
-time and never holds a whole rule.  Sector cells are enumerated and
-grouped by tie pattern with array operations.  ``box_rule`` and
-``sector_rule`` concatenate the same blocks, so a whole rule and its
-stream agree point for point and bit for bit.
+time, cell by cell, and never holds a whole rule.  Sector cells are
+enumerated and grouped by tie pattern with array operations.
+``box_rule`` and ``sector_rule`` concatenate the blocks of a whole
+uniform grid, so a whole rule and its stream agree point for point and
+bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -155,6 +163,54 @@ def _tie_pattern(code: int, n: int) -> tuple:
     return tuple(pattern)
 
 
+def _meets(edges, tuples, lo, hi):
+    """Mask of the cells ``tuples`` of the grid ``edges`` that meet the box
+    prod_k [lo_k, hi_k]."""
+    return np.all((edges[tuples + 1] > lo) & (edges[tuples] < hi), axis=1)
+
+
+def _sector_cells(lo, hi, n: int, cells: int):
+    """Edges of the uniform grid on the hull [min lo, max hi] and the
+    weakly descending index tuples of its cells that meet the box."""
+    lo, hi = np.broadcast_to(lo, (n,)), np.broadcast_to(hi, (n,))
+    edges = np.linspace(lo.min(), hi.max(), cells + 1)
+    tuples = descending_combinations(cells, n)
+    return edges, tuples[_meets(edges, tuples, lo, hi)]
+
+
+def _pattern_groups(tuples):
+    """(tie pattern, row indices) of the cells ``tuples``, patterns in order
+    of first appearance and each pattern's rows in order."""
+    n = tuples.shape[1]
+    codes = (tuples[:, :-1] == tuples[:, 1:]) @ (1 << np.arange(n - 1))
+    found, first = np.unique(codes, return_index=True)
+    for code in found[np.argsort(first)]:
+        yield _tie_pattern(int(code), n), np.flatnonzero(codes == code)
+
+
+def _cell_blocks(origins, h, local_pts):
+    """Points of the cells with lower corners ``origins`` (m, n) under a
+    rule ``local_pts`` on the unit cell, scaled by the cell width ``h``
+    (a scalar or one per axis), in blocks of at most ``EVAL_CHUNK`` points.
+
+    Yields (cells, local, pts): the slices of cells and of local points a
+    block holds, and its points, cell by cell.
+    """
+    n = origins.shape[1]
+    local_pts = h * local_pts
+    per_cell = local_pts.shape[0]
+    cells_per_block = max(1, EVAL_CHUNK // per_cell)
+    local_step = min(per_cell, EVAL_CHUNK)
+    for start in range(0, origins.shape[0], cells_per_block):
+        block = origins[start:start + cells_per_block]
+        for part in range(0, per_cell, local_step):
+            local = slice(part, part + local_step)
+            pts = np.empty((block.shape[0], local_pts[local].shape[0], n))
+            for d in range(n):  # one axis at a time keeps numpy's inner loops long
+                np.add(block[:, d, None], local_pts[None, local, d], out=pts[..., d])
+            yield slice(start, start + block.shape[0]), local, pts.reshape(-1, n)
+
+
 def _sector_blocks(lo, hi, n: int, cells: int, order: int):
     """Blocks of the sector rule: cells grouped by tie pattern in order of
     first appearance, each pattern's cells in enumeration order.
@@ -164,30 +220,14 @@ def _sector_blocks(lo, hi, n: int, cells: int, order: int):
     that meet the box prod_k [lo_k, hi_k] are kept (all of them for
     scalar bounds).
     """
-    lo, hi = np.broadcast_to(lo, (n,)), np.broadcast_to(hi, (n,))
-    edges = np.linspace(lo.min(), hi.max(), cells + 1)
+    edges, tuples = _sector_cells(lo, hi, n, cells)
     h = edges[1] - edges[0]
     vol = h**n
-    tuples = descending_combinations(cells, n)
-    tuples = tuples[np.all((edges[tuples + 1] > lo) & (edges[tuples] < hi), axis=1)]
-    codes = (tuples[:, :-1] == tuples[:, 1:]) @ (1 << np.arange(n - 1))
-    found, first = np.unique(codes, return_index=True)
-    for code in found[np.argsort(first)]:
-        local_pts, local_wts = _pattern_rule(_tie_pattern(int(code), n), order)
-        local_pts = h * local_pts
+    for pattern, rows in _pattern_groups(tuples):
+        local_pts, local_wts = _pattern_rule(pattern, order)
         local_wts = vol * local_wts
-        origins = edges[tuples[codes == code]]
-        per_cell = local_wts.size
-        cells_per_block = max(1, EVAL_CHUNK // per_cell)
-        local_step = min(per_cell, EVAL_CHUNK)
-        for start in range(0, origins.shape[0], cells_per_block):
-            block = origins[start:start + cells_per_block]
-            for part in range(0, per_cell, local_step):
-                local = slice(part, part + local_step)
-                pts = np.empty((block.shape[0], local_wts[local].size, n))
-                for d in range(n):  # one axis at a time keeps numpy's inner loops long
-                    np.add(block[:, d, None], local_pts[None, local, d], out=pts[..., d])
-                yield pts.reshape(-1, n), np.tile(local_wts[local], block.shape[0])
+        for block, local, pts in _cell_blocks(edges[tuples[rows]], h, local_pts):
+            yield pts, np.tile(local_wts[local], block.stop - block.start)
 
 
 def _whole(blocks):
@@ -213,53 +253,145 @@ def sector_rule(lo, hi, n: int, cells: int, order: int = 6):
     return _whole(_sector_blocks(lo, hi, n, cells, order))
 
 
-def _chunked_sum(f, blocks):
-    total = 0.0
-    for pts, wts in blocks:
-        total = total + np.sum(wts * np.asarray(f(pts)))
-    return complex(total)
+def _cell_sums(f, edges, tuples, order: int, sector: bool):
+    """Integral of f over each cell ``tuples`` (m, n) of the grid with
+    per-axis edges ``edges`` (n, cells + 1): over the sector part of the
+    cell for a sector grid, over the whole cell for a box.
+
+    Points are evaluated in blocks of at most ``EVAL_CHUNK``, grouped by
+    tie pattern.
+    """
+    n = tuples.shape[1]
+    h = edges[:, 1] - edges[:, 0]
+    vol = np.prod(h)
+    origins = edges[np.arange(n), tuples]
+    groups = (_pattern_groups(tuples) if sector
+              else [((1,) * n, np.arange(tuples.shape[0]))])
+    sums = np.zeros(tuples.shape[0])
+    for pattern, rows in groups:
+        local_pts, local_wts = _pattern_rule(pattern, order)
+        local_wts = vol * local_wts
+        group = np.zeros(rows.size)
+        for cells, local, pts in _cell_blocks(origins[rows], h, local_pts):
+            values = np.asarray(f(pts))
+            if np.iscomplexobj(values):
+                raise TypeError("adaptive quadrature integrates real-valued f only")
+            per_cell = values.reshape(cells.stop - cells.start, -1)
+            group[cells] += per_cell @ local_wts[local]
+        sums[rows] = group
+    return sums
 
 
-def _adaptive(blocks_at, f, tol: float, start_cells: int, max_doublings: int):
-    prev = None
+def _volume_share(tuples, cells: int, sector: bool):
+    """Share of each cell ``tuples`` in the volume of the grid's domain at
+    ``cells`` per axis: the whole cube for a box, its descending sector
+    for a sector grid, where a cell with tied indices holds 1/prod g! of
+    its volume for tie groups of sizes g."""
+    n = tuples.shape[1]
+    if not sector:
+        return np.full(tuples.shape[0], float(cells) ** -n)
+    run = np.ones(tuples.shape[0])
+    ties = np.ones(tuples.shape[0])
+    for k in range(1, n):
+        run = np.where(tuples[:, k] == tuples[:, k - 1], run + 1.0, 1.0)
+        ties *= run
+    return math.factorial(n) / ties / float(cells) ** n
+
+
+def _edges(lo, hi, cells: int):
+    """Per-axis edges (n, cells + 1) of the uniform grid on prod_k [lo_k, hi_k]."""
+    return np.stack([np.linspace(a, b, cells + 1) for a, b in zip(lo, hi)])
+
+
+def _adaptive(f, lo, hi, tuples, tol: float, order: int, start_cells: int,
+              max_doublings: int, clip):
+    """Cell-local adaptive quadrature on the uniform grid over prod_k
+    [lo_k, hi_k], starting from the cells ``tuples`` at ``start_cells`` per
+    axis.  ``clip`` is None for a box; for a sector it is the box (lo, hi)
+    whose cells are kept, and the cells are sector cells.
+
+    Each round evaluates the 2^n children 2t + a (a in {0, 1}^n) of every
+    unsettled cell t (for a sector, those that are weakly descending and
+    meet the clip box).  A cell settles when its estimate and its
+    children's sum differ by at most tol |I| (v + w) / 2, where |I| is the
+    current total, v the cell's share of the domain volume and w its share
+    of the current integral of |f|: each share sums to at most one over
+    the cells, so the settled differences sum to at most tol |I|.  The
+    children's sum of a settled cell is final.  The share w lets the cells
+    of a narrow peak settle at tol relative to their own integral instead
+    of at the volume share, which would demand far more there.  Cells still
+    unsettled after ``max_doublings`` rounds raise QuadratureNotConverged
+    with the running estimate.
+    """
+    n = tuples.shape[1]
+    sector = clip is not None
+    offsets = np.stack(_digits(np.arange(2**n), 2, n), axis=-1)
     cells = start_cells
-    for _ in range(max_doublings + 1):
-        val = _chunked_sum(f, blocks_at(cells))
-        if val.imag == 0.0:
-            val = val.real
-        if prev is not None:
-            err = abs(val - prev)
-            if err <= tol * max(abs(val), 1e-300):
-                return val, err
-        prev = val
+    values = _cell_sums(f, _edges(lo, hi, cells), tuples, order, sector)
+    total = error = mass = 0.0
+    for _ in range(max_doublings):
+        share = _volume_share(tuples, cells, sector)
         cells *= 2
+        edges = _edges(lo, hi, cells)
+        children = (2 * tuples[:, None, :] + offsets).reshape(-1, n)
+        parents = np.repeat(np.arange(tuples.shape[0]), offsets.shape[0])
+        if sector:
+            kept = (np.all(children[:, :-1] >= children[:, 1:], axis=1)
+                    & _meets(edges[0], children, *clip))
+            children, parents = children[kept], parents[kept]
+        child_values = _cell_sums(f, edges, children, order, sector)
+        refined = np.bincount(parents, child_values, minlength=tuples.shape[0])
+        change = np.abs(refined - values)
+        estimate = total + float(refined.sum())
+        absolute = np.abs(refined)
+        weight = absolute / max(mass + float(absolute.sum()), 1e-300)
+        settled = change <= 0.5 * tol * abs(estimate) * (share + weight)
+        total += float(refined[settled].sum())
+        error += float(change[settled].sum())
+        mass += float(absolute[settled].sum())
+        unsettled = ~settled[parents]
+        tuples, values = children[unsettled], child_values[unsettled]
+        if tuples.shape[0] == 0:
+            return total, error
     raise QuadratureNotConverged(
         f"no convergence to tol={tol} after {max_doublings} doublings",
-        estimate=prev,
+        estimate=total + float(values.sum()),
         error=None,
     )
 
 
 def integrate_box(f, box, tol: float = 1e-9, order: int = 6,
                   start_cells: int = 2, max_doublings: int = 7):
-    """Adaptive tensor quadrature of a vectorized f over a box.
+    """Adaptive tensor quadrature of a real vectorized f over a box.
 
-    f maps an (M, n) array of points to (M,) values.  Returns (value,
-    error estimate); raises QuadratureNotConverged on failure.
+    f maps an (M, n) array of points to (M,) real values; a complex f
+    raises TypeError.  Starting from the uniform grid of ``start_cells``
+    per axis, only the cells whose estimate has not settled are split, at
+    most ``max_doublings`` times.  Returns (value, error estimate) as
+    floats; raises QuadratureNotConverged on failure.
     """
-    return _adaptive(lambda c: _box_blocks(box, c, order), f, tol,
-                     start_cells, max_doublings)
+    box = np.asarray(box, dtype=float)
+    n = box.shape[0]
+    tuples = np.stack(_digits(np.arange(start_cells**n), start_cells, n), axis=-1)
+    return _adaptive(f, box[:, 0], box[:, 1], tuples, tol, order, start_cells,
+                     max_doublings, clip=None)
 
 
 def integrate_sector(f, lo, hi, n: int, tol: float = 1e-9,
                      order: int = 6, start_cells: int = 2, max_doublings: int = 7):
-    """Adaptive quadrature over the descending sector of [lo, hi]^n.
+    """Adaptive quadrature of a real f over the descending sector of [lo, hi]^n.
 
-    With per-axis bounds of shape (n,), each rule is ``sector_rule``'s:
-    the hull-grid cells that meet the box prod_k [lo_k, hi_k], so the
-    integral is over the sector part of the cells covering that box.
-    Scalar bounds integrate over every cell of the cube.
+    Starts from ``sector_rule``'s cells at ``start_cells`` per axis and
+    splits only the cells whose estimate has not settled, at most
+    ``max_doublings`` times, keeping the children that are weakly
+    descending and meet the box.  With per-axis bounds of shape (n,) the
+    grid lies on the hull cube [min lo, max hi]^n and the integral is over
+    the sector part of the cells covering the box prod_k [lo_k, hi_k];
+    scalar bounds integrate over the whole cube.  Volume shares are
+    shares of the hull cube's sector, so a kept cell settles as in the
+    hull-cube integral.  Returns (value, error estimate) as floats.
     """
-    return _adaptive(lambda c: _sector_blocks(lo, hi, n, c, order), f, tol,
-                     start_cells, max_doublings)
-
+    lo, hi = np.broadcast_to(lo, (n,)), np.broadcast_to(hi, (n,))
+    tuples = _sector_cells(lo, hi, n, start_cells)[1]
+    return _adaptive(f, np.full(n, lo.min()), np.full(n, hi.max()), tuples, tol,
+                     order, start_cells, max_doublings, clip=(lo, hi))

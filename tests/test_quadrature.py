@@ -21,7 +21,7 @@ from contact_duality.kernel_checks import (
     initial_condition_intercept,
 )
 from contact_duality.kernels import free_kernel, permutation_sum
-from contact_duality.permutations import Statistics
+from contact_duality.permutations import Statistics, group_table
 from contact_duality.quadrature import (
     EVAL_CHUNK,
     _box_blocks,
@@ -217,6 +217,64 @@ def test_not_converged_raises():
     f = lambda x: rng.normal(size=x.shape[0])  # noise never converges
     with pytest.raises(QuadratureNotConverged):
         integrate_box(f, np.array([[0.0, 1.0]]), tol=1e-12, max_doublings=2)
+
+
+@pytest.mark.parametrize("n, count", [(2, 40), (3, 6)])
+def test_random_gaussians_meet_the_tolerance(n, count):
+    # Box and symmetrized-sector integrals of random Gaussians are within
+    # tol of the closed form at every tolerance from 1e-6 to 1e-10.
+    rng = np.random.default_rng(n)
+    rows = group_table(n)[0].tolist()
+    for _ in range(count):
+        g = random_gaussian(n, rng)
+        box = g.support_box()
+        exact = g.exact_integral()
+        symmetrized = lambda y: sum(g(y[..., image]) for image in rows)
+        for tol in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
+            kw = dict(tol=tol, order=8, max_doublings=6)
+            full, _ = integrate_box(g, box, **kw)
+            sect, _ = integrate_sector(symmetrized, box[:, 0].min(), box[:, 1].max(), n,
+                                       **kw)
+            assert abs(full - exact) <= tol * exact
+            assert abs(sect - exact) <= tol * exact
+
+
+def test_narrow_peak_is_refined_locally():
+    # A Gaussian of width 0.05 in [-8, 8]^2 needs 8 doublings; only the
+    # cells about the peak are split, so under half the points of the
+    # uniform rule at that depth reach f.
+    center = np.array([1.3, -0.7])
+    calls = []
+
+    def f(x):
+        calls.append(x.shape[0])
+        return np.exp(-np.sum((x - center) ** 2, axis=-1) / (2.0 * 0.05**2))
+
+    box = np.array([[-8.0, 8.0], [-8.0, 8.0]])
+    kw = dict(tol=1e-8, order=6, start_cells=2)
+    with pytest.raises(QuadratureNotConverged):
+        integrate_box(f, box, max_doublings=7, **kw)
+    calls.clear()
+    value, _ = integrate_box(f, box, max_doublings=8, **kw)
+    np.testing.assert_allclose(value, 2.0 * np.pi * 0.05**2, rtol=1e-8)
+    uniform = (2 * 2**8 * 6) ** 2
+    assert sum(calls) < uniform / 2
+
+
+def test_integrators_return_python_floats():
+    f = lambda x: np.exp(-np.sum(x * x, axis=-1))
+    results = (integrate_box(f, np.array([[-6.0, 6.0]] * 2), tol=1e-8),
+               integrate_sector(f, -6.0, 6.0, 2, tol=1e-8),
+               integrate_sector(f, np.array([-6.0, -5.0]), np.array([6.0, 5.0]), 2,
+                                tol=1e-8))
+    for value, error in results:
+        assert type(value) is float and type(error) is float
+
+
+def test_complex_integrand_raises():
+    f = lambda x: np.exp(1j * x[:, 0])
+    with pytest.raises(TypeError):
+        integrate_box(f, np.array([[0.0, 1.0]]), tol=1e-8)
 
 
 def test_fold_identity_gaussian_n2():
