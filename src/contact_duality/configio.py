@@ -38,6 +38,18 @@ POSITIVE_COUNTS = ("levels", "count", "pairs", "refinements", "quad_order",
 #: Floats that must be above 0 in every schema that has them.
 POSITIVE_FLOATS = ("quad_tol", "dilation", "tau", "width")
 
+#: Keys a setting leaves unused, as (key, setting, value, reason): a
+#: config that gives the key while the setting has that value is refused,
+#: so no report carries a value that did not act.
+UNUSED_KEYS = (
+    ("coupling", "kernel", "free", "the free kernel takes no coupling"),
+    ("statistics", "kernel", "pair", "the pair kernel takes no statistics"),
+    ("realtime_points", "realtime", False, "used only with realtime = yes"),
+    ("realtime_length", "realtime", False, "used only with realtime = yes"),
+    ("realtime_time", "realtime", False, "used only with realtime = yes"),
+    ("omega", "confinement", "box", "used only with confinement = harmonic"),
+)
+
 _BOOL = {"true": True, "false": False, "yes": True, "no": False}
 
 
@@ -269,6 +281,10 @@ def validate_config(text: str) -> ExperimentConfig:
         if key in values and values[key] <= 0:
             raise ConfigError(f"key {key!r}: must be positive, got {values[key]}")
 
+    for key, setting, value, reason in UNUSED_KEYS:
+        if key in raw and values.get(setting) == value:
+            raise ConfigError(f"key {key!r}: {reason}")
+
     cfg = ExperimentConfig(command=command, values=values, couplings=couplings)
     n = values["n"]
     realtime = command == "dual-kernels" and values["realtime"]
@@ -292,8 +308,6 @@ def validate_config(text: str) -> ExperimentConfig:
         # every propagator is the identity at t = 0; a negative t is a
         # valid backward check
         raise ConfigError("key 'realtime_time': must be nonzero, got 0")
-    if values.get("kernel") == "free" and "coupling" in raw:
-        raise ConfigError("key 'coupling': the free kernel takes no coupling")
     pair = command == "propagate" or values.get("kernel") == "pair"
     if pair and values["coupling"].kind == "scale":
         raise ConfigError("key 'coupling': the pair kernel takes robin, neumann or dirichlet")

@@ -52,6 +52,12 @@ INITIAL_TAU0 = 0.016
 QUAD_START_CELLS = 4
 #: Integrand size at the edge of the truncation boxes.
 DROP = 1e-12
+#: Times of the composition law's two steps; the heat-equation, face and
+#: reconstruction checks evaluate at their sum.
+TAUS = (0.25, 0.35)
+#: Pair-separation step of the one-sided face stencils; the heat-equation
+#: stencils step by half of it.
+FD_STEP = 0.012
 
 
 @dataclass
@@ -69,9 +75,7 @@ class SamplingSpec:
 
     seed: int = 0
     pairs: int = 3
-    taus: tuple = (0.25, 0.35)
     initial_depth: int = 5
-    fd_step: float = 0.012
     quad_tol: float = 1e-9
     quad_order: int = 8
     quad_max_doublings: int = 6
@@ -211,19 +215,18 @@ def initial_condition_intercept(kernel: KernelEvaluator, x, spec: SamplingSpec):
     return abs(_richardson_intercept(ladder)), ladder
 
 
-def heat_equation_residual(kernel: KernelEvaluator, x, y, tau: float,
-                           spec: SamplingSpec) -> float:
+def heat_equation_residual(kernel: KernelEvaluator, x, y, tau: float) -> float:
     """|d/dtau K - (1/2) Laplacian_x K| via fourth-order stencils,
     relative to the larger of the two sides.
 
-    The stencils step by half of ``spec.fd_step`` (relative to tau in
-    time): at the full step their truncation error alone reaches a few
+    The stencils step by half of ``FD_STEP`` (relative to tau in time):
+    at the full step their truncation error alone reaches a few
     1e-6 at some sample points, and halving it cuts that 16-fold.
     """
     n = kernel.n
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    dx = 0.5 * spec.fd_step
+    dx = 0.5 * FD_STEP
     dt = dx * tau
 
     def k_at(xx, tt):
@@ -255,7 +258,7 @@ def verify_assumptions(kernel: KernelEvaluator, spec: SamplingSpec = None) -> di
     xs = _sample_points(spec, n, spec.pairs, sector)
     ys = _sample_points(dataclasses.replace(spec, seed=spec.seed + 1), n, spec.pairs,
                         sector)
-    tau1, tau2 = spec.taus
+    tau1, tau2 = TAUS
 
     composition = [composition_residual(kernel, x, y, tau1, tau2, spec)
                    for x, y in zip(xs, ys)]
@@ -271,7 +274,7 @@ def verify_assumptions(kernel: KernelEvaluator, spec: SamplingSpec = None) -> di
         k_yx = _value(kernel, y, x, tau)
         scale = max(abs(k_xy), abs(k_yx), 1e-300)
         symmetry.append(abs(k_xy - k_yx) / scale)
-        heat.append(heat_equation_residual(kernel, x, y, tau, spec))
+        heat.append(heat_equation_residual(kernel, x, y, tau))
 
     if sector:
         invariance = None
@@ -312,17 +315,17 @@ def face_boundary_residual(kernel: KernelEvaluator, model, j: int,
 
     Uses the kernel's analytic face operator when available, otherwise
     one-sided quadratic extrapolation with pair separations step,
-    2 step, 3 step, where step is ``spec.fd_step``.  Dirichlet data
+    2 step, 3 step, where step is ``FD_STEP``.  Dirichlet data
     measures the face value itself, Neumann the pair derivative.
     """
     entry = model.entry(j)
     n = kernel.n
-    tau = sum(spec.taus)
+    tau = sum(TAUS)
     ys = _sample_points(spec, n, spec.pairs, sector=True)
     if kernel.pair_face_residual is not None and entry.kind == "robin":
         return max(kernel.pair_face_residual(y[None, :], tau) for y in ys)
 
-    step = spec.fd_step
+    step = FD_STEP
     pts = face_points(spec, n, j, spec.pairs)
     worst = 0.0
     for y in ys:
@@ -378,7 +381,7 @@ def dual_reconstruction_check(k_bose: KernelEvaluator, k_fermi: KernelEvaluator,
     xs = _sample_points(spec, n, spec.pairs, sector=True)
     ys = _sample_points(dataclasses.replace(spec, seed=spec.seed + 5), n, spec.pairs,
                         sector=True)
-    tau = sum(spec.taus)
+    tau = sum(TAUS)
     sum_b = permutation_sum(k_bose, Statistics.BOSE)
     sum_f = permutation_sum(k_fermi, Statistics.FERMI)
 
@@ -391,7 +394,7 @@ def dual_reconstruction_check(k_bose: KernelEvaluator, k_fermi: KernelEvaluator,
     connection = {}
     coupling = k_bose.coupling
     if coupling is not None and coupling.kind == "robin":
-        step = spec.fd_step
+        step = FD_STEP
         plane = face_points(spec, n, 1, spec.pairs)
         u, a = (step, 2 * step, 3 * step), coupling.value
 

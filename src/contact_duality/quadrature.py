@@ -27,13 +27,17 @@ kept cell holds the same points and weights as in the hull-cube rule, so
 an integrand negligible outside the box integrates to the hull-cube
 value.  Scalar bounds keep every cell and give the rule unchanged.
 
-Rules are generated as a stream of blocks of at most ``EVAL_CHUNK``
-points.  Adaptive integration builds, evaluates and sums one block at a
-time, cell by cell, and never holds a whole rule.  Sector cells are
-enumerated and grouped by tie pattern with array operations.
-``box_rule`` and ``sector_rule`` concatenate the blocks of a whole
-uniform grid, so a whole rule and its stream agree point for point and
-bit for bit.
+Every rule is laid out one way.  ``_grid`` gives the uniform grid's
+edges and the cells ``_keep`` keeps: every cell of a box, the weakly
+descending cells that meet the box for a sector.  The refined children
+of the adaptive drivers pass the same predicate.  ``_blocks`` streams the
+points of a set of cells, grouped by tie pattern, in blocks of at most
+``EVAL_CHUNK`` points, cell by cell; a cell's weights are its volume
+times the weights of its pattern's rule on the unit cell.  Adaptive
+integration builds, evaluates and sums one block at a time and never
+holds a whole rule.  ``box_rule`` and ``sector_rule`` concatenate the
+blocks of the whole grid at a given cell count, so an adaptive
+integral's first round evaluates exactly their points.
 """
 
 from __future__ import annotations
@@ -104,44 +108,6 @@ def _pattern_rule(pattern: tuple, order: int):
 EVAL_CHUNK = 16_384
 
 
-def _box_blocks(box, cells: int, order: int):
-    """Blocks of the tensor rule over a box, in row-major point order.
-
-    The trailing axes whose tensor grid fits in a block are laid out
-    whole in every block; the leading axes are stepped through.
-    """
-    box = np.asarray(box, dtype=float)
-    n = box.shape[0]
-    x1, w1 = _leggauss01(order)
-    axis_pts, axis_wts = [], []
-    for lo, hi in box:
-        edges = np.linspace(lo, hi, cells + 1)
-        h = edges[1] - edges[0]
-        axis_pts.append((edges[:-1, None] + h * x1[None, :]).ravel())
-        axis_wts.append(np.tile(h * w1, cells))
-    m = cells * order
-    lead = n
-    while lead > 0 and m ** (n - lead + 1) <= EVAL_CHUNK:
-        lead -= 1
-    trail_index = _digits(np.arange(m ** (n - lead)), m, n - lead)
-    trail_pts = [a[i][None, :] for a, i in zip(axis_pts[lead:], trail_index)]
-    trail_wts = [w[i][None, :] for w, i in zip(axis_wts[lead:], trail_index)]
-    rows = max(1, EVAL_CHUNK // m ** (n - lead))
-    for start in range(0, m**lead, rows):
-        lead_index = _digits(np.arange(start, min(start + rows, m**lead)), m, lead)
-        coords = [a[i][:, None] for a, i in zip(axis_pts, lead_index)] + trail_pts
-        factors = [w[i][:, None] for w, i in zip(axis_wts, lead_index)] + trail_wts
-        shape = np.broadcast_shapes(*(c.shape for c in coords))
-        pts = np.empty((*shape, n))
-        for d, c in enumerate(coords):
-            pts[..., d] = c
-        # the weight is the product over axes, taken left to right
-        wts = factors[0]
-        for factor in factors[1:]:
-            wts = wts * factor
-        yield pts.reshape(-1, n), np.broadcast_to(wts, shape).ravel()
-
-
 def _digits(flat: np.ndarray, base: int, k: int) -> list:
     """Row-major multi-index of flat indices into the grid (base,) * k."""
     digits = []
@@ -163,19 +129,37 @@ def _tie_pattern(code: int, n: int) -> tuple:
     return tuple(pattern)
 
 
-def _meets(edges, tuples, lo, hi):
+def _edges(lo, hi, cells: int, sector: bool):
+    """Per-axis edges (n, cells + 1) of the uniform grid on prod_k [lo_k,
+    hi_k], or for a sector on its hull cube [min lo, max hi]^n."""
+    if sector:
+        lo, hi = np.full(lo.shape, lo.min()), np.full(hi.shape, hi.max())
+    return np.stack([np.linspace(a, b, cells + 1) for a, b in zip(lo, hi)])
+
+
+def _keep(edges, tuples, lo, hi, sector: bool):
     """Mask of the cells ``tuples`` of the grid ``edges`` that meet the box
-    prod_k [lo_k, hi_k]."""
-    return np.all((edges[tuples + 1] > lo) & (edges[tuples] < hi), axis=1)
+    prod_k [lo_k, hi_k] and, on a sector grid, are weakly descending.  On
+    a box grid every cell meets the box."""
+    axes = np.arange(tuples.shape[1])
+    keep = np.all((edges[axes, tuples + 1] > lo) & (edges[axes, tuples] < hi), axis=1)
+    if sector:
+        keep &= np.all(tuples[:, :-1] >= tuples[:, 1:], axis=1)
+    return keep
 
 
-def _sector_cells(lo, hi, n: int, cells: int):
-    """Edges of the uniform grid on the hull [min lo, max hi] and the
-    weakly descending index tuples of its cells that meet the box."""
+def _grid(lo, hi, n: int, cells: int, sector: bool):
+    """Edges of the uniform grid at ``cells`` per axis and its kept cells:
+    every cell of the box prod_k [lo_k, hi_k] in row-major order, or for a
+    sector the weakly descending cells of the hull grid that meet the box,
+    in ``descending_combinations`` order.  Scalar bounds are the cube."""
     lo, hi = np.broadcast_to(lo, (n,)), np.broadcast_to(hi, (n,))
-    edges = np.linspace(lo.min(), hi.max(), cells + 1)
-    tuples = descending_combinations(cells, n)
-    return edges, tuples[_meets(edges, tuples, lo, hi)]
+    edges = _edges(lo, hi, cells, sector)
+    if sector:
+        tuples = descending_combinations(cells, n)
+    else:
+        tuples = np.stack(_digits(np.arange(cells**n), cells, n), axis=-1)
+    return edges, tuples[_keep(edges, tuples, lo, hi, sector)]
 
 
 def _pattern_groups(tuples):
@@ -188,56 +172,56 @@ def _pattern_groups(tuples):
         yield _tie_pattern(int(code), n), np.flatnonzero(codes == code)
 
 
-def _cell_blocks(origins, h, local_pts):
-    """Points of the cells with lower corners ``origins`` (m, n) under a
-    rule ``local_pts`` on the unit cell, scaled by the cell width ``h``
-    (a scalar or one per axis), in blocks of at most ``EVAL_CHUNK`` points.
+def _blocks(edges, tuples, order: int, sector: bool):
+    """The rule over the cells ``tuples`` (m, n) of the grid with per-axis
+    edges ``edges`` (n, cells + 1), in blocks of at most ``EVAL_CHUNK``
+    points: the sector part of each cell for a sector grid, from the rule
+    of its tie pattern, the whole cell for a box.
 
-    Yields (cells, local, pts): the slices of cells and of local points a
-    block holds, and its points, cell by cell.
+    Sector cells are grouped by tie pattern in order of first appearance,
+    each pattern's cells in order; box cells come in order.  Yields
+    (rows, pts, wts): the rows of ``tuples`` a block holds, its points
+    cell by cell, and the weights of one cell's points in the block, the
+    same for every cell of the block.
     """
-    n = origins.shape[1]
-    local_pts = h * local_pts
-    per_cell = local_pts.shape[0]
-    cells_per_block = max(1, EVAL_CHUNK // per_cell)
-    local_step = min(per_cell, EVAL_CHUNK)
-    for start in range(0, origins.shape[0], cells_per_block):
-        block = origins[start:start + cells_per_block]
-        for part in range(0, per_cell, local_step):
-            local = slice(part, part + local_step)
-            pts = np.empty((block.shape[0], local_pts[local].shape[0], n))
-            for d in range(n):  # one axis at a time keeps numpy's inner loops long
-                np.add(block[:, d, None], local_pts[None, local, d], out=pts[..., d])
-            yield slice(start, start + block.shape[0]), local, pts.reshape(-1, n)
-
-
-def _sector_blocks(lo, hi, n: int, cells: int, order: int):
-    """Blocks of the sector rule: cells grouped by tie pattern in order of
-    first appearance, each pattern's cells in enumeration order.
-
-    ``lo`` and ``hi`` are scalars or per-axis arrays of shape (n,).  The
-    grid is the uniform grid on the hull [min lo, max hi]; only the cells
-    that meet the box prod_k [lo_k, hi_k] are kept (all of them for
-    scalar bounds).
-    """
-    edges, tuples = _sector_cells(lo, hi, n, cells)
-    h = edges[1] - edges[0]
-    vol = h**n
-    for pattern, rows in _pattern_groups(tuples):
+    n = tuples.shape[1]
+    h = edges[:, 1] - edges[:, 0]
+    vol = np.prod(h)
+    origins = edges[np.arange(n), tuples]
+    groups = (_pattern_groups(tuples) if sector
+              else [((1,) * n, np.arange(tuples.shape[0]))])
+    for pattern, rows in groups:
         local_pts, local_wts = _pattern_rule(pattern, order)
-        local_wts = vol * local_wts
-        for block, local, pts in _cell_blocks(edges[tuples[rows]], h, local_pts):
-            yield pts, np.tile(local_wts[local], block.stop - block.start)
+        local_pts, local_wts = h * local_pts, vol * local_wts
+        per_cell = local_pts.shape[0]
+        cells_per_block = max(1, EVAL_CHUNK // per_cell)
+        local_step = min(per_cell, EVAL_CHUNK)
+        for start in range(0, rows.size, cells_per_block):
+            block = rows[start:start + cells_per_block]
+            for part in range(0, per_cell, local_step):
+                local = slice(part, part + local_step)
+                pts = np.empty((block.size, local_pts[local].shape[0], n))
+                for d in range(n):  # one axis at a time keeps numpy's inner loops long
+                    np.add(origins[block, d, None], local_pts[None, local, d],
+                           out=pts[..., d])
+                yield block, pts.reshape(-1, n), local_wts[local]
 
 
-def _whole(blocks):
-    pts, wts = zip(*blocks)
+def _rule(lo, hi, n: int, cells: int, order: int, sector: bool):
+    """The blocks of the whole uniform grid, concatenated."""
+    pts, wts = [], []
+    for rows, block_pts, block_wts in _blocks(*_grid(lo, hi, n, cells, sector),
+                                               order, sector):
+        pts.append(block_pts)
+        wts.append(np.tile(block_wts, rows.size))
     return np.concatenate(pts, axis=0), np.concatenate(wts)
 
 
 def box_rule(box, cells: int, order: int = 6):
-    """Tensor Gauss-Legendre rule over a box given as (n, 2) bounds."""
-    return _whole(_box_blocks(box, cells, order))
+    """Tensor Gauss-Legendre rule over a box given as (n, 2) bounds, cell
+    by cell in row-major cell order."""
+    box = np.asarray(box, dtype=float)
+    return _rule(box[:, 0], box[:, 1], box.shape[0], cells, order, sector=False)
 
 
 def sector_rule(lo, hi, n: int, cells: int, order: int = 6):
@@ -250,35 +234,21 @@ def sector_rule(lo, hi, n: int, cells: int, order: int = 6):
     the cells that meet the box prod_k [lo_k, hi_k]; scalar bounds keep
     every cell, so their rule is unchanged.
     """
-    return _whole(_sector_blocks(lo, hi, n, cells, order))
+    return _rule(lo, hi, n, cells, order, sector=True)
 
 
 def _cell_sums(f, edges, tuples, order: int, sector: bool):
     """Integral of f over each cell ``tuples`` (m, n) of the grid with
     per-axis edges ``edges`` (n, cells + 1): over the sector part of the
-    cell for a sector grid, over the whole cell for a box.
-
-    Points are evaluated in blocks of at most ``EVAL_CHUNK``, grouped by
-    tie pattern.
+    cell for a sector grid, over the whole cell for a box.  Points are
+    evaluated one block of ``_blocks`` at a time.
     """
-    n = tuples.shape[1]
-    h = edges[:, 1] - edges[:, 0]
-    vol = np.prod(h)
-    origins = edges[np.arange(n), tuples]
-    groups = (_pattern_groups(tuples) if sector
-              else [((1,) * n, np.arange(tuples.shape[0]))])
     sums = np.zeros(tuples.shape[0])
-    for pattern, rows in groups:
-        local_pts, local_wts = _pattern_rule(pattern, order)
-        local_wts = vol * local_wts
-        group = np.zeros(rows.size)
-        for cells, local, pts in _cell_blocks(origins[rows], h, local_pts):
-            values = np.asarray(f(pts))
-            if np.iscomplexobj(values):
-                raise TypeError("adaptive quadrature integrates real-valued f only")
-            per_cell = values.reshape(cells.stop - cells.start, -1)
-            group[cells] += per_cell @ local_wts[local]
-        sums[rows] = group
+    for rows, pts, wts in _blocks(edges, tuples, order, sector):
+        values = np.asarray(f(pts))
+        if np.iscomplexobj(values):
+            raise TypeError("adaptive quadrature integrates real-valued f only")
+        sums[rows] += values.reshape(rows.size, -1) @ wts
     return sums
 
 
@@ -298,47 +268,38 @@ def _volume_share(tuples, cells: int, sector: bool):
     return math.factorial(n) / ties / float(cells) ** n
 
 
-def _edges(lo, hi, cells: int):
-    """Per-axis edges (n, cells + 1) of the uniform grid on prod_k [lo_k, hi_k]."""
-    return np.stack([np.linspace(a, b, cells + 1) for a, b in zip(lo, hi)])
-
-
-def _adaptive(f, lo, hi, tuples, tol: float, order: int, start_cells: int,
-              max_doublings: int, clip):
-    """Cell-local adaptive quadrature on the uniform grid over prod_k
-    [lo_k, hi_k], starting from the cells ``tuples`` at ``start_cells`` per
-    axis.  ``clip`` is None for a box; for a sector it is the box (lo, hi)
-    whose cells are kept, and the cells are sector cells.
+def _adaptive(f, lo, hi, n: int, sector: bool, tol: float, order: int,
+              start_cells: int, max_doublings: int):
+    """Cell-local adaptive quadrature over the box prod_k [lo_k, hi_k], or
+    over the sector part of the hull-grid cells that meet it, starting
+    from the cells ``_grid`` keeps at ``start_cells`` per axis.
 
     Each round evaluates the 2^n children 2t + a (a in {0, 1}^n) of every
-    unsettled cell t (for a sector, those that are weakly descending and
-    meet the clip box).  A cell settles when its estimate and its
-    children's sum differ by at most tol |I| (v + w) / 2, where |I| is the
-    current total, v the cell's share of the domain volume and w its share
-    of the current integral of |f|: each share sums to at most one over
-    the cells, so the settled differences sum to at most tol |I|.  The
-    children's sum of a settled cell is final.  The share w lets the cells
-    of a narrow peak settle at tol relative to their own integral instead
-    of at the volume share, which would demand far more there.  Cells still
-    unsettled after ``max_doublings`` rounds raise QuadratureNotConverged
-    with the running estimate.
+    unsettled cell t that ``_keep`` keeps.  A cell settles when its
+    estimate and its children's sum differ by at most tol |I| (v + w) / 2,
+    where |I| is the current total, v the cell's share of the domain
+    volume and w its share of the current integral of |f|: each share
+    sums to at most one over the cells, so the settled differences sum to
+    at most tol |I|.  The children's sum of a settled cell is final.  The
+    share w lets the cells of a narrow peak settle at tol relative to
+    their own integral instead of at the volume share, which would demand
+    far more there.  Cells still unsettled after ``max_doublings`` rounds
+    raise QuadratureNotConverged with the running estimate.
     """
-    n = tuples.shape[1]
-    sector = clip is not None
+    lo, hi = np.broadcast_to(lo, (n,)), np.broadcast_to(hi, (n,))
     offsets = np.stack(_digits(np.arange(2**n), 2, n), axis=-1)
     cells = start_cells
-    values = _cell_sums(f, _edges(lo, hi, cells), tuples, order, sector)
+    edges, tuples = _grid(lo, hi, n, cells, sector)
+    values = _cell_sums(f, edges, tuples, order, sector)
     total = error = mass = 0.0
     for _ in range(max_doublings):
         share = _volume_share(tuples, cells, sector)
         cells *= 2
-        edges = _edges(lo, hi, cells)
+        edges = _edges(lo, hi, cells, sector)
         children = (2 * tuples[:, None, :] + offsets).reshape(-1, n)
         parents = np.repeat(np.arange(tuples.shape[0]), offsets.shape[0])
-        if sector:
-            kept = (np.all(children[:, :-1] >= children[:, 1:], axis=1)
-                    & _meets(edges[0], children, *clip))
-            children, parents = children[kept], parents[kept]
+        kept = _keep(edges, children, lo, hi, sector)
+        children, parents = children[kept], parents[kept]
         child_values = _cell_sums(f, edges, children, order, sector)
         refined = np.bincount(parents, child_values, minlength=tuples.shape[0])
         change = np.abs(refined - values)
@@ -365,16 +326,14 @@ def integrate_box(f, box, tol: float = 1e-9, order: int = 6,
     """Adaptive tensor quadrature of a real vectorized f over a box.
 
     f maps an (M, n) array of points to (M,) real values; a complex f
-    raises TypeError.  Starting from the uniform grid of ``start_cells``
-    per axis, only the cells whose estimate has not settled are split, at
-    most ``max_doublings`` times.  Returns (value, error estimate) as
-    floats; raises QuadratureNotConverged on failure.
+    raises TypeError.  Starting from ``box_rule``'s cells at
+    ``start_cells`` per axis, only the cells whose estimate has not
+    settled are split, at most ``max_doublings`` times.  Returns (value,
+    error estimate) as floats; raises QuadratureNotConverged on failure.
     """
     box = np.asarray(box, dtype=float)
-    n = box.shape[0]
-    tuples = np.stack(_digits(np.arange(start_cells**n), start_cells, n), axis=-1)
-    return _adaptive(f, box[:, 0], box[:, 1], tuples, tol, order, start_cells,
-                     max_doublings, clip=None)
+    return _adaptive(f, box[:, 0], box[:, 1], box.shape[0], False, tol, order,
+                     start_cells, max_doublings)
 
 
 def integrate_sector(f, lo, hi, n: int, tol: float = 1e-9,
@@ -391,7 +350,4 @@ def integrate_sector(f, lo, hi, n: int, tol: float = 1e-9,
     shares of the hull cube's sector, so a kept cell settles as in the
     hull-cube integral.  Returns (value, error estimate) as floats.
     """
-    lo, hi = np.broadcast_to(lo, (n,)), np.broadcast_to(hi, (n,))
-    tuples = _sector_cells(lo, hi, n, start_cells)[1]
-    return _adaptive(f, np.full(n, lo.min()), np.full(n, hi.max()), tuples, tol,
-                     order, start_cells, max_doublings, clip=(lo, hi))
+    return _adaptive(f, lo, hi, n, True, tol, order, start_cells, max_doublings)

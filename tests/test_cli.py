@@ -398,6 +398,12 @@ UNUSABLE_BASE = {
     ("dual-kernels", {"realtime_time": "0"}, "realtime_time"),
     # the free kernel takes no coupling
     ("kernel-properties", {"kernel": "free", "coupling": "robin:5"}, "coupling"),
+    # keys the selected mode ignores
+    ("kernel-properties", {"statistics": "fermi"}, "statistics"),
+    ("dual-kernels", {"realtime": "no", "realtime_points": "3"}, "realtime_points"),
+    ("dual-kernels", {"realtime": "no", "realtime_length": "-5"}, "realtime_length"),
+    ("dual-kernels", {"realtime": "no", "realtime_time": "0"}, "realtime_time"),
+    ("spectrum", {"confinement": "box", "omega": "3"}, "omega"),
 ])
 def test_unusable_value_is_a_config_error(tmp_path, capsys, command, changes, key):
     # refused by key before any operator, kernel or rule is built

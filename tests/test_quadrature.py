@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -24,10 +25,10 @@ from contact_duality.kernels import free_kernel, permutation_sum
 from contact_duality.permutations import Statistics, group_table
 from contact_duality.quadrature import (
     EVAL_CHUNK,
-    _box_blocks,
+    _blocks,
+    _grid,
     _ordered_cube_rule,
     _pattern_rule,
-    _sector_blocks,
     box_rule,
     integrate_box,
     integrate_sector,
@@ -78,25 +79,23 @@ def test_sector_rule_total_weight():
 
 
 def _whole_box_rule(box, cells, order):
-    """The tensor rule built whole: a meshgrid of the per-axis panel rules."""
-    x1, w1 = np.polynomial.legendre.leggauss(order)
-    x1, w1 = (x1 + 1.0) / 2.0, w1 / 2.0
-    axis_pts, axis_wts = [], []
-    for lo, hi in box:
-        edges = np.linspace(lo, hi, cells + 1)
-        h = edges[1] - edges[0]
-        axis_pts.append((edges[:-1, None] + h * x1[None, :]).ravel())
-        axis_wts.append(np.tile(h * w1, cells))
-    pts = np.stack([g.ravel() for g in np.meshgrid(*axis_pts, indexing="ij")], axis=-1)
-    wts = np.prod(np.stack([g.ravel() for g in np.meshgrid(*axis_wts, indexing="ij")],
-                           axis=-1), axis=-1)
-    return pts, wts
+    """The tensor rule built whole, cell by cell in row-major cell order:
+    each cell holds the unit-cell tensor rule scaled to it, with weights
+    its volume times the unit-cell weights."""
+    n = len(box)
+    edges = np.stack([np.linspace(lo, hi, cells + 1) for lo, hi in box])
+    h = edges[:, 1] - edges[:, 0]
+    local_pts, local_wts = _pattern_rule((1,) * n, order)
+    origins = edges[np.arange(n), list(itertools.product(range(cells), repeat=n))]
+    pts = (origins[:, None, :] + h * local_pts[None, :, :]).reshape(-1, n)
+    return pts, np.tile(np.prod(h) * local_wts, cells**n)
 
 
 def _whole_sector_rule(lo, hi, n, cells, order):
     """The sector rule built whole, grouping cells by tie pattern one
-    index tuple at a time.  Per-axis bounds keep the cells of the grid
-    on the hull [min lo, max hi] that meet the box."""
+    index tuple at a time, with weights each cell's volume times its
+    pattern's unit-cell weights.  Per-axis bounds keep the cells of the
+    grid on the hull [min lo, max hi] that meet the box."""
     lo, hi = np.broadcast_to(lo, (n,)), np.broadcast_to(hi, (n,))
     edges = np.linspace(lo.min(), hi.max(), cells + 1)
     h = edges[1] - edges[0]
@@ -111,7 +110,7 @@ def _whole_sector_rule(lo, hi, n, cells, order):
         local_pts, local_wts = _pattern_rule(pattern, order)
         origins = edges[np.asarray(cell_list, dtype=int)]
         all_pts.append((origins[:, None, :] + h * local_pts[None, :, :]).reshape(-1, n))
-        all_wts.append(np.tile(h**n * local_wts, len(cell_list)))
+        all_wts.append(np.tile(np.prod([h] * n) * local_wts, len(cell_list)))
     return np.concatenate(all_pts, axis=0), np.concatenate(all_wts)
 
 
@@ -133,22 +132,48 @@ def test_blocks_concatenate_to_the_whole_rule(monkeypatch, chunk):
         for cells, order in ((1, 4), (3, 3), (5, 2), (6, 6)):
             if n == 4 and cells * order > 12:
                 continue
-            for blocks, rule, whole in (
-                    (_sector_blocks(-1.3, 2.1, n, cells, order),
+            for grid, sector, rule, whole in (
+                    (_grid(-1.3, 2.1, n, cells, True), True,
                      sector_rule(-1.3, 2.1, n, cells, order),
                      _whole_sector_rule(-1.3, 2.1, n, cells, order)),
-                    (_sector_blocks(lo[:n], hi[:n], n, cells, order),
+                    (_grid(lo[:n], hi[:n], n, cells, True), True,
                      sector_rule(lo[:n], hi[:n], n, cells, order),
                      _whole_sector_rule(lo[:n], hi[:n], n, cells, order)),
-                    (_box_blocks(box[:n], cells, order), box_rule(box[:n], cells, order),
+                    (_grid(box[:n, 0], box[:n, 1], n, cells, False), False,
+                     box_rule(box[:n], cells, order),
                      _whole_box_rule(box[:n], cells, order))):
-                blocks = list(blocks)
-                assert all(0 < w.size <= chunk and p.shape == (w.size, n)
-                           for p, w in blocks)
-                pts = np.concatenate([p for p, _ in blocks])
-                wts = np.concatenate([w for _, w in blocks])
+                blocks = list(_blocks(*grid, order, sector))
+                assert all(0 < p.shape[0] == rows.size * w.size <= chunk
+                           and p.shape[1] == n for rows, p, w in blocks)
+                pts = np.concatenate([p for _, p, _ in blocks])
+                wts = np.concatenate([np.tile(w, rows.size) for rows, _, w in blocks])
                 for got in ((pts, wts), rule):
                     assert _same_bits(got[0], whole[0]) and _same_bits(got[1], whole[1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_first_adaptive_round_evaluates_the_whole_rule(n):
+    # The adaptive drivers start from the rules' own layout: their first
+    # round evaluates the points of box_rule and sector_rule at
+    # start_cells, in order and bit for bit.
+    box = np.array([[-1.3, 2.1], [0.5, 0.9], [-3.0, -1.0]])[:n]
+    calls = []
+
+    def f(x):
+        calls.append(x.copy())
+        return np.exp(-np.sum(x * x, axis=-1))
+
+    kw = dict(tol=1e-3, order=3, start_cells=3, max_doublings=1)
+    for integrate, args, rule in (
+            (integrate_box, (box,), box_rule(box, 3, order=3)),
+            (integrate_sector, (-1.3, 2.1, n), sector_rule(-1.3, 2.1, n, 3, order=3)),
+            (integrate_sector, (box[:, 0], box[:, 1], n),
+             sector_rule(box[:, 0], box[:, 1], n, 3, order=3))):
+        calls.clear()
+        with contextlib.suppress(QuadratureNotConverged):
+            integrate(f, *args, **kw)
+        first = np.concatenate(calls)[:rule[0].shape[0]]
+        assert _same_bits(first, rule[0])
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -198,7 +223,8 @@ def test_integrate_sector_memory_is_bounded_by_the_block():
     # 90 MB of points and weights; integrating over it block by block
     # allocates a small fraction of that.
     n, order, cells = 3, 8, 32
-    points = sum(w.size for _, w in _sector_blocks(-6.0, 6.0, n, cells, order))
+    points = sum(p.shape[0] for _, p, _ in _blocks(*_grid(-6.0, 6.0, n, cells, True),
+                                                    order, True))
     assert points * (n + 1) * 8 > 90e6
     f = lambda x: np.exp(-np.sum(x * x, axis=-1))
     tracemalloc.start()
