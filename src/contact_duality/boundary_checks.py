@@ -1,12 +1,14 @@
 """Residual measurements of boundary and connection conditions.
 
-These checks act on discrete states (eigenvectors of the grid
-Hamiltonians) or on arbitrary evaluators (kernel slices), always through
-one-sided second-order stencils along the pair direction
-e_j - e_{j+1}.  The Robin residual measures the sector boundary
-condition, and the connection residual the jump/continuity data of the
-delta- and epsilon-type interactions across a coincidence plane.
-"""
+These checks act on evaluators, maps from points (M, n) to values:
+kernel slices, or discrete states (eigenvectors of the grid
+Hamiltonians) through ``MeshFunction``, which reads NaN off its dofs.
+Every face value and pair derivative comes from the one one-sided
+extrapolation along the pair direction e_j - e_{j+1},
+``one_sided_face_values``.  The Robin residual measures the sector
+boundary condition, and the connection residual the jump/continuity
+data of the delta- and epsilon-type interactions across a coincidence
+plane."""
 
 from __future__ import annotations
 
@@ -21,9 +23,17 @@ from .mesh import DofTable
 from .operators import GridOperator
 from .permutations import Statistics, sort_descending
 
+
 @dataclass
 class MeshFunction:
-    """Node values attached to a grid operator's degrees of freedom."""
+    """Node values attached to a grid operator's degrees of freedom.
+
+    Called on points (M, n), it returns the value of the dof at each
+    point, and NaN where a point is not a dof vertex: off the lattice
+    (by more than a quarter of its smallest gap), at a node eliminated
+    at assembly, or at a tuple the operator does not hold, such as an
+    ascending one of a reduced operator.
+    """
 
     op: GridOperator
     values: np.ndarray
@@ -34,98 +44,54 @@ class MeshFunction:
             raise ValueError("values do not match operator dimension")
         self._table = DofTable(self.op.dofs, self.op.lattice.size)
 
-    def lookup(self, tuples: np.ndarray) -> np.ndarray:
-        return self.values[self._table.rank(tuples)]
-
-
-def _face_stencil_layers(fn: MeshFunction, j: int, layers: int):
-    op = fn.op
-    n = op.dom.n
-    dofs = op.dofs
-    tie = dofs[:, j - 1] == dofs[:, j]
-    n_ties = np.zeros(dofs.shape[0], dtype=int)
-    for i in range(n - 1):
-        n_ties += dofs[:, i] == dofs[:, i + 1]
-    face = tie & (n_ties == 1)
-    face_tuples = dofs[face]
-    if face_tuples.shape[0] == 0:
-        raise GridTooCoarse(f"no usable interior nodes on face {j}")
-    keep = np.ones(face_tuples.shape[0], dtype=bool)
-    shifted_all = []
-    for s in range(1, layers):
-        shifted = face_tuples.copy()
-        shifted[:, j - 1] += s
-        shifted[:, j] -= s
-        descending = np.all(shifted[:, :-1] >= shifted[:, 1:], axis=-1)
-        in_range = (shifted[:, j - 1] < op.lattice.size - 1) & (shifted[:, j] > 0)
-        keep &= descending & in_range & fn._table.contains(shifted)
-        shifted_all.append(shifted)
-    if not np.any(keep):
-        raise GridTooCoarse(f"stencil does not fit inside the sector on face {j}")
-    face_tuples = face_tuples[keep]
-    cols = [fn.lookup(face_tuples)]
-    for shifted in shifted_all:
-        cols.append(fn.lookup(shifted[keep]))
-    coords = op.lattice[face_tuples]
-    return coords, np.stack(cols, axis=1), face_tuples
-
-
-def _face_stencil(fn: MeshFunction, j: int):
-    """Face nodes of face j with their inward stencil values.
-
-    Returns (face coords, stencil values (m, layers), face tuples).
-    Face nodes carry exactly the one tie t_j = t_{j+1}; stencil node s
-    shifts the tied pair apart by s lattice steps.  Prefers the
-    second-order three-layer stencil; on grids too coarse to fit it the
-    two-layer first-order one is used with a logged warning.
-    """
-    try:
-        return _face_stencil_layers(fn, j, 3)
-    except GridTooCoarse:
-        out = _face_stencil_layers(fn, j, 2)
-        warnings.warn(
-            f"face {j}: falling back to the first-order one-sided stencil; "
-            "refine the grid for second-order residuals", stacklevel=3)
-        return out
-
-
-def _pair_derivative(stencil: np.ndarray, h: float) -> np.ndarray:
-    """One-sided (d/dx_j - d/dx_{j+1}) at the face from stencil layers.
-
-    A lattice step apart in the tied pair scales the derivative by h;
-    three layers give the second-order formula, two the first-order one.
-    """
-    if stencil.shape[1] >= 3:
-        return (-3.0 * stencil[:, 0] + 4.0 * stencil[:, 1]
-                - stencil[:, 2]) / (2.0 * h)
-    return (stencil[:, 1] - stencil[:, 0]) / h
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        lattice = self.op.lattice
+        tol = 0.25 * float(np.min(np.diff(lattice)))
+        points = np.atleast_2d(points)
+        idx = np.clip(np.searchsorted(lattice, points - tol), 0, lattice.size - 1)
+        on_lattice = np.all(np.abs(lattice[idx] - points) <= tol, axis=-1)
+        ranks = np.where(on_lattice, self._table.find(idx), -1)
+        return np.where(ranks >= 0, self.values[ranks], np.nan)
 
 
 def robin_residual(fn: MeshFunction, j: int, model: CouplingModel) -> float:
     """Worst-case residual of the face-j boundary condition.
 
     For a Robin face: |(d/dx_j - d/dx_{j+1}) psi - psi / a_j| over face
-    nodes, scaled by max |psi|; a Neumann face drops the 1/a term; a
-    Dirichlet face measures the face values themselves (identically zero
-    here because those nodes are eliminated at assembly).
+    nodes, scaled by max |psi|; a Neumann face (a_j = inf) measures the
+    pair derivative alone; a Dirichlet face measures the face values
+    themselves (identically zero here because those nodes are eliminated
+    at assembly).  Face nodes carry exactly the one tie t_j = t_{j+1};
+    ``one_sided_face_values`` reads each at pair separations 0, 2h, 4h
+    (the tied pair moved a lattice step apart per 2h), and the nodes
+    whose samples are all dofs count.  On grids where no face node fits
+    that second-order stencil, the first-order one at 0, 2h is used with
+    a logged warning.
     """
     op = fn.op
-    entry = model.entry(j)
     scale = float(np.max(np.abs(fn.values)))
     if scale == 0.0:
         raise ValueError("zero state")
-    if entry.kind == "dirichlet":
+    if model.entry(j).kind == "dirichlet":
         # face nodes were eliminated; the extension by zero satisfies the
         # condition exactly
         return 0.0
-    coords, stencil, _ = _face_stencil(fn, j)
+    ties = op.dofs[:, :-1] == op.dofs[:, 1:]
+    face = op.lattice[op.dofs[ties[:, j - 1] & (ties.sum(axis=1) == 1)]]
     h = op.dom.spacing
-    pair_derivative = _pair_derivative(stencil, h)
-    if entry.kind == "neumann":
-        res = np.abs(pair_derivative)
+    for u in ((0.0, 2 * h, 4 * h), (0.0, 2 * h)):
+        value, pair_derivative = one_sided_face_values(fn, face, j, np.array(u), 1.0)
+        fits = np.isfinite(pair_derivative)
+        if np.any(fits):
+            break
     else:
-        a = coupling_values_batch(model, j, coords)
-        res = np.abs(pair_derivative - stencil[:, 0] / a)
+        raise GridTooCoarse(f"stencil does not fit inside the sector on face {j}")
+    if len(u) == 2:
+        warnings.warn(
+            f"face {j}: falling back to the first-order one-sided stencil; "
+            "refine the grid for second-order residuals", stacklevel=2)
+    a = coupling_values_batch(model, j, face[fits])
+    res = np.abs(pair_derivative[fits] - value[fits] / a)
     return float(np.max(res)) / scale
 
 
@@ -134,20 +100,22 @@ def one_sided_face_values(evaluate, plane_points: np.ndarray, j: int, u: np.ndar
     """Value and pair derivative (d/dx_j - d/dx_{j+1}) at the plane
     x_j = x_{j+1}, extrapolated from one side.
 
-    ``evaluate`` maps points (M, n) to values; the three samples sit at
-    pair separations x_j - x_{j+1} = sign * u_k from ``plane_points``, on
-    the side x_j > x_{j+1} for sign +1.  The quadratic through them gives
-    the value and slope at u = 0.  Returns (values, pair derivatives), one
-    per plane point.
+    ``evaluate`` maps points (M, n) to values; the samples sit at the two
+    or more pair separations x_j - x_{j+1} = sign * u_k from
+    ``plane_points``, on the side x_j > x_{j+1} for sign +1; a separation
+    of 0 samples the plane point itself.  The polynomial through them
+    gives the value and slope at u = 0.  Returns (values, pair
+    derivatives), one per plane point.
     """
     direction = np.zeros(plane_points.shape[1])
     direction[j - 1] = 0.5
     direction[j] = -0.5
     samples = np.stack([evaluate(plane_points + sign * uk * direction[None, :])
-                        for uk in u], axis=1)  # (M, 3)
-    # rows 0 and 1 of the inverse Vandermonde (columns 1, u, u^2) give the
-    # interpolant's value and d/du at 0; the pair derivative is 2 d/du
-    wv, wd = np.linalg.inv(np.vander(u, 3, increasing=True))[:2]
+                        for uk in u], axis=1)  # (M, len(u))
+    # rows 0 and 1 of the inverse Vandermonde (columns 1, u, u^2, ...)
+    # give the interpolant's value and d/du at 0; the pair derivative is
+    # 2 d/du
+    wv, wd = np.linalg.inv(np.vander(u, u.size, increasing=True))[:2]
     return samples @ wv, 2.0 * sign * (samples @ wd)
 
 
@@ -209,23 +177,14 @@ def connection_residual(evaluate, kind: str, a: float, plane_points: np.ndarray,
 def reduced_state_evaluator(fn: MeshFunction, stat: Statistics):
     """Full-space evaluator of a reduced state at lattice points.
 
-    Returns the stored value of the descending representative times the
+    Returns the value of the descending representative times the
     character of the sorting permutation: the symmetric extension for
-    BOSE, the antisymmetric one for FERMI.  Points must be strict
-    lattice vertices.
+    BOSE, the antisymmetric one for FERMI.  Like ``fn``, it reads NaN
+    where the representative is not a dof vertex.
     """
-    op = fn.op
-    lattice = op.lattice
-
-    min_gap = float(np.min(np.diff(lattice)))
 
     def evaluate(points):
-        points = np.atleast_2d(points)
-        idx = np.searchsorted(lattice, points.ravel() - 0.25 * min_gap)
-        idx = np.clip(idx, 0, lattice.size - 1).reshape(points.shape)
-        if not np.allclose(lattice[idx], points, atol=0.25 * min_gap):
-            raise ValueError("points are not lattice vertices")
-        sorted_idx, _, signs = sort_descending(idx)
-        return stat.character(signs) * fn.lookup(sorted_idx)
+        sorted_points, _, signs = sort_descending(np.atleast_2d(points))
+        return stat.character(signs) * fn(sorted_points)
 
     return evaluate

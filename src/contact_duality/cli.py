@@ -17,13 +17,7 @@ import numpy as np
 
 from .configio import ExperimentConfig, validate_config
 from .coupling import dirichlet, neumann, uniform_model
-from .errors import (
-    ConfigError,
-    ContactDualityError,
-    LevelsOutOfRange,
-    UnsupportedCoupling,
-    UnsupportedN,
-)
+from .errors import ConfigError, ContactDualityError, LevelsOutOfRange
 from .folding import QuadSpec, fold_integral_check, random_gaussian
 from .heat_solver import pair_kernel_pde_gate
 from .kernel_checks import (
@@ -136,8 +130,6 @@ def _kernel_from_config(cfg: ExperimentConfig):
         kernel = permutation_sum(free_kernel(n), stat)
         model = uniform_model(n, dirichlet() if stat is Statistics.FERMI else neumann())
         return kernel, model
-    if n != 2:
-        raise UnsupportedN("the pair kernel is a two-body construction")
     entry = cfg["coupling"]
     return robin_pair_kernel(entry), uniform_model(2, entry)
 
@@ -179,22 +171,14 @@ def run_kernel_properties(cfg: ExperimentConfig) -> RunArtifacts:
 
 def run_dual_kernels(cfg: ExperimentConfig) -> RunArtifacts:
     n = cfg["n"]
-    entry = cfg["coupling"]
-    if cfg["realtime"] and entry.kind == "dirichlet":
-        raise UnsupportedCoupling(
-            "Dirichlet sentinel not valid for delta builder; use a finite "
-            "robin coupling for the real-time check")
+    entry = cfg["coupling"]  # dirichlet or robin (configio)
     if entry.kind == "dirichlet":
         sector = permutation_sum(free_kernel(n), Statistics.FERMI)
         k_bose, _ = dual_pair_from_sector(sector)
         k_fermi = free_kernel(n)
-    elif entry.kind == "robin":
-        if n != 2:
-            raise UnsupportedN("finite-coupling dual kernels are two-body")
+    else:
         sector = robin_pair_kernel(entry)
         k_bose, k_fermi = dual_pair_from_sector(sector)
-    else:
-        raise UnsupportedCoupling("dual kernels need dirichlet or robin coupling")
     spec = SamplingSpec(seed=cfg["seed"], pairs=cfg["pairs"])
     rep = dual_reconstruction_check(k_bose, k_fermi, spec)
     gates = [Gate("deviation", rep["max_deviation"], cfg["gate.deviation"])]
@@ -213,8 +197,6 @@ def run_dual_kernels(cfg: ExperimentConfig) -> RunArtifacts:
 
 
 def run_propagate(cfg: ExperimentConfig) -> RunArtifacts:
-    if cfg["n"] != 2:
-        raise UnsupportedN("the propagate command is two-body")
     entry = cfg["coupling"]
     sector = robin_pair_kernel(entry)
     k_bose, _ = dual_pair_from_sector(sector)
@@ -315,7 +297,7 @@ def main(argv=None) -> int:
                 f"key 'command': config says {cfg.command!r}, "
                 f"invoked as {args.command!r}")
         artifacts = RUNNERS[cfg.command](cfg)
-    except (ConfigError, UnsupportedCoupling, UnsupportedN) as err:
+    except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except LevelsOutOfRange as err:  # every solve here asks for `levels` pairs

@@ -18,9 +18,13 @@ from .coupling import (
     neumann,
     robin,
     scale_invariant,
+    uniform_model,
 )
-from .errors import ConfigError, GridTooCoarse
-from .operators import DomainSpec
+from .errors import CapExceeded, ConfigError, GridTooCoarse, UnsupportedCoupling, UnsupportedN
+from .kernel_checks import check_sampling_fit
+from .operators import DomainSpec, check_model
+from .permutations import group_table
+from .spectra import FORMULATIONS, check_scale_model
 
 COMMANDS = ("spectrum", "duality", "scale-invariance", "kernel-properties",
             "dual-kernels", "propagate", "fold-check")
@@ -110,6 +114,8 @@ def _convert(key: str, raw: str, spec: Field):
             value = raw
     except (ValueError, ConfigError) as err:
         raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {spec.kind}") from err
+    except UnsupportedCoupling as err:  # robin:0 or scale:0
+        raise ConfigError(f"key {key!r}: {err}") from err
     # float() takes nan and inf; an infinite Robin length is written neumann
     if spec.kind in ("float", "coupling") and not math.isfinite(
             getattr(value, "value", value)):
@@ -136,8 +142,7 @@ _DOMAIN = {
 SCHEMAS = {
     "spectrum": {
         **_COMMON, **_DOMAIN,
-        "formulation": Field("str", "sector",
-                             choices=("sector", "delta_bose", "epsilon_fermi")),
+        "formulation": Field("str", "sector", choices=FORMULATIONS),
         "levels": Field("int", 5),
         "gate.residual": Field("float", 1e-8),
     },
@@ -238,7 +243,7 @@ class ExperimentConfig:
         entries = []
         for j in range(1, n):
             if j not in self.couplings:
-                raise ConfigError(f"missing coupling.{j} (faces are 1..{n - 1})")
+                raise ConfigError(f"key 'coupling.{j}': missing (faces are 1..{n - 1})")
             entries.append(self.couplings[j])
         return CouplingModel(tuple(entries))
 
@@ -289,29 +294,77 @@ def validate_config(text: str) -> ExperimentConfig:
     n = values["n"]
     realtime = command == "dual-kernels" and values["realtime"]
     if command in SPECTRAL_COMMANDS or realtime:
-        try:
-            cfg.domain()
-        except (ValueError, GridTooCoarse) as err:
-            # DomainSpec's messages start with the offending field
-            key = ("realtime_" if realtime else "") + str(err).split()[0]
-            raise ConfigError(f"key {key!r}: {err}") from err
+        # DomainSpec's messages start with the offending field
+        _refuse(("realtime_" if realtime else "") + "{}", cfg.domain)
     if command in SPECTRAL_COMMANDS:
         for j in couplings:
             if not 1 <= j <= n - 1:
                 raise ConfigError(f"key 'coupling.{j}': face index outside 1..{n - 1}")
-        cfg.coupling_model()  # raises on missing faces
-    elif command in MIN_N and n < MIN_N[command]:
-        raise ConfigError(f"key 'n': {command} needs n >= {MIN_N[command]}, got {n}")
+        _refuse("{}", cfg.coupling_model)
+        _check_builders(command, values, cfg.coupling_model())
+    elif command in MIN_N:
+        if n < MIN_N[command]:
+            raise ConfigError(f"key 'n': {command} needs n >= {MIN_N[command]}, got {n}")
+        if command != "fold-check":
+            _refuse("n", check_sampling_fit, n)
+        # the commands use the table; building it here applies the group cap
+        _refuse("n", group_table, n)
     elif command == "propagate":
         _check_propagate(values)
     if realtime and values["realtime_time"] == 0:
         # every propagator is the identity at t = 0; a negative t is a
         # valid backward check
         raise ConfigError("key 'realtime_time': must be nonzero, got 0")
-    pair = command == "propagate" or values.get("kernel") == "pair"
-    if pair and values["coupling"].kind == "scale":
-        raise ConfigError("key 'coupling': the pair kernel takes robin, neumann or dirichlet")
+    _check_kernels(command, values)
     return cfg
+
+
+def _refuse(key: str, check, *args) -> None:
+    """Run a library check on config values; its refusal becomes a
+    ConfigError naming ``key``, where ``{}`` stands for the field the
+    refusal's message starts with."""
+    try:
+        check(*args)
+    except (ValueError, GridTooCoarse, UnsupportedCoupling, UnsupportedN,
+            CapExceeded) as err:
+        raise ConfigError(f"key {key.format(str(err).split()[0])!r}: {err}") from err
+
+
+def _check_builders(command: str, values: dict, model: CouplingModel) -> None:
+    """Refuse a model a builder the spectral command runs cannot take: the
+    configured formulation for a spectrum, all three for the reports, and
+    for scale-invariance the report's own model rule and the control."""
+    n = values["n"]
+    builds = (values["formulation"],) if command == "spectrum" else FORMULATIONS
+    for form in builds:
+        _refuse("{}", check_model, form, model, n)
+    if command == "scale-invariance":
+        _refuse("{}", check_scale_model, model)
+        control = uniform_model(n, values["control"])
+        for form in FORMULATIONS:
+            _refuse("control", check_model, form, control, n)
+
+
+def _check_kernels(command: str, values: dict) -> None:
+    """Refuse couplings and particle numbers the kernel commands cannot
+    take.  The pair kernel (propagate, kernel-properties with the pair
+    kernel, dual-kernels with a robin coupling) is two-body and has no
+    scale-invariant face; dual kernels take dirichlet or robin, and their
+    real-time check builds the two dual operators."""
+    coupling = values.get("coupling")
+    pair = (command == "propagate" or values.get("kernel") == "pair"
+            or command == "dual-kernels" and coupling.kind == "robin")
+    if pair and coupling.kind == "scale":
+        raise ConfigError("key 'coupling': the pair kernel takes robin, neumann or dirichlet")
+    if pair and values["n"] != 2:
+        raise ConfigError(f"key 'n': the pair kernel is two-body, got n = {values['n']}")
+    if command != "dual-kernels":
+        return
+    if coupling.kind not in ("dirichlet", "robin"):
+        raise ConfigError("key 'coupling': dual kernels take dirichlet or robin")
+    if values["realtime"]:
+        for form in ("delta_bose", "epsilon_fermi"):
+            _refuse("coupling", check_model, form, uniform_model(2, coupling), 2)
 
 
 def _check_propagate(values: dict) -> None:

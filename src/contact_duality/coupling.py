@@ -91,7 +91,8 @@ class CouplingModel:
             # For two particles the hyperradius vanishes on the face, so a
             # coordinate-dependent coupling has no translation-invariant
             # meaning there.
-            raise UnsupportedCoupling("scale-invariant coupling requires n >= 3")
+            raise UnsupportedCoupling(
+                "coupling.1 is scale-invariant, which requires n >= 3")
 
     @property
     def n(self) -> int:

@@ -12,10 +12,9 @@ class CapExceeded(ContactDualityError):
 class QuadratureNotConverged(ContactDualityError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
-    def __init__(self, message, estimate=None, error=None):
+    def __init__(self, message, estimate=None):
         super().__init__(message)
         self.estimate = estimate
-        self.error = error
 
 
 class GridTooCoarse(ContactDualityError):

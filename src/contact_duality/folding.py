@@ -16,9 +16,6 @@ import numpy as np
 from .permutations import group_table
 from .quadrature import integrate_box, integrate_sector
 
-#: Refinement depth of each adaptive integral: a cell is split at most
-#: this many times before the check gives up.
-MAX_DOUBLINGS = 6
 #: Smallest |lhs| the residual is taken relative to.
 RESIDUAL_FLOOR = 1e-12
 #: Value of a test function at the edge of its support box.
@@ -56,8 +53,7 @@ def fold_integral_check(f, quad: QuadSpec) -> FoldCheckResult:
     """
     n = quad.box.shape[0]
     rows = group_table(n)[0].tolist()
-    lhs, lhs_err = integrate_box(f, quad.box, tol=quad.tol, order=quad.order,
-                                 max_doublings=MAX_DOUBLINGS)
+    lhs, lhs_err = integrate_box(f, quad.box, tol=quad.tol, order=quad.order)
 
     def symmetrized(y):
         total = np.zeros(y.shape[0])
@@ -68,7 +64,7 @@ def fold_integral_check(f, quad: QuadSpec) -> FoldCheckResult:
     lo = float(np.min(quad.box[:, 0]))
     hi = float(np.max(quad.box[:, 1]))
     rhs, rhs_err = integrate_sector(symmetrized, lo, hi, n, tol=quad.tol,
-                                    order=quad.order, max_doublings=MAX_DOUBLINGS)
+                                    order=quad.order)
     residual = abs(lhs - rhs) / max(abs(lhs), RESIDUAL_FLOOR)
     return FoldCheckResult(lhs=float(lhs), rhs=float(rhs), residual=float(residual),
                            lhs_error=float(lhs_err), rhs_error=float(rhs_err))

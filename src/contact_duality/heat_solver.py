@@ -28,9 +28,15 @@ GATE_SOURCE = 0.8
 #: The gate evolves the closed form from GATE_TAU0 to GATE_TAU1.
 GATE_TAU0 = 0.25
 GATE_TAU1 = 0.5
-#: Half-line truncation width and number of Crank-Nicolson steps.
-GATE_WIDTH = 24.0
+#: Half-line truncation width: the far wall sits where the kernel's
+#: Gaussian factor at GATE_TAU1 falls below machine epsilon.
+GATE_WIDTH = GATE_SOURCE + math.sqrt(-2.0 * GATE_TAU1 * math.log(np.finfo(float).eps))
+#: Mesh width and Crank-Nicolson steps with no bound state to resolve.
+GATE_CELL = 1.2e-3
 GATE_STEPS = 2000
+#: Largest relative error each of the mesh and the time step may put on
+#: the growth of a bound state (``pair_kernel_pde_gate``).
+GATE_BUDGET = 5e-7
 
 
 def _system(points: int, width: float, gamma):
@@ -85,15 +91,28 @@ def pair_kernel_pde_gate(entry: BoundaryCoupling) -> float:
     Starts from the closed-form relative kernel at GATE_TAU0 (a smooth
     profile), marches the PDE to GATE_TAU1, and compares with the closed
     form there.  This is the independent gate the pair kernel must pass
-    before its residual suite counts.  The mesh has 20,000 cells, and
-    20,000 / |a| for an attractive Robin coupling with |a| < 1, whose
-    bound state exp(u / (sqrt2 a)) narrows with |a|.
+    before its residual suite counts.
+
+    Without a bound state the mesh takes ``GATE_CELL`` and
+    ``GATE_STEPS``.  An attractive Robin face a < 0 carries the bound
+    state e^{gamma u}, gamma = 1 / (sqrt2 a), so for |a| < 1 the cells
+    shrink with |a| to resolve its width.  The state also grows by e^g
+    over the gate, with g = gamma^2 (GATE_TAU1 - GATE_TAU0) / 2.  On a
+    mesh of width h its decay rate kappa solves sinh(kappa h) = gamma h,
+    so the growth exponent falls short by g (gamma h)^2 / 4, and
+    Crank-Nicolson overshoots it by g^3 / (12 steps^2).  Each of these is
+    held to ``GATE_BUDGET``, so the two (of opposite sign) stay below it
+    together.
     """
-    kernel, _ = relative_half_line_kernel(entry)
-    points = 20000
-    if entry.kind == "robin" and -1.0 < entry.value < 0.0:
-        points = math.ceil(points / abs(entry.value))
+    h, steps = GATE_CELL, GATE_STEPS
+    if entry.kind == "robin" and entry.value < 0.0:
+        gamma2 = 0.5 / entry.value**2
+        g = 0.5 * gamma2 * (GATE_TAU1 - GATE_TAU0)
+        h = min(h * min(1.0, -entry.value), 2.0 * math.sqrt(GATE_BUDGET / (g * gamma2)))
+        steps = max(steps, math.ceil(math.sqrt(g**3 / (12.0 * GATE_BUDGET))))
+    points = math.ceil(GATE_WIDTH / h)
     h = GATE_WIDTH / points
+    kernel, _ = relative_half_line_kernel(entry)
     if entry.kind == "dirichlet":
         gamma = None
         grid = np.arange(1, points) * h
@@ -102,7 +121,7 @@ def pair_kernel_pde_gate(entry: BoundaryCoupling) -> float:
         grid = np.arange(0, points) * h
     source = np.full_like(grid, GATE_SOURCE)
     w0 = kernel(grid, source, GATE_TAU0)
-    evolved = evolve_half_line(w0, GATE_WIDTH, gamma, GATE_TAU1 - GATE_TAU0, GATE_STEPS)
+    evolved = evolve_half_line(w0, GATE_WIDTH, gamma, GATE_TAU1 - GATE_TAU0, steps)
     exact = kernel(grid, source, GATE_TAU1)
     scale = float(np.max(np.abs(exact)))
     return float(np.max(np.abs(evolved - exact))) / scale

@@ -68,9 +68,8 @@ class SamplingSpec:
     points for the short-time check.  The sampling interval and the
     truncation boxes follow from the kernel (``sampling_spread``,
     ``bound_state_length``).  ``quad_tol`` and ``quad_order`` are the
-    adaptive integrals' tolerance and Gauss order, and
-    ``quad_max_doublings`` their refinement depth: a cell of the starting
-    grid is split at most that many times.
+    adaptive integrals' tolerance and Gauss order; their refinement depth
+    is the integrators' own.
     """
 
     seed: int = 0
@@ -78,7 +77,6 @@ class SamplingSpec:
     initial_depth: int = 5
     quad_tol: float = 1e-9
     quad_order: int = 8
-    quad_max_doublings: int = 6
 
     def rng(self):
         return np.random.default_rng(self.seed)
@@ -104,17 +102,24 @@ def bound_state_length(kernel: KernelEvaluator) -> float:
     return 0.0
 
 
-def _sample_points(spec: SamplingSpec, n: int, count: int, sector: bool):
-    """Well-separated sample points, strictly descending if sector.
-
-    Raises UnsupportedN when n points at gaps of ``MIN_GAP`` do not fit
-    in [-spread, spread], where the rejection loop would never end.
-    """
+def check_sampling_fit(n: int) -> None:
+    """Refuse an n whose points at gaps of ``MIN_GAP`` do not fit in
+    [-spread, spread], where the rejection loop of ``_sample_points``
+    would never end."""
     spread = sampling_spread(n)
     if (n - 1) * MIN_GAP >= 2.0 * spread:
         raise UnsupportedN(
             f"n = {n} sample points {MIN_GAP} apart do not fit in "
             f"[-{spread}, {spread}]")
+
+
+def _sample_points(spec: SamplingSpec, n: int, count: int, sector: bool):
+    """Well-separated sample points, strictly descending if sector.
+
+    Raises UnsupportedN when they do not fit (``check_sampling_fit``).
+    """
+    check_sampling_fit(n)
+    spread = sampling_spread(n)
     rng = spec.rng()
     out = []
     while len(out) < count:
@@ -144,8 +149,7 @@ def _integrate(kernel: KernelEvaluator, integrand, box: np.ndarray,
     box itself for a full-space kernel, the sector part of the hull-grid
     cells meeting it for a sector kernel."""
     controls = dict(tol=spec.quad_tol, order=spec.quad_order,
-                    start_cells=QUAD_START_CELLS,
-                    max_doublings=spec.quad_max_doublings)
+                    start_cells=QUAD_START_CELLS)
     if kernel.space == "sector":
         value, _ = integrate_sector(integrand, box[:, 0], box[:, 1], kernel.n, **controls)
     else:
@@ -313,16 +317,17 @@ def face_boundary_residual(kernel: KernelEvaluator, model, j: int,
                            spec: SamplingSpec) -> float:
     """Face condition residual of a sector kernel on face j.
 
-    Uses the kernel's analytic face operator when available, otherwise
-    one-sided quadratic extrapolation with pair separations step,
-    2 step, 3 step, where step is ``FD_STEP``.  Dirichlet data
-    measures the face value itself, Neumann the pair derivative.
+    Uses the kernel's analytic face operator when it has one (a Robin
+    pair kernel), otherwise one-sided quadratic extrapolation with pair
+    separations step, 2 step, 3 step, where step is ``FD_STEP``.
+    Dirichlet data measures the face value itself, Neumann the pair
+    derivative.
     """
     entry = model.entry(j)
     n = kernel.n
     tau = sum(TAUS)
     ys = _sample_points(spec, n, spec.pairs, sector=True)
-    if kernel.pair_face_residual is not None and entry.kind == "robin":
+    if kernel.pair_face_residual is not None:
         return max(kernel.pair_face_residual(y[None, :], tau) for y in ys)
 
     step = FD_STEP

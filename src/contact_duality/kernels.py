@@ -64,9 +64,9 @@ class KernelEvaluator:
     ``evaluate`` broadcasts over leading point axes; ``space`` is
     'full' or 'sector'; ``coupling`` records the pair coupling (None
     means free).
-    ``pair_face_residual``, when present, returns the face boundary
-    operator applied to the kernel analytically.  ``log_one_body``, when
-    present, marks a product kernel
+    ``pair_face_residual``, present on Robin pair kernels, returns the
+    face boundary operator applied to the kernel analytically.
+    ``log_one_body``, when present, marks a product kernel
     K(x, y; tau) = exp(sum_i log_one_body(x_i, y_i, tau)); it acts
     elementwise on broadcastable coordinate arrays, and permutation sums
     use it to evaluate in closed form.
@@ -210,7 +210,7 @@ def robin_pair_kernel(entry: BoundaryCoupling) -> KernelEvaluator:
         return gaussian_1d(cx - cy, tau) * rel
 
     def face_residual(y, tau):
-        """Face boundary operator applied analytically at u = 0.
+        """Robin face operator applied analytically at u = 0.
 
         Returns max |(d/dx1 - d/dx2) K - (1/a) K| over an eight-point
         center-of-mass scan, scaled by the kernel magnitude.
@@ -221,18 +221,13 @@ def robin_pair_kernel(entry: BoundaryCoupling) -> KernelEvaluator:
         zero = np.zeros_like(uy)
         pair_derivative = SQRT2 * dk_rel(zero, uy, tau)[None, :] * cm
         value = k_rel(zero, uy, tau)[None, :] * cm
-        if entry.kind == "dirichlet":
-            resid = np.abs(value)
-        elif entry.kind == "neumann":
-            resid = np.abs(pair_derivative)
-        else:
-            resid = np.abs(pair_derivative - value / entry.value)
+        resid = np.abs(pair_derivative - value / entry.value)
         scale = max(float(np.max(np.abs(value))), float(np.max(np.abs(pair_derivative))), 1e-300)
         return float(np.max(resid)) / scale
 
     return KernelEvaluator(evaluate=evaluate, space="sector", n=2, coupling=entry,
                            label=f"pair[{entry.label()}]",
-                           pair_face_residual=face_residual)
+                           pair_face_residual=face_residual if entry.kind == "robin" else None)
 
 
 def permutation_sum(kernel: KernelEvaluator, stat: Statistics) -> KernelEvaluator:

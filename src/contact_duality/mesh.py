@@ -99,16 +99,16 @@ class DofTable:
         return self.tuples.shape[0]
 
     def rank(self, idx: np.ndarray) -> np.ndarray:
-        keys = _encode(idx, self.base)
-        pos = np.clip(np.searchsorted(self._sorted, keys), 0, self._sorted.size - 1)
-        if not np.all(self._sorted[pos] == keys):
+        ranks = self.find(idx)
+        if np.any(ranks < 0):
             raise KeyError("tuple not in dof table")
-        return self._order[pos]
+        return ranks
 
-    def contains(self, idx: np.ndarray) -> np.ndarray:
+    def find(self, idx: np.ndarray) -> np.ndarray:
+        """Rank of each tuple, or -1 where a tuple is not in the table."""
         keys = _encode(idx, self.base)
         pos = np.clip(np.searchsorted(self._sorted, keys), 0, self._sorted.size - 1)
-        return self._sorted[pos] == keys
+        return np.where(self._sorted[pos] == keys, self._order[pos], -1)
 
 
 @lru_cache(maxsize=None)

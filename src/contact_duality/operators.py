@@ -255,23 +255,23 @@ class _Accumulator:
 
 
 def check_model(formulation: str, model: CouplingModel, n: int):
-    """Refuse a model the formulation's builder cannot take."""
+    """Refuse a model the formulation's builder cannot take; a refusal of
+    face j's coupling starts its message with ``coupling.j``."""
     if model.n != n:
         raise UnsupportedCoupling(f"model has {model.n - 1} entries, need {n - 1}")
     for j in range(1, n):
         kind = model.entry(j).kind
         if formulation == "delta_bose" and kind == "dirichlet":
             raise UnsupportedCoupling(
-                "delta builder needs finite strength 1/a; the hard-core limit "
-                "is covered by the sector/Girardeau route"
+                f"coupling.{j} is dirichlet: the delta builder needs finite "
+                "strength 1/a; the hard-core limit is covered by the "
+                "sector/Girardeau route"
             )
         if formulation == "epsilon_fermi" and kind == "neumann":
             raise UnsupportedCoupling(
-                "epsilon builder needs finite strength a; the free-boson limit "
-                "is covered by the sector route"
+                f"coupling.{j} is neumann: the epsilon builder needs finite "
+                "strength a; the free-boson limit is covered by the sector route"
             )
-        if kind == "scale" and n == 2:
-            raise UnsupportedCoupling("scale-invariant coupling requires n >= 3")
 
 
 def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,

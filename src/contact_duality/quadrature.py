@@ -316,9 +316,7 @@ def _adaptive(f, lo, hi, n: int, sector: bool, tol: float, order: int,
             return total, error
     raise QuadratureNotConverged(
         f"no convergence to tol={tol} after {max_doublings} doublings",
-        estimate=total + float(values.sum()),
-        error=None,
-    )
+        estimate=total + float(values.sum()))
 
 
 def integrate_box(f, box, tol: float = 1e-9, order: int = 6,

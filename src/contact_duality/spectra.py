@@ -250,6 +250,17 @@ class ScaleInvarianceReport:
         }
 
 
+def check_scale_model(model: CouplingModel) -> None:
+    """Refuse a model the scale-invariance report cannot take; each
+    message starts with the config key it rejects."""
+    if model.n != 3:
+        raise UnsupportedCoupling(
+            f"n must be 3 for the scale-invariance report, got {model.n}")
+    if not model.has_scale_invariant:
+        raise UnsupportedCoupling(
+            "coupling.1 and coupling.2 carry no scale-invariant coupling (scale:G)")
+
+
 def scale_invariance_report(dom: DomainSpec, model: CouplingModel, dilation: float,
                             k: int, control_model: CouplingModel = None,
                             translation: float = None, seed: int = 0) -> ScaleInvarianceReport:
@@ -267,10 +278,7 @@ def scale_invariance_report(dom: DomainSpec, model: CouplingModel, dilation: flo
     grid keeps ``MIN_POINTS`` cells per axis (points >= 24), below the
     Gershgorin bound otherwise.
     """
-    if dom.n != 3:
-        raise UnsupportedCoupling("scale-invariance report is defined for n = 3")
-    if not model.has_scale_invariant:
-        raise UnsupportedCoupling("model must contain scale-invariant couplings")
+    check_scale_model(model)
     if control_model is None:
         control_model = uniform_model(dom.n, robin(-1.0))
     if translation is None:

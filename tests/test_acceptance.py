@@ -215,7 +215,7 @@ def test_criterion_6_kernel_assumptions(announce):
         gate = pair_kernel_pde_gate(robin(a))
         assert gate <= 1e-6
         pk = robin_pair_kernel(robin(a))
-        spec = SamplingSpec(pairs=2, quad_tol=1e-7, quad_max_doublings=7)
+        spec = SamplingSpec(pairs=2, quad_tol=1e-7)
         rep = verify_sector_properties(pk, uniform_model(2, robin(a)), spec)
         assert rep["boundary"]["max"] <= 1e-8
         assert rep["composition"]["max"] <= 1e-5

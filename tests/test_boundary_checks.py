@@ -4,6 +4,7 @@ import pytest
 from contact_duality.boundary_checks import (
     MeshFunction,
     connection_residual,
+    one_sided_face_values,
     reduced_state_evaluator,
     robin_residual,
 )
@@ -173,3 +174,57 @@ def test_robin_residual_scale_invariant_model():
     fn = MeshFunction(op, res.vectors[:, 0])
     assert robin_residual(fn, 1, model) < 0.2
     assert robin_residual(fn, 2, model) < 0.2
+
+
+def test_one_sided_face_values_match_the_explicit_stencils():
+    # separations (0, 2h, 4h) give the second-order (-3, 4, -1) / (2h)
+    # pair derivative, (0, 2h) the first-order (s1 - s0) / h
+    h = 0.1
+    plane = np.array([[1.3, 1.3], [2.0, 2.0], [-0.4, -0.4]])
+    f = lambda pts: np.sin(pts[:, 0]) * np.exp(0.3 * pts[:, 1]) + pts[:, 0] ** 3
+
+    def samples(u):
+        return [f(plane + np.array([0.5 * uk, -0.5 * uk])) for uk in u]
+
+    s0, s1, s2 = samples((0.0, 2 * h, 4 * h))
+    value, slope = one_sided_face_values(f, plane, 1, np.array([0.0, 2 * h, 4 * h]), 1.0)
+    np.testing.assert_allclose(value, s0, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(slope, (-3.0 * s0 + 4.0 * s1 - s2) / (2.0 * h),
+                               rtol=1e-12, atol=1e-12)
+    value, slope = one_sided_face_values(f, plane, 1, np.array([0.0, 2 * h]), 1.0)
+    np.testing.assert_allclose(value, s0, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(slope, (s1 - s0) / h, rtol=1e-12, atol=1e-12)
+
+
+def test_mesh_function_reads_nan_off_its_dofs():
+    fn, _ = sector_ground(40, entry=dirichlet(), length=np.pi)
+    lattice = fn.op.lattice
+    h = fn.op.dom.spacing
+    i, k = fn.op.dofs[7]
+    at = lambda a, b: fn(np.array([[a, b]]))[0]
+    assert at(lattice[i], lattice[k]) == fn.values[7]  # a dof reads its value
+    assert np.isnan(at(lattice[-1], lattice[k]))       # wall node
+    assert np.isnan(at(lattice[20], lattice[20]))      # eliminated Dirichlet face node
+    assert np.isnan(at(lattice[i] + 0.3 * h, lattice[k]))  # off the lattice
+    assert np.isnan(at(lattice[k], lattice[i]))        # ascending tuple
+    assert np.isnan(at(lattice[i], -h))                # outside the box
+
+
+def test_robin_residual_on_the_staggered_lattice():
+    # the delta state's face nodes reach the first interior layer (h/2, h/2),
+    # whose stencil would leave the box; only face nodes whose two shifted
+    # nodes are interior dofs count, as in the explicit stencil
+    dom = DomainSpec(n=2, length=10.0, points=80)
+    model = uniform_model(2, robin(-1.0))
+    res = solve(build_delta_bose(dom, model), 1)
+    op = res.operator
+    fn = MeshFunction(op, res.vectors[:, 0])
+    value = {tuple(t): v for t, v in zip(op.dofs.tolist(), fn.values)}
+    assert (1, 1) in value and (2, 0) not in value
+    h = dom.spacing
+    worst = 0.0
+    for i in range(3, op.lattice.size - 3):
+        s0, s1, s2 = value[(i, i)], value[(i + 1, i - 1)], value[(i + 2, i - 2)]
+        worst = max(worst, abs((-3.0 * s0 + 4.0 * s1 - s2) / (2.0 * h) - s0 / -1.0))
+    expected = worst / float(np.max(np.abs(fn.values)))
+    assert robin_residual(fn, 1, model) == pytest.approx(expected, rel=1e-12)

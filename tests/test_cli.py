@@ -363,6 +363,7 @@ def test_propagate_geometry_is_a_config_error(tmp_path, capsys, changes, key):
 #: Valid settings each case below changes one value of.
 UNUSABLE_BASE = {
     "spectrum": {"n": "2", "length": "6.0", "points": "10", "coupling.1": "robin:-1"},
+    "duality": {"n": "2", "length": "6.0", "points": "10", "coupling.1": "robin:-1"},
     "scale-invariance": {"n": "3", "length": "6.0", "points": "10",
                          "coupling.1": "scale:1", "coupling.2": "scale:1"},
     "dual-kernels": {"n": "2", "coupling": "robin:-1", "realtime": "yes"},
@@ -404,6 +405,29 @@ UNUSABLE_BASE = {
     ("dual-kernels", {"realtime": "no", "realtime_length": "-5"}, "realtime_length"),
     ("dual-kernels", {"realtime": "no", "realtime_time": "0"}, "realtime_time"),
     ("spectrum", {"confinement": "box", "omega": "3"}, "omega"),
+    # the pair kernel is two-body
+    ("propagate", {"n": "3"}, "n"),
+    ("dual-kernels", {"n": "3"}, "n"),
+    ("kernel-properties", {"n": "3"}, "n"),
+    # dual kernels take dirichlet or robin, and the real-time check builds
+    # the delta operator
+    ("dual-kernels", {"coupling": "neumann"}, "coupling"),
+    ("dual-kernels", {"coupling": "scale:1"}, "coupling"),
+    ("dual-kernels", {"coupling": "dirichlet"}, "coupling"),
+    # six sample points 1.1 apart do not fit, and S_9 passes the group cap
+    ("kernel-properties", {"kernel": "free", "n": "6"}, "n"),
+    ("fold-check", {"n": "9"}, "n"),
+    # faces the builders refuse, a missing face and a zero Robin length
+    ("duality", {"coupling.1": "scale:1"}, "coupling.1"),
+    ("duality", {"coupling.1": "dirichlet"}, "coupling.1"),
+    ("duality", {"n": "3"}, "coupling.2"),
+    ("spectrum", {"formulation": "epsilon_fermi", "coupling.1": "neumann"}, "coupling.1"),
+    ("spectrum", {"coupling.1": "robin:0"}, "coupling.1"),
+    # the scale-invariance report needs n = 3, a scale face and a control
+    # every builder takes
+    ("scale-invariance", {"coupling.1": "robin:-1", "coupling.2": "robin:-1"}, "coupling.1"),
+    ("scale-invariance", {"n": "4", "coupling.3": "scale:1"}, "n"),
+    ("scale-invariance", {"control": "dirichlet"}, "control"),
 ])
 def test_unusable_value_is_a_config_error(tmp_path, capsys, command, changes, key):
     # refused by key before any operator, kernel or rule is built
