@@ -12,10 +12,6 @@ class CapExceeded(ContactDualityError):
 class QuadratureNotConverged(ContactDualityError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
-
 
 class GridTooCoarse(ContactDualityError):
     """Grid does not resolve a boundary face well enough for the stencil."""

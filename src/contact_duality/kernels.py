@@ -115,26 +115,20 @@ def relative_half_line_kernel(entry: BoundaryCoupling):
     """Half-line heat kernel k(u, v; tau) with the face condition
     du k = gamma k at u = 0, gamma = 1/(sqrt2 a), plus its u-derivative.
 
-    Returns (kernel, derivative) callables on arrays.
+    Returns (kernel, derivative) callables on arrays; the derivative,
+    read only by the Robin face residual, is None for Dirichlet and
+    Neumann data.
     """
     if entry.kind == "dirichlet":
         def kernel(u, v, tau):
             return gaussian_1d(u - v, tau) - gaussian_1d(u + v, tau)
 
-        def derivative(u, v, tau):
-            return (-(u - v) * gaussian_1d(u - v, tau)
-                    + (u + v) * gaussian_1d(u + v, tau)) / tau
-
-        return kernel, derivative
+        return kernel, None
     if entry.kind == "neumann":
         def kernel(u, v, tau):
             return gaussian_1d(u - v, tau) + gaussian_1d(u + v, tau)
 
-        def derivative(u, v, tau):
-            return (-(u - v) * gaussian_1d(u - v, tau)
-                    - (u + v) * gaussian_1d(u + v, tau)) / tau
-
-        return kernel, derivative
+        return kernel, None
     if entry.kind != "robin":
         raise ValueError("pair kernel needs robin, dirichlet, or neumann data")
     gamma = 1.0 / (SQRT2 * entry.value)

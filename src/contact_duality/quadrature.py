@@ -284,7 +284,8 @@ def _adaptive(f, lo, hi, n: int, sector: bool, tol: float, order: int,
     share w lets the cells of a narrow peak settle at tol relative to
     their own integral instead of at the volume share, which would demand
     far more there.  Cells still unsettled after ``max_doublings`` rounds
-    raise QuadratureNotConverged with the running estimate.
+    raise QuadratureNotConverged, whose message gives the running
+    estimate.
     """
     lo, hi = np.broadcast_to(lo, (n,)), np.broadcast_to(hi, (n,))
     offsets = np.stack(_digits(np.arange(2**n), 2, n), axis=-1)
@@ -315,8 +316,8 @@ def _adaptive(f, lo, hi, n: int, sector: bool, tol: float, order: int,
         if tuples.shape[0] == 0:
             return total, error
     raise QuadratureNotConverged(
-        f"no convergence to tol={tol} after {max_doublings} doublings",
-        estimate=total + float(values.sum()))
+        f"no convergence to tol={tol} after {max_doublings} doublings; "
+        f"running estimate {total + float(values.sum())!r}")
 
 
 def integrate_box(f, box, tol: float = 1e-9, order: int = 6,

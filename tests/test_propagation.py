@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from contact_duality.coupling import robin, uniform_model
 from contact_duality.kernels import (
@@ -8,13 +9,20 @@ from contact_duality.kernels import (
     permutation_sum,
     robin_pair_kernel,
 )
-from contact_duality.operators import DomainSpec, build_sector
+from contact_duality.operators import (
+    DomainSpec,
+    build_delta_bose,
+    build_epsilon_fermi,
+    build_sector,
+)
 from contact_duality.permutations import Statistics
 from contact_duality.propagation import (
     TARGET_BLOCK,
     PropagationQuad,
     _apply_on_rule,
     _integrate_rule,
+    _kernel_entries,
+    _relative_order,
     ground_state_projection_check,
     propagate_at,
     propagate_equivariant,
@@ -87,6 +95,39 @@ def test_symmetric_stage_matches_the_rectangular_one(kernel, cells, order, size)
     rect = _integrate_rule(kernel, pts, pts, weights, 0.2)
     sym = _apply_on_rule(kernel, pts, weights, 0.2)
     assert np.max(np.abs(sym - rect)) <= 1e-14 * np.max(np.abs(rect))
+
+
+def test_relative_order_groups_the_default_rule():
+    # the rule-on-rule stage takes the default propagate rule by x1 - x2;
+    # its blocks then hold few distinct relative coordinates (39.3 on
+    # average in the rule's own order)
+    pts, _ = PropagationQuad(-7.0, 7.0, 20, 8).rule(2)
+    assert pts.shape[0] == 13440
+    rel = (pts[:, 0] - pts[:, 1])[_relative_order(pts)]
+    counts = [np.unique(rel[s:s + TARGET_BLOCK]).size
+              for s in range(0, rel.size, TARGET_BLOCK)]
+    assert np.mean(counts) <= 16
+
+
+@pytest.mark.parametrize("build, reduced", [
+    (build_delta_bose, True),
+    (build_delta_bose, False),
+    (build_epsilon_fermi, False),
+], ids=["reduced", "delta", "cracked_epsilon"])
+def test_kernel_entries_match_the_matrix_exponential(build, reduced):
+    # exp(-i t M^-1 A) M^-1 from one eigendecomposition against expm
+    dom = DomainSpec(n=2, length=6.0, points=10)
+    op = build(dom, uniform_model(2, robin(-1.0)), reduced=reduced)
+    t = 0.1
+    inv_sqrt = 1.0 / np.sqrt(op.mass)
+    oracle = inv_sqrt[:, None] * expm(-1j * t * op.matrix.toarray()) * inv_sqrt[None, :]
+    rng = np.random.default_rng(0)
+    rows = rng.permutation(op.dimension)[:20]
+    cols = np.arange(op.dimension)[::-1]
+    entries = _kernel_entries(op, t, rows, cols)
+    assert entries.shape == (rows.size, cols.size)
+    want = oracle[np.ix_(rows, cols)]
+    assert np.max(np.abs(entries - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_ground_state_projection():

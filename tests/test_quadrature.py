@@ -241,7 +241,7 @@ def test_integrate_sector_memory_is_bounded_by_the_block():
 def test_not_converged_raises():
     rng = np.random.default_rng(0)
     f = lambda x: rng.normal(size=x.shape[0])  # noise never converges
-    with pytest.raises(QuadratureNotConverged):
+    with pytest.raises(QuadratureNotConverged, match="running estimate"):
         integrate_box(f, np.array([[0.0, 1.0]]), tol=1e-12, max_doublings=2)
 
 
