@@ -59,7 +59,7 @@ def run_spectrum(cfg: ExperimentConfig) -> RunArtifacts:
         "formulation": cfg["formulation"],
         "eigenvalues": res.eigenvalues.tolist(),
         "residuals": res.residuals.tolist(),
-        "certificate": res.certificate(),
+        "certificate": res.certificate,
         "symmetry_residual": op.symmetry_residual(seed=cfg["seed"]),
     }
     gates = [Gate("solver_residual", float(np.max(res.residuals)), cfg["gate.residual"])]

@@ -97,7 +97,7 @@ MIN_POINTS = 6
 MAX_SPECTRAL_N = 4
 
 #: Cells per axis of a one-shot solve's grid over those of the coarser
-#: grid its shift comes from.
+#: grid its cut comes from.
 COARSENING = 4
 
 
@@ -471,24 +471,25 @@ def cached_build(formulation: str, dom: DomainSpec, model: CouplingModel) -> Gri
 class SpectrumResult:
     """Lowest eigenpairs of an operator with their inertia certificate.
 
-    ``shift`` is the sigma of the accepted shift-invert solve and
-    ``top_shift`` a point just above the highest reported eigenvalue;
-    ``below_shift`` and ``below_top`` count the eigenvalues below each
-    by Sylvester inertia.  A certified result has 0 and k.
-    ``rejected_shift`` is the first sigma tried, the caller's or the one
-    seeded from a coarser grid, when it failed the certificate and the
-    Gershgorin shift was used instead.
+    ``certificate`` is a plain JSON dict that says which of the two paths
+    of ``solve`` ran.  On the ``"cut"`` path, ``cut`` lies between the
+    k-th and (k+1)-th eigenvalues, ``below_cut`` counts the eigenvalues
+    below it by Sylvester inertia, and every reported value lies below it
+    by more than the residual norm of the block.  On the ``"fallback"``
+    path, ``shift`` lies below the Gershgorin bound and ``top_shift``
+    just above the highest reported eigenvalue, and ``below_shift`` and
+    ``below_top`` count the eigenvalues below each: 0 and k.  The other
+    path's entries are None.  ``rejected_cut`` holds the cut, its count
+    and the reason it failed when the fallback ran after one, and
+    ``factors`` the number of LU factors of this operator the solve made
+    (a coarse grid's solve counts its own).
     """
 
     eigenvalues: np.ndarray
     residuals: np.ndarray
     operator: GridOperator
     vectors: np.ndarray = None  # columns are node-value eigenvectors
-    shift: float = None
-    top_shift: float = None
-    below_shift: int = None
-    below_top: int = None
-    rejected_shift: float = None
+    certificate: dict = None
 
     def __post_init__(self):
         order = np.argsort(self.eigenvalues)
@@ -497,11 +498,11 @@ class SpectrumResult:
         if self.vectors is not None:
             self.vectors = np.asarray(self.vectors)[:, order]
 
-    def certificate(self) -> dict:
-        """Shifts and inertia counts, as plain JSON values."""
-        return {"shift": self.shift, "top_shift": self.top_shift,
-                "below_shift": self.below_shift, "below_top": self.below_top,
-                "rejected_shift": self.rejected_shift}
+    def lowest(self, k: int) -> "SpectrumResult":
+        """The lowest k pairs, under the certificate of the whole solve."""
+        vectors = None if self.vectors is None else self.vectors[:, :k]
+        return dataclasses.replace(self, eigenvalues=self.eigenvalues[:k],
+                                   residuals=self.residuals[:k], vectors=vectors)
 
 
 def gershgorin_shift(a: sparse.csr_matrix) -> float:
@@ -543,52 +544,92 @@ def inertia_count(a: sparse.csr_matrix, shift: float) -> int | None:
     return _negative_pivots(_factor(a, shift))
 
 
-def _shift_invert(a: sparse.csr_matrix, k: int, shift: float, v0: np.ndarray) -> dict:
-    """Shift-invert Lanczos at ``shift`` with its inertia certificate.
-
-    One factor serves both the inertia count at the shift and every
-    solve of the Lanczos run; it is released before the second factor,
-    at a point just above the highest eigenvalue found, is made.  The
-    returned dict holds the counts, and the eigenpairs when certified.
-    """
-    lu = _factor(a, shift)
-    out = {"shift": shift, "below_shift": _negative_pivots(lu)}
-    if out["below_shift"] != 0:
-        return out
+def _lanczos(a: sparse.csr_matrix, k: int, sigma: float, which: str, lu, v0):
+    """Shift-invert Lanczos at ``sigma`` through the factor ``lu``:
+    eigenvalues, eigenvectors and residual norms, or None when ARPACK
+    does not converge."""
     opinv = LinearOperator(a.shape, matvec=lu.solve, dtype=a.dtype)
     try:
-        vals, vecs = eigsh(a, k=k, sigma=shift, which="LM", v0=v0, tol=0, OPinv=opinv)
-    except ArpackNoConvergence as err:
-        raise NotConverged("eigensolver did not converge",
-                           diagnostics={"eigenvalues": getattr(err, "eigenvalues", None),
-                                        "shift": shift})
-    del lu, opinv
+        vals, vecs = eigsh(a, k=k, sigma=sigma, which=which, v0=v0, tol=0, OPinv=opinv)
+    except ArpackNoConvergence:
+        return None
     residuals = np.linalg.norm(a @ vecs - vecs * vals[None, :], axis=0)
-    top = float(np.max(vals))
-    out["top_shift"] = top + max(10.0 * float(np.max(residuals)),
-                                 1e-9 * max(1.0, abs(top)))
-    out["below_top"] = inertia_count(a, out["top_shift"])
-    if out["below_top"] == k:
-        out["pairs"] = (vals, vecs, residuals)
+    return vals, vecs, residuals
+
+
+def _cut_attempt(a: sparse.csr_matrix, k: int, cut: float, v0: np.ndarray) -> dict:
+    """The lowest k eigenpairs from one factor of a - cut I.
+
+    The factor's inertia must count exactly k eigenvalues below the cut.
+    Those are the most negative 1 / (lambda - cut), so Lanczos returns
+    them with ``which="SA"``.  Every Ritz value must then lie below the
+    cut by more than the Frobenius norm of the residual block, which
+    bounds its 2-norm: by Kahan's theorem k eigenvalues lie within that
+    norm of the Ritz values, all below the cut, and the count says there
+    are no others, so they are the lowest k.  The returned dict holds
+    the count and the eigenpairs when certified, or the reason it failed.
+    """
+    lu = _factor(a, cut)
+    out = {"cut": cut, "below_cut": _negative_pivots(lu), "factors": 1}
+    if out["below_cut"] != k:
+        out["reason"] = "count"
+        return out
+    pairs = _lanczos(a, k, cut, "SA", lu, v0)
+    if pairs is None:
+        out["reason"] = "not converged"
+    elif float(np.max(pairs[0])) + float(np.linalg.norm(pairs[2])) < cut:
+        out["pairs"] = pairs
+    else:
+        out["reason"] = "interval"
     return out
 
 
-def seeded_shift(eigenvalues) -> float:
-    """Shift-invert sigma for a finer grid from a coarser level's lowest
-    eigenvalues: below the ground level by half the spread of the k
-    values plus a small margin, so refinement may lower the levels a
-    little and the shift still stays below them."""
-    low, high = float(eigenvalues[0]), float(eigenvalues[-1])
-    return low - 0.5 * (high - low) - 1e-3 * max(1.0, abs(low))
+def _fallback_attempt(a: sparse.csr_matrix, k: int, v0: np.ndarray) -> dict:
+    """The lowest k eigenpairs from two factors.
+
+    Lanczos runs at the Gershgorin shift, where the factor must count no
+    eigenvalue.  That factor is released before a second one, at a point
+    just above the highest eigenvalue found, must count exactly k.  The
+    returned dict holds the counts, and the eigenpairs when certified.
+    """
+    shift = gershgorin_shift(a)
+    lu = _factor(a, shift)
+    out = {"shift": shift, "below_shift": _negative_pivots(lu), "factors": 1}
+    if out["below_shift"] != 0:
+        out["reason"] = "count"
+        return out
+    pairs = _lanczos(a, k, shift, "LM", lu, v0)
+    del lu
+    if pairs is None:
+        out["reason"] = "not converged"
+        return out
+    top = float(np.max(pairs[0]))
+    out["top_shift"] = top + max(10.0 * float(np.max(pairs[2])),
+                                 1e-9 * max(1.0, abs(top)))
+    out["below_top"] = inertia_count(a, out["top_shift"])
+    out["factors"] = 2
+    if out["below_top"] == k:
+        out["pairs"] = pairs
+    else:
+        out["reason"] = "count"
+    return out
 
 
-def _coarse_shift(op: GridOperator, k: int, seed: int) -> float | None:
-    """Shift for ``op`` seeded from the same operator on a coarser grid.
+def midpoint_cut(eigenvalues, k: int) -> float:
+    """Cut for a solve of k levels from k + 1 or more ascending
+    eigenvalues of a nearby operator: midway between the k-th and the
+    (k+1)-th."""
+    return 0.5 * (float(eigenvalues[k - 1]) + float(eigenvalues[k]))
 
-    The coarse grid has ``COARSENING`` times fewer cells per axis, and
-    its solve takes its own shift from the next coarser grid in turn, as
-    long as a grid keeps ``MIN_POINTS`` cells per axis and more than k
-    dofs.  None when there is no such grid or its solve fails.
+
+def _coarse_cut(op: GridOperator, k: int, seed: int) -> float | None:
+    """Cut for ``op`` from the same operator on a coarser grid.
+
+    The coarse grid has ``COARSENING`` times fewer cells per axis and is
+    solved for k + 1 levels, taking its own cut from the next coarser
+    grid in turn, as long as a grid keeps ``MIN_POINTS`` cells per axis
+    and more than k + 1 dofs.  None when there is no such grid or its
+    solve fails.
     """
     points = op.dom.points // COARSENING
     if points < MIN_POINTS:
@@ -597,54 +638,55 @@ def _coarse_shift(op: GridOperator, k: int, seed: int) -> float | None:
     build = BUILDERS[op.formulation]
     try:
         coarse = build(dom, op.model) if op.reduced else build(dom, op.model, reduced=False)
-        return seeded_shift(solve(coarse, k, seed=seed).eigenvalues)
+        return midpoint_cut(solve(coarse, k + 1, seed=seed).eigenvalues, k)
     except (GridTooCoarse, LevelsOutOfRange, NotConverged):
         return None
 
 
-def solve(op: GridOperator, k: int, seed: int = 0,
-          shift: float = None) -> SpectrumResult:
+def solve(op: GridOperator, k: int, seed: int = 0, cut: float = None) -> SpectrumResult:
     """Lowest k eigenpairs of a grid operator, certified by inertia.
 
-    Shift-invert Lanczos at ``shift``, a point just below the lowest
-    eigenvalue.  Without one, the shift is seeded from the same
-    operator's solve on a grid ``COARSENING`` times coarser
-    (``seeded_shift``), and where no coarser grid gives one it lies
-    below the Gershgorin lower bound.  The result is accepted only if
-    Sylvester inertia counts no eigenvalue below the shift and exactly k
-    below a point just above the k-th eigenvalue; a caller's or seeded
-    shift that fails is retried once from the Gershgorin bound, and
-    NotConverged carries the counts of every attempt when that fails
-    too.  A fixed seeded start vector makes repeated solves
-    bit-reproducible.  Residual norms ||A v - lambda v|| are reported
-    per pair.
+    One LU factor of A - cut I, with ``cut`` between the k-th and
+    (k+1)-th eigenvalues, gives both the inertia count and the
+    shift-invert Lanczos run (``_cut_attempt``).  Without a cut from the
+    caller, it is the midpoint of the k-th and (k+1)-th levels of the
+    same operator on a grid ``COARSENING`` times coarser.  When there is
+    no cut, or the cut fails its certificate (a wrong count, a Ritz
+    value too close to it, or no convergence), the solve falls back to
+    Lanczos from the Gershgorin bound with a second count above the k-th
+    eigenvalue (``_fallback_attempt``).  NotConverged carries the counts
+    of every attempt when that fails too.  A fixed seeded start vector
+    makes repeated solves bit-reproducible.  Residual norms
+    ||A v - lambda v|| are reported per pair.
     """
     a = op.matrix
     dim = a.shape[0]
     if not 1 <= k < dim:
         raise LevelsOutOfRange(f"need 1 <= k < dimension, got k={k}, dim={dim}")
     v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=dim)
-    if shift is None:
-        shift = _coarse_shift(op, k, seed)
-    shifts = [gershgorin_shift(a)] if shift is None else [float(shift), gershgorin_shift(a)]
-    attempts = []
-    for sigma in shifts:
-        found = _shift_invert(a, k, sigma, v0)
-        if "pairs" in found:
-            break
-        attempts.append(found)
-    else:
-        raise NotConverged("no shift gave a certified lowest-k spectrum",
-                           diagnostics={"k": k, "attempts": attempts})
-    vals, vecs, residuals = found["pairs"]
+    if cut is None:
+        cut = _coarse_cut(op, k, seed)
+    rejected = None
+    found = None if cut is None else _cut_attempt(a, k, float(cut), v0)
+    if found is None or "pairs" not in found:
+        rejected, found = found, _fallback_attempt(a, k, v0)
+        if "pairs" not in found:
+            attempts = [attempt for attempt in (rejected, found) if attempt is not None]
+            raise NotConverged("no cut or shift gave a certified lowest-k spectrum",
+                               diagnostics={"k": k, "attempts": attempts})
+    vals, vecs, residuals = found.pop("pairs")
     node_vectors = vecs / np.sqrt(op.mass)[:, None]
     # fix an overall sign deterministically
     for i in range(node_vectors.shape[1]):
         j = int(np.argmax(np.abs(node_vectors[:, i])))
         if node_vectors[j, i] < 0:
             node_vectors[:, i] *= -1
+    factors = found.pop("factors")
+    if rejected is not None:
+        factors += rejected.pop("factors")
+    certificate = {"path": "cut" if "cut" in found else "fallback",
+                   **dict.fromkeys(("cut", "below_cut", "shift", "top_shift",
+                                    "below_shift", "below_top")),
+                   **found, "factors": factors, "rejected_cut": rejected}
     return SpectrumResult(eigenvalues=vals, residuals=residuals, operator=op,
-                          vectors=node_vectors, shift=sigma,
-                          top_shift=found["top_shift"], below_shift=found["below_shift"],
-                          below_top=found["below_top"],
-                          rejected_shift=attempts[0]["shift"] if attempts else None)
+                          vectors=node_vectors, certificate=certificate)

@@ -25,7 +25,7 @@ from .operators import (
     cached_build,
     check_model,
     content_hash,
-    seeded_shift,
+    midpoint_cut,
     solve,
 )
 
@@ -136,21 +136,25 @@ class DualityReport:
 
 
 def _solve_formulations(dom: DomainSpec, model: CouplingModel, k: int, seed: int,
-                        shifts: dict = None):
+                        levels: int = None, cuts: dict = None):
     """Build and solve every formulation on one domain.
 
-    ``shifts`` maps formulations to shift-invert sigmas (None: the one
-    ``solve`` picks itself, seeded from a coarser grid where there is
-    one).  Only the sector and delta operators are built and solved.  At
-    reduced level the epsilon build assembles the same sector form on the
-    same staggered lattice with the same n! mass factor as the delta one,
-    so once the model passes the epsilon builder's checks its result is
-    the delta one, with the operator relabelled.
+    Each operator is solved for ``levels`` levels (default k), or for as
+    many as it has dofs to spare but never fewer than k.  ``cuts`` maps
+    formulations to cuts between their ``levels``-th and next eigenvalue
+    (None: the cut ``solve`` takes itself from a coarser grid, where
+    there is one).  Only the sector and delta operators are built and
+    solved.  At reduced level the epsilon build assembles the same sector
+    form on the same staggered lattice with the same n! mass factor as
+    the delta one, so once the model passes the epsilon builder's checks
+    its result is the delta one, with the operator relabelled.
     """
     results = {}
     for form in ("sector", "delta_bose"):
-        shift = None if shifts is None else shifts[form]
-        results[form] = solve(cached_build(form, dom, model), k, seed=seed, shift=shift)
+        op = cached_build(form, dom, model)
+        wanted = k if levels is None else max(k, min(levels, op.dimension - 1))
+        cut = None if cuts is None else cuts[form]
+        results[form] = solve(op, wanted, seed=seed, cut=cut)
     check_model("epsilon_fermi", model, dom.n)
     delta = results["delta_bose"]
     results["epsilon_fermi"] = replace(
@@ -158,30 +162,40 @@ def _solve_formulations(dom: DomainSpec, model: CouplingModel, k: int, seed: int
     return results
 
 
+def _cuts(results: dict, levels: int, scale: float = 1.0) -> dict:
+    """Per formulation, the cut for a ``levels``-level solve of an
+    operator whose spectrum is ``scale`` times that of ``results``; None
+    where a result has no level above the ``levels``-th."""
+    return {form: scale * midpoint_cut(res.eigenvalues, levels)
+            if res.eigenvalues.size > levels else None
+            for form, res in results.items()}
+
+
 def duality_report(dom: DomainSpec, model: CouplingModel, k: int,
                    refinements: int = 3, seed: int = 0) -> DualityReport:
     """Compare the three formulations on a ladder of grid refinements.
 
-    Each formulation's solve on a finer grid is shifted from its own
-    eigenvalues on the coarser one, and level 0 takes the shift ``solve``
-    picks itself; the epsilon result is the delta one.
+    Rung l solves k + refinements - 1 - l levels and reports the lowest
+    k, so every rung but the last solves one level more than the next.
+    Each formulation's solve on a finer rung is cut midway between its
+    own top two levels on the coarser one, and rung 0 takes the cut
+    ``solve`` finds itself; the epsilon result is the delta one.
     """
     report = DualityReport(dom=dom, model=model, k=k, refinements=refinements)
-    results_by_level = []
+    results = None
     for level in range(refinements):
         dom_l = dom.refined(2**level)
-        shifts = ({form: seeded_shift(res.eigenvalues)
-                   for form, res in results_by_level[-1].items()}
-                  if results_by_level else None)
-        results = _solve_formulations(dom_l, model, k, seed, shifts)
-        results_by_level.append(results)
+        levels = k + refinements - 1 - level
+        cuts = None if results is None else _cuts(results, levels)
+        results = _solve_formulations(dom_l, model, k, seed, levels, cuts)
+        lowest = {f: res.lowest(k) for f, res in results.items()}
         report.levels.append({
             "level": level,
             "points": dom_l.points,
             "h": dom_l.spacing,
-            "eigenvalues": {f: results[f].eigenvalues.tolist() for f in FORMULATIONS},
-            "residuals": {f: results[f].residuals.tolist() for f in FORMULATIONS},
-            "certificates": {f: results[f].certificate() for f in FORMULATIONS},
+            "eigenvalues": {f: lowest[f].eigenvalues.tolist() for f in FORMULATIONS},
+            "residuals": {f: lowest[f].residuals.tolist() for f in FORMULATIONS},
+            "certificates": {f: lowest[f].certificate for f in FORMULATIONS},
             "reused": {"epsilon_fermi": "delta_bose"},
         })
     report.identical_by_construction = ["delta_bose|epsilon_fermi"]
@@ -216,8 +230,7 @@ def duality_report(dom: DomainSpec, model: CouplingModel, k: int,
             # per-index steps of close levels can cross; a spectrum ascends
             report.extrapolated[form] = sorted(extrap)
 
-    report.bf_check = bf_overlap_deviations(results_by_level[-1]["delta_bose"],
-                                            results_by_level[-1]["epsilon_fermi"])
+    report.bf_check = bf_overlap_deviations(lowest["delta_bose"], lowest["epsilon_fermi"])
     return report
 
 
@@ -270,13 +283,14 @@ def scale_invariance_report(dom: DomainSpec, model: CouplingModel, dilation: flo
     so dilating it by lambda at fixed node count must rescale every
     eigenvalue by 1/lambda^2; a constant coupling length breaks this.
     Like the duality report, it takes the epsilon spectrum from the delta
-    solve.  The dilated and translated spectra are known in advance
-    (base / lambda^2 and base), so their solves are shifted from the base
-    eigenvalues.  The base and the control cases,
-    which break the scaling on purpose, take the shift ``solve`` picks
-    itself: seeded from a grid ``COARSENING`` times coarser when that
-    grid keeps ``MIN_POINTS`` cells per axis (points >= 24), below the
-    Gershgorin bound otherwise.
+    solve.  The base case is solved for k + 1 levels.  The dilated and
+    translated spectra are known in advance (base / lambda^2 and base),
+    so their solves are cut midway between the base k-th and (k+1)-th
+    levels, scaled by 1/lambda^2 and by 1.  The control cases, which
+    break the scaling on purpose, take the cut ``solve`` finds itself:
+    from a grid ``COARSENING`` times coarser when that grid keeps
+    ``MIN_POINTS`` cells per axis (points >= 24); otherwise ``solve``
+    falls back to the Gershgorin shift.
     """
     check_scale_model(model)
     if control_model is None:
@@ -297,10 +311,14 @@ def scale_invariance_report(dom: DomainSpec, model: CouplingModel, dilation: flo
     expected_scale = {"dilated": dilation**-2, "shifted": 1.0}
     spectra = {}
     for name, (dom_c, model_c) in cases.items():
-        shifts = ({form: seeded_shift(spectra["base"][form] * expected_scale[name])
-                   for form in FORMULATIONS} if name in expected_scale else None)
-        results = _solve_formulations(dom_c, model_c, k, seed, shifts)
-        spectra[name] = {form: res.eigenvalues for form, res in results.items()}
+        if name == "base":
+            results = base_results = _solve_formulations(dom_c, model_c, k, seed,
+                                                         levels=k + 1)
+        else:
+            cuts = (_cuts(base_results, k, expected_scale[name])
+                    if name in expected_scale else None)
+            results = _solve_formulations(dom_c, model_c, k, seed, cuts=cuts)
+        spectra[name] = {form: res.eigenvalues[:k] for form, res in results.items()}
     rel = lambda x, y: np.max(np.abs(x - y) / np.maximum(np.abs(x), 1e-12))
     for form in FORMULATIONS:
         base, dil, shift, cb, cd = (spectra[name][form] for name in cases)

@@ -1,9 +1,12 @@
 import itertools
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import eigh
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from contact_duality import operators
 from contact_duality.coupling import (
@@ -26,7 +29,7 @@ from contact_duality.operators import (
     content_hash,
     gershgorin_shift,
     inertia_count,
-    seeded_shift,
+    midpoint_cut,
     solve,
 )
 from contact_duality.permutations import group_table, permutation_signs_batch
@@ -273,42 +276,145 @@ SMALL_OPERATORS = [
 ]
 
 
+def count_factors(monkeypatch) -> list:
+    """Shifts of every LU factor ``operators`` makes from here on."""
+    shifts = []
+
+    def counted(a, shift):
+        shifts.append(shift)
+        return factor(a, shift)
+
+    factor = operators._factor
+    monkeypatch.setattr(operators, "_factor", counted)
+    return shifts
+
+
+def fallback_solve(monkeypatch, op, k):
+    """The Gershgorin-path solve of ``op``: no coarse grid gives a cut."""
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "_coarse_cut", lambda *args: None)
+        return solve(op, k)
+
+
+def fields(cert: dict, *keys) -> tuple:
+    return tuple(cert[key] for key in keys)
+
+
 @pytest.mark.parametrize("build, dom, model", SMALL_OPERATORS)
 def test_inertia_counts_match_dense_spectrum(build, dom, model):
     op = build(dom, model)
     dense = np.linalg.eigvalsh(op.matrix.toarray())
     k = 4
+    # too few cells for a coarser grid: the Gershgorin path
     res = solve(op, k)
+    cert = res.certificate
     np.testing.assert_allclose(res.eigenvalues, dense[:k], rtol=1e-10)
-    assert res.below_shift == np.count_nonzero(dense < res.shift) == 0
-    assert res.below_top == np.count_nonzero(dense < res.top_shift) == k
+    assert fields(cert, "path", "factors", "cut", "rejected_cut") == ("fallback", 2, None, None)
+    assert cert["below_shift"] == np.count_nonzero(dense < cert["shift"]) == 0
+    assert cert["below_top"] == np.count_nonzero(dense < cert["top_shift"]) == k
     # between every pair of neighbouring levels, and beyond them
     probes = np.concatenate([[dense[0] - 1.0], 0.5 * (dense[:12] + dense[1:13])])
     for probe in probes:
         assert inertia_count(op.matrix, probe) == np.count_nonzero(dense < probe)
 
 
+@pytest.mark.parametrize("build, dom, model", SMALL_OPERATORS)
+def test_cut_between_levels_certifies_from_one_factor(monkeypatch, build, dom, model):
+    op = build(dom, model)
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    k = 4
+    factors = count_factors(monkeypatch)
+    cut = midpoint_cut(dense, k)
+    res = solve(op, k, cut=cut)
+    cert = res.certificate
+    assert factors == [cut]
+    np.testing.assert_allclose(res.eigenvalues, dense[:k], rtol=1e-10)
+    assert cert["below_cut"] == np.count_nonzero(dense < cut) == k
+    assert fields(cert, "path", "cut", "factors", "rejected_cut") == ("cut", cut, 1, None)
+    assert np.max(res.eigenvalues) + np.linalg.norm(res.residuals) < cut
+    assert fields(cert, "shift", "top_shift", "below_shift", "below_top") == (None,) * 4
+    # a cut below lambda_k or above lambda_{k+1} counts the wrong number
+    # of levels, and the solve falls back to the Gershgorin path
+    for wrong in (midpoint_cut(dense, k - 1), midpoint_cut(dense, k + 1)):
+        factors.clear()
+        res = solve(op, k, cut=wrong)
+        cert = res.certificate
+        below = np.count_nonzero(dense < wrong)
+        assert below != k
+        assert cert["rejected_cut"] == {"cut": wrong, "below_cut": below, "reason": "count"}
+        assert fields(cert, "path", "cut", "below_cut") == ("fallback", None, None)
+        assert cert["shift"] == gershgorin_shift(op.matrix)
+        assert fields(cert, "below_shift", "below_top") == (0, k)
+        assert factors[0] == wrong and len(factors) == cert["factors"] == 3
+        np.testing.assert_allclose(res.eigenvalues, dense[:k], rtol=1e-10)
+
+
 def test_shift_above_ground_level_is_rejected():
+    # a cut between lambda_1 and lambda_2 counts one level, not four
     dom = DomainSpec(n=3, length=6.0, points=8)
     op = build_sector(dom, CouplingModel((robin(-1.0), robin(-2.0))))
     plain = solve(op, 4)
     bad = 0.5 * (plain.eigenvalues[0] + plain.eigenvalues[1])
-    retried = solve(op, 4, shift=bad)
-    assert retried.rejected_shift == bad
-    assert retried.shift == plain.shift == gershgorin_shift(op.matrix)
+    retried = solve(op, 4, cut=bad)
+    cert = retried.certificate
+    assert cert["rejected_cut"] == {"cut": bad, "below_cut": 1, "reason": "count"}
+    assert cert["shift"] == plain.certificate["shift"] == gershgorin_shift(op.matrix)
+    assert cert["factors"] == plain.certificate["factors"] + 1 == 3
     np.testing.assert_allclose(retried.eigenvalues, plain.eigenvalues, rtol=1e-10)
-    assert (retried.below_shift, retried.below_top) == (0, 4)
+    assert fields(cert, "below_shift", "below_top") == (0, 4)
 
 
-def test_seeded_and_gershgorin_shifts_agree():
+def test_unconverged_cut_falls_back(monkeypatch):
+    op = build_sector(DomainSpec(n=3, length=6.0, points=8),
+                      CouplingModel((robin(-1.0), robin(-2.0))))
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    k = 4
+    cut = midpoint_cut(dense, k)
+    runs = []
+
+    def flaky(*args, **kwargs):
+        runs.append(kwargs["which"])
+        if len(runs) == 1:
+            raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(operators, "eigsh", flaky)
+    res = solve(op, k, cut=cut)
+    assert runs == ["SA", "LM"]
+    cert = res.certificate
+    assert cert["rejected_cut"] == {"cut": cut, "below_cut": k, "reason": "not converged"}
+    assert fields(cert, "below_shift", "below_top", "factors") == (0, k, 3)
+    np.testing.assert_allclose(res.eigenvalues, dense[:k], rtol=1e-10)
+
+    # when the fallback does not converge either, every attempt is reported
+    def failing(*args, **kwargs):
+        raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(operators, "eigsh", failing)
+    with pytest.raises(NotConverged) as err:
+        solve(op, k, cut=cut)
+    attempts = err.value.diagnostics["attempts"]
+    assert [a["reason"] for a in attempts] == ["not converged"] * 2
+    assert fields(attempts[0], "cut", "below_cut") == (cut, k)
+    assert fields(attempts[1], "shift", "below_shift") == (gershgorin_shift(op.matrix), 0)
+
+
+def test_seeded_and_gershgorin_shifts_agree(monkeypatch):
+    # the coarse grid solved for k + 1 levels cuts the fine spectrum
     model = CouplingModel((robin(-1.0), robin(-2.0)))
-    coarse = solve(build_sector(DomainSpec(n=3, length=6.0, points=8), model), 5)
+    coarse = solve(build_sector(DomainSpec(n=3, length=6.0, points=8), model), 6)
     op = build_sector(DomainSpec(n=3, length=6.0, points=16), model)
-    shift = seeded_shift(coarse.eigenvalues)
-    seeded = solve(op, 5, shift=shift)
+    cut = midpoint_cut(coarse.eigenvalues, 5)
+    assert cut == 0.5 * (coarse.eigenvalues[4] + coarse.eigenvalues[5])
+    factors = count_factors(monkeypatch)
+    seeded = solve(op, 5, cut=cut)
+    assert factors == [cut]
     plain = solve(op, 5)
-    assert seeded.shift == shift and seeded.rejected_shift is None
-    assert plain.shift < shift < seeded.eigenvalues[0]
+    assert fields(seeded.certificate, "cut", "below_cut", "factors", "rejected_cut") == (
+        cut, 5, 1, None)
+    assert plain.certificate["path"] == "fallback"
+    assert plain.certificate["shift"] < seeded.eigenvalues[0]
+    assert seeded.eigenvalues[-1] < cut
     np.testing.assert_allclose(seeded.eigenvalues, plain.eigenvalues, rtol=1e-10)
     assert np.max(seeded.residuals) < 1e-8
 
@@ -317,28 +423,36 @@ ROBIN_N64 = (DomainSpec(n=2, length=10.0, points=64), uniform_model(2, robin(-1.
 
 
 @pytest.mark.parametrize("build", [build_sector, build_delta_bose])
-def test_one_shot_solve_is_seeded_from_a_coarser_grid(build):
+def test_one_shot_solve_is_seeded_from_a_coarser_grid(monkeypatch, build):
     op = build(*ROBIN_N64)
     k = 5
+    # the 16-cell grid, solved for k + 1 levels, gives the cut
+    coarse = solve(build(dataclasses.replace(ROBIN_N64[0], points=16), ROBIN_N64[1]), k + 1)
+    factors = count_factors(monkeypatch)
     res = solve(op, k)
-    assert gershgorin_shift(op.matrix) < res.shift < res.eigenvalues[0]
-    assert res.rejected_shift is None
-    assert (res.below_shift, res.below_top) == (0, k)
-    plain = solve(op, k, shift=gershgorin_shift(op.matrix))
+    cert = res.certificate
+    cut = midpoint_cut(coarse.eigenvalues, k)
+    assert fields(cert, "path", "cut", "below_cut", "factors") == ("cut", cut, k, 1)
+    assert cert["rejected_cut"] is None and cert["shift"] is None
+    # one factor of the fine operator, after the coarse grid's two
+    assert len(factors) == 3 and factors[-1] == cut
+    plain = fallback_solve(monkeypatch, op, k)
+    assert plain.certificate["path"] == "fallback"
     np.testing.assert_allclose(res.eigenvalues, plain.eigenvalues, rtol=1e-10)
 
 
 def test_seeded_shift_above_ground_level_falls_back_to_gershgorin(monkeypatch):
     op = build_sector(*ROBIN_N64)
     k = 4
-    plain = solve(op, k, shift=gershgorin_shift(op.matrix))
+    plain = fallback_solve(monkeypatch, op, k)
     bad = 0.5 * (plain.eigenvalues[0] + plain.eigenvalues[1])
-    # the one coarse rung (N=16) seeds the fine solve with a shift above lambda_1
-    monkeypatch.setattr(operators, "seeded_shift", lambda eigenvalues: bad)
+    # the one coarse rung (N=16) cuts the fine spectrum above lambda_1 only
+    monkeypatch.setattr(operators, "midpoint_cut", lambda eigenvalues, k: bad)
     res = solve(op, k)
-    assert res.rejected_shift == bad
-    assert res.shift == gershgorin_shift(op.matrix)
-    assert (res.below_shift, res.below_top) == (0, k)
+    cert = res.certificate
+    assert cert["rejected_cut"] == {"cut": bad, "below_cut": 1, "reason": "count"}
+    assert fields(cert, "shift", "cut") == (gershgorin_shift(op.matrix), None)
+    assert fields(cert, "below_shift", "below_top", "factors") == (0, k, 3)
     np.testing.assert_allclose(res.eigenvalues, plain.eigenvalues, rtol=1e-10)
 
 
@@ -346,27 +460,28 @@ def test_seeded_shift_above_ground_level_falls_back_to_gershgorin(monkeypatch):
 def test_failed_coarse_rung_leaves_the_gershgorin_solve(monkeypatch, error):
     op = build_sector(*ROBIN_N64)
     k = 4
-    plain = solve(op, k, shift=gershgorin_shift(op.matrix))
+    plain = fallback_solve(monkeypatch, op, k)
 
     def failing(coarse_op, k, **kwargs):
-        assert coarse_op.dom.points == 16
+        assert coarse_op.dom.points == 16 and k == 5
         raise error("coarse rung failed")
 
     # the coarse rung solves through the module's name; the fine solve
     # below is the function imported before the patch
     monkeypatch.setattr(operators, "solve", failing)
     res = solve(op, k)
-    assert res.shift == gershgorin_shift(op.matrix) and res.rejected_shift is None
-    assert (res.below_shift, res.below_top) == (0, k)
+    cert = res.certificate
+    assert fields(cert, "shift", "cut", "rejected_cut") == (gershgorin_shift(op.matrix), None, None)
+    assert fields(cert, "below_shift", "below_top", "factors") == (0, k, 2)
     np.testing.assert_array_equal(res.eigenvalues, plain.eigenvalues)
 
 
 def test_coarse_grid_with_too_few_dofs_gives_no_seed():
-    # the 6-cell coarse grid has 15 sector dofs, too few for 16 levels
+    # the 6-cell coarse grid has 15 sector dofs, too few for 17 levels
     op = build_sector(DomainSpec(n=2, length=10.0, points=24), uniform_model(2, robin(-1.0)))
-    res = solve(op, 16)
-    assert res.shift == gershgorin_shift(op.matrix) and res.rejected_shift is None
-    assert (res.below_shift, res.below_top) == (0, 16)
+    cert = solve(op, 16).certificate
+    assert fields(cert, "shift", "cut", "rejected_cut") == (gershgorin_shift(op.matrix), None, None)
+    assert fields(cert, "below_shift", "below_top") == (0, 16)
 
 
 def test_seeded_one_shot_solve_needs_few_fine_level_applications(monkeypatch):
@@ -390,27 +505,31 @@ def test_seeded_one_shot_solve_needs_few_fine_level_applications(monkeypatch):
 
     operators_factor = operators._factor
     monkeypatch.setattr(operators, "_factor", factor)
-    res = solve(op, 5)
-    assert (res.below_shift, res.below_top, res.rejected_shift) == (0, 5, None)
+    cert = solve(op, 5).certificate
+    assert fields(cert, "path", "below_cut", "factors", "rejected_cut") == ("cut", 5, 1, None)
     # 761-788 applications from the Gershgorin shift, by seed
     assert 0 < len(applications) <= 100
 
 
 def test_degenerate_cut_fails_certificate():
     # a double eigenvalue at the k-th place leaves the lowest k ambiguous:
-    # both shifts count 3 levels below the cut and the solve refuses
+    # no cut splits it, and the Gershgorin path counts 3 levels below the
+    # top, so the solve refuses
     dom = DomainSpec(n=2, length=6.0, points=6)
     diag = np.array([1.0, 2.0, 2.0, 3.0, 4.0, 5.0])
     op = GridOperator(matrix=sparse.diags(diag).tocsr(), mass=np.ones(6),
                       dofs=np.zeros((6, 2), dtype=int), coords=np.zeros((6, 2)),
                       lattice=np.zeros(7), formulation="sector", dom=dom,
                       model=uniform_model(2, robin(-1.0)))
-    with pytest.raises(NotConverged) as err:
-        solve(op, 2, shift=0.5)
-    attempts = err.value.diagnostics["attempts"]
-    assert [a["below_shift"] for a in attempts] == [0, 0]
-    assert [a["below_top"] for a in attempts] == [3, 3]
+    for cut, below in ((1.5, 1), (2.5, 3)):
+        with pytest.raises(NotConverged) as err:
+            solve(op, 2, cut=cut)
+        attempts = err.value.diagnostics["attempts"]
+        assert fields(attempts[0], "cut", "below_cut", "reason") == (cut, below, "count")
+        assert fields(attempts[1], "below_shift", "below_top", "reason") == (0, 3, "count")
     np.testing.assert_allclose(solve(op, 3).eigenvalues, [1.0, 2.0, 2.0], rtol=1e-14)
+    certified = solve(op, 3, cut=2.5).certificate
+    assert fields(certified, "cut", "below_cut", "factors") == (2.5, 3, 1)
 
 
 def test_eigenvector_equivariance_through_extension():

@@ -70,41 +70,87 @@ def test_duality_report_three_body_distinct():
     assert rep.pair_deviations[("delta_bose", "epsilon_fermi")][-1] < 1e-12
 
 
-def test_duality_report_certifies_and_solves_each_operator_once(monkeypatch):
-    from contact_duality import spectra
+def fallback_solve(monkeypatch, op, k):
+    """The Gershgorin-path solve of ``op``: no coarse grid gives a cut."""
+    from contact_duality import operators
 
-    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "_coarse_cut", lambda *args: None)
+        return operators.solve(op, k)
 
-    def counted(op, k, **kwargs):
-        result = spectra_solve(op, k, **kwargs)
-        calls.append((op, kwargs.get("shift"), result))
+
+def record_solves(monkeypatch) -> list:
+    """(operator, levels, cut, LU factors made, result) of every solve the
+    reports make from here on."""
+    from contact_duality import operators, spectra
+
+    calls, factors = [], []
+
+    def factor(a, shift):
+        factors.append(shift)
+        return operators_factor(a, shift)
+
+    def counted(op, k, cut=None, **kwargs):
+        start = len(factors)
+        result = spectra_solve(op, k, cut=cut, **kwargs)
+        calls.append((op, k, cut, len(factors) - start, result))
         return result
 
-    spectra_solve = spectra.solve
+    operators_factor, spectra_solve = operators._factor, spectra.solve
+    monkeypatch.setattr(operators, "_factor", factor)
     monkeypatch.setattr(spectra, "solve", counted)
+    return calls
+
+
+def assert_certified(cert: dict, levels: int):
+    if cert["path"] == "cut":
+        assert (cert["below_cut"], cert["factors"], cert["rejected_cut"]) == (levels, 1, None)
+        assert cert["cut"] is not None and cert["shift"] is None
+    else:
+        assert cert["path"] == "fallback" and cert["cut"] is None
+        assert (cert["below_shift"], cert["below_top"]) == (0, levels)
+        assert cert["factors"] == 2 + (cert["rejected_cut"] is not None)
+
+
+def test_duality_report_certifies_and_solves_each_operator_once(monkeypatch):
+    from contact_duality.operators import midpoint_cut
+
+    calls = record_solves(monkeypatch)
     dom = DomainSpec(n=3, length=6.0, points=6)
     model = CouplingModel((robin(-1.0), robin(-2.0)))
     rep = duality_report(dom, model, k=3, refinements=3)
     # the reduced delta and epsilon operators are bitwise equal
-    assert [op.formulation for op, _, _ in calls] == ["sector", "delta_bose"] * 3
+    assert [op.formulation for op, *_ in calls] == ["sector", "delta_bose"] * 3
     assert rep.identical_by_construction == ["delta_bose|epsilon_fermi"]
     assert rep.to_dict()["identical_by_construction"] == ["delta_bose|epsilon_fermi"]
-    for lv in rep.levels:
+    # rung l solves k + 2 - l levels and reports the lowest k
+    assert [levels for _, levels, *_ in calls] == [5, 5, 4, 4, 3, 3]
+    for lv, rung in zip(rep.levels, (calls[0:2], calls[2:4], calls[4:6])):
         assert lv["reused"] == {"epsilon_fermi": "delta_bose"}
         assert lv["eigenvalues"]["epsilon_fermi"] == lv["eigenvalues"]["delta_bose"]
-        for form in FORMULATIONS:
-            cert = lv["certificates"][form]
-            assert (cert["below_shift"], cert["below_top"]) == (0, 3)
-            assert cert["rejected_shift"] is None
-    # finer levels are shifted from the coarser level's eigenvalues
-    assert [shift is None for _, shift, _ in calls] == [True, True] + [False] * 4
+        for op, levels, _, factors, result in rung:
+            form = op.formulation
+            assert len(lv["eigenvalues"][form]) == len(lv["residuals"][form]) == 3
+            assert lv["eigenvalues"][form] == result.eigenvalues[:3].tolist()
+            assert lv["certificates"][form] == result.certificate
+            assert result.certificate["factors"] == factors
+            assert_certified(lv["certificates"][form], levels)
+        assert lv["certificates"]["epsilon_fermi"] == lv["certificates"]["delta_bose"]
+    # finer rungs are cut midway between the coarser rung's top two levels
+    assert [cut for _, _, cut, _, _ in calls[:2]] == [None, None]
+    for (_, levels, cut, _, _), (_, _, _, _, coarse) in zip(calls[2:], calls):
+        assert cut == midpoint_cut(coarse.eigenvalues, levels)
+    # the finest rung's cut holds; the 12-cell rung's levels move by more
+    # than the gap it was cut in, and it falls back
+    assert [result.certificate["path"] for *_, result in calls] == (
+        ["fallback"] * 4 + ["cut"] * 2)
     assert rep.pair_deviations[("delta_bose", "epsilon_fermi")] == [0.0] * 3
 
     # the scale-invariance report solves five domain/model cases
     calls.clear()
     scale = scale_invariance_report(DomainSpec(n=3, length=6.0, points=6),
                                     uniform_model(3, scale_invariant(1.0)), dilation=2.0, k=3)
-    solved = [op for op, _, _ in calls]
+    solved = [op for op, *_ in calls]
     assert [op.formulation for op in solved] == ["sector", "delta_bose"] * 5
     def same(a, b):
         ma, mb = a.matrix, b.matrix
@@ -114,17 +160,55 @@ def test_duality_report_certifies_and_solves_each_operator_once(monkeypatch):
 
     assert not any(same(a, b) for i, a in enumerate(solved) for b in solved[i + 1:])
     assert scale.base["epsilon_fermi"] == scale.base["delta_bose"]
-    # the dilated and shifted cases are seeded from the base spectrum, the
-    # base and the controls start from the Gershgorin shift
-    assert [shift is None for _, shift, _ in calls] == [True] * 2 + [False] * 4 + [True] * 4
-    base = [np.asarray(scale.base[form]) for form in ("sector", "delta_bose")]
-    assert [shift for _, shift, _ in calls[2:6]] == (
-        [spectra.seeded_shift(b / 4.0) for b in base] + [spectra.seeded_shift(b) for b in base])
-    for op, shift, result in calls:
-        if shift is not None:
-            assert result.rejected_shift is None and result.shift == shift
-            reference = spectra_solve(op, 3).eigenvalues
+    assert all(len(values) == 3 for values in scale.base.values())
+    # the base case is solved for k + 1 levels; the dilated and shifted
+    # cases are cut from its midpoint scaled by 1/lambda^2 and by 1; the
+    # controls take the cut solve finds itself (none on this grid)
+    assert [levels for _, levels, *_ in calls] == [4] * 2 + [3] * 8
+    base = [result.eigenvalues for *_, result in calls[:2]]
+    assert [cut for _, _, cut, _, _ in calls[2:6]] == (
+        [midpoint_cut(b, 3) / 4.0 for b in base] + [midpoint_cut(b, 3) for b in base])
+    assert [cut for _, _, cut, _, _ in calls[6:] + calls[:2]] == [None] * 6
+    for op, levels, cut, factors, result in calls:
+        assert_certified(result.certificate, levels)
+        if cut is not None:
+            assert (result.certificate["cut"], factors) == (cut, 1)
+            reference = fallback_solve(monkeypatch, op, 3).eigenvalues
             np.testing.assert_allclose(result.eigenvalues, reference, rtol=1e-10)
+
+
+def test_ladder_makes_one_factor_per_solve(monkeypatch):
+    calls = record_solves(monkeypatch)
+    k = 4
+    rep = duality_report(DomainSpec(n=2, length=6.0, points=8), uniform_model(2, robin(-1.0)),
+                         k=k, refinements=3)
+    # rung 0 has no coarser grid and takes the Gershgorin path; every
+    # later rung makes one factor per formulation, at its cut
+    assert [factors for _, _, _, factors, _ in calls] == [2, 2, 1, 1, 1, 1]
+    assert [levels for _, levels, *_ in calls] == [6, 6, 5, 5, 4, 4]
+    for lv in rep.levels:
+        for form in FORMULATIONS:
+            assert len(lv["eigenvalues"][form]) == len(lv["residuals"][form]) == k
+    reported = {(lv["points"], form): lv["eigenvalues"][form] for lv in rep.levels
+                for form in FORMULATIONS}
+    for op, levels, cut, _, result in calls[2:]:
+        cert = result.certificate
+        assert (cert["cut"], cert["below_cut"], cert["rejected_cut"]) == (cut, levels, None)
+        reference = fallback_solve(monkeypatch, op, levels)
+        assert reference.certificate["path"] == "fallback"
+        np.testing.assert_allclose(result.eigenvalues, reference.eigenvalues, rtol=1e-10)
+        np.testing.assert_allclose(reported[op.dom.points, op.formulation],
+                                   reference.eigenvalues[:k], rtol=1e-10)
+
+
+def test_duality_report_solves_no_more_levels_than_a_rung_has():
+    # the 6-cell sector operator has 15 dofs, so rung 0 solves 14 levels
+    # instead of k + 1 = 15 and the 12-cell rung gets no sector cut from it
+    rep = duality_report(DomainSpec(n=2, length=6.0, points=6), uniform_model(2, robin(-1.0)),
+                         k=14, refinements=2)
+    assert [len(lv["eigenvalues"]["sector"]) for lv in rep.levels] == [14, 14]
+    first = rep.levels[0]["certificates"]
+    assert (first["sector"]["below_top"], first["delta_bose"]["below_top"]) == (14, 15)
 
 
 def test_reports_never_build_the_epsilon_operator(monkeypatch):
