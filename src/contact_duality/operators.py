@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -87,7 +88,7 @@ from .permutations import permutation_ranks
 
 # Assembly calls neither of these here.  Both stay importable on this
 # module because the benchmark's tracer (perfbench/tracing.py) wraps them
-# here by name; ROADMAP item 4 drops them with that patching.
+# here by name; ROADMAP item 7 drops them with that patching.
 from .mesh import length_pattern_groups, sector_element_mask  # noqa: F401
 
 #: Minimum cells per axis so each face keeps a few interior layers.
@@ -99,6 +100,10 @@ MAX_SPECTRAL_N = 4
 #: Cells per axis of a one-shot solve's grid over those of the coarser
 #: grid its cut comes from.
 COARSENING = 4
+
+#: A cut for k levels may count up to this many more below it; the solve
+#: then certifies every level below the cut and returns the lowest k.
+EXTRA_LEVELS = 2
 
 
 @dataclass(frozen=True)
@@ -472,17 +477,19 @@ class SpectrumResult:
     """Lowest eigenpairs of an operator with their inertia certificate.
 
     ``certificate`` is a plain JSON dict that says which of the two paths
-    of ``solve`` ran.  On the ``"cut"`` path, ``cut`` lies between the
-    k-th and (k+1)-th eigenvalues, ``below_cut`` counts the eigenvalues
-    below it by Sylvester inertia, and every reported value lies below it
-    by more than the residual norm of the block.  On the ``"fallback"``
-    path, ``shift`` lies below the Gershgorin bound and ``top_shift``
-    just above the highest reported eigenvalue, and ``below_shift`` and
-    ``below_top`` count the eigenvalues below each: 0 and k.  The other
-    path's entries are None.  ``rejected_cut`` holds the cut, its count
-    and the reason it failed when the fallback ran after one, and
-    ``factors`` the number of LU factors of this operator the solve made
-    (a coarse grid's solve counts its own).
+    of ``solve`` ran.  On the ``"cut"`` path, ``cut`` lies above the k-th
+    eigenvalue, ``below_cut`` counts the eigenvalues below it by
+    Sylvester inertia (k to k + ``EXTRA_LEVELS``), and every one of them
+    was solved and lies below it by more than the residual norm of the
+    block.  On the ``"fallback"`` path, ``shift`` lies below the
+    Gershgorin bound and ``top_shift`` just above the highest reported
+    eigenvalue, and ``below_shift`` and ``below_top`` count the
+    eigenvalues below each: 0 and k.  The other path's entries are None.
+    ``rejected_cut`` holds the cut, its count and the reason it failed
+    when the fallback ran after one.  ``factors`` and
+    ``opinv_applications`` count the LU factors of this operator the
+    solve made and the Lanczos solves with them (a coarse grid's solve
+    counts its own).
     """
 
     eigenvalues: np.ndarray
@@ -546,41 +553,60 @@ def inertia_count(a: sparse.csr_matrix, shift: float) -> int | None:
 
 def _lanczos(a: sparse.csr_matrix, k: int, sigma: float, which: str, lu, v0):
     """Shift-invert Lanczos at ``sigma`` through the factor ``lu``:
-    eigenvalues, eigenvectors and residual norms, or None when ARPACK
-    does not converge."""
-    opinv = LinearOperator(a.shape, matvec=lu.solve, dtype=a.dtype)
+    eigenvalues, eigenvectors and residual norms (None when ARPACK does
+    not converge), and the number of solves with the factor it made."""
+    applications = 0
+
+    def apply(rhs):
+        nonlocal applications
+        applications += 1
+        return lu.solve(rhs)
+
+    opinv = LinearOperator(a.shape, matvec=apply, dtype=a.dtype)
     try:
         vals, vecs = eigsh(a, k=k, sigma=sigma, which=which, v0=v0, tol=0, OPinv=opinv)
     except ArpackNoConvergence:
-        return None
+        return None, applications
+    order = np.argsort(vals)
+    vals, vecs = vals[order], vecs[:, order]
     residuals = np.linalg.norm(a @ vecs - vecs * vals[None, :], axis=0)
-    return vals, vecs, residuals
+    return (vals, vecs, residuals), applications
 
 
 def _cut_attempt(a: sparse.csr_matrix, k: int, cut: float, v0: np.ndarray) -> dict:
     """The lowest k eigenpairs from one factor of a - cut I.
 
-    The factor's inertia must count exactly k eigenvalues below the cut.
-    Those are the most negative 1 / (lambda - cut), so Lanczos returns
-    them with ``which="SA"``.  Every Ritz value must then lie below the
-    cut by more than the Frobenius norm of the residual block, which
-    bounds its 2-norm: by Kahan's theorem k eigenvalues lie within that
-    norm of the Ritz values, all below the cut, and the count says there
-    are no others, so they are the lowest k.  The returned dict holds
-    the count and the eigenpairs when certified, or the reason it failed.
+    The factor's inertia must count from k to k + ``EXTRA_LEVELS``
+    eigenvalues below the cut.  Those are the most negative
+    1 / (lambda - cut), so Lanczos returns all of them with
+    ``which="SA"``.  Every Ritz value must then lie below the cut by more
+    than the Frobenius norm r of the residual block, which bounds its
+    2-norm: by Kahan's theorem as many eigenvalues as the count lie
+    within r of the Ritz values, all below the cut, and the count says
+    there are no others, so they are the lowest.  When the count is above
+    k, the (k+1)-th Ritz value must also lie more than 2r above the k-th,
+    so that the lowest k split from the rest.  The returned dict holds
+    the count and the lowest k eigenpairs when certified, or the reason
+    it failed.
     """
     lu = _factor(a, cut)
-    out = {"cut": cut, "below_cut": _negative_pivots(lu), "factors": 1}
-    if out["below_cut"] != k:
+    count = _negative_pivots(lu)
+    out = {"cut": cut, "below_cut": count, "factors": 1, "opinv_applications": 0}
+    if count is None or not k <= count <= min(k + EXTRA_LEVELS, a.shape[0] - 1):
         out["reason"] = "count"
         return out
-    pairs = _lanczos(a, k, cut, "SA", lu, v0)
+    pairs, out["opinv_applications"] = _lanczos(a, count, cut, "SA", lu, v0)
     if pairs is None:
         out["reason"] = "not converged"
-    elif float(np.max(pairs[0])) + float(np.linalg.norm(pairs[2])) < cut:
-        out["pairs"] = pairs
-    else:
+        return out
+    vals, vecs, residuals = pairs
+    bound = float(np.linalg.norm(residuals))
+    if vals[-1] + bound >= cut:
         out["reason"] = "interval"
+    elif count > k and vals[k] - vals[k - 1] <= 2.0 * bound:
+        out["reason"] = "count"  # no split between the k-th and (k+1)-th levels
+    else:
+        out["pairs"] = (vals[:k], vecs[:, :k], residuals[:k])
     return out
 
 
@@ -594,11 +620,12 @@ def _fallback_attempt(a: sparse.csr_matrix, k: int, v0: np.ndarray) -> dict:
     """
     shift = gershgorin_shift(a)
     lu = _factor(a, shift)
-    out = {"shift": shift, "below_shift": _negative_pivots(lu), "factors": 1}
+    out = {"shift": shift, "below_shift": _negative_pivots(lu), "factors": 1,
+           "opinv_applications": 0}
     if out["below_shift"] != 0:
         out["reason"] = "count"
         return out
-    pairs = _lanczos(a, k, shift, "LM", lu, v0)
+    pairs, out["opinv_applications"] = _lanczos(a, k, shift, "LM", lu, v0)
     del lu
     if pairs is None:
         out["reason"] = "not converged"
@@ -622,8 +649,47 @@ def midpoint_cut(eigenvalues, k: int) -> float:
     return 0.5 * (float(eigenvalues[k - 1]) + float(eigenvalues[k]))
 
 
-def _coarse_cut(op: GridOperator, k: int, seed: int) -> float | None:
-    """Cut for ``op`` from the same operator on a coarser grid.
+def prolong(coarse: SpectrumResult, op: GridOperator) -> np.ndarray:
+    """Node values on ``op``'s lattice of the eigenvectors of ``coarse``.
+
+    ``coarse`` is a solve of the same reduced formulation on a coarser
+    lattice of the same box.  Each node of ``op`` takes the multilinear
+    interpolant over the coarse cell that holds it; a coarse corner is
+    read at its index tuple sorted descending (the symmetric extension of
+    the sector state) through ``DofTable.find``, and corners that are not
+    dofs (walls and eliminated faces) are zero.  On the sector lattice
+    every even fine vertex is a coarse vertex and takes its value.
+    Columns are node-value vectors, one per coarse level.
+    """
+    lattice = coarse.operator.lattice
+    table = DofTable(coarse.operator.dofs, lattice.size)
+    lo = np.clip(np.searchsorted(lattice, op.coords, side="right") - 1, 0, lattice.size - 2)
+    frac = (op.coords - lattice[lo]) / (lattice[lo + 1] - lattice[lo])
+    values = np.zeros((op.dimension, coarse.vectors.shape[1]))
+    for corner in itertools.product((0, 1), repeat=op.dom.n):
+        weight = np.prod(np.where(corner, frac, 1.0 - frac), axis=-1)
+        rank = table.find(-np.sort(-(lo + corner), axis=-1))
+        hit = rank >= 0
+        values[hit] += weight[hit, None] * coarse.vectors[rank[hit]]
+    return values
+
+
+def _start_vector(op: GridOperator, k: int, seed: int, coarse: SpectrumResult | None):
+    """ARPACK start vector for a k-level solve of ``op``.
+
+    With a coarser result of a reduced operator, the sum of its lowest k
+    eigenvectors prolonged onto ``op``, each mass-scaled and normalized;
+    otherwise a seeded random vector.
+    """
+    if coarse is None or not op.reduced:
+        return np.random.default_rng(seed).uniform(-1.0, 1.0, size=op.dimension)
+    scaled = prolong(coarse.lowest(k), op) * np.sqrt(op.mass)[:, None]
+    return np.sum(scaled / np.linalg.norm(scaled, axis=0), axis=1)
+
+
+def _coarse_cut(op: GridOperator, k: int, seed: int):
+    """Cut for ``op`` from the same operator on a coarser grid, with that
+    grid's solve.
 
     The coarse grid has ``COARSENING`` times fewer cells per axis and is
     solved for k + 1 levels, taking its own cut from the next coarser
@@ -638,34 +704,39 @@ def _coarse_cut(op: GridOperator, k: int, seed: int) -> float | None:
     build = BUILDERS[op.formulation]
     try:
         coarse = build(dom, op.model) if op.reduced else build(dom, op.model, reduced=False)
-        return midpoint_cut(solve(coarse, k + 1, seed=seed).eigenvalues, k)
+        result = solve(coarse, k + 1, seed=seed)
     except (GridTooCoarse, LevelsOutOfRange, NotConverged):
         return None
+    return midpoint_cut(result.eigenvalues, k), result
 
 
-def solve(op: GridOperator, k: int, seed: int = 0, cut: float = None) -> SpectrumResult:
+def solve(op: GridOperator, k: int, seed: int = 0, cut: float = None,
+          coarse: SpectrumResult = None) -> SpectrumResult:
     """Lowest k eigenpairs of a grid operator, certified by inertia.
 
-    One LU factor of A - cut I, with ``cut`` between the k-th and
-    (k+1)-th eigenvalues, gives both the inertia count and the
-    shift-invert Lanczos run (``_cut_attempt``).  Without a cut from the
-    caller, it is the midpoint of the k-th and (k+1)-th levels of the
-    same operator on a grid ``COARSENING`` times coarser.  When there is
-    no cut, or the cut fails its certificate (a wrong count, a Ritz
-    value too close to it, or no convergence), the solve falls back to
-    Lanczos from the Gershgorin bound with a second count above the k-th
-    eigenvalue (``_fallback_attempt``).  NotConverged carries the counts
-    of every attempt when that fails too.  A fixed seeded start vector
-    makes repeated solves bit-reproducible.  Residual norms
-    ||A v - lambda v|| are reported per pair.
+    One LU factor of A - cut I, with ``cut`` above the k-th eigenvalue
+    and below the (k + ``EXTRA_LEVELS`` + 1)-th, gives both the inertia
+    count and the shift-invert Lanczos run (``_cut_attempt``).  Without
+    a cut from the caller, it is the midpoint of the k-th and (k+1)-th
+    levels of the same operator on a grid ``COARSENING`` times coarser,
+    and that grid's solve becomes ``coarse``.  Lanczos starts from the
+    lowest k eigenvectors of ``coarse``, a solve of the same formulation
+    on a coarser lattice, prolonged onto this one (``prolong``); only a
+    solve with no coarser result starts from a vector fixed by ``seed``.
+    When there is no cut, or the cut fails its certificate (a count out
+    of range, a Ritz value too close to it, or no convergence), the
+    solve falls back to Lanczos from the Gershgorin bound with a second
+    count above the k-th eigenvalue (``_fallback_attempt``).
+    NotConverged carries the counts of every attempt when that fails
+    too.  Residual norms ||A v - lambda v|| are reported per pair.
     """
     a = op.matrix
     dim = a.shape[0]
     if not 1 <= k < dim:
         raise LevelsOutOfRange(f"need 1 <= k < dimension, got k={k}, dim={dim}")
-    v0 = np.random.default_rng(seed).uniform(-1.0, 1.0, size=dim)
     if cut is None:
-        cut = _coarse_cut(op, k, seed)
+        cut, coarse = _coarse_cut(op, k, seed) or (None, coarse)
+    v0 = _start_vector(op, k, seed, coarse)
     rejected = None
     found = None if cut is None else _cut_attempt(a, k, float(cut), v0)
     if found is None or "pairs" not in found:
@@ -681,12 +752,12 @@ def solve(op: GridOperator, k: int, seed: int = 0, cut: float = None) -> Spectru
         j = int(np.argmax(np.abs(node_vectors[:, i])))
         if node_vectors[j, i] < 0:
             node_vectors[:, i] *= -1
-    factors = found.pop("factors")
-    if rejected is not None:
-        factors += rejected.pop("factors")
+    # both attempts' work on this operator
+    work = {key: found.pop(key) + (rejected.pop(key) if rejected else 0)
+            for key in ("factors", "opinv_applications")}
     certificate = {"path": "cut" if "cut" in found else "fallback",
                    **dict.fromkeys(("cut", "below_cut", "shift", "top_shift",
                                     "below_shift", "below_top")),
-                   **found, "factors": factors, "rejected_cut": rejected}
+                   **found, **work, "rejected_cut": rejected}
     return SpectrumResult(eigenvalues=vals, residuals=residuals, operator=op,
                           vectors=node_vectors, certificate=certificate)

@@ -136,25 +136,28 @@ class DualityReport:
 
 
 def _solve_formulations(dom: DomainSpec, model: CouplingModel, k: int, seed: int,
-                        levels: int = None, cuts: dict = None):
+                        levels: int = None, cuts: dict = None, coarse: dict = None):
     """Build and solve every formulation on one domain.
 
     Each operator is solved for ``levels`` levels (default k), or for as
     many as it has dofs to spare but never fewer than k.  ``cuts`` maps
-    formulations to cuts between their ``levels``-th and next eigenvalue
-    (None: the cut ``solve`` takes itself from a coarser grid, where
-    there is one).  Only the sector and delta operators are built and
-    solved.  At reduced level the epsilon build assembles the same sector
-    form on the same staggered lattice with the same n! mass factor as
-    the delta one, so once the model passes the epsilon builder's checks
-    its result is the delta one, with the operator relabelled.
+    formulations to cuts above their ``levels``-th eigenvalue (None: the
+    cut ``solve`` takes itself from a coarser grid, where there is one),
+    and ``coarse`` to their results on a coarser lattice, which start
+    each solve's Lanczos run.  Only the sector and delta operators are
+    built and solved.  At reduced level the epsilon build assembles the
+    same sector form on the same staggered lattice with the same n! mass
+    factor as the delta one, so once the model passes the epsilon
+    builder's checks its result is the delta one, with the operator
+    relabelled.
     """
     results = {}
     for form in ("sector", "delta_bose"):
         op = cached_build(form, dom, model)
         wanted = k if levels is None else max(k, min(levels, op.dimension - 1))
         cut = None if cuts is None else cuts[form]
-        results[form] = solve(op, wanted, seed=seed, cut=cut)
+        start = None if coarse is None else coarse[form]
+        results[form] = solve(op, wanted, seed=seed, cut=cut, coarse=start)
     check_model("epsilon_fermi", model, dom.n)
     delta = results["delta_bose"]
     results["epsilon_fermi"] = replace(
@@ -175,19 +178,28 @@ def duality_report(dom: DomainSpec, model: CouplingModel, k: int,
                    refinements: int = 3, seed: int = 0) -> DualityReport:
     """Compare the three formulations on a ladder of grid refinements.
 
-    Rung l solves k + refinements - 1 - l levels and reports the lowest
-    k, so every rung but the last solves one level more than the next.
-    Each formulation's solve on a finer rung is cut midway between its
-    own top two levels on the coarser one, and rung 0 takes the cut
-    ``solve`` finds itself; the epsilon result is the delta one.
+    Rung l >= 1 solves k + refinements - 1 - l levels and reports the
+    lowest k, so every rung but the last solves one level more than the
+    next.  Rung 0 takes the cut ``solve`` finds itself and solves two
+    levels more than rung 1, whose cut lies midway between rung 0's two
+    levels above the ones it needs: its count may then take in one or
+    two levels more, and levels that move past a cut under refinement
+    stay below this one.  Every later rung is cut midway between the
+    top two levels of the rung before.  Each formulation's Lanczos run
+    starts from its own eigenvectors on the rung before; the epsilon
+    result is the delta one.
     """
     report = DualityReport(dom=dom, model=model, k=k, refinements=refinements)
+    wanted = [k + refinements - 1 - level for level in range(refinements)]
+    if refinements > 1:
+        wanted[0] = wanted[1] + 2
     results = None
     for level in range(refinements):
         dom_l = dom.refined(2**level)
-        levels = k + refinements - 1 - level
-        cuts = None if results is None else _cuts(results, levels)
-        results = _solve_formulations(dom_l, model, k, seed, levels, cuts)
+        levels = wanted[level]
+        cut_level = levels + 1 if level == 1 else levels
+        cuts = None if results is None else _cuts(results, cut_level)
+        results = _solve_formulations(dom_l, model, k, seed, levels, cuts, results)
         lowest = {f: res.lowest(k) for f, res in results.items()}
         report.levels.append({
             "level": level,

@@ -30,6 +30,7 @@ from contact_duality.operators import (
     gershgorin_shift,
     inertia_count,
     midpoint_cut,
+    prolong,
     solve,
 )
 from contact_duality.permutations import group_table, permutation_signs_batch
@@ -333,14 +334,29 @@ def test_cut_between_levels_certifies_from_one_factor(monkeypatch, build, dom, m
     assert fields(cert, "path", "cut", "factors", "rejected_cut") == ("cut", cut, 1, None)
     assert np.max(res.eigenvalues) + np.linalg.norm(res.residuals) < cut
     assert fields(cert, "shift", "top_shift", "below_shift", "below_top") == (None,) * 4
-    # a cut below lambda_k or above lambda_{k+1} counts the wrong number
-    # of levels, and the solve falls back to the Gershgorin path
-    for wrong in (midpoint_cut(dense, k - 1), midpoint_cut(dense, k + 1)):
+    # a cut between lambda_{k+1} and lambda_{k+2} counts one level more:
+    # all k + 1 are solved and certified from the one factor, and the
+    # lowest k are returned
+    factors.clear()
+    above = midpoint_cut(dense, k + 1)
+    res = solve(op, k, cut=above)
+    cert = res.certificate
+    assert factors == [above]
+    np.testing.assert_allclose(res.eigenvalues, dense[:k], rtol=1e-10)
+    assert cert["below_cut"] == np.count_nonzero(dense < above) == k + 1
+    assert fields(cert, "path", "cut", "factors", "rejected_cut") == ("cut", above, 1, None)
+    assert dense[k] + np.linalg.norm(res.residuals) < above
+    assert fields(cert, "shift", "top_shift", "below_shift", "below_top") == (None,) * 4
+    # a cut below lambda_k, or one that counts more levels than the cap,
+    # counts a number out of range, and the solve falls back to the
+    # Gershgorin path
+    cap = k + operators.EXTRA_LEVELS
+    for wrong in (midpoint_cut(dense, k - 1), midpoint_cut(dense, cap + 1)):
         factors.clear()
         res = solve(op, k, cut=wrong)
         cert = res.certificate
         below = np.count_nonzero(dense < wrong)
-        assert below != k
+        assert not k <= below <= cap
         assert cert["rejected_cut"] == {"cut": wrong, "below_cut": below, "reason": "count"}
         assert fields(cert, "path", "cut", "below_cut") == ("fallback", None, None)
         assert cert["shift"] == gershgorin_shift(op.matrix)
@@ -417,6 +433,38 @@ def test_seeded_and_gershgorin_shifts_agree(monkeypatch):
     assert seeded.eigenvalues[-1] < cut
     np.testing.assert_allclose(seeded.eigenvalues, plain.eigenvalues, rtol=1e-10)
     assert np.max(seeded.residuals) < 1e-8
+
+
+@pytest.mark.parametrize("build", [build_sector, build_delta_bose])
+def test_warm_start_from_coarser_eigenvectors(build):
+    model = CouplingModel((robin(-1.0), robin(-2.0)))
+    coarse = solve(build(DomainSpec(n=3, length=6.0, points=8), model), 6)
+    op = build(DomainSpec(n=3, length=6.0, points=16), model)
+    cut = midpoint_cut(coarse.eigenvalues, 5)
+    warm = solve(op, 4, cut=cut, coarse=coarse)
+    cold = solve(op, 4, cut=cut)
+    for res in (warm, cold):
+        assert fields(res.certificate, "path", "cut", "factors") == ("cut", cut, 1)
+    assert warm.certificate["below_cut"] == cold.certificate["below_cut"] == 5
+    assert 0 < warm.certificate["opinv_applications"] <= cold.certificate["opinv_applications"]
+    np.testing.assert_allclose(warm.eigenvalues, cold.eigenvalues, rtol=1e-10)
+    # the coarse ground state, prolonged, is the fine one to within 1%
+    fine, prolonged = warm.vectors[:, 0], prolong(coarse, op)[:, 0]
+    w = op.mass
+    overlap = abs(np.sum(w * fine * prolonged)) / np.sqrt(
+        np.sum(w * fine**2) * np.sum(w * prolonged**2))
+    assert overlap >= 0.99
+
+
+def test_prolong_injects_at_shared_sector_vertices():
+    # every even 16-cell vertex is an 8-cell vertex and takes its value
+    model = CouplingModel((robin(-1.0), robin(-2.0)))
+    coarse = solve(build_sector(DomainSpec(n=3, length=6.0, points=8), model), 3)
+    op = build_sector(DomainSpec(n=3, length=6.0, points=16), model)
+    values = prolong(coarse, op)
+    even = np.all(op.dofs % 2 == 0, axis=-1)
+    rank = DofTable(coarse.operator.dofs, coarse.operator.lattice.size).rank(op.dofs[even] // 2)
+    np.testing.assert_allclose(values[even], coarse.vectors[rank], rtol=1e-12, atol=1e-14)
 
 
 ROBIN_N64 = (DomainSpec(n=2, length=10.0, points=64), uniform_model(2, robin(-1.0)))
@@ -509,6 +557,7 @@ def test_seeded_one_shot_solve_needs_few_fine_level_applications(monkeypatch):
     assert fields(cert, "path", "below_cut", "factors", "rejected_cut") == ("cut", 5, 1, None)
     # 761-788 applications from the Gershgorin shift, by seed
     assert 0 < len(applications) <= 100
+    assert cert["opinv_applications"] == len(applications)
 
 
 def test_degenerate_cut_fails_certificate():

@@ -9,7 +9,7 @@ from contact_duality.coupling import (
     uniform_model,
 )
 from contact_duality.errors import UnsupportedCoupling
-from contact_duality.operators import DomainSpec
+from contact_duality.operators import EXTRA_LEVELS, DomainSpec
 from contact_duality.spectra import (
     FORMULATIONS,
     convergence_order,
@@ -103,8 +103,10 @@ def record_solves(monkeypatch) -> list:
 
 
 def assert_certified(cert: dict, levels: int):
+    assert cert["opinv_applications"] > 0
     if cert["path"] == "cut":
-        assert (cert["below_cut"], cert["factors"], cert["rejected_cut"]) == (levels, 1, None)
+        assert levels <= cert["below_cut"] <= levels + EXTRA_LEVELS
+        assert (cert["factors"], cert["rejected_cut"]) == (1, None)
         assert cert["cut"] is not None and cert["shift"] is None
     else:
         assert cert["path"] == "fallback" and cert["cut"] is None
@@ -123,8 +125,9 @@ def test_duality_report_certifies_and_solves_each_operator_once(monkeypatch):
     assert [op.formulation for op, *_ in calls] == ["sector", "delta_bose"] * 3
     assert rep.identical_by_construction == ["delta_bose|epsilon_fermi"]
     assert rep.to_dict()["identical_by_construction"] == ["delta_bose|epsilon_fermi"]
-    # rung l solves k + 2 - l levels and reports the lowest k
-    assert [levels for _, levels, *_ in calls] == [5, 5, 4, 4, 3, 3]
+    # rung l >= 1 solves k + 2 - l levels, rung 0 two more than rung 1,
+    # and each reports the lowest k
+    assert [levels for _, levels, *_ in calls] == [6, 6, 4, 4, 3, 3]
     for lv, rung in zip(rep.levels, (calls[0:2], calls[2:4], calls[4:6])):
         assert lv["reused"] == {"epsilon_fermi": "delta_bose"}
         assert lv["eigenvalues"]["epsilon_fermi"] == lv["eigenvalues"]["delta_bose"]
@@ -136,14 +139,20 @@ def test_duality_report_certifies_and_solves_each_operator_once(monkeypatch):
             assert result.certificate["factors"] == factors
             assert_certified(lv["certificates"][form], levels)
         assert lv["certificates"]["epsilon_fermi"] == lv["certificates"]["delta_bose"]
-    # finer rungs are cut midway between the coarser rung's top two levels
+    # the 12-cell rung is cut midway between the 6-cell rung's two levels
+    # above the 4 it needs, the 24-cell rung midway between the 12-cell
+    # rung's top two levels
     assert [cut for _, _, cut, _, _ in calls[:2]] == [None, None]
     for (_, levels, cut, _, _), (_, _, _, _, coarse) in zip(calls[2:], calls):
-        assert cut == midpoint_cut(coarse.eigenvalues, levels)
-    # the finest rung's cut holds; the 12-cell rung's levels move by more
-    # than the gap it was cut in, and it falls back
+        above = 1 if coarse.operator.dom.points == 6 else 0
+        assert cut == midpoint_cut(coarse.eigenvalues, levels + above)
+    # the finest rung's cuts hold, and so does the 12-cell delta cut, whose
+    # count takes in one level more; the 12-cell sector levels move by
+    # more than the gap above its cut, so that count is 3 and it falls back
     assert [result.certificate["path"] for *_, result in calls] == (
-        ["fallback"] * 4 + ["cut"] * 2)
+        ["fallback"] * 3 + ["cut"] * 3)
+    assert [result.certificate["below_cut"] for *_, result in calls[3:]] == [5, 3, 3]
+    assert calls[2][-1].certificate["rejected_cut"]["below_cut"] == 3
     assert rep.pair_deviations[("delta_bose", "epsilon_fermi")] == [0.0] * 3
 
     # the scale-invariance report solves five domain/model cases
@@ -185,7 +194,7 @@ def test_ladder_makes_one_factor_per_solve(monkeypatch):
     # rung 0 has no coarser grid and takes the Gershgorin path; every
     # later rung makes one factor per formulation, at its cut
     assert [factors for _, _, _, factors, _ in calls] == [2, 2, 1, 1, 1, 1]
-    assert [levels for _, levels, *_ in calls] == [6, 6, 5, 5, 4, 4]
+    assert [levels for _, levels, *_ in calls] == [7, 7, 5, 5, 4, 4]
     for lv in rep.levels:
         for form in FORMULATIONS:
             assert len(lv["eigenvalues"][form]) == len(lv["residuals"][form]) == k
@@ -201,14 +210,37 @@ def test_ladder_makes_one_factor_per_solve(monkeypatch):
                                    reference.eigenvalues[:k], rtol=1e-10)
 
 
+def test_every_rung_of_a_three_body_ladder_holds_its_cut(monkeypatch):
+    calls = record_solves(monkeypatch)
+    k = 3
+    rep = duality_report(DomainSpec(n=3, length=6.0, points=8),
+                         CouplingModel((robin(-1.0), robin(-2.0))), k=k, refinements=3)
+    # the 16-cell rung's cut lies one level above the 4 it needs, and its
+    # count takes that level in; both finer rungs make one factor per
+    # formulation, at their cut
+    assert [levels for _, levels, *_ in calls] == [6, 6, 4, 4, 3, 3]
+    assert [factors for _, _, _, factors, _ in calls] == [2, 2, 1, 1, 1, 1]
+    assert [result.certificate["below_cut"] for *_, result in calls[2:]] == [5, 5, 3, 3]
+    reported = {(lv["points"], form): lv["eigenvalues"][form] for lv in rep.levels
+                for form in FORMULATIONS}
+    for op, levels, cut, _, result in calls[2:]:
+        cert = result.certificate
+        assert (cert["path"], cert["cut"], cert["factors"], cert["rejected_cut"]) == (
+            "cut", cut, 1, None)
+        reference = fallback_solve(monkeypatch, op, levels)
+        np.testing.assert_allclose(result.eigenvalues, reference.eigenvalues, rtol=1e-10)
+        np.testing.assert_allclose(reported[op.dom.points, op.formulation],
+                                   reference.eigenvalues[:k], rtol=1e-10)
+
+
 def test_duality_report_solves_no_more_levels_than_a_rung_has():
     # the 6-cell sector operator has 15 dofs, so rung 0 solves 14 levels
-    # instead of k + 1 = 15 and the 12-cell rung gets no sector cut from it
+    # instead of k + 2 = 16 and the 12-cell rung gets no sector cut from it
     rep = duality_report(DomainSpec(n=2, length=6.0, points=6), uniform_model(2, robin(-1.0)),
                          k=14, refinements=2)
     assert [len(lv["eigenvalues"]["sector"]) for lv in rep.levels] == [14, 14]
     first = rep.levels[0]["certificates"]
-    assert (first["sector"]["below_top"], first["delta_bose"]["below_top"]) == (14, 15)
+    assert (first["sector"]["below_top"], first["delta_bose"]["below_top"]) == (14, 16)
 
 
 def test_reports_never_build_the_epsilon_operator(monkeypatch):
