@@ -587,7 +587,8 @@ def _cut_attempt(a: sparse.csr_matrix, k: int, cut: float, v0: np.ndarray) -> di
     k, the (k+1)-th Ritz value must also lie more than 2r above the k-th,
     so that the lowest k split from the rest.  The returned dict holds
     the count and the lowest k eigenpairs when certified, or the reason
-    it failed.
+    it failed: ``"count"`` (out of range), ``"not converged"``,
+    ``"interval"`` or ``"split"``.
     """
     lu = _factor(a, cut)
     count = _negative_pivots(lu)
@@ -604,7 +605,7 @@ def _cut_attempt(a: sparse.csr_matrix, k: int, cut: float, v0: np.ndarray) -> di
     if vals[-1] + bound >= cut:
         out["reason"] = "interval"
     elif count > k and vals[k] - vals[k - 1] <= 2.0 * bound:
-        out["reason"] = "count"  # no split between the k-th and (k+1)-th levels
+        out["reason"] = "split"
     else:
         out["pairs"] = (vals[:k], vecs[:, :k], residuals[:k])
     return out
@@ -687,9 +688,8 @@ def _start_vector(op: GridOperator, k: int, seed: int, coarse: SpectrumResult | 
     return np.sum(scaled / np.linalg.norm(scaled, axis=0), axis=1)
 
 
-def _coarse_cut(op: GridOperator, k: int, seed: int):
-    """Cut for ``op`` from the same operator on a coarser grid, with that
-    grid's solve.
+def _coarse_cut(op: GridOperator, k: int, seed: int) -> float | None:
+    """Cut for ``op`` from the same operator on a coarser grid.
 
     The coarse grid has ``COARSENING`` times fewer cells per axis and is
     solved for k + 1 levels, taking its own cut from the next coarser
@@ -704,10 +704,9 @@ def _coarse_cut(op: GridOperator, k: int, seed: int):
     build = BUILDERS[op.formulation]
     try:
         coarse = build(dom, op.model) if op.reduced else build(dom, op.model, reduced=False)
-        result = solve(coarse, k + 1, seed=seed)
+        return midpoint_cut(solve(coarse, k + 1, seed=seed).eigenvalues, k)
     except (GridTooCoarse, LevelsOutOfRange, NotConverged):
         return None
-    return midpoint_cut(result.eigenvalues, k), result
 
 
 def solve(op: GridOperator, k: int, seed: int = 0, cut: float = None,
@@ -718,11 +717,10 @@ def solve(op: GridOperator, k: int, seed: int = 0, cut: float = None,
     and below the (k + ``EXTRA_LEVELS`` + 1)-th, gives both the inertia
     count and the shift-invert Lanczos run (``_cut_attempt``).  Without
     a cut from the caller, it is the midpoint of the k-th and (k+1)-th
-    levels of the same operator on a grid ``COARSENING`` times coarser,
-    and that grid's solve becomes ``coarse``.  Lanczos starts from the
-    lowest k eigenvectors of ``coarse``, a solve of the same formulation
-    on a coarser lattice, prolonged onto this one (``prolong``); only a
-    solve with no coarser result starts from a vector fixed by ``seed``.
+    levels of the same operator on a grid ``COARSENING`` times coarser.
+    Lanczos starts from the lowest k eigenvectors of ``coarse``, a solve
+    of the same formulation on a coarser lattice, prolonged onto this one
+    (``prolong``); without it, from a vector fixed by ``seed``.
     When there is no cut, or the cut fails its certificate (a count out
     of range, a Ritz value too close to it, or no convergence), the
     solve falls back to Lanczos from the Gershgorin bound with a second
@@ -735,7 +733,7 @@ def solve(op: GridOperator, k: int, seed: int = 0, cut: float = None,
     if not 1 <= k < dim:
         raise LevelsOutOfRange(f"need 1 <= k < dimension, got k={k}, dim={dim}")
     if cut is None:
-        cut, coarse = _coarse_cut(op, k, seed) or (None, coarse)
+        cut = _coarse_cut(op, k, seed)
     v0 = _start_vector(op, k, seed, coarse)
     rejected = None
     found = None if cut is None else _cut_attempt(a, k, float(cut), v0)

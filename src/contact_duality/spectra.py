@@ -20,6 +20,7 @@ import numpy as np
 from .coupling import CouplingModel, robin, uniform_model
 from .errors import UnsupportedCoupling
 from .operators import (
+    EXTRA_LEVELS,
     DomainSpec,
     SpectrumResult,
     cached_build,
@@ -183,22 +184,26 @@ def duality_report(dom: DomainSpec, model: CouplingModel, k: int,
     next.  Rung 0 takes the cut ``solve`` finds itself and solves two
     levels more than rung 1, whose cut lies midway between rung 0's two
     levels above the ones it needs: its count may then take in one or
-    two levels more, and levels that move past a cut under refinement
-    stay below this one.  Every later rung is cut midway between the
-    top two levels of the rung before.  Each formulation's Lanczos run
-    starts from its own eigenvectors on the rung before; the epsilon
-    result is the delta one.
+    two levels more (up to ``EXTRA_LEVELS``; with none, rung 1 is cut
+    like the later rungs), and levels that move past a cut under
+    refinement stay below this one.  Every later rung is cut midway
+    between the top two levels of the rung before.  Each formulation's
+    Lanczos run starts from its own eigenvectors on the rung before; the
+    epsilon result is the delta one.
     """
     report = DualityReport(dom=dom, model=model, k=k, refinements=refinements)
     wanted = [k + refinements - 1 - level for level in range(refinements)]
+    # rung l >= 1 is cut above the rung before's cut_at[l]-th level; rung
+    # 1 one level higher, within the extra levels its count may take in
+    cut_at = [None, *wanted[1:]]
     if refinements > 1:
-        wanted[0] = wanted[1] + 2
+        cut_at[1] += min(1, EXTRA_LEVELS)
+        wanted[0] = cut_at[1] + 1
     results = None
     for level in range(refinements):
         dom_l = dom.refined(2**level)
         levels = wanted[level]
-        cut_level = levels + 1 if level == 1 else levels
-        cuts = None if results is None else _cuts(results, cut_level)
+        cuts = None if results is None else _cuts(results, cut_at[level])
         results = _solve_formulations(dom_l, model, k, seed, levels, cuts, results)
         lowest = {f: res.lowest(k) for f, res in results.items()}
         report.levels.append({
