@@ -285,6 +285,8 @@ def validate_config(text: str) -> ExperimentConfig:
     for key in POSITIVE_FLOATS:
         if key in values and values[key] <= 0:
             raise ConfigError(f"key {key!r}: must be positive, got {values[key]}")
+    if values["seed"] < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"key 'seed': must be non-negative, got {values['seed']}")
 
     for key, setting, value, reason in UNUSED_KEYS:
         if key in raw and values.get(setting) == value:
@@ -311,6 +313,10 @@ def validate_config(text: str) -> ExperimentConfig:
         _refuse("n", group_table, n)
     elif command == "propagate":
         _check_propagate(values)
+    if command == "scale-invariance" and values["dilation"] == 1:
+        # the identity dilation leaves the box as it is, so no control
+        # deviation can reach its floor
+        raise ConfigError("key 'dilation': must differ from 1, the identity dilation")
     if realtime and values["realtime_time"] == 0:
         # every propagator is the identity at t = 0; a negative t is a
         # valid backward check

@@ -4,7 +4,8 @@ Every run writes, into its output directory: ``report.json`` (sorted
 keys, shortest round-trip floats, no timestamps, so identical runs are
 byte-identical), one or more flat ``*.csv`` tables, ``*.plot.csv``
 column files ready for any plotting tool, and ``manifest.json`` with the
-config hash, package versions, and wall time (the manifest is
+config hash, package versions, the BLAS thread setting the package found
+on import, and wall time (the manifest is
 provenance and exempt from the byte-identity contract because of the
 timing field).  The exit status is 0 exactly when every configured
 tolerance gate holds.
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, blas_threads
 
 SCHEMA_VERSION = 1
 
@@ -102,6 +103,7 @@ def write_run(outdir, artifacts: RunArtifacts, config_text: str,
         "package_version": __version__,
         "numpy_version": np.__version__,
         "scipy_version": scipy.__version__,
+        "blas_threads": blas_threads,
         "wall_time_s": round(time.time() - started, 3),
         "gates_passed": artifacts.all_passed(),
     }

@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import contact_duality
 from contact_duality import cli
 from contact_duality.cli import main
 from contact_duality.configio import parse_coupling_entry, validate_config
@@ -72,6 +77,61 @@ def test_duality_run_and_determinism(tmp_path):
     assert all(g["passed"] for g in report["gates"])
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["config_sha256"]
+    # under pytest numpy may come first; the record says so either way
+    blas = manifest["blas_threads"]
+    assert blas == contact_duality.blas_threads
+    assert set(blas) == {"openblas_num_threads", "set_by_package", "numpy_already_imported"}
+    assert not blas["set_by_package"] or blas["openblas_num_threads"] == "1"
+
+
+#: The variables OpenBLAS reads its thread count from, in its order.
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def import_cli_afresh(**thread_vars):
+    """Import ``contact_duality.cli`` in a new interpreter where of the BLAS
+    variables only ``thread_vars`` are set; return the variables after the
+    import, the package's record and, on Linux, the native thread count."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(thread_vars)
+    src = str(pathlib.Path(contact_duality.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import json, os, sys\n"
+        "import contact_duality.cli\n"
+        "from contact_duality import blas_threads\n"
+        "tasks = len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else None\n"
+        f"env = {{var: os.environ.get(var) for var in {BLAS_VARS!r}}}\n"
+        "print(json.dumps({'env': env, 'record': blas_threads, 'tasks': tasks}))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_one_blas_thread_by_default():
+    seen = import_cli_afresh()
+    assert seen["env"] == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
+                           "OMP_NUM_THREADS": None}
+    # a numpy import ahead of the default would read True here
+    assert seen["record"] == {"openblas_num_threads": "1", "set_by_package": True,
+                              "numpy_already_imported": False}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts threads in /proc/self/task")
+def test_default_leaves_no_blas_worker_threads():
+    # numpy's and scipy's OpenBLAS each start a pool unless the default
+    # came before they loaded
+    assert import_cli_afresh()["tasks"] == 1
+
+
+@pytest.mark.parametrize("thread_vars", [{"OPENBLAS_NUM_THREADS": "2"},
+                                         {"OMP_NUM_THREADS": "2"}])
+def test_user_blas_thread_count_is_kept(thread_vars):
+    seen = import_cli_afresh(**thread_vars)
+    assert seen["env"] == {var: thread_vars.get(var) for var in BLAS_VARS}
+    assert seen["record"] == {"openblas_num_threads": thread_vars.get("OPENBLAS_NUM_THREADS"),
+                              "set_by_package": False, "numpy_already_imported": False}
 
 
 def test_exit_codes(tmp_path):
@@ -430,6 +490,16 @@ UNUSABLE_BASE = {
     ("scale-invariance", {"coupling.1": "robin:-1", "coupling.2": "robin:-1"}, "coupling.1"),
     ("scale-invariance", {"n": "4", "coupling.3": "scale:1"}, "n"),
     ("scale-invariance", {"control": "dirichlet"}, "control"),
+    # the identity dilation leaves the box unchanged: every control gate reads 0
+    ("scale-invariance", {"dilation": "1"}, "dilation"),
+    # numpy's generators take no negative seed
+    ("spectrum", {"seed": "-1"}, "seed"),
+    ("duality", {"seed": "-1"}, "seed"),
+    ("scale-invariance", {"seed": "-1"}, "seed"),
+    ("kernel-properties", {"seed": "-1"}, "seed"),
+    ("dual-kernels", {"seed": "-1"}, "seed"),
+    ("propagate", {"seed": "-1"}, "seed"),
+    ("fold-check", {"seed": "-1"}, "seed"),
 ])
 def test_unusable_value_is_a_config_error(tmp_path, capsys, command, changes, key):
     # refused by key before any operator, kernel or rule is built
