@@ -196,6 +196,24 @@ def run_dual_kernels(cfg: ExperimentConfig) -> RunArtifacts:
     return RunArtifacts(report=report, gates=gates)
 
 
+def _vanishing_propagation(cfg: ExperimentConfig, psi0, quad: PropagationQuad) -> ConfigError:
+    """Name the key that leaves the propagated state zero at every target:
+    a center outside the rule's box or a width below its spacing when the
+    initial state is zero on every rule point, else tau."""
+    pts, _ = quad.rule(2)
+    if np.any(psi0(pts)):
+        return ConfigError(f"key 'tau': the kernel underflows to zero at every "
+                           f"target, tau = {cfg['tau']}")
+    lo, hi = cfg["quad_lo"], cfg["quad_hi"]
+    for key in ("center1", "center2"):
+        if not lo <= cfg[key] <= hi:
+            return ConfigError(f"key '{key}': the initial state is zero on every "
+                               f"rule point, {key} = {cfg[key]} is outside "
+                               f"[quad_lo, quad_hi] = [{lo}, {hi}]")
+    return ConfigError(f"key 'width': the initial state is zero on every rule "
+                       f"point, width = {cfg['width']} is too narrow for the rule")
+
+
 def run_propagate(cfg: ExperimentConfig) -> RunArtifacts:
     entry = cfg["coupling"]
     sector = robin_pair_kernel(entry)
@@ -218,9 +236,11 @@ def run_propagate(cfg: ExperimentConfig) -> RunArtifacts:
                              cfg["quad_cells"] + cfg["quad_cells"] // 2,
                              cfg["quad_order"] + 2)
     direct = propagate_at(sector, psi0, tau, targets, quad_a)
+    scale = float(np.max(np.abs(direct)))
+    if scale == 0.0:
+        raise _vanishing_propagation(cfg, psi0, quad_a)
     equivariant = propagate_equivariant(k_bose, Statistics.BOSE, psi0, tau,
                                         targets, quad_b)
-    scale = float(np.max(np.abs(direct)))
     route_dev = float(np.max(np.abs(direct - equivariant))) / scale
     semi = two_stage_values(sector, psi0, tau / 2, tau / 2, targets, quad_a)
     semi_dev = float(np.max(np.abs(semi - direct))) / scale

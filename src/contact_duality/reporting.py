@@ -2,7 +2,8 @@
 
 Every run writes, into its output directory: ``report.json`` (sorted
 keys, shortest round-trip floats, no timestamps, so identical runs are
-byte-identical), one or more flat ``*.csv`` tables, ``*.plot.csv``
+byte-identical; strict JSON, so a value that overflowed to inf or nan is
+written as null and its gate fails), one or more flat ``*.csv`` tables, ``*.plot.csv``
 column files ready for any plotting tool, and ``manifest.json`` with the
 config hash, package versions, the BLAS thread setting the package found
 on import, and wall time (the manifest is
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,12 +30,14 @@ SCHEMA_VERSION = 1
 
 
 def _jsonable(obj):
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _jsonable(obj.item())
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     return obj
@@ -86,7 +90,7 @@ def write_run(outdir, artifacts: RunArtifacts, config_text: str,
     report["schema_version"] = SCHEMA_VERSION
     report["gates"] = [g.to_dict() for g in artifacts.gates]
     (out / "report.json").write_text(
-        json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n",
+        json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False) + "\n",
         encoding="utf-8",
     )
 
@@ -108,7 +112,8 @@ def write_run(outdir, artifacts: RunArtifacts, config_text: str,
         "gates_passed": artifacts.all_passed(),
     }
     (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False) + "\n",
+        encoding="utf-8")
 
     if verbose:
         for g in artifacts.gates:

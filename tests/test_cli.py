@@ -422,6 +422,48 @@ def test_propagate_geometry_is_a_config_error(tmp_path, capsys, changes, key):
     assert f"config error: key '{key}'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("changes, key", [
+    ({"center1": "50"}, "center1"),
+    ({"center2": "-50"}, "center2"),
+    ({"width": "1e-4"}, "width"),
+    ({"tau": "1e-300"}, "tau"),
+])
+def test_propagate_to_zero_everywhere_is_a_config_error(tmp_path, capsys, changes, key):
+    # an initial state zero on every rule point (its center outside the
+    # rule's box, or narrower than the rule's spacing), or a kernel that
+    # underflows at every target, leaves nothing to compare the routes by
+    lines = ["command = propagate", "n = 2", *(f"{k} = {v}" for k, v in changes.items())]
+    cfg = write(tmp_path, "zero.cfg", "\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: key '{key}'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_overflowing_report_is_strict_json(tmp_path):
+    # a weakly bound state grows past the double range; the report writes
+    # the overflowed values as null, and their gates fail
+    cfg = write(tmp_path, "p.cfg", """
+command = propagate
+n = 2
+coupling = robin:-0.001
+quad_cells = 8
+quad_order = 4
+""")
+    out = tmp_path / "prop"
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 1
+
+    def refuse(token):
+        raise AssertionError(f"non-standard JSON constant {token}")
+
+    report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    assert report["route_deviation"] is None
+    assert all(not gate["passed"] for gate in report["gates"])
+    assert any(gate["value"] is None for gate in report["gates"])
+    json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
+
+
 #: Valid settings each case below changes one value of.
 UNUSABLE_BASE = {
     "spectrum": {"n": "2", "length": "6.0", "points": "10", "coupling.1": "robin:-1"},

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from contact_duality.kernels import (
     robin_pair_kernel,
 )
 from contact_duality.permutations import Statistics, group_table
+from contact_duality.propagation import _relative_order
 from contact_duality.quadrature import integrate_box, sector_rule
 
 
@@ -126,27 +128,51 @@ def _count_error_function_arguments(monkeypatch):
     return seen
 
 
+def _assert_slab_path_is_bitwise_direct(pk, targets, pts, tau):
+    """Targets against points, in both orientations, equal the direct
+    one-target-at-a-time evaluation bit for bit."""
+    table = pk(targets[:, None, :], pts[None, :, :], tau)
+    direct = np.stack([pk(x[None, :], pts, tau) for x in targets])
+    assert table.shape == direct.shape == (targets.shape[0], pts.shape[0])
+    assert np.array_equal(table, direct), (pk.label, tau)
+    reverse = pk(pts[None, :, :], targets[:, None, :], tau)
+    direct_reverse = np.stack([pk(pts, x[None, :], tau) for x in targets])
+    assert reverse.shape == direct_reverse.shape == table.shape
+    assert np.array_equal(reverse, direct_reverse), (pk.label, tau)
+
+
 def test_pair_kernel_table_is_bitwise_the_direct_path():
     # Targets against a point set (the propagation broadcast) tabulate the
-    # relative factor over distinct relative coordinates; one target at a
-    # time evaluates it directly.  Equal floats give equal values, so the
-    # two agree bit for bit, on the face u = 0 and where the attractive
-    # correction takes its erfc branch (w + gamma tau < 0) too.
+    # relative factor over distinct relative coordinates and fill the
+    # output in row slabs; one target at a time evaluates it directly.
+    # Equal floats give equal values and both paths run one Gaussian, so
+    # the two agree bit for bit, in both orientations, on the face u = 0
+    # and where the attractive correction takes its erfc branch
+    # (w + gamma tau < 0) at every tau.
     rule, _ = sector_rule(-7.0, 7.0, 2, 20, 8)
     face = np.stack([np.linspace(-2.0, 2.0, 5)] * 2, axis=-1)
     near = face + np.array([0.01, -0.01])
     pts = np.concatenate([rule, face, near])
     targets = np.concatenate([rule[::1500], face[::2], near[::2], face[:1]])
     attractive = np.min(_relative(targets)[:, None] + _relative(pts)[None, :])
-    assert attractive + 0.4 / (SQRT2 * -1.0) < 0
-    for entry in (robin(1.0), robin(-1.0), robin(0.05), robin(-0.05), dirichlet(),
-                  neumann()):
+    taus = (0.05, 0.4, 2.0)
+    for tau in taus:
+        assert attractive + tau / (SQRT2 * -1.0) < 0
+    entries = (robin(1.0), robin(-1.0), robin(0.05), robin(-0.05), dirichlet(), neumann())
+    for entry in entries:
         pk = robin_pair_kernel(entry)
-        for tau in (0.05, 0.4, 2.0):
-            table = pk(targets[:, None, :], pts[None, :, :], tau)
-            direct = np.stack([pk(x[None, :], pts, tau) for x in targets])
-            assert table.shape == direct.shape == (targets.shape[0], pts.shape[0])
-            assert np.array_equal(table, direct), (entry, tau)
+        for tau in taus:
+            _assert_slab_path_is_bitwise_direct(pk, targets, pts, tau)
+    # Slab edges: with these columns a slab holds 65 rows, so the row
+    # counts below end inside, at the end of and past the first slab.
+    columns = pts[-(kernels.SLAB_VALUES // 65):]
+    assert kernels.SLAB_VALUES // columns.shape[0] == 65
+    pool = np.concatenate([face, near, rule[::100]])[:130]
+    for entry in entries:
+        pk = robin_pair_kernel(entry)
+        for tau in taus:
+            for rows in (1, 63, 64, 65, 130):
+                _assert_slab_path_is_bitwise_direct(pk, pool[:rows], columns, tau)
 
 
 @pytest.mark.parametrize("a", [1.0, -1.0])
@@ -160,6 +186,24 @@ def test_pair_kernel_error_functions_see_distinct_relative_coordinates(monkeypat
     robin_pair_kernel(robin(a))(targets[:, None, :], rule[None, :, :], 0.4)
     distinct = np.unique(_relative(rule)).size
     assert 0 < sum(seen) <= 64 * distinct < 64 * rule.shape[0]
+
+
+def test_pair_kernel_block_memory_is_about_its_output():
+    # One 64 x 13,440 block of the default rule in propagation order: the
+    # slab path holds the output, the gathered k_rel rows and one slab, not
+    # block-sized temporaries (four or five of them peaked at 28 MB).
+    rule, _ = sector_rule(-7.0, 7.0, 2, 20, 8)
+    pts = rule[_relative_order(rule)]
+    pk = robin_pair_kernel(robin(-1.0))
+    pk(pts[:64, None, :], pts[None, :, :], 0.2)
+    tracemalloc.start()
+    try:
+        out = pk(pts[:64, None, :], pts[None, :, :], 0.2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (64, 13440)
+    assert peak <= 1.5 * out.nbytes, (peak, out.nbytes)
 
 
 def test_pair_kernel_pairwise_points_stay_elementwise(monkeypatch):

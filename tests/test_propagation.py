@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -107,6 +109,35 @@ def test_relative_order_groups_the_default_rule():
     counts = [np.unique(rel[s:s + TARGET_BLOCK]).size
               for s in range(0, rel.size, TARGET_BLOCK)]
     assert np.mean(counts) <= 16
+
+
+def test_rule_routes_keep_their_kernel_evaluations():
+    # The benchmark's tracer times kernel evaluation by wrapping
+    # ``kernel.evaluate``; these are its calls and points on the default
+    # rule.  Stage 1 is 210 blocks of 64 rule points against the points
+    # from the block on, sum_k 64 (13,440 - 64 k) = 90,746,880 points;
+    # stage 2 and ``propagate_at`` are one 6-target block each, 80,640
+    # points.  Work moved out of ``evaluate`` would change these counts.
+    calls, points = [], []
+    pk = robin_pair_kernel(robin(-1.0))
+
+    def counted(x, y, tau):
+        values = pk.evaluate(x, y, tau)
+        calls.append(1)
+        points.append(np.size(values))
+        return values
+
+    kernel = dataclasses.replace(pk, evaluate=counted)
+    quad = PropagationQuad(-7.0, 7.0, 20, 8)
+    targets = np.array([[1.3, -0.3], [0.5, -1.2], [2.0, 1.0],
+                        [0.1, 0.0], [-0.2, -1.5], [1.1, 0.9]])
+    psi0 = gaussian_profile([1.0, -1.0])
+    two_stage_values(kernel, psi0, 0.2, 0.2, targets, quad)
+    assert (len(calls), sum(points)) == (211, 90_746_880 + 80_640)
+    calls.clear()
+    points.clear()
+    propagate_at(kernel, psi0, 0.4, targets, quad)
+    assert (len(calls), sum(points)) == (1, 80_640)
 
 
 @pytest.mark.parametrize("build, reduced", [
