@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .coupling import (
+    SQRT2,
     BoundaryCoupling,
     CouplingModel,
     dirichlet,
@@ -21,7 +22,8 @@ from .coupling import (
     uniform_model,
 )
 from .errors import CapExceeded, ConfigError, GridTooCoarse, UnsupportedCoupling, UnsupportedN
-from .kernel_checks import check_sampling_fit
+from .kernel_checks import SUITE_TAU_MAX, TAUS, check_sampling_fit
+from .kernels import LOG_HUGE
 from .operators import DomainSpec, check_model
 from .permutations import group_table
 from .spectra import FORMULATIONS, check_scale_model
@@ -355,8 +357,11 @@ def _check_kernels(command: str, values: dict) -> None:
     """Refuse couplings and particle numbers the kernel commands cannot
     take.  The pair kernel (propagate, kernel-properties with the pair
     kernel, dual-kernels with a robin coupling) is two-body and has no
-    scale-invariant face; dual kernels take dirichlet or robin, and their
-    real-time check builds the two dual operators."""
+    scale-invariant face, and an attractive Robin face must keep its
+    bound state's growth e^{gamma^2 tau / 2}, gamma = 1 / (sqrt2 a), in
+    the double range up to the largest time the command evaluates the
+    kernel at; dual kernels take dirichlet or robin, and their real-time
+    check builds the two dual operators."""
     coupling = values.get("coupling")
     pair = (command == "propagate" or values.get("kernel") == "pair"
             or command == "dual-kernels" and coupling.kind == "robin")
@@ -364,6 +369,16 @@ def _check_kernels(command: str, values: dict) -> None:
         raise ConfigError("key 'coupling': the pair kernel takes robin, neumann or dirichlet")
     if pair and values["n"] != 2:
         raise ConfigError(f"key 'n': the pair kernel is two-body, got n = {values['n']}")
+    if pair and coupling.kind == "robin" and coupling.value < 0:
+        tau = {"propagate": values.get("tau"), "kernel-properties": SUITE_TAU_MAX,
+               "dual-kernels": sum(TAUS)}[command]
+        gamma = 1.0 / (SQRT2 * coupling.value)
+        growth = gamma * gamma * tau / 2.0
+        if growth >= LOG_HUGE:
+            raise ConfigError(
+                f"key 'coupling': the bound state of {coupling.label()} grows by "
+                f"e^{growth:.4g} at tau = {tau:.4g}, past the largest double "
+                f"(e^{LOG_HUGE:.4g})")
     if command != "dual-kernels":
         return
     if coupling.kind not in ("dirichlet", "robin"):

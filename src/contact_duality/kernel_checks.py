@@ -58,6 +58,9 @@ TAUS = (0.25, 0.35)
 #: Pair-separation step of the one-sided face stencils; the heat-equation
 #: stencils step by half of it.
 FD_STEP = 0.012
+#: Largest time the residual suites evaluate a kernel at: the top time
+#: step of the heat-equation stencil at sum(TAUS).
+SUITE_TAU_MAX = sum(TAUS) * (1.0 + FD_STEP)
 
 
 @dataclass

@@ -50,6 +50,9 @@ from .permutations import Statistics, group_table, sort_descending
 #: exponents below it to exact zero: each such term is below 2.3e-308,
 #: and numpy's exp is about 100 times slower on a subnormal result.
 LOG_TINY = math.log(np.finfo(float).tiny)
+#: log of the largest double.  An attractive Robin pair kernel's bound
+#: state grows as e^{gamma^2 tau / 2}; past this exponent it overflows.
+LOG_HUGE = math.log(np.finfo(float).max)
 
 
 def _points(x, n):

@@ -536,9 +536,21 @@ def _factor(a: sparse.csr_matrix, shift: float):
 
 
 def _negative_pivots(lu) -> int | None:
+    """Count of U's negative pivots, None for no factor or a nonsymmetric
+    permutation.
+
+    Reading ``lu.U`` makes scipy cache CSC copies of L and U on the
+    factor, about as large as the factor itself.  ``lu.solve`` reads
+    SuperLU's own storage, never these copies, so they are emptied once
+    the count is read, before Lanczos runs on the factor.
+    """
     if lu is None or not np.array_equal(lu.perm_r, lu.perm_c):
         return None
-    return int(np.count_nonzero(lu.U.diagonal() < 0))
+    count = int(np.count_nonzero(lu.U.diagonal() < 0))
+    for copy in (lu.L, lu.U):
+        copy.data, copy.indices = copy.data[:0].copy(), copy.indices[:0].copy()
+        copy.indptr = np.zeros_like(copy.indptr)
+    return count
 
 
 def inertia_count(a: sparse.csr_matrix, shift: float) -> int | None:

@@ -73,13 +73,15 @@ TARGET_BLOCK = 64
 def _integrate_rule(kernel: KernelEvaluator, targets: np.ndarray, pts: np.ndarray,
                     weights: np.ndarray, tau: float) -> np.ndarray:
     """sum_j K(x_i, pts_j; tau) weights_j at every target x_i, one block of
-    ``TARGET_BLOCK`` targets per kernel evaluation."""
+    ``TARGET_BLOCK`` targets per kernel evaluation.  Each block is dropped
+    before the next is evaluated, so one is held at a time."""
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     out = np.empty(targets.shape[0], dtype=float)
     for start in range(0, targets.shape[0], TARGET_BLOCK):
         block = targets[start:start + TARGET_BLOCK]
         vals = np.asarray(kernel.evaluate(block[:, None, :], pts[None, :, :], tau))
         out[start:start + TARGET_BLOCK] = vals @ weights
+        del vals
     return out
 
 
@@ -102,7 +104,8 @@ def _apply_on_rule(kernel: KernelEvaluator, pts: np.ndarray, weights: np.ndarray
     its part right of the diagonal block, transposed, gives the later
     rows' share from this block.  Each unordered pair of blocks is
     evaluated once; only the summation order differs from
-    ``_integrate_rule``.
+    ``_integrate_rule``.  As there, each block is dropped before the next
+    is evaluated.
     """
     order = _relative_order(pts)
     pts, weights = pts[order], weights[order]
@@ -112,6 +115,7 @@ def _apply_on_rule(kernel: KernelEvaluator, pts: np.ndarray, weights: np.ndarray
         vals = np.asarray(kernel.evaluate(pts[start:end, None, :], pts[None, start:, :], tau))
         acc[start:end] += vals @ weights[start:]
         acc[end:] += weights[start:end] @ vals[:, TARGET_BLOCK:]
+        del vals
     out = np.empty_like(acc)
     out[order] = acc
     return out
@@ -218,10 +222,17 @@ def _kernel_entries(op: GridOperator, t: float, rows: np.ndarray,
     ``op.matrix`` is the real symmetric A_hat = M^{-1/2} A M^{-1/2}; with
     A_hat = V diag(lam) V^T the kernel is L diag(exp(-i t lam)) L^T,
     L = M^{-1/2} V, so one eigendecomposition gives any block of it.
+    The eigendecomposition overwrites a Fortran-ordered dense copy of
+    A_hat, whose buffer then holds V and, scaled in place, L; L is freed
+    once the two blocks' rows are gathered, before their product.  Each
+    step runs the same operations on the same values as copying ones, so
+    the entries are bitwise theirs.
     """
-    lam, vec = eigh(op.matrix.toarray(), driver="evd")
-    low = vec / np.sqrt(op.mass)[:, None]
-    return (low[rows] * np.exp(-1j * t * lam)) @ low[cols].T
+    lam, low = eigh(op.matrix.toarray(order="F"), driver="evd", overwrite_a=True)
+    low /= np.sqrt(op.mass)[:, None]
+    left, right = low[rows] * np.exp(-1j * t * lam), low[cols]
+    del low
+    return left @ right.T
 
 
 def real_time_cross_check(dom: DomainSpec, model, t: float = 0.1) -> RealTimeCheck:

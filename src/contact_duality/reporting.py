@@ -6,10 +6,10 @@ byte-identical; strict JSON, so a value that overflowed to inf or nan is
 written as null and its gate fails), one or more flat ``*.csv`` tables, ``*.plot.csv``
 column files ready for any plotting tool, and ``manifest.json`` with the
 config hash, package versions, the BLAS thread setting the package found
-on import, and wall time (the manifest is
-provenance and exempt from the byte-identity contract because of the
-timing field).  The exit status is 0 exactly when every configured
-tolerance gate holds.
+on import, wall time and the process's peak resident memory (the
+manifest is provenance and exempt from the byte-identity contract
+because of the timing and memory fields).  The exit status is 0 exactly
+when every configured tolerance gate holds.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,7 +27,22 @@ import scipy
 
 from . import __version__, blas_threads
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 SCHEMA_VERSION = 1
+
+
+def peak_rss_mb():
+    """High-water resident memory of this process in MB, from
+    ``ru_maxrss`` (KB on Linux, bytes on macOS); None without the
+    ``resource`` module."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(peak / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0), 1)
 
 
 def _jsonable(obj):
@@ -109,6 +125,7 @@ def write_run(outdir, artifacts: RunArtifacts, config_text: str,
         "scipy_version": scipy.__version__,
         "blas_threads": blas_threads,
         "wall_time_s": round(time.time() - started, 3),
+        "peak_rss_mb": peak_rss_mb(),
         "gates_passed": artifacts.all_passed(),
     }
     (out / "manifest.json").write_text(

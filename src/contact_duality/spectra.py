@@ -150,11 +150,13 @@ def _solve_formulations(dom: DomainSpec, model: CouplingModel, k: int, seed: int
     same sector form on the same staggered lattice with the same n! mass
     factor as the delta one, so once the model passes the epsilon
     builder's checks its result is the delta one, with the operator
-    relabelled.
+    relabelled.  Both operators are built before either is factored: a
+    factor's large frees raise glibc's dynamic mmap threshold, and an
+    assembly after them would keep its temporaries resident on the heap.
     """
+    ops = {form: cached_build(form, dom, model) for form in ("sector", "delta_bose")}
     results = {}
-    for form in ("sector", "delta_bose"):
-        op = cached_build(form, dom, model)
+    for form, op in ops.items():
         wanted = k if levels is None else max(k, min(levels, op.dimension - 1))
         cut = None if cuts is None else cuts[form]
         start = None if coarse is None else coarse[form]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -7,10 +8,11 @@ import sys
 import pytest
 
 import contact_duality
-from contact_duality import cli
+from contact_duality import cli, reporting
 from contact_duality.cli import main
 from contact_duality.configio import parse_coupling_entry, validate_config
 from contact_duality.errors import ConfigError
+from contact_duality.reporting import Gate
 
 
 def write(tmp_path, name, text):
@@ -441,27 +443,55 @@ def test_propagate_to_zero_everywhere_is_a_config_error(tmp_path, capsys, change
     assert not out.exists()
 
 
+def test_bound_state_growth_is_refused_at_the_largest_double():
+    # gamma^2 tau / 2 = tau / (4 a^2) against log(DBL_MAX) = 709.78 at
+    # a = -0.001: refused at the limit, taken just below it; a repulsive
+    # face of the same length has no bound state to overflow
+    limit = math.log(sys.float_info.max) * 4e-6
+    base = "command = propagate\nn = 2\ncoupling = robin:-0.001\n"
+    validate_config(base + f"tau = {limit * 0.999!r}\n")
+    with pytest.raises(ConfigError, match="key 'coupling'"):
+        validate_config(base + f"tau = {limit * 1.001!r}\n")
+    validate_config("command = propagate\nn = 2\ncoupling = robin:0.001\n")
+
+
 def test_overflowing_report_is_strict_json(tmp_path):
-    # a weakly bound state grows past the double range; the report writes
-    # the overflowed values as null, and their gates fail
-    cfg = write(tmp_path, "p.cfg", """
-command = propagate
-n = 2
-coupling = robin:-0.001
-quad_cells = 8
-quad_order = 4
-""")
+    # values that overflowed where validation could not foresee it are
+    # written as null, and their gates fail
+    artifacts = reporting.RunArtifacts(
+        report={"route_deviation": math.inf, "two_stage": [1.0, math.nan, -math.inf]},
+        gates=[Gate("routes", math.nan, 1e-8), Gate("semigroup", 0.0, 1e-7)])
     out = tmp_path / "prop"
-    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 1
+    assert reporting.write_run(out, artifacts, "command = propagate\n", 0.0) == 1
 
     def refuse(token):
         raise AssertionError(f"non-standard JSON constant {token}")
 
     report = json.loads((out / "report.json").read_text(), parse_constant=refuse)
     assert report["route_deviation"] is None
-    assert all(not gate["passed"] for gate in report["gates"])
-    assert any(gate["value"] is None for gate in report["gates"])
+    assert report["two_stage"] == [1.0, None, None]
+    assert [gate["passed"] for gate in report["gates"]] == [False, True]
+    assert report["gates"][0]["value"] is None
     json.loads((out / "manifest.json").read_text(), parse_constant=refuse)
+
+
+def test_manifest_records_peak_memory(tmp_path, monkeypatch):
+    # ru_maxrss of this process, in MB; null where there is no resource module
+    resource = pytest.importorskip("resource")
+    unit = 1024.0 ** 2 if sys.platform == "darwin" else 1024.0
+
+    def maxrss_mb():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
+
+    artifacts = reporting.RunArtifacts(report={}, gates=[])
+    before = maxrss_mb()
+    assert reporting.write_run(tmp_path / "a", artifacts, "", 0.0) == 0
+    peak = json.loads((tmp_path / "a" / "manifest.json").read_text())["peak_rss_mb"]
+    assert before - 0.05 <= peak <= maxrss_mb() + 0.05
+    assert 10.0 < peak < 100_000.0
+    monkeypatch.setattr(reporting, "resource", None)
+    reporting.write_run(tmp_path / "b", artifacts, "", 0.0)
+    assert json.loads((tmp_path / "b" / "manifest.json").read_text())["peak_rss_mb"] is None
 
 
 #: Valid settings each case below changes one value of.
@@ -542,6 +572,12 @@ UNUSABLE_BASE = {
     ("dual-kernels", {"seed": "-1"}, "seed"),
     ("propagate", {"seed": "-1"}, "seed"),
     ("fold-check", {"seed": "-1"}, "seed"),
+    # robin:-0.001 has gamma = -707: its bound state grows by e^{1e5} at
+    # the propagation's tau = 0.4 and at the suites' 0.6, past the double
+    # range, so every run would fail with nulls in its report
+    ("propagate", {"coupling": "robin:-0.001"}, "coupling"),
+    ("kernel-properties", {"coupling": "robin:-0.001"}, "coupling"),
+    ("dual-kernels", {"coupling": "robin:-0.001"}, "coupling"),
 ])
 def test_unusable_value_is_a_config_error(tmp_path, capsys, command, changes, key):
     # refused by key before any operator, kernel or rule is built

@@ -320,6 +320,24 @@ def test_inertia_counts_match_dense_spectrum(build, dom, model):
 
 
 @pytest.mark.parametrize("build, dom, model", SMALL_OPERATORS)
+def test_inertia_count_empties_the_cached_factor_copies(build, dom, model):
+    # reading lu.U caches CSC copies of L and U on the factor; the count
+    # empties them, and lu.solve, which reads SuperLU's own storage, keeps
+    # bitwise the values of a factor whose copies were never made
+    op = build(dom, model)
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    cut = 0.5 * (dense[3] + dense[4])
+    untouched, lu = operators._factor(op.matrix, cut), operators._factor(op.matrix, cut)
+    assert operators._negative_pivots(lu) == 4
+    for copy in (lu.L, lu.U):
+        assert copy.shape == op.matrix.shape
+        assert copy.nnz == copy.data.size == copy.indices.size == 0
+        assert not np.any(copy.indptr)
+    rhs = np.random.default_rng(1).uniform(-1.0, 1.0, size=(op.dimension, 3))
+    assert np.array_equal(lu.solve(rhs), untouched.solve(rhs))
+
+
+@pytest.mark.parametrize("build, dom, model", SMALL_OPERATORS)
 def test_cut_between_levels_certifies_from_one_factor(monkeypatch, build, dom, model):
     op = build(dom, model)
     dense = np.linalg.eigvalsh(op.matrix.toarray())

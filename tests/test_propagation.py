@@ -1,8 +1,9 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 
 from contact_duality.coupling import robin, uniform_model
 from contact_duality.kernels import (
@@ -159,6 +160,45 @@ def test_kernel_entries_match_the_matrix_exponential(build, reduced):
     assert entries.shape == (rows.size, cols.size)
     want = oracle[np.ix_(rows, cols)]
     assert np.max(np.abs(entries - want)) <= 1e-12 * np.max(np.abs(want))
+    # the in-place eigendecomposition and scaling are bitwise the
+    # expression that copies at every step
+    lam, vec = eigh(op.matrix.toarray(), driver="evd")
+    low = vec / np.sqrt(op.mass)[:, None]
+    assert np.array_equal(entries, (low[rows] * np.exp(-1j * t * lam)) @ low[cols].T)
+
+
+def traced_peak(call):
+    """tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_two_stage_values_hold_one_kernel_block():
+    # each 64 x 13,440 block of the default rule is dropped before the
+    # next is evaluated; holding two peaked at 16.1 MiB
+    psi0 = gaussian_profile([1.0, -1.0])
+    targets = np.array([[1.2, -0.8], [0.6, -1.4]])
+    quad = PropagationQuad(-7.0, 7.0, 20, 8)
+    points = quad.rule(2)[0].shape[0]
+    block = TARGET_BLOCK * points * 8
+    kernel = robin_pair_kernel(robin(-1.0))
+    peak = traced_peak(lambda: two_stage_values(kernel, psi0, 0.2, 0.2, targets, quad))
+    assert points == 13_440
+    assert peak < 1.5 * block, (peak, block)
+
+
+def test_real_time_check_frees_its_dense_copies():
+    # the benchmark's 24-point box: the eigendecompositions overwrite
+    # their dense copies, and each scaled eigenvector matrix is freed
+    # before its kernel product (the copies peaked at 21.9 MiB)
+    dom = DomainSpec(n=2, length=6.0, points=24)
+    model = uniform_model(2, robin(-1.0))
+    peak = traced_peak(lambda: real_time_cross_check(dom, model, t=0.1))
+    assert peak < 18 * 2**20, peak / 2**20
 
 
 def test_ground_state_projection():
