@@ -33,7 +33,7 @@ from .kernels import (
     robin_pair_kernel,
 )
 from .operators import cached_build, content_hash, solve
-from .permutations import Statistics
+from .permutations import Statistics, sort_descending
 from .propagation import (
     PropagationQuad,
     propagate_at,
@@ -226,7 +226,7 @@ def run_propagate(cfg: ExperimentConfig) -> RunArtifacts:
 
     rng = np.random.default_rng(cfg["seed"])
     targets = np.stack([rng.uniform(c2, c1, size=6) for _ in range(2)], axis=-1)
-    targets = -np.sort(-targets, axis=-1)
+    targets = sort_descending(targets)[0]
     targets[:, 0] += 0.3
     targets[:, 1] -= 0.3
     tau = cfg["tau"]

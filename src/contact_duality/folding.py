@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .permutations import group_table
+from .permutations import Statistics, group_sum
 from .quadrature import integrate_box, integrate_sector
 
 #: Smallest |lhs| the residual is taken relative to.
@@ -52,14 +52,10 @@ def fold_integral_check(f, quad: QuadSpec) -> FoldCheckResult:
     relative residual |lhs - rhs| / max(|lhs|, RESIDUAL_FLOOR).
     """
     n = quad.box.shape[0]
-    rows = group_table(n)[0].tolist()
     lhs, lhs_err = integrate_box(f, quad.box, tol=quad.tol, order=quad.order)
 
     def symmetrized(y):
-        total = np.zeros(y.shape[0])
-        for image in rows:
-            total = total + f(y[..., image])
-        return total
+        return group_sum(f, y, Statistics.BOSE)
 
     lo = float(np.min(quad.box[:, 0]))
     hi = float(np.max(quad.box[:, 1]))

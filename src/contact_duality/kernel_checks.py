@@ -39,7 +39,7 @@ import numpy as np
 from .boundary_checks import connection_residual, one_sided_face_values
 from .errors import UnsupportedN
 from .kernels import KernelEvaluator, permutation_sum
-from .permutations import Statistics, group_table
+from .permutations import Statistics, group_table, sort_descending
 from .quadrature import integrate_box, integrate_sector
 
 #: Smallest gap between the coordinates of a sample point.
@@ -127,7 +127,7 @@ def _sample_points(spec: SamplingSpec, n: int, count: int, sector: bool):
     out = []
     while len(out) < count:
         x = rng.uniform(-spread, spread, size=n)
-        x = np.sort(x)[::-1]
+        x = sort_descending(x)[0]
         if np.min(np.diff(-x)) < MIN_GAP:
             continue
         if not sector:

@@ -14,24 +14,23 @@ with phi the one-dimensional heat kernel and gamma = 1 / (sqrt(2) a).
 The correction term reduces to the image sums in the Dirichlet
 (a -> 0) and Neumann (1/a -> 0) limits and carries the bound state for
 a < 0 through its e^{gamma^2 tau / 2} growth.  Its erfcx/erfc calls are
-most of the pair kernel's cost, so when the two arguments span disjoint
-axes (targets against a rule) k_rel is tabulated over the distinct
-relative coordinates of each side, one table row per distinct target
-value is gathered over the rule, and the output is filled in
-cache-sized row slabs: the center-of-mass Gaussian in place, times the
-gathered rows.  Equal floats give equal values and the Gaussian runs
+most of the pair kernel's cost, so when the point axes of the targets
+all come before those of the rule (targets against a rule) k_rel is
+tabulated over the distinct relative coordinates of each side, one
+table row per distinct target value is gathered over the rule, and the
+output is filled in cache-sized row slabs: the center-of-mass Gaussian
+in place, times the gathered rows.  Equal floats give equal values and the Gaussian runs
 one operation sequence on both paths, so the result is bitwise the
 direct evaluation: no key is rounded and nothing is cached between
 calls.
 
 Sector kernels arise from full-space ones as character-weighted sums
-over the rows of ``group_table``, with chi from
-``Statistics.character``; conversely a sector kernel induces the dual
-pair of exchange-symmetric full-space kernels through the sorting
-permutation of each argument.  For the free kernel, a product of
-one-body factors, the sum is the permanent (bosons) or the determinant
-(fermions) of the one-body matrix (Karlin and McGregor, Pacific J. Math.
-9, 1959).  ``permutation_sum`` evaluates it from the n x n table of
+over the group, ``permutations.group_sum``; conversely a sector kernel
+induces the dual pair of exchange-symmetric full-space kernels through
+the sorting permutation of each argument (``sort_descending``).  For
+the free kernel, a product of one-body factors, the sum is the
+permanent (bosons) or the determinant (fermions) of the one-body matrix
+(Karlin and McGregor, Pacific J. Math. 9, 1959).  ``permutation_sum`` evaluates it from the n x n table of
 one-body exponents, with no full-space evaluation.
 """
 
@@ -44,7 +43,7 @@ import numpy as np
 from scipy.special import erfc, erfcx
 
 from .coupling import SQRT2, BoundaryCoupling
-from .permutations import Statistics, group_table, sort_descending
+from .permutations import Statistics, group_sum, group_table, sort_descending
 
 #: log of the smallest normal double.  Closed-form permutation sums flush
 #: exponents below it to exact zero: each such term is below 2.3e-308,
@@ -193,17 +192,14 @@ def relative_half_line_kernel(entry: BoundaryCoupling):
 SLAB_VALUES = 1 << 16
 
 
-def _leading_side(shape_x, shape_y, ndim):
-    """'x' when the point axes of x all come before those of y in the
-    broadcast of the two shapes, 'y' for the reverse, None when they meet
-    or interleave.  Both shapes must hold more than one point."""
+def _x_leads(shape_x, shape_y, ndim) -> bool:
+    """Whether the point axes of x all come before those of y in the
+    broadcast of the two shapes; False for the reverse order and for
+    axes that meet or interleave.  Both shapes must hold more than one
+    point."""
     axes_x = [i for i, s in enumerate(shape_x, ndim - len(shape_x)) if s > 1]
     axes_y = [i for i, s in enumerate(shape_y, ndim - len(shape_y)) if s > 1]
-    if axes_x[-1] < axes_y[0]:
-        return "x"
-    if axes_y[-1] < axes_x[0]:
-        return "y"
-    return None
+    return axes_x[-1] < axes_y[0]
 
 
 def robin_pair_kernel(entry: BoundaryCoupling) -> KernelEvaluator:
@@ -211,22 +207,21 @@ def robin_pair_kernel(entry: BoundaryCoupling) -> KernelEvaluator:
     relative kernel satisfying the face condition of ``entry`` (robin,
     dirichlet or neumann).
 
-    When x and y both hold more than one point and the point axes of one
-    all come before those of the other in their broadcast (the
-    (b, 1, 2) x (1, M, 2) blocks of propagation, or the reverse), the
-    result is an outer product: rows follow the leading side, columns
-    the trailing one.  k_rel is then evaluated once on the table of
-    distinct relative coordinates, u_x by u_y, and one row of it per
-    distinct leading u is gathered over the trailing points.  The
-    output is filled in row slabs of about ``SLAB_VALUES`` values, each
-    in place: the center-of-mass difference, ``_gaussian_in_place``, and
-    the product with the slab rows' k_rel rows.  k_rel acts elementwise
-    and np.unique merges only equal floats (and +0.0 with -0.0, which
-    k_rel does not tell apart), so the table holds exactly the values
-    the direct evaluation computes, and the Gaussian runs the same
+    When x and y both hold more than one point and the point axes of x
+    all come before those of y in their broadcast (the (b, 1, 2) x
+    (1, M, 2) blocks of propagation), the result is an outer product:
+    rows follow x, columns y.  k_rel is then evaluated once on the table
+    of distinct relative coordinates, u_x by u_y, and one row of it per
+    distinct u_x is gathered over the y points.  The output is filled in
+    row slabs of about ``SLAB_VALUES`` values, each in place: the
+    center-of-mass difference, ``_gaussian_in_place``, and the product
+    with the slab rows' k_rel rows.  k_rel acts elementwise and
+    np.unique merges only equal floats (and +0.0 with -0.0, which k_rel
+    does not tell apart), so the table holds exactly the values the
+    direct evaluation computes, and the Gaussian runs the same
     operations as ``gaussian_1d``: the result is bitwise the direct
-    path's.  Single points, pairwise (N, 2) x (N, 2) inputs and
-    interleaved axes take the direct path, with no sort.
+    path's.  Single points, pairwise (N, 2) x (N, 2) inputs, y-leading
+    and interleaved axes take the direct path, with no sort.
     """
     k_rel, dk_rel = relative_half_line_kernel(entry)
 
@@ -240,27 +235,18 @@ def robin_pair_kernel(entry: BoundaryCoupling) -> KernelEvaluator:
         ux, cx = split(x)
         uy, cy = split(y)
         shape = np.broadcast_shapes(ux.shape, uy.shape)
-        lead = None
-        if ux.size > 1 and uy.size > 1:
-            lead = _leading_side(ux.shape, uy.shape, len(shape))
-        if lead is None:
+        if ux.size <= 1 or uy.size <= 1 or not _x_leads(ux.shape, uy.shape, len(shape)):
             return gaussian_1d(cx - cy, tau) * k_rel(ux, uy, tau)
         vx, ix = np.unique(ux, return_inverse=True)
         vy, iy = np.unique(uy, return_inverse=True)
-        table = k_rel(vx[:, None], vy[None, :], tau)
-        if lead == "x":
-            rows, row_of = table.take(iy.ravel(), axis=1), ix.ravel()
-            c_lead, c_trail = cx.ravel(), cy.ravel()
-        else:
-            rows, row_of = table.T.take(ix.ravel(), axis=1), iy.ravel()
-            c_lead, c_trail = cy.ravel(), cx.ravel()
-        out = np.empty((c_lead.size, c_trail.size))
-        height = max(1, SLAB_VALUES // c_trail.size)
-        for start in range(0, c_lead.size, height):
+        rows = k_rel(vx[:, None], vy[None, :], tau).take(iy.ravel(), axis=1)
+        row_of, cx, cy = ix.ravel(), cx.ravel(), cy.ravel()
+        out = np.empty((cx.size, cy.size))
+        height = max(1, SLAB_VALUES // cy.size)
+        for start in range(0, cx.size, height):
             stop = start + height
             slab = out[start:stop]
-            # (c_lead - c_trail)^2 is bitwise (c_x - c_y)^2 either way round
-            np.subtract(c_lead[start:stop, None], c_trail, out=slab)
+            np.subtract(cx[start:stop, None], cy, out=slab)
             _gaussian_in_place(slab, tau)
             slab *= rows[row_of[start:stop]]
         return out.reshape(shape)
@@ -297,8 +283,8 @@ def permutation_sum(kernel: KernelEvaluator, stat: Statistics) -> KernelEvaluato
     sum_sigma chi(sigma) exp(sum_i t[i, sigma(i)]): no coordinate gathers
     and one exponential per group element.  Exponents below
     ``LOG_TINY`` are flushed to exact zero.  Other kernels are summed as
-    n! full-space evaluations.  Summation order is the fixed
-    lexicographic group order, so results are bitwise reproducible.
+    n! full-space evaluations by ``group_sum``.  Summation order is the
+    fixed lexicographic group order, so results are bitwise reproducible.
     """
     if kernel.space != "full":
         raise ValueError("permutation sum needs a full-space kernel")
@@ -309,11 +295,7 @@ def permutation_sum(kernel: KernelEvaluator, stat: Statistics) -> KernelEvaluato
 
     def evaluate(x, y, tau):
         x = _points(x, n)
-        y = _points(y, n)
-        total = np.zeros(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
-        for chi, image in zip(chars, rows):
-            total = total + chi * np.asarray(kernel.evaluate(x, y[..., image], tau))
-        return total
+        return group_sum(lambda moved: kernel.evaluate(x, moved, tau), _points(y, n), stat)
 
     def evaluate_product(x, y, tau):
         x = _points(x, n)

@@ -139,7 +139,7 @@ def local_matrices(seqs, lengths):
 
 
 def all_cells(cells_per_axis: int, n: int) -> np.ndarray:
-    """All cell index tuples, shape (M^n, n)."""
+    """All cell index tuples, shape (M^n, n), in row-major order."""
     grids = np.indices((cells_per_axis,) * n).reshape(n, -1).T
     return np.ascontiguousarray(grids.astype(np.int64))
 

@@ -64,7 +64,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .coupling import CouplingModel, hyperradius_batch
+from .coupling import CouplingModel, coupling_values_batch
 from .errors import (
     GridTooCoarse,
     LevelsOutOfRange,
@@ -84,7 +84,7 @@ from .mesh import (
     _encode,
     _vertex_offsets,
 )
-from .permutations import permutation_ranks
+from .permutations import permutation_ranks, sort_descending
 
 # Assembly calls neither of these here.  Both stay importable on this
 # module because the benchmark's tracer (perfbench/tracing.py) wraps them
@@ -140,8 +140,7 @@ class DomainSpec:
         return self.length / self.points
 
     def refined(self, factor: int) -> "DomainSpec":
-        return DomainSpec(self.n, self.length, self.points * factor,
-                          self.confinement, self.omega, self.offset)
+        return dataclasses.replace(self, points=self.points * factor)
 
     def potential(self, coords: np.ndarray) -> np.ndarray:
         if self.confinement == "box":
@@ -321,6 +320,7 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
             region_ranks = crack_keys // pts**n
         dof_tuples = np.stack(np.unravel_index(vertex_keys, (pts,) * n), axis=-1)
     dim = dof_tuples.shape[0]
+    coords = lattice[dof_tuples]
     # per-vertex facet weight 1 / (facet_scale sqrt2 a): the sector's Robin
     # term at reduced level; in the full box the plane delta of strength
     # 1/a with coarea factor 1/sqrt2, or the jump penalty |[phi]|^2 / (4 sqrt2 a)
@@ -360,35 +360,22 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
 
         for j in range(1, n):
             sel = jstar == j
-            if not np.any(sel):
-                continue
-            entry = model.entry(j)
-            if entry.kind == "neumann":
-                continue
-            if entry.kind == "dirichlet":
-                drop = ids_f[sel] if not cracked else np.concatenate(
-                    [ids_f[sel].ravel(), ids_minus[sel].ravel()])
-                drop_face_dofs[np.unique(drop)] = True
-                continue
-            if entry.kind == "robin":
-                a_v = entry.value
-            else:  # scale-invariant a = g r, pinned where r vanishes
-                r = hyperradius_batch(lattice[dof_tuples[ids_f[sel]]])
-                a_v = entry.value * r
-                pinned = r < 1e-12 * max(1.0, dom.length)
-                if np.any(pinned):
-                    drop_face_dofs[np.unique(ids_f[sel][pinned])] = True
-                    if cracked:
-                        drop_face_dofs[np.unique(ids_minus[sel][pinned])] = True
-                a_v = np.where(pinned, np.inf, a_v)
-            share = vol_per_h[sel][:, None] / (facet_scale * a_v)
+            face = ids_f[sel]
+            a_v = coupling_values_batch(model, j, coords[face.ravel()]).reshape(face.shape)
+            # a = 0 pins the value to zero: Dirichlet faces, and scale faces
+            # where the hyperradius vanishes; a = inf (Neumann) adds nothing
+            pinned = a_v == 0.0
+            drop_face_dofs[face[pinned]] = True
+            live = ~pinned & np.isfinite(a_v)
+            vol_v = np.broadcast_to(vol_per_h[sel][:, None], face.shape)
+            share = vol_v[live] / (facet_scale * a_v[live])
             if cracked:  # the jump penalty on the two one-sided values
-                acc.edges(ids_f[sel], ids_minus[sel], share)
+                drop_face_dofs[ids_minus[sel][pinned]] = True
+                acc.edges(face[live], ids_minus[sel][live], share)
             else:
-                acc.diagonal(ids_f[sel], share)
+                acc.diagonal(face[live], share)
     del cells, seqs, order_of, ids, elem_vol, w  # before the CSR conversion's peak
 
-    coords = lattice[dof_tuples]
     # potential on the lumped diagonal
     acc.diagonal(np.arange(dim), dom.potential(coords) * mass_diag)
     hamiltonian = acc.matrix()
@@ -489,7 +476,8 @@ class SpectrumResult:
     when the fallback ran after one.  ``factors`` and
     ``opinv_applications`` count the LU factors of this operator the
     solve made and the Lanczos solves with them (a coarse grid's solve
-    counts its own).
+    counts its own).  Eigenvalues ascend, in the order ``_lanczos``
+    sorts them into.
     """
 
     eigenvalues: np.ndarray
@@ -497,13 +485,6 @@ class SpectrumResult:
     operator: GridOperator
     vectors: np.ndarray = None  # columns are node-value eigenvectors
     certificate: dict = None
-
-    def __post_init__(self):
-        order = np.argsort(self.eigenvalues)
-        self.eigenvalues = np.asarray(self.eigenvalues)[order]
-        self.residuals = np.asarray(self.residuals)[order]
-        if self.vectors is not None:
-            self.vectors = np.asarray(self.vectors)[:, order]
 
     def lowest(self, k: int) -> "SpectrumResult":
         """The lowest k pairs, under the certificate of the whole solve."""
@@ -681,7 +662,7 @@ def prolong(coarse: SpectrumResult, op: GridOperator) -> np.ndarray:
     values = np.zeros((op.dimension, coarse.vectors.shape[1]))
     for corner in itertools.product((0, 1), repeat=op.dom.n):
         weight = np.prod(np.where(corner, frac, 1.0 - frac), axis=-1)
-        rank = table.find(-np.sort(-(lo + corner), axis=-1))
+        rank = table.find(sort_descending(lo + corner)[0])
         hit = rank >= 0
         values[hit] += weight[hit, None] * coarse.vectors[rank[hit]]
     return values

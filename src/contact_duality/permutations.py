@@ -8,13 +8,14 @@ so sigma (sigma' x) = (sigma sigma') x.  ``group_table`` is the one
 enumeration of S_n: a cached read-only table of image tuples in the
 lexicographic order of ``itertools.permutations``, which fixes the
 summation order of every permutation sum built on it, and their signs.
-A permutation sum gathers x[..., image] row by row.  ``Statistics``
-holds the two one-dimensional characters of S_n, trivial (Bose) and
-the sign (Fermi); ``Statistics.character`` is the one map from a sign
-to chi.  ``sort_descending`` is the one descending sort: it sorts a
-point or a batch into the descending sector and returns the sorting
-permutation and its sign.  Every other module enumerates, sorts, signs,
-ranks and weights permutations through this one.
+``Statistics`` holds the two one-dimensional characters of S_n,
+trivial (Bose) and the sign (Fermi); ``Statistics.character`` is the
+one map from a sign to chi.  ``group_sum`` is the one character-weighted
+sum over the group: it gathers y[..., image] row by row in table order.
+``sort_descending`` is the one descending sort: it sorts a point or a
+batch into the descending sector and returns the sorting permutation and
+its sign.  Every other module enumerates, sorts, signs, ranks and
+weights permutations through this one.
 """
 
 from __future__ import annotations
@@ -134,3 +135,17 @@ def group_table(n: int):
     images.flags.writeable = False
     signs.flags.writeable = False
     return images, signs
+
+
+def group_sum(f, y, stat: Statistics):
+    """sum_sigma chi(sigma) f(y[..., sigma]) over the rows of ``group_table``
+    in table order, for y shaped (..., n) and f acting on such batches.
+
+    The fixed order and the integer characters make the sum bitwise
+    reproducible: with chi = -1 a term is subtracted exactly.
+    """
+    images, signs = group_table(y.shape[-1])
+    total = 0.0
+    for image, sign in zip(images.tolist(), signs.tolist()):
+        total = total + stat.character(sign) * np.asarray(f(y[..., image]))
+    return total

@@ -48,7 +48,7 @@ from .operators import (
     build_epsilon_fermi,
     solve,
 )
-from .permutations import Statistics, group_table, permutation_ranks, sort_descending
+from .permutations import Statistics, group_sum, group_table, permutation_ranks, sort_descending
 from .quadrature import sector_rule
 
 
@@ -137,20 +137,15 @@ def propagate_equivariant(kernel: KernelEvaluator, stat: Statistics, psi0, tau: 
 
     The integral over all orderings is carried out sector by sector: the
     relabeling change of variables maps each ordering region onto the
-    fundamental sector and contributes chi(sigma) K(x, sigma z), one
-    ``group_table`` row at a time.
+    fundamental sector and contributes chi(sigma) K(x, sigma z), summed
+    by ``group_sum``.
     """
     if kernel.space != "full":
         raise ValueError("need a full-space kernel")
-    n = kernel.n
-    pts, wts = quad.rule(n)
+    pts, wts = quad.rule(kernel.n)
     weights = wts * np.asarray(psi0(pts))
-    images, signs = group_table(n)
-    out = 0.0
-    for image, sign in zip(images.tolist(), signs.tolist()):
-        moved = _integrate_rule(kernel, targets, pts[..., image], weights, tau)
-        out = out + stat.character(sign) * moved
-    return out
+    return group_sum(lambda moved: _integrate_rule(kernel, targets, moved, weights, tau),
+                     pts, stat)
 
 
 def propagate_operator(op: GridOperator, psi0_values: np.ndarray, tau: float) -> np.ndarray:

@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import QuadratureNotConverged
-from .mesh import descending_combinations
+from .mesh import all_cells, descending_combinations
 
 
 @lru_cache(maxsize=None)
@@ -108,15 +108,6 @@ def _pattern_rule(pattern: tuple, order: int):
 EVAL_CHUNK = 16_384
 
 
-def _digits(flat: np.ndarray, base: int, k: int) -> list:
-    """Row-major multi-index of flat indices into the grid (base,) * k."""
-    digits = []
-    for _ in range(k):
-        flat, digit = np.divmod(flat, base)
-        digits.append(digit)
-    return digits[::-1]
-
-
 def _tie_pattern(code: int, n: int) -> tuple:
     """Composition of n whose groups are the runs of tied indices; bit k
     of ``code`` says index k ties with index k + 1."""
@@ -150,15 +141,16 @@ def _keep(edges, tuples, lo, hi, sector: bool):
 
 def _grid(lo, hi, n: int, cells: int, sector: bool):
     """Edges of the uniform grid at ``cells`` per axis and its kept cells:
-    every cell of the box prod_k [lo_k, hi_k] in row-major order, or for a
-    sector the weakly descending cells of the hull grid that meet the box,
-    in ``descending_combinations`` order.  Scalar bounds are the cube."""
+    every cell of the box prod_k [lo_k, hi_k] in ``all_cells`` order, or
+    for a sector the weakly descending cells of the hull grid that meet
+    the box, in ``descending_combinations`` order.  Scalar bounds are the
+    cube."""
     lo, hi = np.broadcast_to(lo, (n,)), np.broadcast_to(hi, (n,))
     edges = _edges(lo, hi, cells, sector)
     if sector:
         tuples = descending_combinations(cells, n)
     else:
-        tuples = np.stack(_digits(np.arange(cells**n), cells, n), axis=-1)
+        tuples = all_cells(cells, n)
     return edges, tuples[_keep(edges, tuples, lo, hi, sector)]
 
 
@@ -288,7 +280,7 @@ def _adaptive(f, lo, hi, n: int, sector: bool, tol: float, order: int,
     estimate.
     """
     lo, hi = np.broadcast_to(lo, (n,)), np.broadcast_to(hi, (n,))
-    offsets = np.stack(_digits(np.arange(2**n), 2, n), axis=-1)
+    offsets = all_cells(2, n)
     cells = start_cells
     edges, tuples = _grid(lo, hi, n, cells, sector)
     values = _cell_sums(f, edges, tuples, order, sector)

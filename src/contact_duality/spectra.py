@@ -319,10 +319,8 @@ def scale_invariance_report(dom: DomainSpec, model: CouplingModel, dilation: flo
 
     report = ScaleInvarianceReport(dom=dom, model=model, dilation=dilation, k=k,
                                    control_model=control_model)
-    dom_dilated = DomainSpec(dom.n, dom.length * dilation, dom.points,
-                             dom.confinement, dom.omega, dom.offset)
-    dom_shifted = DomainSpec(dom.n, dom.length, dom.points, dom.confinement,
-                             dom.omega, dom.offset + translation)
+    dom_dilated = replace(dom, length=dom.length * dilation)
+    dom_shifted = replace(dom, offset=dom.offset + translation)
 
     cases = {"base": (dom, model), "dilated": (dom_dilated, model),
              "shifted": (dom_shifted, model), "control": (dom, control_model),

@@ -11,7 +11,7 @@ import contact_duality
 from contact_duality import cli, reporting
 from contact_duality.cli import main
 from contact_duality.configio import parse_coupling_entry, validate_config
-from contact_duality.errors import ConfigError
+from contact_duality.errors import ConfigError, NotConverged
 from contact_duality.reporting import Gate
 
 
@@ -578,6 +578,13 @@ UNUSABLE_BASE = {
     ("propagate", {"coupling": "robin:-0.001"}, "coupling"),
     ("kernel-properties", {"coupling": "robin:-0.001"}, "coupling"),
     ("dual-kernels", {"coupling": "robin:-0.001"}, "coupling"),
+    # a bool, a choice and a command outside their values, and a face
+    # index outside 1..n-1
+    ("dual-kernels", {"realtime": "maybe"}, "realtime"),
+    ("spectrum", {"formulation": "bogus"}, "formulation"),
+    ("spectrum", {"command": "bogus"}, "command"),
+    ("spectrum", {"coupling.2": "robin:1"}, "coupling.2"),
+    ("spectrum", {"coupling.0": "robin:1"}, "coupling.0"),
 ])
 def test_unusable_value_is_a_config_error(tmp_path, capsys, command, changes, key):
     # refused by key before any operator, kernel or rule is built
@@ -608,3 +615,57 @@ def test_more_levels_than_dofs_is_a_config_error(tmp_path, capsys, command):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "config error: key 'levels'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("command = spectrum\nn 2\n", "line 2: expected 'key = value'"),
+    ("command = spectrum\n = 2\n", "line 2: empty key"),
+    ("command = spectrum\nn = 2\nn = 3\n", "duplicate key 'n'"),
+    ("n = 2\nlength = 6.0\n", "missing required key 'command'"),
+    ("command = spectrum\ncoupling.one = robin:1\n", "unknown key 'coupling.one'"),
+])
+def test_malformed_config_text_exits_two(tmp_path, capsys, text, message):
+    with pytest.raises(ConfigError, match=message):
+        validate_config(text)
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err and "Traceback" not in err
+
+
+def test_unreadable_config_exits_two(tmp_path, capsys):
+    missing = str(tmp_path / "missing.cfg")
+    assert main(["spectrum", "--config", missing, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "missing.cfg" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_run_exits_one(tmp_path, capsys, monkeypatch):
+    def failing(cfg):
+        raise NotConverged("no cut or shift gave a certified lowest-k spectrum")
+
+    monkeypatch.setitem(cli.RUNNERS, "spectrum", failing)
+    text = "".join(f"{k} = {v}\n" for k, v in
+                   {"command": "spectrum", **UNUSABLE_BASE["spectrum"]}.items())
+    cfg = write(tmp_path, "s.cfg", text)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "run failed: no cut or shift gave a certified lowest-k spectrum\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_dual_kernels_default_dirichlet_run_prints_its_gates(tmp_path, capsys):
+    # the default coupling: the free-fermion permutation sum as the sector
+    # kernel, and --verbose prints one line per gate
+    cfg = write(tmp_path, "dk.cfg", "command = dual-kernels\nn = 2\npairs = 2\n")
+    out = tmp_path / "dk"
+    assert main(["dual-kernels", "--config", cfg, "--out", str(out), "--verbose"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["coupling"] == "dirichlet" and "realtime" not in report
+    lines = capsys.readouterr().out.splitlines()
+    gates = [line for line in lines if line.startswith("  gate ")]
+    assert [g["name"] for g in report["gates"]] == ["deviation"]
+    assert gates == [f"  gate deviation: {report['max_deviation']!r} vs "
+                     f"{report['gates'][0]['tolerance']!r} [pass]"]
+    assert lines[-1] == f"dual-kernels: all gates passed; artifacts in {out}"

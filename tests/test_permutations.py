@@ -8,6 +8,7 @@ from contact_duality.errors import CapExceeded
 from contact_duality.permutations import (
     Permutation,
     Statistics,
+    group_sum,
     group_table,
     permutation_ranks,
     permutation_signs_batch,
@@ -195,3 +196,39 @@ def test_sort_descending_breaks_ties_stably():
     np.testing.assert_array_equal(y, [[5, 5, 2, 2], [1, 1, 1, 1]])
     np.testing.assert_array_equal(order, [[1, 3, 0, 2], [0, 1, 2, 3]])
     np.testing.assert_array_equal(sign, [-1, 1])
+
+
+@pytest.mark.parametrize("stat", [Statistics.BOSE, Statistics.FERMI])
+@pytest.mark.parametrize("n", [2, 3])
+def test_group_sum_is_bitwise_the_row_loop(n, stat):
+    # the loops group_sum replaced, at the shapes their callers pass
+    rng = np.random.default_rng(n)
+    images, signs = group_table(n)
+    weights = np.arange(1.0, n + 1.0)  # no symmetry that hides the order
+    # targets (B, 1, n) against points (1, M, n), as in permutation_sum
+    x, y = rng.normal(size=(5, 1, n)), rng.normal(size=(1, 7, n))
+
+    def kernel(moved):
+        return np.exp(-np.sum(weights * (x - moved) ** 2, axis=-1))
+
+    loop = np.zeros((5, 7))
+    for image, sign in zip(images.tolist(), signs.tolist()):
+        loop = loop + stat.character(sign) * np.asarray(kernel(y[..., image]))
+    summed = group_sum(kernel, y, stat)
+    assert summed.shape == loop.shape and summed.tobytes() == loop.tobytes()
+    # points (M, n) and a function to (M,), as in the fold check and the
+    # equivariant propagation route
+    pts = rng.normal(size=(11, n))
+
+    def integrand(z):
+        return np.sin(z @ weights) + z[:, 0]
+
+    loop = 0.0
+    for image, sign in zip(images.tolist(), signs.tolist()):
+        loop = loop + stat.character(sign) * integrand(pts[..., image])
+    summed = group_sum(integrand, pts, stat)
+    assert summed.shape == (11,) and summed.tobytes() == loop.tobytes()
+    # a constant sums to the group order (Bose) or to zero (Fermi)
+    ones = group_sum(lambda z: np.ones(z.shape[0]), pts, stat)
+    expected = math.factorial(n) if stat is Statistics.BOSE else 0.0
+    assert np.array_equal(ones, np.full(11, expected))
