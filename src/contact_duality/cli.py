@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .propagation import (
     two_stage_values,
 )
 from .reporting import Gate, RunArtifacts, write_run
-from .spectra import FORMULATIONS, duality_report, scale_invariance_report
+from .spectra import FORMULATIONS, duality_report, scale_invariance_report, table_rows
 
 
 def run_spectrum(cfg: ExperimentConfig) -> RunArtifacts:
@@ -76,27 +77,26 @@ def run_duality(cfg: ExperimentConfig) -> RunArtifacts:
     rep = duality_report(dom, model, cfg["levels"], cfg["refinements"],
                          seed=cfg["seed"])
     gates = []
-    for pair, devs in rep.pair_deviations.items():
-        gates.append(Gate(f"pairwise[{pair[0]}|{pair[1]}]", devs[-1], cfg["gate.pairwise"]))
+    for pair, devs in rep["pair_deviations"].items():
+        gates.append(Gate(f"pairwise[{pair}]", devs[-1], cfg["gate.pairwise"]))
     for form in FORMULATIONS:
-        order = rep.eigenvalue_orders.get(form, [None])[0]
+        order = rep["eigenvalue_orders"].get(form, [None])[0]
         if order is not None:
             gates.append(Gate(f"order[{form}]", order, cfg["gate.order_max"]))
             gates.append(Gate(f"order_min[{form}]", order, cfg["gate.order_min"],
                               mode="min"))
-    worst_overlap = max((row["overlap_deviation"] for row in rep.bf_check), default=0.0)
+    worst_overlap = max((row["overlap_deviation"] for row in rep["bf_check"]), default=0.0)
     gates.append(Gate("bf_overlap_deviation", worst_overlap, cfg["gate.overlap"]))
 
     plot_rows = []
-    for lv in rep.levels:
-        for pair, devs in rep.pair_deviations.items():
-            plot_rows.append((lv["h"], f"{pair[0]}|{pair[1]}", devs[lv["level"]]))
-    tables = {f"spectra_{rep.hash}":
+    for lv in rep["levels"]:
+        for pair, devs in rep["pair_deviations"].items():
+            plot_rows.append((lv["h"], pair, devs[lv["level"]]))
+    tables = {f"spectra_{rep['content_hash']}":
               (("formulation", "level", "h", "index", "eigenvalue", "residual"),
-               rep.table_rows())}
-    plots = {f"deviations_{rep.hash}": (("h", "pair", "max_rel_deviation"), plot_rows)}
-    return RunArtifacts(report=rep.to_dict(), gates=gates, tables=tables,
-                        plotdata=plots)
+               table_rows(rep))}
+    plots = {f"deviations_{rep['content_hash']}": (("h", "pair", "max_rel_deviation"), plot_rows)}
+    return RunArtifacts(report=rep, gates=gates, tables=tables, plotdata=plots)
 
 
 def run_scale_invariance(cfg: ExperimentConfig) -> RunArtifacts:
@@ -109,16 +109,16 @@ def run_scale_invariance(cfg: ExperimentConfig) -> RunArtifacts:
                                   seed=cfg["seed"])
     gates = []
     for form in FORMULATIONS:
-        gates.append(Gate(f"scaled[{form}]", rep.scaled_deviation[form],
+        gates.append(Gate(f"scaled[{form}]", rep["scaled_deviation"][form],
                           cfg["gate.scaled"]))
-        gates.append(Gate(f"translation[{form}]", rep.translation_deviation[form],
+        gates.append(Gate(f"translation[{form}]", rep["translation_deviation"][form],
                           cfg["gate.translation"]))
-        gates.append(Gate(f"control[{form}]", rep.control_deviation[form],
+        gates.append(Gate(f"control[{form}]", rep["control_deviation"][form],
                           cfg["gate.control_min"], mode="min"))
-    rows = [(form, rep.base[form], rep.dilated[form]) for form in FORMULATIONS]
+    rows = [(form, rep["base"][form], rep["dilated"][form]) for form in FORMULATIONS]
     tables = {"scale": (("formulation", "base", "dilated"),
                         [(f, repr(b), repr(d)) for f, b, d in rows])}
-    return RunArtifacts(report=rep.to_dict(), gates=gates, tables=tables)
+    return RunArtifacts(report=rep, gates=gates, tables=tables)
 
 
 def _kernel_from_config(cfg: ExperimentConfig):
@@ -306,7 +306,7 @@ def main(argv=None) -> int:
 
     started = time.time()
     try:
-        text = open(args.config, encoding="utf-8").read()
+        text = Path(args.config).read_text(encoding="utf-8")
     except OSError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -293,32 +293,24 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
     widths = np.diff(lattice)
     orders = insertion_orders(n)
     cracked = formulation == "epsilon_fermi" and not reduced
-    region_ranks = None
     cells = weakly_descending_tuples(pts - 1, n) if reduced else all_cells(pts - 1, n)
     cells, order_of = element_array(cells, orders, sector=reduced)
     seqs = orders[order_of]
 
-    # dof of every element vertex, one vertex position at a time
+    # key of every element vertex, one vertex position at a time; on the
+    # cracked mesh a key is a (vertex, region) pair.  The dofs are the
+    # distinct keys the elements touch, in sorted order.
     ids = np.empty((cells.shape[0], n + 1), dtype=np.int64)
     offsets = np.stack([_vertex_offsets(tuple(seq)) for seq in orders])
-    if reduced:
-        table = DofTable(weakly_descending_tuples(pts, n), pts)
-        for k in range(n + 1):  # sector element vertices are descending already
-            ids[:, k] = table.rank(cells + offsets[order_of, k])
-        dof_tuples = table.tuples
-    else:
-        for k in range(n + 1):
-            ids[:, k] = _encode(cells + offsets[order_of, k], pts)
-        vertex_keys = np.arange(pts**n, dtype=np.int64)
-        if cracked:
-            # the (vertex, region) pairs the elements touch
-            pi_rank = permutation_ranks(region_orderings(cells, seqs))
-            ids += pts**n * pi_rank[:, None]
-            crack_keys, ids = np.unique(ids, return_inverse=True)
-            ids = ids.reshape(cells.shape[0], n + 1)
-            vertex_keys = crack_keys % pts**n
-            region_ranks = crack_keys // pts**n
-        dof_tuples = np.stack(np.unravel_index(vertex_keys, (pts,) * n), axis=-1)
+    for k in range(n + 1):
+        ids[:, k] = _encode(cells + offsets[order_of, k], pts)
+    if cracked:
+        ids += pts**n * permutation_ranks(region_orderings(cells, seqs))[:, None]
+    dof_keys = np.unique(ids)
+    ids = np.searchsorted(dof_keys, ids)
+    vertex_keys = dof_keys % pts**n
+    region_ranks = dof_keys // pts**n if cracked else None
+    dof_tuples = np.stack(np.unravel_index(vertex_keys, (pts,) * n), axis=-1)
     dim = dof_tuples.shape[0]
     coords = lattice[dof_tuples]
     # per-vertex facet weight 1 / (facet_scale sqrt2 a): the sector's Robin
@@ -355,7 +347,7 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
             # the same vertices in the region with the colliding pair swapped
             mirror = np.where(fpis == p_axis[:, None], q_axis[:, None],
                               np.where(fpis == q_axis[:, None], p_axis[:, None], fpis))
-            ids_minus = np.searchsorted(crack_keys, vertex_keys[ids_f]
+            ids_minus = np.searchsorted(dof_keys, vertex_keys[ids_f]
                                         + pts**n * permutation_ranks(mirror)[:, None])
 
         for j in range(1, n):

@@ -8,12 +8,13 @@ boson-fermion eigenvector map check.  The scale-invariance report
 verifies that with couplings proportional to the hyperradius the
 spectrum scales exactly as the inverse square of a box dilation and is
 translation invariant, while any fixed coupling length breaks the
-scaling.
+scaling.  Each report is returned as the plain dict its ``report.json``
+holds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -87,55 +88,6 @@ def bf_overlap_deviations(delta_res: SpectrumResult, fermi_res: SpectrumResult):
     return out
 
 
-@dataclass
-class DualityReport:
-    dom: DomainSpec
-    model: CouplingModel
-    k: int
-    refinements: int
-    levels: list = field(default_factory=list)
-    pair_deviations: dict = field(default_factory=dict)
-    pair_deviation_orders: dict = field(default_factory=dict)
-    eigenvalue_orders: dict = field(default_factory=dict)
-    extrapolated: dict = field(default_factory=dict)
-    bf_check: list = field(default_factory=list)
-    identical_by_construction: list = field(default_factory=list)
-
-    @property
-    def hash(self) -> str:
-        return content_hash(self.dom, self.model)
-
-    def finest(self, formulation: str) -> np.ndarray:
-        return np.asarray(self.levels[-1]["eigenvalues"][formulation])
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "duality_report",
-            "domain": self.dom.label(),
-            "model": self.model.label(),
-            "k": self.k,
-            "refinements": self.refinements,
-            "content_hash": self.hash,
-            "levels": self.levels,
-            "pair_deviations": {"|".join(k): v for k, v in self.pair_deviations.items()},
-            "pair_deviation_orders": {"|".join(k): v for k, v in self.pair_deviation_orders.items()},
-            "eigenvalue_orders": self.eigenvalue_orders,
-            "extrapolated": self.extrapolated,
-            "bf_check": self.bf_check,
-            "identical_by_construction": self.identical_by_construction,
-        }
-
-    def table_rows(self):
-        """Flat rows: formulation, level, h, index, eigenvalue, residual."""
-        rows = []
-        for lv in self.levels:
-            for form in FORMULATIONS:
-                for i, (e, r) in enumerate(zip(lv["eigenvalues"][form],
-                                               lv["residuals"][form])):
-                    rows.append((form, lv["level"], lv["h"], i, e, r))
-        return rows
-
-
 def _solve_formulations(dom: DomainSpec, model: CouplingModel, k: int, seed: int,
                         levels: int = None, cuts: dict = None, coarse: dict = None):
     """Build and solve every formulation on one domain.
@@ -178,7 +130,7 @@ def _cuts(results: dict, levels: int, scale: float = 1.0) -> dict:
 
 
 def duality_report(dom: DomainSpec, model: CouplingModel, k: int,
-                   refinements: int = 3, seed: int = 0) -> DualityReport:
+                   refinements: int = 3, seed: int = 0) -> dict:
     """Compare the three formulations on a ladder of grid refinements.
 
     Rung l >= 1 solves k + refinements - 1 - l levels and reports the
@@ -193,7 +145,6 @@ def duality_report(dom: DomainSpec, model: CouplingModel, k: int,
     Lanczos run starts from its own eigenvectors on the rung before; the
     epsilon result is the delta one.
     """
-    report = DualityReport(dom=dom, model=model, k=k, refinements=refinements)
     wanted = [k + refinements - 1 - level for level in range(refinements)]
     # rung l >= 1 is cut above the rung before's cut_at[l]-th level; rung
     # 1 one level higher, within the extra levels its count may take in
@@ -202,13 +153,13 @@ def duality_report(dom: DomainSpec, model: CouplingModel, k: int,
         cut_at[1] += min(1, EXTRA_LEVELS)
         wanted[0] = cut_at[1] + 1
     results = None
+    levels = []
     for level in range(refinements):
         dom_l = dom.refined(2**level)
-        levels = wanted[level]
         cuts = None if results is None else _cuts(results, cut_at[level])
-        results = _solve_formulations(dom_l, model, k, seed, levels, cuts, results)
+        results = _solve_formulations(dom_l, model, k, seed, wanted[level], cuts, results)
         lowest = {f: res.lowest(k) for f, res in results.items()}
-        report.levels.append({
+        levels.append({
             "level": level,
             "points": dom_l.points,
             "h": dom_l.spacing,
@@ -217,69 +168,66 @@ def duality_report(dom: DomainSpec, model: CouplingModel, k: int,
             "certificates": {f: lowest[f].certificate for f in FORMULATIONS},
             "reused": {"epsilon_fermi": "delta_bose"},
         })
-    report.identical_by_construction = ["delta_bose|epsilon_fermi"]
 
     pairs = [(a, b) for i, a in enumerate(FORMULATIONS) for b in FORMULATIONS[i + 1:]]
+    pair_deviations, pair_deviation_orders = {}, {}
     for a, b in pairs:
         devs = []
-        for lv in report.levels:
+        for lv in levels:
             ea = np.asarray(lv["eigenvalues"][a])
             eb = np.asarray(lv["eigenvalues"][b])
             rel = np.abs(ea - eb) / np.maximum.reduce(
                 [np.abs(ea), np.abs(eb), np.full_like(ea, 1e-12)])
             devs.append(float(np.max(rel)))
-        report.pair_deviations[(a, b)] = devs
+        pair_deviations[f"{a}|{b}"] = devs
         # None for a structurally identical pair
-        report.pair_deviation_orders[(a, b)] = [
+        pair_deviation_orders[f"{a}|{b}"] = [
             None if min(devs[i:i + 3]) < 1e-13 else float(np.log2(devs[i] / devs[i + 1]))
             for i in range(len(devs) - 2)]
 
+    eigenvalue_orders, extrapolated = {}, {}
     if refinements >= 3:
         for form in FORMULATIONS:
             per_index = []
             extrap = []
             for i in range(k):
-                triple = [report.levels[m]["eigenvalues"][form][i]
+                triple = [levels[m]["eigenvalues"][form][i]
                           for m in (refinements - 3, refinements - 2, refinements - 1)]
                 p = convergence_order(*triple)
                 per_index.append(p)
                 extrap.append(richardson_extrapolate(triple[1], triple[2], p)
                               if p is not None else triple[2])
-            report.eigenvalue_orders[form] = per_index
+            eigenvalue_orders[form] = per_index
             # per-index steps of close levels can cross; a spectrum ascends
-            report.extrapolated[form] = sorted(extrap)
+            extrapolated[form] = sorted(extrap)
 
-    report.bf_check = bf_overlap_deviations(lowest["delta_bose"], lowest["epsilon_fermi"])
-    return report
+    return {
+        "kind": "duality_report",
+        "domain": dom.label(),
+        "model": model.label(),
+        "k": k,
+        "refinements": refinements,
+        "content_hash": content_hash(dom, model),
+        "levels": levels,
+        "pair_deviations": pair_deviations,
+        "pair_deviation_orders": pair_deviation_orders,
+        "eigenvalue_orders": eigenvalue_orders,
+        "extrapolated": extrapolated,
+        "bf_check": bf_overlap_deviations(lowest["delta_bose"], lowest["epsilon_fermi"]),
+        "identical_by_construction": ["delta_bose|epsilon_fermi"],
+    }
 
 
-@dataclass
-class ScaleInvarianceReport:
-    dom: DomainSpec
-    model: CouplingModel
-    dilation: float
-    k: int
-    base: dict = field(default_factory=dict)
-    dilated: dict = field(default_factory=dict)
-    scaled_deviation: dict = field(default_factory=dict)
-    translation_deviation: dict = field(default_factory=dict)
-    control_deviation: dict = field(default_factory=dict)
-    control_model: CouplingModel = None
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "scale_invariance_report",
-            "domain": self.dom.label(),
-            "model": self.model.label(),
-            "control_model": self.control_model.label() if self.control_model else None,
-            "dilation": self.dilation,
-            "k": self.k,
-            "base": self.base,
-            "dilated": self.dilated,
-            "scaled_deviation": self.scaled_deviation,
-            "translation_deviation": self.translation_deviation,
-            "control_deviation": self.control_deviation,
-        }
+def table_rows(report: dict):
+    """Flat rows of a duality report: formulation, level, h, index,
+    eigenvalue, residual."""
+    rows = []
+    for lv in report["levels"]:
+        for form in FORMULATIONS:
+            for i, (e, r) in enumerate(zip(lv["eigenvalues"][form],
+                                           lv["residuals"][form])):
+                rows.append((form, lv["level"], lv["h"], i, e, r))
+    return rows
 
 
 def check_scale_model(model: CouplingModel) -> None:
@@ -295,7 +243,7 @@ def check_scale_model(model: CouplingModel) -> None:
 
 def scale_invariance_report(dom: DomainSpec, model: CouplingModel, dilation: float,
                             k: int, control_model: CouplingModel = None,
-                            translation: float = None, seed: int = 0) -> ScaleInvarianceReport:
+                            translation: float = None, seed: int = 0) -> dict:
     """Dilation, translation, and negative-control spectra for n = 3.
 
     The box provides the only length scale of the scale-invariant model,
@@ -317,8 +265,6 @@ def scale_invariance_report(dom: DomainSpec, model: CouplingModel, dilation: flo
     if translation is None:
         translation = 0.37 * dom.length
 
-    report = ScaleInvarianceReport(dom=dom, model=model, dilation=dilation, k=k,
-                                   control_model=control_model)
     dom_dilated = replace(dom, length=dom.length * dilation)
     dom_shifted = replace(dom, offset=dom.offset + translation)
 
@@ -336,12 +282,23 @@ def scale_invariance_report(dom: DomainSpec, model: CouplingModel, dilation: flo
                     if name in expected_scale else None)
             results = _solve_formulations(dom_c, model_c, k, seed, cuts=cuts)
         spectra[name] = {form: res.eigenvalues[:k] for form, res in results.items()}
-    rel = lambda x, y: np.max(np.abs(x - y) / np.maximum(np.abs(x), 1e-12))
-    for form in FORMULATIONS:
-        base, dil, shift, cb, cd = (spectra[name][form] for name in cases)
-        report.base[form] = base.tolist()
-        report.dilated[form] = dil.tolist()
-        report.scaled_deviation[form] = float(rel(base, dil * dilation**2))
-        report.translation_deviation[form] = float(rel(base, shift))
-        report.control_deviation[form] = float(rel(cb, cd * dilation**2))
-    return report
+    base, dil, shift, cb, cd = (spectra[name] for name in cases)
+
+    def rel(x, y, scale):
+        """Per formulation, the largest relative deviation of scale * y from x."""
+        return {f: float(np.max(np.abs(x[f] - y[f] * scale) / np.maximum(np.abs(x[f]), 1e-12)))
+                for f in FORMULATIONS}
+
+    return {
+        "kind": "scale_invariance_report",
+        "domain": dom.label(),
+        "model": model.label(),
+        "control_model": control_model.label(),
+        "dilation": dilation,
+        "k": k,
+        "base": {f: base[f].tolist() for f in FORMULATIONS},
+        "dilated": {f: dil[f].tolist() for f in FORMULATIONS},
+        "scaled_deviation": rel(base, dil, dilation**2),
+        "translation_deviation": rel(base, shift, 1.0),
+        "control_deviation": rel(cb, cd, dilation**2),
+    }

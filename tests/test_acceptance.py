@@ -87,7 +87,7 @@ def test_criterion_1_convergence_order(run2_reports, announce):
     # bound-state run: empirical convergence order 2 +- 0.3 for all three
     # formulations
     rep = run2_reports[("n2", "a-1")]
-    orders = {form: rep.eigenvalue_orders[form][0] for form in FORMULATIONS}
+    orders = {form: rep["eigenvalue_orders"][form][0] for form in FORMULATIONS}
     ok = all(1.7 <= p <= 2.3 for p in orders.values())
     announce(1, ok, "ground-state convergence order "
              + ", ".join(f"{f}={p:.2f}" for f, p in orders.items()) + " (want 2 +- 0.3)")
@@ -103,7 +103,7 @@ def test_criterion_1_bound_state_oracle(run2_reports, announce):
     rep = run2_reports[("n2", "a-1")]
     length = 10.0
     e_cm = math.pi**2 / (4.0 * length**2)
-    relative = {form: rep.finest(form)[0] - e_cm for form in FORMULATIONS}
+    relative = {form: rep["levels"][-1]["eigenvalues"][form][0] - e_cm for form in FORMULATIONS}
     deviations = {f: abs(e + 0.25) / 0.25 for f, e in relative.items()}
     ok = all(d <= 0.01 for d in deviations.values())
     announce(1, ok, "relative ground energy "
@@ -126,9 +126,9 @@ def test_criterion_1_large_box_support(announce):
 
 
 def _pair_deviation_summary(rep):
-    finest = max(devs[-1] for devs in rep.pair_deviations.values())
+    finest = max(devs[-1] for devs in rep["pair_deviations"].values())
     shrink_ok = True
-    for devs in rep.pair_deviations.values():
+    for devs in rep["pair_deviations"].values():
         if devs[0] < 1e-12:
             continue  # structurally identical pair
         for a, b in zip(devs[:-1], devs[1:]):
@@ -169,7 +169,7 @@ def test_criterion_4_boson_fermion_mapping(run2_reports, announce):
     worst = 0.0
     count = 0
     for rep in run2_reports.values():
-        for row in rep.bf_check:
+        for row in rep["bf_check"]:
             if row["group_size"] == 1:
                 worst = max(worst, row["overlap_deviation"])
                 count += 1
@@ -296,9 +296,9 @@ def test_criterion_9_scale_invariance(announce):
     rep = scale_invariance_report(dom, uniform_model(3, scale_invariant(1.0)),
                                   dilation=2.0, k=4,
                                   control_model=uniform_model(3, robin(-1.0)))
-    scaled = max(rep.scaled_deviation.values())
-    translation = max(rep.translation_deviation.values())
-    control = min(rep.control_deviation.values())
+    scaled = max(rep["scaled_deviation"].values())
+    translation = max(rep["translation_deviation"].values())
+    control = min(rep["control_deviation"].values())
     ok = scaled <= 0.005 and translation <= 1e-8 and control >= 0.05
     announce(9, ok, f"dilation residual {scaled:.2e} (tol 5e-3), translation "
              f"{translation:.2e} (tol 1e-8), constant-length control violation "

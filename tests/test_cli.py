@@ -669,3 +669,39 @@ def test_dual_kernels_default_dirichlet_run_prints_its_gates(tmp_path, capsys):
     assert gates == [f"  gate deviation: {report['max_deviation']!r} vs "
                      f"{report['gates'][0]['tolerance']!r} [pass]"]
     assert lines[-1] == f"dual-kernels: all gates passed; artifacts in {out}"
+
+
+def short_ladder(refinements: int) -> str:
+    """DUALITY_CFG with fewer rungs and the same finest grid, 48 cells."""
+    points = 12 * 2 ** (3 - refinements)
+    return DUALITY_CFG.replace("points = 12", f"points = {points}").replace(
+        "refinements = 3", f"refinements = {refinements}")
+
+
+def test_config_file_is_closed_under_dev_mode(tmp_path):
+    # -X dev reports a file object left to the garbage collector
+    cfg = write(tmp_path, "d.cfg", short_ladder(1))
+    env = dict(os.environ)
+    src = str(pathlib.Path(contact_duality.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-X", "dev", "-m", "contact_duality.cli",
+                           "duality", "--config", cfg, "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "ResourceWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("refinements", [1, 2])
+def test_short_ladder_has_no_orders(tmp_path, refinements):
+    # orders and extrapolation take three rungs; shorter ladders still run
+    cfg = write(tmp_path, "d.cfg", short_ladder(refinements))
+    out = tmp_path / "d"
+    assert main(["duality", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert len(report["levels"]) == refinements
+    assert report["eigenvalue_orders"] == {} and report["extrapolated"] == {}
+    pairs = ["sector|delta_bose", "sector|epsilon_fermi", "delta_bose|epsilon_fermi"]
+    assert report["pair_deviation_orders"] == {pair: [] for pair in pairs}
+    # no order gate, only the pairwise and overlap ones
+    assert [g["name"] for g in report["gates"]] == [
+        *(f"pairwise[{pair}]" for pair in pairs), "bf_overlap_deviation"]

@@ -16,6 +16,7 @@ from contact_duality.spectra import (
     duality_report,
     richardson_extrapolate,
     scale_invariance_report,
+    table_rows,
 )
 
 
@@ -32,21 +33,20 @@ def test_convergence_order_estimator():
 def test_duality_report_structure_and_gates():
     dom = DomainSpec(n=2, length=10.0, points=16)
     rep = duality_report(dom, uniform_model(2, robin(-1.0)), k=4, refinements=3)
-    assert len(rep.levels) == 3
-    for pair, devs in rep.pair_deviations.items():
+    assert len(rep["levels"]) == 3
+    for pair, devs in rep["pair_deviations"].items():
         assert len(devs) == 3
         assert devs[-1] <= 0.005
     # eigenvalue convergence order close to two for every formulation
     for form in FORMULATIONS:
-        assert 1.6 <= rep.eigenvalue_orders[form][0] <= 2.4
+        assert 1.6 <= rep["eigenvalue_orders"][form][0] <= 2.4
     # mapped boson eigenvectors match fermion ones
-    for row in rep.bf_check:
+    for row in rep["bf_check"]:
         assert row["overlap_deviation"] <= 1e-6
-    rows = rep.table_rows()
+    rows = table_rows(rep)
     assert rows[0][0] == "sector" and len(rows) == 3 * 3 * 4
-    as_dict = rep.to_dict()
-    assert as_dict["kind"] == "duality_report"
-    assert len(as_dict["content_hash"]) == 12
+    assert rep["kind"] == "duality_report"
+    assert len(rep["content_hash"]) == 12
 
 
 def test_extrapolated_spectrum_is_ascending():
@@ -55,19 +55,19 @@ def test_extrapolated_spectrum_is_ascending():
     rep = duality_report(DomainSpec(n=3, length=6.0, points=12),
                          uniform_model(3, robin(1.0)), k=5, refinements=3)
     for form in FORMULATIONS:
-        ladder = [lv["eigenvalues"][form] for lv in rep.levels]
+        ladder = [lv["eigenvalues"][form] for lv in rep["levels"]]
         per_index = [richardson_extrapolate(mid, fine, convergence_order(coarse, mid, fine))
                      for coarse, mid, fine in zip(*ladder)]
         assert per_index != sorted(per_index)
-        assert rep.extrapolated[form] == sorted(per_index)
+        assert rep["extrapolated"][form] == sorted(per_index)
 
 
 def test_duality_report_three_body_distinct():
     dom = DomainSpec(n=3, length=6.0, points=8)
     model = CouplingModel((robin(-1.0), robin(-2.0)))
     rep = duality_report(dom, model, k=3, refinements=3)
-    assert rep.pair_deviations[("sector", "delta_bose")][-1] < 0.01
-    assert rep.pair_deviations[("delta_bose", "epsilon_fermi")][-1] < 1e-12
+    assert rep["pair_deviations"]["sector|delta_bose"][-1] < 0.01
+    assert rep["pair_deviations"]["delta_bose|epsilon_fermi"][-1] < 1e-12
 
 
 def fallback_solve(monkeypatch, op, k):
@@ -125,14 +125,13 @@ def test_duality_report_certifies_and_solves_each_operator_once(monkeypatch):
     rep = duality_report(dom, model, k=3, refinements=3)
     # the reduced delta and epsilon operators are bitwise equal
     assert [op.formulation for op, *_ in calls] == ["sector", "delta_bose"] * 3
-    assert rep.identical_by_construction == ["delta_bose|epsilon_fermi"]
-    assert rep.to_dict()["identical_by_construction"] == ["delta_bose|epsilon_fermi"]
+    assert rep["identical_by_construction"] == ["delta_bose|epsilon_fermi"]
     # rung l >= 1 solves k + 2 - l levels, rung 0 two more than rung 1,
     # and each reports the lowest k
     assert [levels for _, levels, *_ in calls] == [6, 6, 4, 4, 3, 3]
     # the 12-cell delta count takes in one level above the 4 it solves
     extras = [0, 0, 0, 1, 0, 0]
-    for i, lv in enumerate(rep.levels):
+    for i, lv in enumerate(rep["levels"]):
         assert lv["reused"] == {"epsilon_fermi": "delta_bose"}
         assert lv["eigenvalues"]["epsilon_fermi"] == lv["eigenvalues"]["delta_bose"]
         for (op, levels, _, factors, result), extra in zip(calls[2 * i:2 * i + 2],
@@ -157,7 +156,7 @@ def test_duality_report_certifies_and_solves_each_operator_once(monkeypatch):
     assert [result.certificate["path"] for *_, result in calls] == (
         ["fallback"] * 3 + ["cut"] * 3)
     assert calls[2][-1].certificate["rejected_cut"]["below_cut"] == 3
-    assert rep.pair_deviations[("delta_bose", "epsilon_fermi")] == [0.0] * 3
+    assert rep["pair_deviations"]["delta_bose|epsilon_fermi"] == [0.0] * 3
 
     # the scale-invariance report solves five domain/model cases
     calls.clear()
@@ -172,8 +171,8 @@ def test_duality_report_certifies_and_solves_each_operator_once(monkeypatch):
                 and np.array_equal(ma.data, mb.data) and np.array_equal(a.mass, b.mass))
 
     assert not any(same(a, b) for i, a in enumerate(solved) for b in solved[i + 1:])
-    assert scale.base["epsilon_fermi"] == scale.base["delta_bose"]
-    assert all(len(values) == 3 for values in scale.base.values())
+    assert scale["base"]["epsilon_fermi"] == scale["base"]["delta_bose"]
+    assert all(len(values) == 3 for values in scale["base"].values())
     # the base case is solved for k + 1 levels; the dilated and shifted
     # cases are cut from its midpoint scaled by 1/lambda^2 and by 1; the
     # controls take the cut solve finds itself (none on this grid)
@@ -199,10 +198,10 @@ def test_ladder_makes_one_factor_per_solve(monkeypatch):
     # later rung makes one factor per formulation, at its cut
     assert [factors for _, _, _, factors, _ in calls] == [2, 2, 1, 1, 1, 1]
     assert [levels for _, levels, *_ in calls] == [7, 7, 5, 5, 4, 4]
-    for lv in rep.levels:
+    for lv in rep["levels"]:
         for form in FORMULATIONS:
             assert len(lv["eigenvalues"][form]) == len(lv["residuals"][form]) == k
-    reported = {(lv["points"], form): lv["eigenvalues"][form] for lv in rep.levels
+    reported = {(lv["points"], form): lv["eigenvalues"][form] for lv in rep["levels"]
                 for form in FORMULATIONS}
     for op, levels, cut, _, result in calls[2:]:
         cert = result.certificate
@@ -225,7 +224,7 @@ def test_every_rung_of_a_three_body_ladder_holds_its_cut(monkeypatch):
     assert [levels for _, levels, *_ in calls] == [6, 6, 4, 4, 3, 3]
     assert [factors for _, _, _, factors, _ in calls] == [2, 2, 1, 1, 1, 1]
     assert [result.certificate["below_cut"] for *_, result in calls[2:]] == [5, 5, 3, 3]
-    reported = {(lv["points"], form): lv["eigenvalues"][form] for lv in rep.levels
+    reported = {(lv["points"], form): lv["eigenvalues"][form] for lv in rep["levels"]
                 for form in FORMULATIONS}
     for op, levels, cut, _, result in calls[2:]:
         cert = result.certificate
@@ -242,8 +241,8 @@ def test_duality_report_solves_no_more_levels_than_a_rung_has():
     # instead of k + 2 = 16 and the 12-cell rung gets no sector cut from it
     rep = duality_report(DomainSpec(n=2, length=6.0, points=6), uniform_model(2, robin(-1.0)),
                          k=14, refinements=2)
-    assert [len(lv["eigenvalues"]["sector"]) for lv in rep.levels] == [14, 14]
-    first = rep.levels[0]["certificates"]
+    assert [len(lv["eigenvalues"]["sector"]) for lv in rep["levels"]] == [14, 14]
+    first = rep["levels"][0]["certificates"]
     assert (first["sector"]["below_top"], first["delta_bose"]["below_top"]) == (14, 16)
 
 
@@ -282,11 +281,10 @@ def test_scale_invariance_report():
     model = uniform_model(3, scale_invariant(1.0))
     rep = scale_invariance_report(dom, model, dilation=2.0, k=3)
     for form in FORMULATIONS:
-        assert rep.scaled_deviation[form] < 1e-10
-        assert rep.translation_deviation[form] < 1e-10
-        assert rep.control_deviation[form] > 0.05
-    d = rep.to_dict()
-    assert d["kind"] == "scale_invariance_report"
+        assert rep["scaled_deviation"][form] < 1e-10
+        assert rep["translation_deviation"][form] < 1e-10
+        assert rep["control_deviation"][form] > 0.05
+    assert rep["kind"] == "scale_invariance_report"
 
 
 def test_scale_invariance_requires_scale_model():
@@ -303,7 +301,7 @@ def test_scale_invariance_unit_dilation_is_identity():
     model = uniform_model(3, scale_invariant(1.0))
     rep = scale_invariance_report(dom, model, dilation=1.0, k=2)
     for form in FORMULATIONS:
-        assert rep.scaled_deviation[form] < 1e-12
+        assert rep["scaled_deviation"][form] < 1e-12
 
 
 def test_duality_report_harmonic_confinement():
@@ -312,7 +310,7 @@ def test_duality_report_harmonic_confinement():
     dom = DomainSpec(n=2, length=16.0, points=32, confinement="harmonic",
                      omega=1.0)
     rep = duality_report(dom, uniform_model(2, robin(-1.0)), k=3, refinements=2)
-    assert rep.pair_deviations[("sector", "delta_bose")][-1] < 0.01
+    assert rep["pair_deviations"]["sector|delta_bose"][-1] < 0.01
 
 
 def test_bf_overlap_compares_subspaces_for_degenerate_levels():
