@@ -119,17 +119,11 @@ def one_sided_face_values(evaluate, plane_points: np.ndarray, j: int, u: np.ndar
     return samples @ wv, 2.0 * sign * (samples @ wd)
 
 
-@dataclass
-class ConnectionResidual:
-    """Relative residuals of a two-sided connection condition."""
-
-    jump: float        # the condition carrying the coupling strength
-    continuity: float  # the partner continuity condition
-
-
 def connection_residual(evaluate, kind: str, a: float, plane_points: np.ndarray,
-                        j: int, u_offsets) -> ConnectionResidual:
-    """Connection-condition residuals across the plane x_j = x_{j+1}.
+                        j: int, u_offsets) -> dict:
+    """Relative connection-condition residuals across the plane
+    x_j = x_{j+1}: ``jump``, the condition carrying the coupling
+    strength, and ``continuity``, its partner.
 
     ``evaluate`` maps points (M, n) to values; ``plane_points`` lie on
     the plane; ``u_offsets`` are three positive pair separations
@@ -158,19 +152,15 @@ def connection_residual(evaluate, kind: str, a: float, plane_points: np.ndarray,
         jump = np.abs((d_plus - d_minus) - (v_plus + v_minus) / a)
         cont = np.abs(v_plus - v_minus)
         jump_norm = max(dscale, scale / abs(a) if a != 0 else np.inf, 1e-300)
-        return ConnectionResidual(
-            jump=float(np.max(jump)) / jump_norm,
-            continuity=float(np.max(cont)) / norm,
-        )
+        return {"jump": float(np.max(jump)) / jump_norm,
+                "continuity": float(np.max(cont)) / norm}
     if kind == "epsilon":
         jump = np.abs((v_plus - v_minus) - a * (d_plus + d_minus))
         cont = np.abs(d_plus - d_minus)
         jump_norm = max(scale, abs(a) * dscale, 1e-300)
         cont_norm = max(dscale, scale / u_span, 1e-300)
-        return ConnectionResidual(
-            jump=float(np.max(jump)) / jump_norm,
-            continuity=float(np.max(cont)) / cont_norm,
-        )
+        return {"jump": float(np.max(jump)) / jump_norm,
+                "continuity": float(np.max(cont)) / cont_norm}
     raise ValueError(f"kind must be 'delta' or 'epsilon', got {kind!r}")
 
 

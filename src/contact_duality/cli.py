@@ -95,8 +95,9 @@ def run_duality(cfg: ExperimentConfig) -> RunArtifacts:
     tables = {f"spectra_{rep['content_hash']}":
               (("formulation", "level", "h", "index", "eigenvalue", "residual"),
                table_rows(rep))}
-    plots = {f"deviations_{rep['content_hash']}": (("h", "pair", "max_rel_deviation"), plot_rows)}
-    return RunArtifacts(report=rep, gates=gates, tables=tables, plotdata=plots)
+    tables[f"deviations_{rep['content_hash']}.plot"] = (("h", "pair", "max_rel_deviation"),
+                                                         plot_rows)
+    return RunArtifacts(report=rep, gates=gates, tables=tables)
 
 
 def run_scale_invariance(cfg: ExperimentConfig) -> RunArtifacts:
@@ -165,8 +166,8 @@ def run_kernel_properties(cfg: ExperimentConfig) -> RunArtifacts:
             ladder_rows.append((i, tau, r))
     return RunArtifacts(report={"kind": "kernel_properties", **rep},
                         gates=gates,
-                        plotdata={"initial_ladder": (("sample", "tau", "residual"),
-                                                     ladder_rows)})
+                        tables={"initial_ladder.plot": (("sample", "tau", "residual"),
+                                                        ladder_rows)})
 
 
 def run_dual_kernels(cfg: ExperimentConfig) -> RunArtifacts:
@@ -184,15 +185,10 @@ def run_dual_kernels(cfg: ExperimentConfig) -> RunArtifacts:
     gates = [Gate("deviation", rep["max_deviation"], cfg["gate.deviation"])]
     report = {"kind": "dual_kernels", "coupling": entry.label(), **rep}
     if cfg["realtime"]:  # robin, so two-body
-        chk = real_time_cross_check(cfg.domain(), uniform_model(2, entry),
-                                    t=cfg["realtime_time"])
-        report["realtime"] = {
-            "bose_deviation": chk.bose_deviation,
-            "fermi_deviation": chk.fermi_deviation,
-            "time": chk.time,
-        }
-        gates.append(Gate("realtime_bose", chk.bose_deviation, cfg["gate.realtime"]))
-        gates.append(Gate("realtime_fermi", chk.fermi_deviation, cfg["gate.realtime"]))
+        chk = report["realtime"] = real_time_cross_check(
+            cfg.domain(), uniform_model(2, entry), t=cfg["realtime_time"])
+        gates.append(Gate("realtime_bose", chk["bose_deviation"], cfg["gate.realtime"]))
+        gates.append(Gate("realtime_fermi", chk["fermi_deviation"], cfg["gate.realtime"]))
     return RunArtifacts(report=report, gates=gates)
 
 
@@ -279,7 +275,7 @@ def run_fold_check(cfg: ExperimentConfig) -> RunArtifacts:
     gates = [Gate("residual", max(residuals), cfg["gate.residual"])]
     rows = list(enumerate(residuals))
     return RunArtifacts(report=report, gates=gates,
-                        plotdata={"fold_residuals": (("index", "residual"), rows)})
+                        tables={"fold_residuals.plot": (("index", "residual"), rows)})
 
 
 RUNNERS = {

@@ -54,6 +54,15 @@ class BoundaryCoupling:
         if self.kind == "scale" and self.value == 0.0:
             raise UnsupportedCoupling("scale-invariant factor must be nonzero")
 
+    @property
+    def length(self) -> float:
+        """Constant boundary length a of the face: the Robin a, +inf for
+        Neumann (1/a = 0), 0.0 for Dirichlet.  A scale-invariant face has
+        none (``coupling_values_batch`` gives its a_j point by point)."""
+        if self.kind == "scale":
+            raise UnsupportedCoupling("a scale-invariant face has no constant length")
+        return {"robin": self.value, "neumann": math.inf, "dirichlet": 0.0}[self.kind]
+
     def label(self) -> str:
         if self.kind == "robin":
             return f"robin:{self.value:g}"
@@ -117,17 +126,12 @@ def uniform_model(n: int, entry: BoundaryCoupling) -> CouplingModel:
 
 
 def coupling_values_batch(model: CouplingModel, j: int, points: np.ndarray) -> np.ndarray:
-    """Boundary length a_j at each point of face j: the Robin constant,
-    the limit sentinels (0 for Dirichlet, +inf for Neumann), or g_j times
-    the hyperradius for the scale-invariant model.  Face membership is
-    not checked."""
+    """Boundary length a_j at each point of face j: g_j times the
+    hyperradius for the scale-invariant model, else the face's constant
+    ``BoundaryCoupling.length`` (0 for Dirichlet, +inf for Neumann).
+    Face membership is not checked."""
     entry = model.entry(j)
     points = np.asarray(points, dtype=float)
-    m = points.shape[0]
-    if entry.kind == "robin":
-        return np.full(m, entry.value)
-    if entry.kind == "neumann":
-        return np.full(m, np.inf)
-    if entry.kind == "dirichlet":
-        return np.zeros(m)
-    return entry.value * hyperradius_batch(points)
+    if entry.kind == "scale":
+        return entry.value * hyperradius_batch(points)
+    return np.full(points.shape[0], entry.length)

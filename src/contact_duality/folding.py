@@ -27,8 +27,8 @@ class QuadSpec:
     """Truncation box and adaptive-quadrature controls."""
 
     box: np.ndarray  # (n, 2) truncation bounds per axis
-    tol: float = 1e-9
-    order: int = 8
+    tol: float
+    order: int
 
     def __post_init__(self):
         self.box = np.asarray(self.box, dtype=float)

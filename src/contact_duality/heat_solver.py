@@ -117,7 +117,7 @@ def pair_kernel_pde_gate(entry: BoundaryCoupling) -> float:
         gamma = None
         grid = np.arange(1, points) * h
     else:
-        gamma = 0.0 if entry.kind == "neumann" else 1.0 / (SQRT2 * entry.value)
+        gamma = 1.0 / (SQRT2 * entry.length)
         grid = np.arange(0, points) * h
     source = np.full_like(grid, GATE_SOURCE)
     w0 = kernel(grid, source, GATE_TAU0)

@@ -136,13 +136,11 @@ def _sample_points(spec: SamplingSpec, n: int, count: int, sector: bool):
     return np.asarray(out)
 
 
-def _support_radius(kernel: KernelEvaluator, tau: float, product: bool = False) -> float:
-    """Truncation radius beyond which the integrand is below ``DROP``.
-
-    ``product`` halves the exponential decay length (two kernel factors)."""
+def _support_radius(kernel: KernelEvaluator, tau: float) -> float:
+    """Truncation radius beyond which a product of two kernel factors is
+    below ``DROP``; the two factors halve the exponential decay length."""
     gauss = math.sqrt(2.0 * tau * math.log(1.0 / DROP))
-    length = bound_state_length(kernel) * (0.5 if product else 1.0)
-    slow = length * math.log(1.0 / DROP)
+    slow = 0.5 * bound_state_length(kernel) * math.log(1.0 / DROP)
     return max(gauss, slow) + 0.5
 
 
@@ -171,7 +169,7 @@ def composition_residual(kernel: KernelEvaluator, x, y, tau1: float, tau2: float
     """Relative defect of K(.,tau1) * K(.,tau2) = K(.,tau1+tau2)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    radius = _support_radius(kernel, max(tau1, tau2), product=True)
+    radius = _support_radius(kernel, max(tau1, tau2))
 
     def integrand(z):
         return np.asarray(kernel.evaluate(x[None, :], z, tau1)) * np.asarray(
@@ -252,14 +250,13 @@ def heat_equation_residual(kernel: KernelEvaluator, x, y, tau: float) -> float:
     return abs(lhs) / scale
 
 
-def verify_assumptions(kernel: KernelEvaluator, spec: SamplingSpec = None) -> dict:
+def verify_assumptions(kernel: KernelEvaluator, spec: SamplingSpec) -> dict:
     """Residual report for the full-space kernel contract.
 
     Keys: composition, initial, symmetry, heat_equation,
     permutation_invariance (None for sector kernels); each holds the
     worst sampled residual plus details.
     """
-    spec = spec or SamplingSpec()
     n = kernel.n
     sector = kernel.space == "sector"
     xs = _sample_points(spec, n, spec.pairs, sector)
@@ -309,7 +306,6 @@ def verify_assumptions(kernel: KernelEvaluator, spec: SamplingSpec = None) -> di
 def face_points(spec: SamplingSpec, n: int, j: int, count: int) -> np.ndarray:
     """Sector points moved onto face j (pair coordinates averaged)."""
     pts = _sample_points(spec, n, count, sector=True)
-    pts = pts.copy()
     mean = 0.5 * (pts[:, j - 1] + pts[:, j])
     pts[:, j - 1] = mean
     pts[:, j] = mean
@@ -321,10 +317,11 @@ def face_boundary_residual(kernel: KernelEvaluator, model, j: int,
     """Face condition residual of a sector kernel on face j.
 
     Uses the kernel's analytic face operator when it has one (a Robin
-    pair kernel), otherwise one-sided quadratic extrapolation with pair
-    separations step, 2 step, 3 step, where step is ``FD_STEP``.
-    Dirichlet data measures the face value itself, Neumann the pair
-    derivative.
+    or Neumann pair kernel), otherwise one-sided quadratic extrapolation
+    with pair separations step, 2 step, 3 step, where step is
+    ``FD_STEP``.  Dirichlet data measures the face value itself, Neumann
+    the pair derivative, and Robin data a kernel without the analytic
+    operator, |(d/dx_j - d/dx_{j+1}) K - K / a|.
     """
     entry = model.entry(j)
     n = kernel.n
@@ -359,11 +356,10 @@ def face_boundary_residual(kernel: KernelEvaluator, model, j: int,
 
 
 def verify_sector_properties(kernel: KernelEvaluator, model,
-                             spec: SamplingSpec = None) -> dict:
+                             spec: SamplingSpec) -> dict:
     """Residual report for a sector kernel: composition over the sector,
     weak short-time limit, symmetry, heat equation, and the condition on
     every face."""
-    spec = spec or SamplingSpec()
     if kernel.space != "sector":
         raise ValueError("need a sector kernel")
     base = verify_assumptions(kernel, spec)
@@ -374,7 +370,7 @@ def verify_sector_properties(kernel: KernelEvaluator, model,
 
 
 def dual_reconstruction_check(k_bose: KernelEvaluator, k_fermi: KernelEvaluator,
-                              spec: SamplingSpec = None) -> dict:
+                              spec: SamplingSpec) -> dict:
     """Compare the two character-weighted sums and the inputs' connection
     conditions.
 
@@ -384,7 +380,6 @@ def dual_reconstruction_check(k_bose: KernelEvaluator, k_fermi: KernelEvaluator,
     fermion kernel whenever the boson kernel carries a finite (Robin)
     coupling.
     """
-    spec = spec or SamplingSpec()
     n = k_bose.n
     xs = _sample_points(spec, n, spec.pairs, sector=True)
     ys = _sample_points(dataclasses.replace(spec, seed=spec.seed + 5), n, spec.pairs,
@@ -409,11 +404,10 @@ def dual_reconstruction_check(k_bose: KernelEvaluator, k_fermi: KernelEvaluator,
         def slice_of(kernel):
             return lambda points: np.asarray(kernel.evaluate(points, ys[0][None, :], tau))
 
-        res_b = connection_residual(slice_of(k_bose), "delta", a, plane, 1, u)
-        res_f = connection_residual(slice_of(k_fermi), "epsilon", a, plane, 1, u)
         connection = {
-            "bose_delta": {"jump": res_b.jump, "continuity": res_b.continuity},
-            "fermi_epsilon": {"jump": res_f.jump, "continuity": res_f.continuity},
+            "bose_delta": connection_residual(slice_of(k_bose), "delta", a, plane, 1, u),
+            "fermi_epsilon": connection_residual(slice_of(k_fermi), "epsilon", a, plane,
+                                                 1, u),
         }
 
     return {

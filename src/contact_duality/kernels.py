@@ -13,7 +13,9 @@ face condition exactly:
 with phi the one-dimensional heat kernel and gamma = 1 / (sqrt(2) a).
 The correction term reduces to the image sums in the Dirichlet
 (a -> 0) and Neumann (1/a -> 0) limits and carries the bound state for
-a < 0 through its e^{gamma^2 tau / 2} growth.  Its erfcx/erfc calls are
+a < 0 through its e^{gamma^2 tau / 2} growth.  The Neumann face is this
+formula at gamma = 0, where the correction is exactly zero; only the
+Dirichlet face keeps a closed form of its own, the image difference.  Its erfcx/erfc calls are
 most of the pair kernel's cost, so when the point axes of the targets
 all come before those of the rule (targets against a rule) k_rel is
 tabulated over the distinct relative coordinates of each side, one
@@ -70,8 +72,9 @@ class KernelEvaluator:
     ``evaluate`` broadcasts over leading point axes; ``space`` is
     'full' or 'sector'; ``coupling`` records the pair coupling (None
     means free).
-    ``pair_face_residual``, present on Robin pair kernels, returns the
-    face boundary operator applied to the kernel analytically.
+    ``pair_face_residual``, present on Robin and Neumann pair kernels
+    (every face with a derivative), returns the face boundary operator
+    applied to the kernel analytically.
     ``log_one_body``, when present, marks a product kernel
     K(x, y; tau) = exp(sum_i log_one_body(x_i, y_i, tau)); it acts
     elementwise on broadcastable coordinate arrays, and permutation sums
@@ -137,22 +140,18 @@ def relative_half_line_kernel(entry: BoundaryCoupling):
     du k = gamma k at u = 0, gamma = 1/(sqrt2 a), plus its u-derivative.
 
     Returns (kernel, derivative) callables on arrays; the derivative,
-    read only by the Robin face residual, is None for Dirichlet and
-    Neumann data.
+    read by the analytic face residual, is None for Dirichlet data,
+    whose kernel is the image difference.  A Neumann face is the Robin
+    one at 1/a = 0: gamma = 0 makes the correction exactly +0.0, so its
+    values are bitwise the image sum.  A scale-invariant face has no
+    constant a and raises UnsupportedCoupling.
     """
     if entry.kind == "dirichlet":
         def kernel(u, v, tau):
             return gaussian_1d(u - v, tau) - gaussian_1d(u + v, tau)
 
         return kernel, None
-    if entry.kind == "neumann":
-        def kernel(u, v, tau):
-            return gaussian_1d(u - v, tau) + gaussian_1d(u + v, tau)
-
-        return kernel, None
-    if entry.kind != "robin":
-        raise ValueError("pair kernel needs robin, dirichlet, or neumann data")
-    gamma = 1.0 / (SQRT2 * entry.value)
+    gamma = 1.0 / (SQRT2 * entry.length)
 
     def correction(w, tau):
         # gamma * exp(gamma w + gamma^2 tau / 2) erfc((w + gamma tau)/sqrt(2 tau)),
@@ -252,7 +251,8 @@ def robin_pair_kernel(entry: BoundaryCoupling) -> KernelEvaluator:
         return out.reshape(shape)
 
     def face_residual(y, tau):
-        """Robin face operator applied analytically at u = 0.
+        """Robin face operator applied analytically at u = 0 (1/a = 0
+        on a Neumann face).
 
         Returns max |(d/dx1 - d/dx2) K - (1/a) K| over an eight-point
         center-of-mass scan, scaled by the kernel magnitude.
@@ -263,13 +263,13 @@ def robin_pair_kernel(entry: BoundaryCoupling) -> KernelEvaluator:
         zero = np.zeros_like(uy)
         pair_derivative = SQRT2 * dk_rel(zero, uy, tau)[None, :] * cm
         value = k_rel(zero, uy, tau)[None, :] * cm
-        resid = np.abs(pair_derivative - value / entry.value)
+        resid = np.abs(pair_derivative - value / entry.length)
         scale = max(float(np.max(np.abs(value))), float(np.max(np.abs(pair_derivative))), 1e-300)
         return float(np.max(resid)) / scale
 
     return KernelEvaluator(evaluate=evaluate, space="sector", n=2, coupling=entry,
                            label=f"pair[{entry.label()}]",
-                           pair_face_residual=face_residual if entry.kind == "robin" else None)
+                           pair_face_residual=None if dk_rel is None else face_residual)
 
 
 def permutation_sum(kernel: KernelEvaluator, stat: Statistics) -> KernelEvaluator:

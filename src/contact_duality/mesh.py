@@ -94,10 +94,6 @@ class DofTable:
         self._order = np.argsort(self._keys)
         self._sorted = self._keys[self._order]
 
-    @property
-    def size(self) -> int:
-        return self.tuples.shape[0]
-
     def rank(self, idx: np.ndarray) -> np.ndarray:
         ranks = self.find(idx)
         if np.any(ranks < 0):

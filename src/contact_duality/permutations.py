@@ -57,10 +57,6 @@ class Permutation:
         if sorted(self.images) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {self.images}")
 
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
     def apply(self, x):
         """Relabel coordinates: (sigma x)_i = x_{sigma(i)}.
 

@@ -89,8 +89,9 @@ class Gate:
 class RunArtifacts:
     report: dict
     gates: list = field(default_factory=list)
-    tables: dict = field(default_factory=dict)    # name -> (header, rows)
-    plotdata: dict = field(default_factory=dict)  # name -> (header, rows)
+    # name -> (header, rows), written to <name>.csv; plot tables are named
+    # <stem>.plot
+    tables: dict = field(default_factory=dict)
 
     def all_passed(self) -> bool:
         return all(g.passed for g in self.gates)
@@ -110,8 +111,7 @@ def write_run(outdir, artifacts: RunArtifacts, config_text: str,
         encoding="utf-8",
     )
 
-    for name, (header, rows) in {**artifacts.tables,
-                                 **{f"{k}.plot": v for k, v in artifacts.plotdata.items()}}.items():
+    for name, (header, rows) in artifacts.tables.items():
         lines = [",".join(header)]
         for row in rows:
             lines.append(",".join(format_cell(v) for v in row))

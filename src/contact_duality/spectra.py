@@ -21,6 +21,7 @@ import numpy as np
 from .coupling import CouplingModel, robin, uniform_model
 from .errors import UnsupportedCoupling
 from .operators import (
+    BUILDERS,
     EXTRA_LEVELS,
     DomainSpec,
     SpectrumResult,
@@ -31,24 +32,28 @@ from .operators import (
     solve,
 )
 
-FORMULATIONS = ("sector", "delta_bose", "epsilon_fermi")
+#: The three formulations, named and ordered as ``operators.BUILDERS``.
+FORMULATIONS = tuple(BUILDERS)
+#: Refinement ratio of the duality ladder: rung l has RATIO**l times the
+#: points of rung 0.
+RATIO = 2
 
 #: Levels closer than this (relative to the spectral scale) are treated as
 #: degenerate and compared through subspaces, not individual vectors.
 DEGENERACY_GAP = 1e-8
 
 
-def convergence_order(coarse, mid, fine, ratio: float = 2.0):
-    """Empirical order from three values on grids refined by ``ratio``."""
+def convergence_order(coarse, mid, fine):
+    """Empirical order from three values on grids refined by ``RATIO``."""
     d1 = abs(coarse - mid)
     d2 = abs(mid - fine)
     if d2 == 0.0 or d1 == 0.0:
         return None
-    return float(np.log(d1 / d2) / np.log(ratio))
+    return float(np.log(d1 / d2) / np.log(RATIO))
 
 
-def richardson_extrapolate(mid, fine, order: float, ratio: float = 2.0):
-    return fine + (fine - mid) / (ratio**order - 1.0)
+def richardson_extrapolate(mid, fine, order: float):
+    return fine + (fine - mid) / (RATIO**order - 1.0)
 
 
 def bf_overlap_deviations(delta_res: SpectrumResult, fermi_res: SpectrumResult):
@@ -155,7 +160,7 @@ def duality_report(dom: DomainSpec, model: CouplingModel, k: int,
     results = None
     levels = []
     for level in range(refinements):
-        dom_l = dom.refined(2**level)
+        dom_l = dom.refined(RATIO**level)
         cuts = None if results is None else _cuts(results, cut_at[level])
         results = _solve_formulations(dom_l, model, k, seed, wanted[level], cuts, results)
         lowest = {f: res.lowest(k) for f, res in results.items()}

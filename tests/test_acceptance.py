@@ -283,9 +283,9 @@ def test_criterion_8_dual_reconstruction(announce):
 
     chk = real_time_cross_check(DomainSpec(n=2, length=6.0, points=12),
                                 uniform_model(2, robin(-1.0)), t=0.1)
-    assert chk.bose_deviation <= 1e-8 and chk.fermi_deviation <= 1e-8
-    details.append(f"real-time t=0.1 bose {chk.bose_deviation:.1e}, "
-                   f"fermi {chk.fermi_deviation:.1e} (tol 1e-8)")
+    assert chk["bose_deviation"] <= 1e-8 and chk["fermi_deviation"] <= 1e-8
+    details.append(f"real-time t=0.1 bose {chk['bose_deviation']:.1e}, "
+                   f"fermi {chk['fermi_deviation']:.1e} (tol 1e-8)")
     announce(8, True, "; ".join(details))
 
 

@@ -64,10 +64,10 @@ def test_connection_residuals_on_eigenstates():
         out[kind] = connection_residual(ev, kind, -1.0, plane, 1,
                                         (2 * h, 4 * h, 6 * h))
     # equivariance makes the partner continuity condition exact
-    assert out["delta"].continuity < 1e-12
-    assert out["epsilon"].continuity < 1e-12
-    assert out["delta"].jump < 0.08
-    assert out["epsilon"].jump < 0.08
+    assert out["delta"]["continuity"] < 1e-12
+    assert out["epsilon"]["continuity"] < 1e-12
+    assert out["delta"]["jump"] < 0.08
+    assert out["epsilon"]["jump"] < 0.08
 
 
 def test_connection_residual_refinement():
@@ -82,7 +82,7 @@ def test_connection_residual_refinement():
         t = res.operator.lattice[points // 8: 7 * points // 8: max(points // 10, 1)]
         plane = np.stack([t, t], axis=-1)
         jumps.append(connection_residual(ev, "delta", -1.0, plane, 1,
-                                         (2 * h, 4 * h, 6 * h)).jump)
+                                         (2 * h, 4 * h, 6 * h))["jump"])
     assert jumps[2] < jumps[1] < jumps[0]
     assert jumps[0] / jumps[2] > 6.0  # roughly second order over two doublings
 
@@ -91,13 +91,13 @@ def test_connection_residual_smooth_negative_control():
     smooth = lambda pts: np.exp(-0.1 * np.sum((pts - 5.0) ** 2, axis=-1))
     plane = np.stack([np.linspace(3.0, 7.0, 5)] * 2, axis=-1)
     res = connection_residual(smooth, "delta", -1.0, plane, 1, (0.05, 0.1, 0.15))
-    assert res.jump > 0.5  # no derivative jump in a smooth function
+    assert res["jump"] > 0.5  # no derivative jump in a smooth function
     # a mirror-asymmetric smooth function fails the epsilon jump relation too
     lopsided = lambda pts: np.exp(-0.1 * (pts[:, 0] - 4.0) ** 2
                                   - 0.25 * (pts[:, 1] - 6.0) ** 2)
     res_eps = connection_residual(lopsided, "epsilon", -0.7, plane, 1,
                                   (0.05, 0.1, 0.15))
-    assert res_eps.jump > 0.5
+    assert res_eps["jump"] > 0.5
 
 
 def test_connection_residual_validates_inputs():
@@ -125,7 +125,7 @@ def test_symmetry_reduction_equivalence_on_one_state():
     t = res.operator.lattice[12:70:9]
     plane = np.stack([t, t], axis=-1)
     conn = connection_residual(ev, "delta", -1.0, plane, 1, (2 * h, 4 * h, 6 * h))
-    assert sector_res < 0.05 and conn.jump < 0.08
+    assert sector_res < 0.05 and conn["jump"] < 0.08
 
     # mismatched state: a free-boson eigenstate fails both measurements
     from contact_duality.coupling import neumann
@@ -136,7 +136,7 @@ def test_symmetry_reduction_equivalence_on_one_state():
     conn_free = connection_residual(ev_free, "delta", -1.0, plane, 1,
                                     (2 * h, 4 * h, 6 * h))
     assert robin_residual(fn_free, 1, model) > 0.3
-    assert conn_free.jump > 0.3
+    assert conn_free["jump"] > 0.3
 
 
 def test_coarse_grid_first_order_fallback_warns():

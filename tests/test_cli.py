@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import contact_duality
-from contact_duality import cli, reporting
+from contact_duality import cli, configio, reporting
 from contact_duality.cli import main
 from contact_duality.configio import parse_coupling_entry, validate_config
 from contact_duality.errors import ConfigError, NotConverged
@@ -240,6 +240,28 @@ gate.composition = 1e-5
     report = json.loads((out / "report.json").read_text())
     assert report["pde_gate"] < 1e-6
     assert report["boundary"]["max"] < 1e-8
+
+
+def test_kernel_properties_neumann_pair_passes_default_gates(tmp_path):
+    # the Neumann pair kernel is the Robin one at 1/a = 0 and carries the
+    # analytic face residual, which is exactly 0; a one-sided stencil read
+    # about 3e-7 against the default 1e-8 gate
+    cfg = write(tmp_path, "kpn.cfg", """
+command = kernel-properties
+n = 2
+kernel = pair
+coupling = neumann
+""")
+    out = tmp_path / "kpn"
+    assert main(["kernel-properties", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["boundary"]["max"] == 0.0
+
+
+def test_every_command_has_one_runner_and_one_schema():
+    assert set(cli.RUNNERS) == set(configio.SCHEMAS)
+    with pytest.raises(ConfigError, match="unknown command 'nope'"):
+        validate_config("command = nope\nn = 2\n")
 
 
 @pytest.mark.parametrize("seed", [19, 48])

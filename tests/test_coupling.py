@@ -57,6 +57,25 @@ def test_limit_sentinels():
     assert coupling_values_batch(model, 2, np.array([[2.0, 1.0, 1.0]]))[0] == 0.0
 
 
+def test_length_of_every_kind():
+    assert robin(-1.5).length == -1.5
+    assert neumann().length == math.inf
+    assert dirichlet().length == 0.0 and math.copysign(1.0, dirichlet().length) == 1.0
+    with pytest.raises(UnsupportedCoupling, match="no constant length"):
+        scale_invariant(2.0).length
+
+
+def test_coupling_values_are_bitwise_the_per_kind_constants():
+    # every constant face reads its length; the scale-invariant one g r
+    pts = np.array([[1.0, 1.0, -0.5], [0.3, 0.3, 0.2], [2.0, 2.0, 2.0], [-1.0, -1.0, -4.0]])
+    cases = ((robin(-1.5), np.full(4, -1.5)), (robin(0.25), np.full(4, 0.25)),
+             (neumann(), np.full(4, np.inf)), (dirichlet(), np.zeros(4)),
+             (scale_invariant(2.0), 2.0 * hyperradius_batch(pts)))
+    for entry, expected in cases:
+        got = coupling_values_batch(uniform_model(3, entry), 1, pts)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), entry
+
+
 def test_scale_invariant_needs_three_bodies():
     with pytest.raises(UnsupportedCoupling):
         uniform_model(2, scale_invariant(1.0))

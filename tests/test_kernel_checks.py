@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -6,10 +8,12 @@ from scipy.sparse.linalg import splu
 from contact_duality.coupling import SQRT2, dirichlet, neumann, robin, uniform_model
 from contact_duality.errors import ContactDualityError, UnsupportedN
 from contact_duality.heat_solver import evolve_half_line, pair_kernel_pde_gate
+from contact_duality import kernel_checks
 from contact_duality.kernel_checks import (
     SamplingSpec,
     bound_state_length,
     dual_reconstruction_check,
+    face_boundary_residual,
     sampling_spread,
     verify_assumptions,
     verify_sector_properties,
@@ -139,6 +143,21 @@ def test_sector_sum_properties_bose():
                                    SamplingSpec(pairs=2))
     assert rep["composition"]["max"] < 1e-6
     assert rep["boundary"]["max"] < 1e-3  # finite-difference face derivative
+
+
+def test_face_residual_stencils_on_a_robin_face(monkeypatch):
+    # A Robin pair kernel stripped of its analytic face operator goes
+    # through the one-sided stencils, as a kernel without a closed form
+    # would: the residual falls with the step at about the stencil's
+    # order, and a face of the opposite sign fails.
+    kernel = dataclasses.replace(robin_pair_kernel(robin(-1.0)), pair_face_residual=None)
+    spec = SamplingSpec(pairs=2)
+    model = uniform_model(2, robin(-1.0))
+    res_h = face_boundary_residual(kernel, model, 1, spec)
+    monkeypatch.setattr(kernel_checks, "FD_STEP", kernel_checks.FD_STEP / 2)
+    res_h2 = face_boundary_residual(kernel, model, 1, spec)
+    assert 0.0 < res_h2 <= res_h / 3.0 and res_h < 1e-3
+    assert face_boundary_residual(kernel, uniform_model(2, robin(1.0)), 1, spec) > 0.5
 
 
 def test_sector_sum_mismatched_model_control():

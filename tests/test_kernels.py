@@ -114,6 +114,29 @@ def _relative(points):
     return (points[..., 0] - points[..., 1]) / SQRT2
 
 
+def test_neumann_pair_kernel_is_bitwise_the_image_sum():
+    # The Neumann face is the Robin one at 1/a = 0: gamma = 0 makes the
+    # correction exactly +0.0, so the tabulated (targets against a rule)
+    # and the direct (pairwise) paths both give the image sum times the
+    # center-of-mass Gaussian bit for bit, and the face residual is 0.
+    rule, _ = sector_rule(-7.0, 7.0, 2, 8, 4)
+    targets = np.concatenate([rule[::37], np.stack([np.linspace(-2.0, 2.0, 5)] * 2, axis=-1)])
+    pk = robin_pair_kernel(neumann())
+    tau = 0.4
+
+    def image_sum(x, y):
+        cx, cy = (x[..., 0] + x[..., 1]) / SQRT2, (y[..., 0] + y[..., 1]) / SQRT2
+        ux, uy = _relative(x), _relative(y)
+        return gaussian_1d(cx - cy, tau) * (gaussian_1d(ux - uy, tau)
+                                            + gaussian_1d(ux + uy, tau))
+
+    tabulated = pk(targets[:, None, :], rule[None, :, :], tau)
+    assert np.array_equal(tabulated, image_sum(targets[:, None, :], rule[None, :, :]))
+    pairs = rule[:targets.shape[0]]
+    assert np.array_equal(pk(targets, pairs, tau), image_sum(targets, pairs))
+    assert pk.pair_face_residual(targets, tau) == 0.0
+
+
 def _count_error_function_arguments(monkeypatch):
     """Count the arguments passed to erfcx and erfc inside the kernels."""
     seen = []

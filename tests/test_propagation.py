@@ -210,10 +210,12 @@ def test_ground_state_projection():
 
 def test_real_time_identity():
     dom = DomainSpec(n=2, length=6.0, points=10)
-    chk = real_time_cross_check(dom, uniform_model(2, robin(-1.0)), t=0.1)
-    assert chk.bose_deviation < 1e-8
-    assert chk.fermi_deviation < 1e-8
-    assert chk.dimension_cracked > chk.dimension_full
+    model = uniform_model(2, robin(-1.0))
+    chk = real_time_cross_check(dom, model, t=0.1)
+    assert chk["bose_deviation"] < 1e-8
+    assert chk["fermi_deviation"] < 1e-8
+    assert (build_epsilon_fermi(dom, model, reduced=False).dimension
+            > build_delta_bose(dom, model, reduced=False).dimension)
 
 
 def test_quadrature_route_against_matrix_exponential():
