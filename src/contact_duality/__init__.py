@@ -33,7 +33,7 @@ from .coupling import (  # noqa: E402, F401
     scale_invariant,
     uniform_model,
 )
-from .folding import QuadSpec, fold_integral_check, random_gaussian  # noqa: E402, F401
+from .folding import fold_integral_check, random_gaussian  # noqa: E402, F401
 from .kernels import (  # noqa: E402, F401
     KernelEvaluator,
     dual_pair_from_sector,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupling import CouplingModel, coupling_values_batch
+from .coupling import coupling_values_batch
 from .errors import GridTooCoarse
 from .mesh import DofTable
 from .operators import GridOperator
@@ -54,8 +54,9 @@ class MeshFunction:
         return np.where(ranks >= 0, self.values[ranks], np.nan)
 
 
-def robin_residual(fn: MeshFunction, j: int, model: CouplingModel) -> float:
-    """Worst-case residual of the face-j boundary condition.
+def robin_residual(fn: MeshFunction, j: int) -> float:
+    """Worst-case residual of the face-j boundary condition of the
+    operator's coupling model, ``fn.op.model``.
 
     For a Robin face: |(d/dx_j - d/dx_{j+1}) psi - psi / a_j| over face
     nodes, scaled by max |psi|; a Neumann face (a_j = inf) measures the
@@ -72,7 +73,7 @@ def robin_residual(fn: MeshFunction, j: int, model: CouplingModel) -> float:
     scale = float(np.max(np.abs(fn.values)))
     if scale == 0.0:
         raise ValueError("zero state")
-    if model.entry(j).kind == "dirichlet":
+    if op.model.entry(j).kind == "dirichlet":
         # face nodes were eliminated; the extension by zero satisfies the
         # condition exactly
         return 0.0
@@ -90,7 +91,7 @@ def robin_residual(fn: MeshFunction, j: int, model: CouplingModel) -> float:
         warnings.warn(
             f"face {j}: falling back to the first-order one-sided stencil; "
             "refine the grid for second-order residuals", stacklevel=2)
-    a = coupling_values_batch(model, j, face[fits])
+    a = coupling_values_batch(op.model, j, face[fits])
     res = np.abs(pair_derivative[fits] - value[fits] / a)
     return float(np.max(res)) / scale
 

@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .configio import ExperimentConfig, validate_config
-from .coupling import dirichlet, neumann, uniform_model
+from .coupling import uniform_model
 from .errors import ConfigError, ContactDualityError, LevelsOutOfRange
-from .folding import QuadSpec, fold_integral_check, random_gaussian
+from .folding import fold_integral_check, random_gaussian
 from .heat_solver import pair_kernel_pde_gate
 from .kernel_checks import (
     SamplingSpec,
@@ -123,25 +123,21 @@ def run_scale_invariance(cfg: ExperimentConfig) -> RunArtifacts:
 
 
 def _kernel_from_config(cfg: ExperimentConfig):
-    n = cfg["n"]
-    if cfg["kernel"] == "free":
-        if cfg["statistics"] == "none":
-            return free_kernel(n), None
-        stat = Statistics(cfg["statistics"])
-        kernel = permutation_sum(free_kernel(n), stat)
-        model = uniform_model(n, dirichlet() if stat is Statistics.FERMI else neumann())
-        return kernel, model
-    entry = cfg["coupling"]
-    return robin_pair_kernel(entry), uniform_model(2, entry)
+    if cfg["kernel"] == "pair":
+        return robin_pair_kernel(cfg["coupling"])
+    kernel = free_kernel(cfg["n"])
+    if cfg["statistics"] == "none":
+        return kernel
+    return permutation_sum(kernel, Statistics(cfg["statistics"]))
 
 
 def run_kernel_properties(cfg: ExperimentConfig) -> RunArtifacts:
-    kernel, model = _kernel_from_config(cfg)
+    kernel = _kernel_from_config(cfg)
     spec = SamplingSpec(seed=cfg["seed"], pairs=cfg["pairs"],
                         quad_tol=cfg["quad_tol"], quad_order=cfg["quad_order"],
                         initial_depth=cfg["initial_depth"])
     if kernel.space == "sector":
-        rep = verify_sector_properties(kernel, model, spec)
+        rep = verify_sector_properties(kernel, spec)
     else:
         rep = verify_assumptions(kernel, spec)
     gates = [
@@ -261,10 +257,8 @@ def run_fold_check(cfg: ExperimentConfig) -> RunArtifacts:
     residuals = []
     for _ in range(cfg["count"]):
         f = random_gaussian(cfg["n"], rng)
-        spec = QuadSpec(box=f.support_box(), tol=cfg["quad_tol"],
-                        order=cfg["quad_order"])
-        res = fold_integral_check(f, spec)
-        residuals.append(res.residual)
+        res = fold_integral_check(f, f.support_box(), cfg["quad_tol"], cfg["quad_order"])
+        residuals.append(res["residual"])
     report = {
         "kind": "fold_check",
         "n": cfg["n"],

@@ -312,18 +312,18 @@ def face_points(spec: SamplingSpec, n: int, j: int, count: int) -> np.ndarray:
     return pts
 
 
-def face_boundary_residual(kernel: KernelEvaluator, model, j: int,
-                           spec: SamplingSpec) -> float:
-    """Face condition residual of a sector kernel on face j.
+def face_boundary_residual(kernel: KernelEvaluator, j: int, spec: SamplingSpec) -> float:
+    """Residual on face j of the face condition a sector kernel carries,
+    ``kernel.coupling``.
 
     Uses the kernel's analytic face operator when it has one (a Robin
-    or Neumann pair kernel), otherwise one-sided quadratic extrapolation
-    with pair separations step, 2 step, 3 step, where step is
-    ``FD_STEP``.  Dirichlet data measures the face value itself, Neumann
-    the pair derivative, and Robin data a kernel without the analytic
-    operator, |(d/dx_j - d/dx_{j+1}) K - K / a|.
+    or Neumann pair kernel), otherwise one-sided quartic extrapolation
+    from the plane itself and the pair separations step, ..., 4 step,
+    where step is ``FD_STEP``.  Dirichlet data measures the face value
+    itself, Neumann the pair derivative, and Robin data a kernel without
+    the analytic operator, |(d/dx_j - d/dx_{j+1}) K - K / a|.
     """
-    entry = model.entry(j)
+    entry = kernel.coupling
     n = kernel.n
     tau = sum(TAUS)
     ys = _sample_points(spec, n, spec.pairs, sector=True)
@@ -337,15 +337,15 @@ def face_boundary_residual(kernel: KernelEvaluator, model, j: int,
         def slice_at(points):
             return np.asarray(kernel.evaluate(points, y[None, :], tau))
 
-        value, pair_derivative = one_sided_face_values(
-            slice_at, pts, j, np.array([step, 2 * step, 3 * step]), 1.0)
+        value, pair_derivative = one_sided_face_values(slice_at, pts, j,
+                                                       step * np.arange(5.0), 1.0)
         scale = max(float(np.max(np.abs(value))),
                     step * float(np.max(np.abs(pair_derivative))), 1e-300)
         if entry.kind == "dirichlet":
-            resid = np.abs(slice_at(pts)) / max(scale, 1e-300)
+            resid = np.abs(slice_at(pts)) / scale
         elif entry.kind == "neumann":
             dscale = max(float(np.max(np.abs(pair_derivative))),
-                         float(np.max(np.abs(value))) / max(step, 1e-300), 1e-300)
+                         float(np.max(np.abs(value))) / step, 1e-300)
             resid = np.abs(pair_derivative) / dscale
         else:
             resid = np.abs(pair_derivative - value / entry.value) / (
@@ -355,16 +355,14 @@ def face_boundary_residual(kernel: KernelEvaluator, model, j: int,
     return worst
 
 
-def verify_sector_properties(kernel: KernelEvaluator, model,
-                             spec: SamplingSpec) -> dict:
+def verify_sector_properties(kernel: KernelEvaluator, spec: SamplingSpec) -> dict:
     """Residual report for a sector kernel: composition over the sector,
-    weak short-time limit, symmetry, heat equation, and the condition on
-    every face."""
+    weak short-time limit, symmetry, heat equation, and the kernel's face
+    condition on every face."""
     if kernel.space != "sector":
         raise ValueError("need a sector kernel")
     base = verify_assumptions(kernel, spec)
-    boundary = {j: face_boundary_residual(kernel, model, j, spec)
-                for j in range(1, kernel.n)}
+    boundary = {j: face_boundary_residual(kernel, j, spec) for j in range(1, kernel.n)}
     base["boundary"] = {"max": max(boundary.values()), "per_face": boundary}
     return base
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, erfcx
 
-from .coupling import SQRT2, BoundaryCoupling
+from .coupling import SQRT2, BoundaryCoupling, dirichlet, neumann
 from .permutations import Statistics, group_sum, group_table, sort_descending
 
 #: log of the smallest normal double.  Closed-form permutation sums flush
@@ -70,8 +70,9 @@ class KernelEvaluator:
     """Vectorized propagator K(x, y; tau) with its contract metadata.
 
     ``evaluate`` broadcasts over leading point axes; ``space`` is
-    'full' or 'sector'; ``coupling`` records the pair coupling (None
-    means free).
+    'full' or 'sector'; ``coupling`` is the face condition of a sector
+    kernel (and of the full-space kernels it induces), None for a free
+    full-space kernel.
     ``pair_face_residual``, present on Robin and Neumann pair kernels
     (every face with a derivative), returns the face boundary operator
     applied to the kernel analytically.
@@ -285,6 +286,10 @@ def permutation_sum(kernel: KernelEvaluator, stat: Statistics) -> KernelEvaluato
     ``LOG_TINY`` are flushed to exact zero.  Other kernels are summed as
     n! full-space evaluations by ``group_sum``.  Summation order is the
     fixed lexicographic group order, so results are bitwise reproducible.
+
+    The sum carries the face condition of ``kernel``; a free kernel's sum
+    carries that of its statistics: Dirichlet for fermions, which are
+    hard-core bosons (Girardeau), Neumann for bosons.
     """
     if kernel.space != "full":
         raise ValueError("permutation sum needs a full-space kernel")
@@ -318,9 +323,12 @@ def permutation_sum(kernel: KernelEvaluator, stat: Statistics) -> KernelEvaluato
                 total -= term
         return total
 
+    face = kernel.coupling
+    if face is None:
+        face = dirichlet() if stat is Statistics.FERMI else neumann()
     return KernelEvaluator(
         evaluate=evaluate if kernel.log_one_body is None else evaluate_product,
-        space="sector", n=n, coupling=kernel.coupling,
+        space="sector", n=n, coupling=face,
         label=f"sum[{stat.value},{kernel.label}]")
 
 

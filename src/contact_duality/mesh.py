@@ -32,12 +32,12 @@ import numpy as np
 from .permutations import group_table
 
 
-def uniform_lattice(length: float, points: int, offset: float = 0.0) -> np.ndarray:
+def uniform_lattice(length: float, points: int, offset: float) -> np.ndarray:
     """Vertices at i h, i = 0..N, including both walls."""
     return offset + np.linspace(0.0, length, points + 1)
 
 
-def staggered_lattice(length: float, points: int, offset: float = 0.0) -> np.ndarray:
+def staggered_lattice(length: float, points: int, offset: float) -> np.ndarray:
     """Wall vertices plus interior vertices at (i + 1/2) h.
 
     Interior spacing is h = length / points; the wall cells have width

@@ -194,14 +194,14 @@ class GridOperator:
     formulation: str
     dom: DomainSpec
     model: CouplingModel
-    reduced: bool = True
-    region_ranks: np.ndarray = None  # cracked operators only
+    reduced: bool
+    region_ranks: np.ndarray | None  # cracked operators only
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
 
-    def symmetry_residual(self, seed: int = 0) -> float:
+    def symmetry_residual(self, seed: int) -> float:
         """Worst |v.Au - u.Av| / (max|A| |u| |v|) over five seeded random pairs."""
         rng = np.random.default_rng(seed)
         worst = 0.0
@@ -475,14 +475,14 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     residuals: np.ndarray
     operator: GridOperator
-    vectors: np.ndarray = None  # columns are node-value eigenvectors
-    certificate: dict = None
+    vectors: np.ndarray  # columns are node-value eigenvectors
+    certificate: dict
 
     def lowest(self, k: int) -> "SpectrumResult":
         """The lowest k pairs, under the certificate of the whole solve."""
-        vectors = None if self.vectors is None else self.vectors[:, :k]
         return dataclasses.replace(self, eigenvalues=self.eigenvalues[:k],
-                                   residuals=self.residuals[:k], vectors=vectors)
+                                   residuals=self.residuals[:k],
+                                   vectors=self.vectors[:, :k])
 
 
 def gershgorin_shift(a: sparse.csr_matrix) -> float:

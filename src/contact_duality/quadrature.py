@@ -209,14 +209,14 @@ def _rule(lo, hi, n: int, cells: int, order: int, sector: bool):
     return np.concatenate(pts, axis=0), np.concatenate(wts)
 
 
-def box_rule(box, cells: int, order: int = 6):
+def box_rule(box, cells: int, order: int):
     """Tensor Gauss-Legendre rule over a box given as (n, 2) bounds, cell
     by cell in row-major cell order."""
     box = np.asarray(box, dtype=float)
     return _rule(box[:, 0], box[:, 1], box.shape[0], cells, order, sector=False)
 
 
-def sector_rule(lo, hi, n: int, cells: int, order: int = 6):
+def sector_rule(lo, hi, n: int, cells: int, order: int):
     """Rule over the descending sector of the cube [lo, hi]^n.
 
     Panels are the cells of the uniform grid; a cell with weakly
@@ -260,8 +260,12 @@ def _volume_share(tuples, cells: int, sector: bool):
     return math.factorial(n) / ties / float(cells) ** n
 
 
+#: Most rounds of cell splitting an adaptive integral makes.
+MAX_DOUBLINGS = 7
+
+
 def _adaptive(f, lo, hi, n: int, sector: bool, tol: float, order: int,
-              start_cells: int, max_doublings: int):
+              start_cells: int):
     """Cell-local adaptive quadrature over the box prod_k [lo_k, hi_k], or
     over the sector part of the hull-grid cells that meet it, starting
     from the cells ``_grid`` keeps at ``start_cells`` per axis.
@@ -275,7 +279,7 @@ def _adaptive(f, lo, hi, n: int, sector: bool, tol: float, order: int,
     at most tol |I|.  The children's sum of a settled cell is final.  The
     share w lets the cells of a narrow peak settle at tol relative to
     their own integral instead of at the volume share, which would demand
-    far more there.  Cells still unsettled after ``max_doublings`` rounds
+    far more there.  Cells still unsettled after ``MAX_DOUBLINGS`` rounds
     raise QuadratureNotConverged, whose message gives the running
     estimate.
     """
@@ -285,7 +289,7 @@ def _adaptive(f, lo, hi, n: int, sector: bool, tol: float, order: int,
     edges, tuples = _grid(lo, hi, n, cells, sector)
     values = _cell_sums(f, edges, tuples, order, sector)
     total = error = mass = 0.0
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         share = _volume_share(tuples, cells, sector)
         cells *= 2
         edges = _edges(lo, hi, cells, sector)
@@ -308,32 +312,30 @@ def _adaptive(f, lo, hi, n: int, sector: bool, tol: float, order: int,
         if tuples.shape[0] == 0:
             return total, error
     raise QuadratureNotConverged(
-        f"no convergence to tol={tol} after {max_doublings} doublings; "
+        f"no convergence to tol={tol} after {MAX_DOUBLINGS} doublings; "
         f"running estimate {total + float(values.sum())!r}")
 
 
-def integrate_box(f, box, tol: float = 1e-9, order: int = 6,
-                  start_cells: int = 2, max_doublings: int = 7):
+def integrate_box(f, box, tol: float, order: int, start_cells: int = 2):
     """Adaptive tensor quadrature of a real vectorized f over a box.
 
     f maps an (M, n) array of points to (M,) real values; a complex f
     raises TypeError.  Starting from ``box_rule``'s cells at
     ``start_cells`` per axis, only the cells whose estimate has not
-    settled are split, at most ``max_doublings`` times.  Returns (value,
+    settled are split, at most ``MAX_DOUBLINGS`` times.  Returns (value,
     error estimate) as floats; raises QuadratureNotConverged on failure.
     """
     box = np.asarray(box, dtype=float)
     return _adaptive(f, box[:, 0], box[:, 1], box.shape[0], False, tol, order,
-                     start_cells, max_doublings)
+                     start_cells)
 
 
-def integrate_sector(f, lo, hi, n: int, tol: float = 1e-9,
-                     order: int = 6, start_cells: int = 2, max_doublings: int = 7):
+def integrate_sector(f, lo, hi, n: int, tol: float, order: int, start_cells: int = 2):
     """Adaptive quadrature of a real f over the descending sector of [lo, hi]^n.
 
     Starts from ``sector_rule``'s cells at ``start_cells`` per axis and
     splits only the cells whose estimate has not settled, at most
-    ``max_doublings`` times, keeping the children that are weakly
+    ``MAX_DOUBLINGS`` times, keeping the children that are weakly
     descending and meet the box.  With per-axis bounds of shape (n,) the
     grid lies on the hull cube [min lo, max hi]^n and the integral is over
     the sector part of the cells covering the box prod_k [lo_k, hi_k];
@@ -341,4 +343,4 @@ def integrate_sector(f, lo, hi, n: int, tol: float = 1e-9,
     shares of the hull cube's sector, so a kept cell settles as in the
     hull-cube integral.  Returns (value, error estimate) as floats.
     """
-    return _adaptive(f, lo, hi, n, True, tol, order, start_cells, max_doublings)
+    return _adaptive(f, lo, hi, n, True, tol, order, start_cells)

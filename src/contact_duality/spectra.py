@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .coupling import CouplingModel, robin, uniform_model
+from .coupling import CouplingModel
 from .errors import UnsupportedCoupling
 from .operators import (
     BUILDERS,
@@ -134,8 +134,8 @@ def _cuts(results: dict, levels: int, scale: float = 1.0) -> dict:
             for form, res in results.items()}
 
 
-def duality_report(dom: DomainSpec, model: CouplingModel, k: int,
-                   refinements: int = 3, seed: int = 0) -> dict:
+def duality_report(dom: DomainSpec, model: CouplingModel, k: int, refinements: int,
+                   seed: int) -> dict:
     """Compare the three formulations on a ladder of grid refinements.
 
     Rung l >= 1 solves k + refinements - 1 - l levels and reports the
@@ -247,8 +247,8 @@ def check_scale_model(model: CouplingModel) -> None:
 
 
 def scale_invariance_report(dom: DomainSpec, model: CouplingModel, dilation: float,
-                            k: int, control_model: CouplingModel = None,
-                            translation: float = None, seed: int = 0) -> dict:
+                            k: int, control_model: CouplingModel,
+                            translation: float | None, seed: int) -> dict:
     """Dilation, translation, and negative-control spectra for n = 3.
 
     The box provides the only length scale of the scale-invariant model,
@@ -262,11 +262,11 @@ def scale_invariance_report(dom: DomainSpec, model: CouplingModel, dilation: flo
     break the scaling on purpose, take the cut ``solve`` finds itself:
     from a grid ``COARSENING`` times coarser when that grid keeps
     ``MIN_POINTS`` cells per axis (points >= 24); otherwise ``solve``
-    falls back to the Gershgorin shift.
+    falls back to the Gershgorin shift.  ``control_model`` is the
+    fixed-length control; a ``translation`` of None shifts the box by
+    0.37 of its length.
     """
     check_scale_model(model)
-    if control_model is None:
-        control_model = uniform_model(dom.n, robin(-1.0))
     if translation is None:
         translation = 0.37 * dom.length
 

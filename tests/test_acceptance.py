@@ -17,13 +17,12 @@ import pytest
 from contact_duality.coupling import (
     CouplingModel,
     dirichlet,
-    neumann,
     robin,
     scale_invariant,
     uniform_model,
 )
 from contact_duality import kernel_checks
-from contact_duality.folding import QuadSpec, fold_integral_check, random_gaussian
+from contact_duality.folding import fold_integral_check, random_gaussian
 from contact_duality.heat_solver import pair_kernel_pde_gate
 from contact_duality.kernel_checks import (
     SamplingSpec,
@@ -67,19 +66,19 @@ def run2_reports():
     reports = {}
     reports[("n2", "a-1")] = duality_report(
         DomainSpec(n=2, length=10.0, points=24), uniform_model(2, robin(-1.0)),
-        k=5, refinements=3)
+        k=5, refinements=3, seed=0)
     reports[("n2", "a+1")] = duality_report(
         DomainSpec(n=2, length=10.0, points=24), uniform_model(2, robin(1.0)),
-        k=5, refinements=3)
+        k=5, refinements=3, seed=0)
     reports[("n3", "a-1")] = duality_report(
         DomainSpec(n=3, length=6.0, points=12), uniform_model(3, robin(-1.0)),
-        k=5, refinements=3)
+        k=5, refinements=3, seed=0)
     reports[("n3", "a+1")] = duality_report(
         DomainSpec(n=3, length=6.0, points=12), uniform_model(3, robin(1.0)),
-        k=5, refinements=3)
+        k=5, refinements=3, seed=0)
     reports[("n3", "mixed")] = duality_report(
         DomainSpec(n=3, length=6.0, points=12),
-        CouplingModel((robin(-1.0), robin(-2.0))), k=5, refinements=3)
+        CouplingModel((robin(-1.0), robin(-2.0))), k=5, refinements=3, seed=0)
     return reports
 
 
@@ -186,8 +185,8 @@ def test_criterion_5_folding_formula(announce):
         residuals = []
         for _ in range(10):
             f = random_gaussian(n, rng)
-            spec = QuadSpec(box=f.support_box(), tol=1e-9, order=8)
-            residuals.append(fold_integral_check(f, spec).residual)
+            res = fold_integral_check(f, f.support_box(), tol=1e-9, order=8)
+            residuals.append(res["residual"])
         worst[n] = max(residuals)
         assert worst[n] <= tol
     announce(5, True, f"folding residuals over 10 random anisotropic "
@@ -216,7 +215,7 @@ def test_criterion_6_kernel_assumptions(announce):
         assert gate <= 1e-6
         pk = robin_pair_kernel(robin(a))
         spec = SamplingSpec(pairs=2, quad_tol=1e-7)
-        rep = verify_sector_properties(pk, uniform_model(2, robin(a)), spec)
+        rep = verify_sector_properties(pk, spec)
         assert rep["boundary"]["max"] <= 1e-8
         assert rep["composition"]["max"] <= 1e-5
         details.append(f"pair a={a:+.0f}: pde {gate:.1e}, "
@@ -231,10 +230,9 @@ def test_criterion_7_sector_property_suite(announce):
         spec = SamplingSpec(pairs=2, quad_order=6 if n == 3 else 8,
                             quad_tol=1e-6 if n == 3 else 1e-9,
                             initial_depth=4 if n == 3 else 5)
-        for stat, model in ((Statistics.FERMI, uniform_model(n, dirichlet())),
-                            (Statistics.BOSE, uniform_model(n, neumann()))):
+        for stat in (Statistics.FERMI, Statistics.BOSE):
             kernel = permutation_sum(free_kernel(n), stat)
-            rep = verify_sector_properties(kernel, model, spec)
+            rep = verify_sector_properties(kernel, spec)
             worst = max(rep[k]["max"] for k in ("composition", "initial",
                                                 "symmetry", "heat_equation"))
             assert worst <= tol, (n, stat, worst)
@@ -254,7 +252,7 @@ def test_criterion_7_sector_property_suite(announce):
                 res_h = rep["boundary"]["max"]
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(kernel_checks, "FD_STEP", kernel_checks.FD_STEP / 2)
-                    res_h2 = kernel_checks.face_boundary_residual(kernel, model, 1, spec)
+                    res_h2 = kernel_checks.face_boundary_residual(kernel, 1, spec)
                 assert res_h2 <= res_h / 3.0  # about fourth-order stencil decay
                 details.append(f"n={n} bose face derivative {res_h:.1e} -> {res_h2:.1e}")
     announce(7, True, "; ".join(details))
@@ -295,7 +293,8 @@ def test_criterion_9_scale_invariance(announce):
     dom = DomainSpec(n=3, length=6.0, points=14)
     rep = scale_invariance_report(dom, uniform_model(3, scale_invariant(1.0)),
                                   dilation=2.0, k=4,
-                                  control_model=uniform_model(3, robin(-1.0)))
+                                  control_model=uniform_model(3, robin(-1.0)),
+                                  translation=None, seed=0)
     scaled = max(rep["scaled_deviation"].values())
     translation = max(rep["translation_deviation"].values())
     control = min(rep["control_deviation"].values())

@@ -21,32 +21,31 @@ from contact_duality.permutations import Statistics
 
 def sector_ground(points, entry=robin(-1.0), length=10.0):
     dom = DomainSpec(n=2, length=length, points=points)
-    model = uniform_model(2, entry)
-    op = build_sector(dom, model)
+    op = build_sector(dom, uniform_model(2, entry))
     res = solve(op, 1)
-    return MeshFunction(op, res.vectors[:, 0]), model
+    return MeshFunction(op, res.vectors[:, 0])
 
 
 def test_robin_residual_shrinks_quadratically():
     values = []
     for points in (30, 60, 120):
-        fn, model = sector_ground(points)
-        values.append(robin_residual(fn, 1, model))
+        fn = sector_ground(points)
+        values.append(robin_residual(fn, 1))
     order = np.log2(values[0] / values[1]), np.log2(values[1] / values[2])
     assert values[-1] < 3e-3
     assert min(order) > 1.3
 
 
 def test_robin_residual_negative_control():
-    fn, model = sector_ground(40)
+    fn = sector_ground(40)
     rng = np.random.default_rng(0)
     bad = MeshFunction(fn.op, rng.normal(size=fn.op.dimension))
-    assert robin_residual(bad, 1, model) > 1.0
+    assert robin_residual(bad, 1) > 1.0
 
 
 def test_dirichlet_residual_is_zero():
-    fn, model = sector_ground(40, entry=dirichlet(), length=np.pi)
-    assert robin_residual(fn, 1, model) == 0.0
+    fn = sector_ground(40, entry=dirichlet(), length=np.pi)
+    assert robin_residual(fn, 1) == 0.0
 
 
 def test_connection_residuals_on_eigenstates():
@@ -118,7 +117,7 @@ def test_symmetry_reduction_equivalence_on_one_state():
     fn = MeshFunction(res.operator, res.vectors[:, 0])
 
     # sector side: the reduced values are sector node values
-    sector_res = robin_residual(fn, 1, model)
+    sector_res = robin_residual(fn, 1)
     # full side: connection conditions of the symmetric extension
     ev = reduced_state_evaluator(fn, Statistics.BOSE)
     h = dom.spacing
@@ -135,7 +134,7 @@ def test_symmetry_reduction_equivalence_on_one_state():
     ev_free = reduced_state_evaluator(fn_free, Statistics.BOSE)
     conn_free = connection_residual(ev_free, "delta", -1.0, plane, 1,
                                     (2 * h, 4 * h, 6 * h))
-    assert robin_residual(fn_free, 1, model) > 0.3
+    assert robin_residual(fn_free, 1) > 0.3
     assert conn_free["jump"] > 0.3
 
 
@@ -146,18 +145,19 @@ def test_coarse_grid_first_order_fallback_warns():
 
     # drop the second stencil layer from the dof set so only the two-layer
     # first-order stencil fits
-    fn, model = sector_ground(8, length=8.0)
+    fn = sector_ground(8, length=8.0)
     op = fn.op
     second_layer = (op.dofs[:, 0] - op.dofs[:, 1]) == 4
     idx = np.nonzero(~second_layer)[0]
     trimmed = GridOperator(
         matrix=op.matrix[idx][:, idx].tocsr(), mass=op.mass[idx],
         dofs=op.dofs[idx], coords=op.coords[idx], lattice=op.lattice,
-        formulation=op.formulation, dom=op.dom, model=op.model)
+        formulation=op.formulation, dom=op.dom, model=op.model, reduced=op.reduced,
+        region_ranks=op.region_ranks)
     fn_trimmed = MeshFunction(trimmed, fn.values[idx])
     with _warnings.catch_warnings(record=True) as caught:
         _warnings.simplefilter("always")
-        value = robin_residual(fn_trimmed, 1, model)
+        value = robin_residual(fn_trimmed, 1)
     assert any("first-order" in str(w.message) for w in caught)
     assert np.isfinite(value)
 
@@ -172,8 +172,8 @@ def test_robin_residual_scale_invariant_model():
     op = build_sector(dom, model)
     res = solve(op, 1)
     fn = MeshFunction(op, res.vectors[:, 0])
-    assert robin_residual(fn, 1, model) < 0.2
-    assert robin_residual(fn, 2, model) < 0.2
+    assert robin_residual(fn, 1) < 0.2
+    assert robin_residual(fn, 2) < 0.2
 
 
 def test_one_sided_face_values_match_the_explicit_stencils():
@@ -197,7 +197,7 @@ def test_one_sided_face_values_match_the_explicit_stencils():
 
 
 def test_mesh_function_reads_nan_off_its_dofs():
-    fn, _ = sector_ground(40, entry=dirichlet(), length=np.pi)
+    fn = sector_ground(40, entry=dirichlet(), length=np.pi)
     lattice = fn.op.lattice
     h = fn.op.dom.spacing
     i, k = fn.op.dofs[7]
@@ -227,4 +227,4 @@ def test_robin_residual_on_the_staggered_lattice():
         s0, s1, s2 = value[(i, i)], value[(i + 1, i - 1)], value[(i + 2, i - 2)]
         worst = max(worst, abs((-3.0 * s0 + 4.0 * s1 - s2) / (2.0 * h) - s0 / -1.0))
     expected = worst / float(np.max(np.abs(fn.values)))
-    assert robin_residual(fn, 1, model) == pytest.approx(expected, rel=1e-12)
+    assert robin_residual(fn, 1) == pytest.approx(expected, rel=1e-12)

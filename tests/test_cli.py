@@ -258,6 +258,22 @@ coupling = neumann
     assert report["boundary"]["max"] == 0.0
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernel_properties_free_bose_passes_default_gates(tmp_path, n):
+    # the Bose sum meets the Neumann face exactly; a face stencil that
+    # starts off the plane read 2.3e-7 at n = 2 against the default 1e-8
+    cfg = write(tmp_path, "kfb.cfg", f"""
+command = kernel-properties
+kernel = free
+statistics = bose
+n = {n}
+""")
+    out = tmp_path / "kfb"
+    assert main(["kernel-properties", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["boundary"]["max"] <= 1e-8
+
+
 def test_every_command_has_one_runner_and_one_schema():
     assert set(cli.RUNNERS) == set(configio.SCHEMAS)
     with pytest.raises(ConfigError, match="unknown command 'nope'"):

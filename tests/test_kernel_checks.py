@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from contact_duality.coupling import SQRT2, dirichlet, neumann, robin, uniform_model
+from contact_duality.coupling import SQRT2, dirichlet, neumann, robin
 from contact_duality.errors import ContactDualityError, UnsupportedN
 from contact_duality.heat_solver import evolve_half_line, pair_kernel_pde_gate
 from contact_duality import kernel_checks
@@ -71,7 +71,7 @@ def test_broken_kernel_negative_control():
 def test_pair_kernel_properties():
     pk = robin_pair_kernel(robin(-1.0))
     spec = SamplingSpec(pairs=2, quad_tol=1e-7)
-    rep = verify_sector_properties(pk, uniform_model(2, robin(-1.0)), spec)
+    rep = verify_sector_properties(pk, spec)
     assert rep["composition"]["max"] < 1e-5
     assert rep["boundary"]["max"] < 1e-8
     assert rep["initial"]["max"] < 1e-6
@@ -139,10 +139,11 @@ def test_evolve_half_line_refuses_an_indefinite_step_matrix():
 
 def test_sector_sum_properties_bose():
     kernel = permutation_sum(free_kernel(2), Statistics.BOSE)
-    rep = verify_sector_properties(kernel, uniform_model(2, neumann()),
-                                   SamplingSpec(pairs=2))
+    rep = verify_sector_properties(kernel, SamplingSpec(pairs=2))
     assert rep["composition"]["max"] < 1e-6
-    assert rep["boundary"]["max"] < 1e-3  # finite-difference face derivative
+    # the face derivative's stencil starts on the plane: within the
+    # command's default gate.boundary
+    assert rep["boundary"]["max"] <= 1e-8
 
 
 def test_face_residual_stencils_on_a_robin_face(monkeypatch):
@@ -152,18 +153,18 @@ def test_face_residual_stencils_on_a_robin_face(monkeypatch):
     # order, and a face of the opposite sign fails.
     kernel = dataclasses.replace(robin_pair_kernel(robin(-1.0)), pair_face_residual=None)
     spec = SamplingSpec(pairs=2)
-    model = uniform_model(2, robin(-1.0))
-    res_h = face_boundary_residual(kernel, model, 1, spec)
+    res_h = face_boundary_residual(kernel, 1, spec)
     monkeypatch.setattr(kernel_checks, "FD_STEP", kernel_checks.FD_STEP / 2)
-    res_h2 = face_boundary_residual(kernel, model, 1, spec)
+    res_h2 = face_boundary_residual(kernel, 1, spec)
     assert 0.0 < res_h2 <= res_h / 3.0 and res_h < 1e-3
-    assert face_boundary_residual(kernel, uniform_model(2, robin(1.0)), 1, spec) > 0.5
+    mismatched = dataclasses.replace(kernel, coupling=robin(1.0))
+    assert face_boundary_residual(mismatched, 1, spec) > 0.5
 
 
 def test_sector_sum_mismatched_model_control():
     # a Bose sum of free kernels checked against a hard-core face fails
     kernel = permutation_sum(free_kernel(2), Statistics.BOSE)
-    rep = verify_sector_properties(kernel, uniform_model(2, dirichlet()),
+    rep = verify_sector_properties(dataclasses.replace(kernel, coupling=dirichlet()),
                                    SamplingSpec(pairs=2))
     assert rep["boundary"]["max"] > 0.3
 

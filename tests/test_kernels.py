@@ -257,6 +257,16 @@ def test_permutation_sum_face_values():
     assert abs(fermi(x_face, y, 0.7).item()) < 1e-16
 
 
+def test_permutation_sum_carries_the_face_of_its_statistics():
+    # free fermions are hard-core bosons, free bosons meet the Neumann face
+    for n in (2, 3):
+        assert permutation_sum(free_kernel(n), Statistics.FERMI).coupling == dirichlet()
+        assert permutation_sum(free_kernel(n), Statistics.BOSE).coupling == neumann()
+    # a summed kernel with a face of its own keeps it
+    k_bose, _ = dual_pair_from_sector(robin_pair_kernel(robin(-1.0)))
+    assert permutation_sum(k_bose, Statistics.BOSE).coupling == robin(-1.0)
+
+
 def test_permutation_sum_cap():
     with pytest.raises(CapExceeded):
         permutation_sum(free_kernel(9), Statistics.BOSE)

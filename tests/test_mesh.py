@@ -55,9 +55,9 @@ def _barycentric_reference(seq, lengths):
 
 
 def test_lattices():
-    u = uniform_lattice(2.0, 4)
+    u = uniform_lattice(2.0, 4, 0.0)
     np.testing.assert_allclose(u, [0.0, 0.5, 1.0, 1.5, 2.0])
-    s = staggered_lattice(2.0, 4)
+    s = staggered_lattice(2.0, 4, 0.0)
     np.testing.assert_allclose(s, [0.0, 0.25, 0.75, 1.25, 1.75, 2.0])
     # interior layers sit at half-integer multiples of h = 0.5
     assert np.all(np.diff(s) > 0)
@@ -152,7 +152,7 @@ def test_facet_area():
     a = 0.7
     for n, points in ((2, 7), (3, 6)):
         dom = DomainSpec(n=n, length=5.3, points=points)
-        lattice = staggered_lattice(dom.length, dom.points)
+        lattice = staggered_lattice(dom.length, dom.points, dom.offset)
         reference = {}
         cells = weakly_descending_tuples(lattice.size - 1, n)
         for seq in itertools.permutations(range(n)):

@@ -9,9 +9,7 @@ import pytest
 
 from contact_duality.errors import QuadratureNotConverged
 from contact_duality.folding import (
-    FoldCheckResult,
     GaussianTestFunction,
-    QuadSpec,
     fold_integral_check,
     random_gaussian,
 )
@@ -152,7 +150,7 @@ def test_blocks_concatenate_to_the_whole_rule(monkeypatch, chunk):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_first_adaptive_round_evaluates_the_whole_rule(n):
+def test_first_adaptive_round_evaluates_the_whole_rule(monkeypatch, n):
     # The adaptive drivers start from the rules' own layout: their first
     # round evaluates the points of box_rule and sector_rule at
     # start_cells, in order and bit for bit.
@@ -163,7 +161,8 @@ def test_first_adaptive_round_evaluates_the_whole_rule(n):
         calls.append(x.copy())
         return np.exp(-np.sum(x * x, axis=-1))
 
-    kw = dict(tol=1e-3, order=3, start_cells=3, max_doublings=1)
+    monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 1)
+    kw = dict(tol=1e-3, order=3, start_cells=3)
     for integrate, args, rule in (
             (integrate_box, (box,), box_rule(box, 3, order=3)),
             (integrate_sector, (-1.3, 2.1, n), sector_rule(-1.3, 2.1, n, 3, order=3)),
@@ -177,7 +176,7 @@ def test_first_adaptive_round_evaluates_the_whole_rule(n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_box_clipped_sector_matches_the_hull_cube(n):
+def test_box_clipped_sector_matches_the_hull_cube(monkeypatch, n):
     # A Gaussian below 1e-16 outside the box integrates over the cells
     # that meet the box to its value over the whole hull cube.
     center = np.array([1.0, -0.5, -2.0])[:n]
@@ -185,12 +184,14 @@ def test_box_clipped_sector_matches_the_hull_cube(n):
     radius = width * math.sqrt(2.0 * math.log(1e16))
     f = lambda z: np.exp(-np.sum((z - center) ** 2, axis=-1) / (2.0 * width**2))
     lo, hi = center - radius, center + radius
-    kw = dict(tol=1e-11, order=8, start_cells=4, max_doublings=6)
+    monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 6)
+    kw = dict(tol=1e-11, order=8, start_cells=4)
     clipped, _ = integrate_sector(f, lo, hi, n, **kw)
     hull, _ = integrate_sector(f, lo.min(), hi.max(), n, **kw)
     np.testing.assert_allclose(clipped, hull, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(clipped, (2.0 * np.pi * width**2) ** (n / 2), rtol=1e-12)
-    assert sector_rule(lo, hi, n, 16)[1].size < sector_rule(lo.min(), hi.max(), n, 16)[1].size
+    assert (sector_rule(lo, hi, n, 16, 6)[1].size
+            < sector_rule(lo.min(), hi.max(), n, 16, 6)[1].size)
 
 
 #: Kernel points the short-time check below evaluates when its sector
@@ -218,7 +219,7 @@ def test_short_time_check_evaluates_under_half_the_hull_cube_points():
     assert 0 < sum(points) < HULL_CUBE_POINTS / 2
 
 
-def test_integrate_sector_memory_is_bounded_by_the_block():
+def test_integrate_sector_memory_is_bounded_by_the_block(monkeypatch):
     # At 32 panels per axis the whole n=3 order-8 sector rule holds over
     # 90 MB of points and weights; integrating over it block by block
     # allocates a small fraction of that.
@@ -227,10 +228,11 @@ def test_integrate_sector_memory_is_bounded_by_the_block():
                                                     order, True))
     assert points * (n + 1) * 8 > 90e6
     f = lambda x: np.exp(-np.sum(x * x, axis=-1))
+    monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 1)
     tracemalloc.start()
     try:
         value, _ = integrate_sector(f, -6.0, 6.0, n, tol=1e-6, order=order,
-                                    start_cells=cells // 2, max_doublings=1)
+                                    start_cells=cells // 2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -238,17 +240,19 @@ def test_integrate_sector_memory_is_bounded_by_the_block():
     assert peak < 20e6
 
 
-def test_not_converged_raises():
+def test_not_converged_raises(monkeypatch):
     rng = np.random.default_rng(0)
     f = lambda x: rng.normal(size=x.shape[0])  # noise never converges
+    monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 2)
     with pytest.raises(QuadratureNotConverged, match="running estimate"):
-        integrate_box(f, np.array([[0.0, 1.0]]), tol=1e-12, max_doublings=2)
+        integrate_box(f, np.array([[0.0, 1.0]]), tol=1e-12, order=6)
 
 
 @pytest.mark.parametrize("n, count", [(2, 40), (3, 6)])
-def test_random_gaussians_meet_the_tolerance(n, count):
+def test_random_gaussians_meet_the_tolerance(monkeypatch, n, count):
     # Box and symmetrized-sector integrals of random Gaussians are within
     # tol of the closed form at every tolerance from 1e-6 to 1e-10.
+    monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 6)
     rng = np.random.default_rng(n)
     rows = group_table(n)[0].tolist()
     for _ in range(count):
@@ -257,7 +261,7 @@ def test_random_gaussians_meet_the_tolerance(n, count):
         exact = g.exact_integral()
         symmetrized = lambda y: sum(g(y[..., image]) for image in rows)
         for tol in (1e-6, 1e-7, 1e-8, 1e-9, 1e-10):
-            kw = dict(tol=tol, order=8, max_doublings=6)
+            kw = dict(tol=tol, order=8)
             full, _ = integrate_box(g, box, **kw)
             sect, _ = integrate_sector(symmetrized, box[:, 0].min(), box[:, 1].max(), n,
                                        **kw)
@@ -265,7 +269,7 @@ def test_random_gaussians_meet_the_tolerance(n, count):
             assert abs(sect - exact) <= tol * exact
 
 
-def test_narrow_peak_is_refined_locally():
+def test_narrow_peak_is_refined_locally(monkeypatch):
     # A Gaussian of width 0.05 in [-8, 8]^2 needs 8 doublings; only the
     # cells about the peak are split, so under half the points of the
     # uniform rule at that depth reach f.
@@ -279,9 +283,10 @@ def test_narrow_peak_is_refined_locally():
     box = np.array([[-8.0, 8.0], [-8.0, 8.0]])
     kw = dict(tol=1e-8, order=6, start_cells=2)
     with pytest.raises(QuadratureNotConverged):
-        integrate_box(f, box, max_doublings=7, **kw)
+        integrate_box(f, box, **kw)
     calls.clear()
-    value, _ = integrate_box(f, box, max_doublings=8, **kw)
+    monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 8)
+    value, _ = integrate_box(f, box, **kw)
     np.testing.assert_allclose(value, 2.0 * np.pi * 0.05**2, rtol=1e-8)
     uniform = (2 * 2**8 * 6) ** 2
     assert sum(calls) < uniform / 2
@@ -289,10 +294,10 @@ def test_narrow_peak_is_refined_locally():
 
 def test_integrators_return_python_floats():
     f = lambda x: np.exp(-np.sum(x * x, axis=-1))
-    results = (integrate_box(f, np.array([[-6.0, 6.0]] * 2), tol=1e-8),
-               integrate_sector(f, -6.0, 6.0, 2, tol=1e-8),
+    results = (integrate_box(f, np.array([[-6.0, 6.0]] * 2), tol=1e-8, order=6),
+               integrate_sector(f, -6.0, 6.0, 2, tol=1e-8, order=6),
                integrate_sector(f, np.array([-6.0, -5.0]), np.array([6.0, 5.0]), 2,
-                                tol=1e-8))
+                                tol=1e-8, order=6))
     for value, error in results:
         assert type(value) is float and type(error) is float
 
@@ -300,24 +305,22 @@ def test_integrators_return_python_floats():
 def test_complex_integrand_raises():
     f = lambda x: np.exp(1j * x[:, 0])
     with pytest.raises(TypeError):
-        integrate_box(f, np.array([[0.0, 1.0]]), tol=1e-8)
+        integrate_box(f, np.array([[0.0, 1.0]]), tol=1e-8, order=6)
 
 
 def test_fold_identity_gaussian_n2():
     f = GaussianTestFunction(matrix=np.eye(2), center=np.zeros(2))
-    spec = QuadSpec(box=f.support_box(), tol=1e-10, order=8)
-    res = fold_integral_check(f, spec)
-    np.testing.assert_allclose(res.lhs, np.pi, rtol=1e-9)
-    np.testing.assert_allclose(res.rhs, np.pi, rtol=1e-9)
-    assert res.residual <= 1e-9
+    res = fold_integral_check(f, f.support_box(), tol=1e-10, order=8)
+    np.testing.assert_allclose(res["lhs"], np.pi, rtol=1e-9)
+    np.testing.assert_allclose(res["rhs"], np.pi, rtol=1e-9)
+    assert res["residual"] <= 1e-9
 
 
 def test_fold_identity_gaussian_n3():
     f = GaussianTestFunction(matrix=np.eye(3), center=np.zeros(3))
-    spec = QuadSpec(box=f.support_box(), tol=1e-9, order=8)
-    res = fold_integral_check(f, spec)
-    np.testing.assert_allclose(res.lhs, np.pi**1.5, rtol=1e-8)
-    assert res.residual <= 1e-8
+    res = fold_integral_check(f, f.support_box(), tol=1e-9, order=8)
+    np.testing.assert_allclose(res["lhs"], np.pi**1.5, rtol=1e-8)
+    assert res["residual"] <= 1e-8
 
 
 def test_fold_identity_asymmetric_integrand():
@@ -327,11 +330,10 @@ def test_fold_identity_asymmetric_integrand():
     def f(y):
         return g(y) * y[:, 0]  # odd prefactor
 
-    spec = QuadSpec(box=g.support_box(), tol=1e-10, order=8)
-    res = fold_integral_check(f, spec)
-    assert isinstance(res, FoldCheckResult)
-    assert res.residual <= 1e-8
-    assert abs(res.lhs) > 1e-3  # genuinely asymmetric, nonzero integral
+    res = fold_integral_check(f, g.support_box(), tol=1e-10, order=8)
+    assert set(res) == {"lhs", "rhs", "residual"}
+    assert res["residual"] <= 1e-8
+    assert abs(res["lhs"]) > 1e-3  # genuinely asymmetric, nonzero integral
 
 
 def test_fold_identity_random_family():
@@ -339,17 +341,15 @@ def test_fold_identity_random_family():
     for n, tol in ((2, 1e-8), (3, 1e-7)):
         for _ in range(3):
             f = random_gaussian(n, rng)
-            spec = QuadSpec(box=f.support_box(), tol=1e-9, order=8)
-            res = fold_integral_check(f, spec)
-            assert res.residual <= tol
+            res = fold_integral_check(f, f.support_box(), tol=1e-9, order=8)
+            assert res["residual"] <= tol
 
 
 def test_random_gaussian_exact_integral():
     rng = np.random.default_rng(1)
     f = random_gaussian(2, rng)
-    spec = QuadSpec(box=f.support_box(), tol=1e-10, order=8)
-    res = fold_integral_check(f, spec)
-    np.testing.assert_allclose(res.lhs, f.exact_integral(), rtol=1e-8)
+    res = fold_integral_check(f, f.support_box(), tol=1e-10, order=8)
+    np.testing.assert_allclose(res["lhs"], f.exact_integral(), rtol=1e-8)
 
 
 def test_gaussian_test_function_matches_pointwise_form():

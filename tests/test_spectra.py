@@ -20,6 +20,13 @@ from contact_duality.spectra import (
 )
 
 
+def _scale_report(dom, model, dilation, k):
+    """The scale-invariance report at the command's settings: a robin:-1
+    control, the box shifted by 0.37 of its length, seed 0."""
+    return scale_invariance_report(dom, model, dilation, k,
+                                   uniform_model(dom.n, robin(-1.0)), None, 0)
+
+
 def test_convergence_order_estimator():
     # E(h) = E* + c h^2 on a doubling ladder gives exactly order 2
     exact, c = -0.3, 0.7
@@ -32,7 +39,7 @@ def test_convergence_order_estimator():
 
 def test_duality_report_structure_and_gates():
     dom = DomainSpec(n=2, length=10.0, points=16)
-    rep = duality_report(dom, uniform_model(2, robin(-1.0)), k=4, refinements=3)
+    rep = duality_report(dom, uniform_model(2, robin(-1.0)), k=4, refinements=3, seed=0)
     assert len(rep["levels"]) == 3
     for pair, devs in rep["pair_deviations"].items():
         assert len(devs) == 3
@@ -53,7 +60,7 @@ def test_extrapolated_spectrum_is_ascending():
     # n=3, a=+1: the per-index Richardson values of the close levels 4 and
     # 5 cross (sector 2.223342 then 2.221997), so the report sorts them
     rep = duality_report(DomainSpec(n=3, length=6.0, points=12),
-                         uniform_model(3, robin(1.0)), k=5, refinements=3)
+                         uniform_model(3, robin(1.0)), k=5, refinements=3, seed=0)
     for form in FORMULATIONS:
         ladder = [lv["eigenvalues"][form] for lv in rep["levels"]]
         per_index = [richardson_extrapolate(mid, fine, convergence_order(coarse, mid, fine))
@@ -65,7 +72,7 @@ def test_extrapolated_spectrum_is_ascending():
 def test_duality_report_three_body_distinct():
     dom = DomainSpec(n=3, length=6.0, points=8)
     model = CouplingModel((robin(-1.0), robin(-2.0)))
-    rep = duality_report(dom, model, k=3, refinements=3)
+    rep = duality_report(dom, model, k=3, refinements=3, seed=0)
     assert rep["pair_deviations"]["sector|delta_bose"][-1] < 0.01
     assert rep["pair_deviations"]["delta_bose|epsilon_fermi"][-1] < 1e-12
 
@@ -122,7 +129,7 @@ def test_duality_report_certifies_and_solves_each_operator_once(monkeypatch):
     calls = record_solves(monkeypatch)
     dom = DomainSpec(n=3, length=6.0, points=6)
     model = CouplingModel((robin(-1.0), robin(-2.0)))
-    rep = duality_report(dom, model, k=3, refinements=3)
+    rep = duality_report(dom, model, k=3, refinements=3, seed=0)
     # the reduced delta and epsilon operators are bitwise equal
     assert [op.formulation for op, *_ in calls] == ["sector", "delta_bose"] * 3
     assert rep["identical_by_construction"] == ["delta_bose|epsilon_fermi"]
@@ -160,7 +167,7 @@ def test_duality_report_certifies_and_solves_each_operator_once(monkeypatch):
 
     # the scale-invariance report solves five domain/model cases
     calls.clear()
-    scale = scale_invariance_report(DomainSpec(n=3, length=6.0, points=6),
+    scale = _scale_report(DomainSpec(n=3, length=6.0, points=6),
                                     uniform_model(3, scale_invariant(1.0)), dilation=2.0, k=3)
     solved = [op for op, *_ in calls]
     assert [op.formulation for op in solved] == ["sector", "delta_bose"] * 5
@@ -193,7 +200,7 @@ def test_ladder_makes_one_factor_per_solve(monkeypatch):
     calls = record_solves(monkeypatch)
     k = 4
     rep = duality_report(DomainSpec(n=2, length=6.0, points=8), uniform_model(2, robin(-1.0)),
-                         k=k, refinements=3)
+                         k=k, refinements=3, seed=0)
     # rung 0 has no coarser grid and takes the Gershgorin path; every
     # later rung makes one factor per formulation, at its cut
     assert [factors for _, _, _, factors, _ in calls] == [2, 2, 1, 1, 1, 1]
@@ -217,7 +224,7 @@ def test_every_rung_of_a_three_body_ladder_holds_its_cut(monkeypatch):
     calls = record_solves(monkeypatch)
     k = 3
     rep = duality_report(DomainSpec(n=3, length=6.0, points=8),
-                         CouplingModel((robin(-1.0), robin(-2.0))), k=k, refinements=3)
+                         CouplingModel((robin(-1.0), robin(-2.0))), k=k, refinements=3, seed=0)
     # the 16-cell rung's cut lies one level above the 4 it needs, and its
     # count takes that level in; both finer rungs make one factor per
     # formulation, at their cut
@@ -240,7 +247,7 @@ def test_duality_report_solves_no_more_levels_than_a_rung_has():
     # the 6-cell sector operator has 15 dofs, so rung 0 solves 14 levels
     # instead of k + 2 = 16 and the 12-cell rung gets no sector cut from it
     rep = duality_report(DomainSpec(n=2, length=6.0, points=6), uniform_model(2, robin(-1.0)),
-                         k=14, refinements=2)
+                         k=14, refinements=2, seed=0)
     assert [len(lv["eigenvalues"]["sector"]) for lv in rep["levels"]] == [14, 14]
     first = rep["levels"][0]["certificates"]
     assert (first["sector"]["below_top"], first["delta_bose"]["below_top"]) == (14, 16)
@@ -258,8 +265,8 @@ def test_reports_never_build_the_epsilon_operator(monkeypatch):
 
     monkeypatch.setattr(spectra, "cached_build", counted)
     duality_report(DomainSpec(n=2, length=6.0, points=6), uniform_model(2, robin(-1.0)),
-                   k=2, refinements=2)
-    scale_invariance_report(DomainSpec(n=3, length=6.0, points=6),
+                   k=2, refinements=2, seed=0)
+    _scale_report(DomainSpec(n=3, length=6.0, points=6),
                             uniform_model(3, scale_invariant(1.0)), dilation=2.0, k=2)
     # two duality levels and five scale-invariance cases
     assert built == ["sector", "delta_bose"] * 7
@@ -269,9 +276,9 @@ def test_reports_refuse_a_neumann_face_for_the_epsilon_model():
     # the epsilon operator is never built, but its builder's checks still run
     with pytest.raises(UnsupportedCoupling, match="epsilon builder"):
         duality_report(DomainSpec(n=2, length=6.0, points=6), uniform_model(2, neumann()),
-                       k=2, refinements=1)
+                       k=2, refinements=1, seed=0)
     with pytest.raises(UnsupportedCoupling, match="epsilon builder"):
-        scale_invariance_report(DomainSpec(n=3, length=6.0, points=6),
+        _scale_report(DomainSpec(n=3, length=6.0, points=6),
                                 CouplingModel((scale_invariant(1.0), neumann())),
                                 dilation=2.0, k=2)
 
@@ -279,7 +286,7 @@ def test_reports_refuse_a_neumann_face_for_the_epsilon_model():
 def test_scale_invariance_report():
     dom = DomainSpec(n=3, length=6.0, points=12)
     model = uniform_model(3, scale_invariant(1.0))
-    rep = scale_invariance_report(dom, model, dilation=2.0, k=3)
+    rep = _scale_report(dom, model, dilation=2.0, k=3)
     for form in FORMULATIONS:
         assert rep["scaled_deviation"][form] < 1e-10
         assert rep["translation_deviation"][form] < 1e-10
@@ -290,16 +297,16 @@ def test_scale_invariance_report():
 def test_scale_invariance_requires_scale_model():
     dom = DomainSpec(n=3, length=6.0, points=10)
     with pytest.raises(UnsupportedCoupling):
-        scale_invariance_report(dom, uniform_model(3, robin(-1.0)), 2.0, k=2)
+        _scale_report(dom, uniform_model(3, robin(-1.0)), 2.0, k=2)
     dom2 = DomainSpec(n=2, length=6.0, points=10)
     with pytest.raises(UnsupportedCoupling):
-        scale_invariance_report(dom2, uniform_model(2, robin(-1.0)), 2.0, k=2)
+        _scale_report(dom2, uniform_model(2, robin(-1.0)), 2.0, k=2)
 
 
 def test_scale_invariance_unit_dilation_is_identity():
     dom = DomainSpec(n=3, length=6.0, points=10)
     model = uniform_model(3, scale_invariant(1.0))
-    rep = scale_invariance_report(dom, model, dilation=1.0, k=2)
+    rep = _scale_report(dom, model, dilation=1.0, k=2)
     for form in FORMULATIONS:
         assert rep["scaled_deviation"][form] < 1e-12
 
@@ -309,7 +316,7 @@ def test_duality_report_harmonic_confinement():
     # spectra agree under harmonic confinement as well
     dom = DomainSpec(n=2, length=16.0, points=32, confinement="harmonic",
                      omega=1.0)
-    rep = duality_report(dom, uniform_model(2, robin(-1.0)), k=3, refinements=2)
+    rep = duality_report(dom, uniform_model(2, robin(-1.0)), k=3, refinements=2, seed=0)
     assert rep["pair_deviations"]["sector|delta_bose"][-1] < 0.01
 
 
@@ -329,10 +336,12 @@ def test_bf_overlap_compares_subspaces_for_degenerate_levels():
     degenerate = np.array([1.0, 1.0 + 1e-12, 5.0])
     res_b = SpectrumResult(eigenvalues=degenerate.copy(),
                            residuals=np.zeros(3), operator=op,
-                           vectors=np.column_stack([v, res.vectors[:, 2]]))
+                           vectors=np.column_stack([v, res.vectors[:, 2]]),
+                           certificate=None)
     res_f = SpectrumResult(eigenvalues=degenerate.copy(),
                            residuals=np.zeros(3), operator=op,
-                           vectors=np.column_stack([v @ rot, res.vectors[:, 2]]))
+                           vectors=np.column_stack([v @ rot, res.vectors[:, 2]]),
+                           certificate=None)
     rows = bf_overlap_deviations(res_b, res_f)
     groups = {row["level_index"]: row for row in rows}
     assert groups[0]["group_size"] == 2
