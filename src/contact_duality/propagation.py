@@ -17,13 +17,12 @@ the character-weighted sums of the full delta and epsilon evolution
 kernels must reproduce the reduced sector evolution exactly.  It reads
 each kernel's entries off one eigendecomposition of its operator.
 
-The semigroup check (``two_stage_values``) applies the rule-on-rule
-kernel matrix K(pts, pts; tau) and assumes it symmetric, K(x, y) =
-K(y, x), as every heat kernel is (``robin_pair_kernel`` bit for bit,
-the ``kernel-properties`` symmetry gate at 1e-12).  It takes the rule
-points in order of their relative coordinate x_1 - x_2, so that each
-target block holds few distinct values of it, evaluates each unordered
-pair of target blocks once and applies it both ways.
+The semigroup check (``two_stage_values``) runs on a tensor rule in the
+pair coordinates u = (x_1 - x_2)/sqrt2 and c = (x_1 + x_2)/sqrt2, on
+which a kernel with a free centre of mass makes the rule-on-rule matrix
+a Kronecker product.  ``propagate_at``, which it is compared with,
+evaluates the full kernel, so a kernel whose centre of mass does not
+separate shows as a semigroup deviation.
 """
 
 from __future__ import annotations
@@ -39,7 +38,8 @@ from scipy.linalg import eigh
 from scipy.linalg import expm  # noqa: F401
 from scipy.sparse.linalg import expm_multiply
 
-from .kernels import KernelEvaluator
+from .coupling import SQRT2
+from .kernels import KernelEvaluator, gaussian_1d
 from .mesh import DofTable
 from .operators import (
     DomainSpec,
@@ -49,12 +49,16 @@ from .operators import (
     solve,
 )
 from .permutations import Statistics, group_sum, group_table, permutation_ranks, sort_descending
-from .quadrature import sector_rule
+from .quadrature import box_rule, sector_rule
 
 
 @dataclass
 class PropagationQuad:
-    """Sector-panel quadrature plan for propagation integrals."""
+    """Quadrature plan for propagation integrals: ``cells`` panels across
+    [lo, hi], ``order`` Gauss points per panel and axis.  ``rule`` covers
+    the descending sector of [lo, hi]^n; ``pair_rule`` covers the
+    rectangle that bounds its n = 2 part in u = (x_1 - x_2)/sqrt2 and
+    c = (x_1 + x_2)/sqrt2 with panels of the same width."""
 
     lo: float
     hi: float
@@ -63,6 +67,13 @@ class PropagationQuad:
 
     def rule(self, n: int):
         return sector_rule(self.lo, self.hi, n, self.cells, self.order)
+
+    def pair_rule(self):
+        """(u, wu, c, wc); the rotation has unit Jacobian, so the grid's
+        weights are wu_a wc_b."""
+        u, wu = box_rule([[0.0, (self.hi - self.lo) / SQRT2]], self.cells, self.order)
+        c, wc = box_rule([[SQRT2 * self.lo, SQRT2 * self.hi]], 2 * self.cells, self.order)
+        return u[:, 0], wu, c[:, 0], wc
 
 
 #: Targets per kernel evaluation in the quadrature routes; the kernel
@@ -85,40 +96,26 @@ def _integrate_rule(kernel: KernelEvaluator, targets: np.ndarray, pts: np.ndarra
     return out
 
 
-def _relative_order(pts: np.ndarray) -> np.ndarray:
-    """Stable order of the points by their relative coordinate x_1 - x_2."""
-    return np.argsort(pts[:, 0] - pts[:, 1], kind="stable")
+def _pair_points(u: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The (u, c) grid in x coordinates, x = ((c + u)/sqrt2, (c - u)/sqrt2),
+    as (u.size * c.size, 2) points with c running fastest."""
+    uu, cc = np.meshgrid(u, c, indexing="ij")
+    return np.stack([(cc + uu) / SQRT2, (cc - uu) / SQRT2], axis=-1).reshape(-1, 2)
 
 
-def _apply_on_rule(kernel: KernelEvaluator, pts: np.ndarray, weights: np.ndarray,
-                   tau: float) -> np.ndarray:
-    """sum_j K(pts_i, pts_j; tau) weights_j at every rule point, for a kernel
-    with K(x, y) = K(y, x).
+def _factored_stage(kernel: KernelEvaluator, u: np.ndarray, c: np.ndarray,
+                    weights: np.ndarray, tau: float) -> np.ndarray:
+    """sum_(a', b') K((u_a, c_b), (u_a', c_b'); tau) weights[a', b'] at every
+    point of the (u, c) grid, for a kernel G(c_x - c_y) k(u_x, u_y).
 
-    The points are taken in ``_relative_order``, so that a block of
-    ``TARGET_BLOCK`` rows holds few distinct x_1 - x_2 values (about 11
-    instead of 39 on the default 13,440-point rule) and a kernel that
-    tabulates its relative factor, as ``robin_pair_kernel`` does,
-    evaluates a small table.  Block ``pts[s:e]`` is then evaluated
-    against ``pts[s:]`` only: that slab gives the block's own rows, and
-    its part right of the diagonal block, transposed, gives the later
-    rows' share from this block.  Each unordered pair of blocks is
-    evaluated once; only the summation order differs from
-    ``_integrate_rule``.  As there, each block is dropped before the next
-    is evaluated.
+    The grid's kernel matrix is then R (x) G, so the sum is
+    R @ weights @ G^T.  R is the kernel on the u-line at c = 0 divided by
+    G(0); G is ``gaussian_1d`` of the c differences.
     """
-    order = _relative_order(pts)
-    pts, weights = pts[order], weights[order]
-    acc = np.zeros(pts.shape[0], dtype=float)
-    for start in range(0, pts.shape[0], TARGET_BLOCK):
-        end = start + TARGET_BLOCK
-        vals = np.asarray(kernel.evaluate(pts[start:end, None, :], pts[None, start:, :], tau))
-        acc[start:end] += vals @ weights[start:]
-        acc[end:] += weights[start:end] @ vals[:, TARGET_BLOCK:]
-        del vals
-    out = np.empty_like(acc)
-    out[order] = acc
-    return out
+    line = _pair_points(u, np.zeros(1))
+    rel = np.asarray(kernel.evaluate(line[:, None, :], line[None, :, :], tau))
+    rel = rel / gaussian_1d(0.0, tau)
+    return rel @ weights @ gaussian_1d(c[:, None] - c[None, :], tau).T
 
 
 def propagate_at(kernel: KernelEvaluator, psi0, tau: float, targets: np.ndarray,
@@ -184,19 +181,19 @@ def ground_state_projection_check(op: GridOperator, tau: float) -> dict:
 
 def two_stage_values(kernel: KernelEvaluator, psi0, tau1: float, tau2: float,
                      targets: np.ndarray, quad: PropagationQuad) -> np.ndarray:
-    """Propagate by tau1, then by tau2, through the sector quadrature.
-
-    Stage 1 is the rule-on-rule matrix K(pts, pts; tau1) applied to
-    wts * psi0(pts).  It is evaluated once per unordered pair of target
-    blocks (``_apply_on_rule``), which assumes the kernel symmetric in
-    its arguments, K(x, y) = K(y, x).  Stage 2 evaluates the targets
-    against the rule as ``propagate_at`` does.
-    """
-    if kernel.space != "sector":
-        raise ValueError("need a sector kernel")
-    pts, wts = quad.rule(kernel.n)
-    stage1 = _apply_on_rule(kernel, pts, wts * np.asarray(psi0(pts)), tau1)
-    return _integrate_rule(kernel, targets, pts, wts * stage1, tau2)
+    """Propagate by tau1, then by tau2, through the pair rule of ``quad``:
+    ``_factored_stage`` on wts * psi0 over the (u, c) grid, then the
+    targets against the grid as in ``propagate_at``.  Anything but a
+    two-particle sector kernel raises ValueError."""
+    if kernel.space != "sector" or kernel.n != 2:
+        raise ValueError(f"need a two-particle sector kernel, got a {kernel.space} "
+                         f"kernel with n = {kernel.n}")
+    u, wu, c, wc = quad.pair_rule()
+    grid = _pair_points(u, c)
+    wts = np.outer(wu, wc)
+    stage1 = _factored_stage(kernel, u, c, wts * np.asarray(psi0(grid)).reshape(wts.shape),
+                             tau1)
+    return _integrate_rule(kernel, targets, grid, (wts * stage1).ravel(), tau2)
 
 
 def _kernel_entries(op: GridOperator, t: float, rows: np.ndarray,

@@ -212,6 +212,53 @@ quad_order = 8
     assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
 
 
+#: direct, equivariant and route_deviation of ``propagate`` at schema
+#: defaults, by seed: values of the sector-rule routes, which the
+#: semigroup stage does not touch
+PROPAGATE_ROUTES = {
+    1: ([
+        0.43531251322601516, 0.4737125524142428, 0.467658040139293,
+        0.5263819656360776, 0.5252635665173488, 0.43913171293401787,
+    ], [
+        0.43531251322603265, 0.47371255241424703, 0.4676580401392802,
+        0.5263819656360957, 0.5252635665173502, 0.4391317129340077,
+    ], 3.437928440333657e-14),
+    2: ([
+        0.3078247892427024, 0.29794359239410073, 0.541820436661199,
+        0.5132076856343715, 0.41240980553614065, 0.5429270423122106,
+    ], [
+        0.3078247892426911, 0.29794359239410856, 0.5418204366612094,
+        0.5132076856343686, 0.4124098055361699, 0.5429270423122172,
+    ], 5.3882703234461703e-14),
+    3: ([
+        0.41800129889243715, 0.2880582090265854, 0.3123286357365797,
+        0.48154664661365826, 0.364656147706328, 0.43183481662279727,
+    ], [
+        0.4180012988924294, 0.2880582090265816, 0.31232863573659153,
+        0.48154664661364843, 0.3646561477063258, 0.43183481662278744,
+    ], 2.4553956081733728e-14),
+    7: ([
+        0.4774833877165966, 0.24317134225951972, 0.2932430285670669,
+        0.42671300303323934, 0.3524476560890851, 0.5396303540189582,
+    ], [
+        0.4774833877165876, 0.2431713422595097, 0.2932430285670708,
+        0.42671300303321763, 0.35244765608904777, 0.5396303540189719,
+    ], 6.923073266802191e-14),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PROPAGATE_ROUTES))
+def test_propagate_defaults_hold_the_semigroup_to_rounding(tmp_path, seed):
+    # the factored semigroup stage reads 2.7e-14 to 6.5e-14 at these seeds
+    cfg = write(tmp_path, "p.cfg", f"command = propagate\nn = 2\nseed = {seed}\n")
+    out = tmp_path / "prop"
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["semigroup_deviation"] <= 2e-13
+    routes = (report["direct"], report["equivariant"], report["route_deviation"])
+    assert routes == PROPAGATE_ROUTES[seed]
+
+
 def test_kernel_properties_run(tmp_path):
     cfg = write(tmp_path, "k.cfg", """
 command = kernel-properties

@@ -16,7 +16,6 @@ from contact_duality.kernels import (
     robin_pair_kernel,
 )
 from contact_duality.permutations import Statistics, group_table
-from contact_duality.propagation import _relative_order
 from contact_duality.quadrature import integrate_box, sector_rule
 
 
@@ -212,11 +211,11 @@ def test_pair_kernel_error_functions_see_distinct_relative_coordinates(monkeypat
 
 
 def test_pair_kernel_block_memory_is_about_its_output():
-    # One 64 x 13,440 block of the default rule in propagation order: the
+    # One 64 x 13,440 block of the default rule ordered by x1 - x2: the
     # slab path holds the output, the gathered k_rel rows and one slab, not
     # block-sized temporaries (four or five of them peaked at 28 MB).
     rule, _ = sector_rule(-7.0, 7.0, 2, 20, 8)
-    pts = rule[_relative_order(rule)]
+    pts = rule[np.argsort(rule[:, 0] - rule[:, 1], kind="stable")]
     pk = robin_pair_kernel(robin(-1.0))
     pk(pts[:64, None, :], pts[None, :, :], 0.2)
     tracemalloc.start()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh, expm
 
-from contact_duality.coupling import robin, uniform_model
+from contact_duality.coupling import dirichlet, neumann, robin, uniform_model
 from contact_duality.kernels import (
     dual_pair_from_sector,
     free_kernel,
@@ -22,10 +22,10 @@ from contact_duality.permutations import Statistics
 from contact_duality.propagation import (
     TARGET_BLOCK,
     PropagationQuad,
-    _apply_on_rule,
+    _factored_stage,
     _integrate_rule,
     _kernel_entries,
-    _relative_order,
+    _pair_points,
     ground_state_projection_check,
     propagate_at,
     propagate_equivariant,
@@ -80,45 +80,46 @@ def test_semigroup_property():
     assert np.max(np.abs(one - two)) / np.max(np.abs(one)) < 1e-7
 
 
-@pytest.mark.parametrize("kernel", [robin_pair_kernel(robin(-1.0)),
-                                    permutation_sum(free_kernel(2), Statistics.BOSE)],
-                         ids=["pair", "free_bose"])
-@pytest.mark.parametrize("cells, order, size", [
-    (2, 4, 48),    # smaller than one block
-    (3, 8, 384),   # six whole blocks
-    (6, 6, 756),   # eleven blocks and a partial one
-])
-def test_symmetric_stage_matches_the_rectangular_one(kernel, cells, order, size):
-    # the rule-on-rule stage evaluates each unordered block pair once; it
-    # must equal evaluating every target block against the whole rule
-    assert TARGET_BLOCK == 64
-    pts, wts = PropagationQuad(-6.0, 6.0, cells, order).rule(2)
-    assert pts.shape[0] == size
-    weights = wts * gaussian_profile([1.0, -1.0])(pts)
-    rect = _integrate_rule(kernel, pts, pts, weights, 0.2)
-    sym = _apply_on_rule(kernel, pts, weights, 0.2)
-    assert np.max(np.abs(sym - rect)) <= 1e-14 * np.max(np.abs(rect))
+@pytest.mark.parametrize("kernel", [
+    robin_pair_kernel(robin(-1.0)),
+    robin_pair_kernel(robin(1.0)),
+    robin_pair_kernel(dirichlet()),
+    robin_pair_kernel(neumann()),
+    permutation_sum(free_kernel(2), Statistics.BOSE),
+    permutation_sum(free_kernel(2), Statistics.FERMI),
+], ids=["robin-1", "robin+1", "dirichlet", "neumann", "free_bose", "free_fermi"])
+@pytest.mark.parametrize("cells, order", [(2, 4), (3, 8), (6, 6)])
+def test_factored_stage_matches_the_brute_force_one(kernel, cells, order):
+    # R @ W @ G^T on the (u, c) grid equals evaluating the kernel between
+    # every pair of its points
+    u, wu, c, wc = PropagationQuad(-6.0, 6.0, cells, order).pair_rule()
+    assert (u.size, c.size) == (cells * order, 2 * cells * order)
+    grid = _pair_points(u, c)
+    weights = np.outer(wu, wc) * gaussian_profile([1.0, -1.0])(grid).reshape(u.size, c.size)
+    brute = _integrate_rule(kernel, grid, grid, weights.ravel(), 0.2)
+    factored = _factored_stage(kernel, u, c, weights, 0.2).ravel()
+    assert np.max(np.abs(factored - brute)) <= 1e-14 * np.max(np.abs(brute))
 
 
-def test_relative_order_groups_the_default_rule():
-    # the rule-on-rule stage takes the default propagate rule by x1 - x2;
-    # its blocks then hold few distinct relative coordinates (39.3 on
-    # average in the rule's own order)
-    pts, _ = PropagationQuad(-7.0, 7.0, 20, 8).rule(2)
-    assert pts.shape[0] == 13440
-    rel = (pts[:, 0] - pts[:, 1])[_relative_order(pts)]
-    counts = [np.unique(rel[s:s + TARGET_BLOCK]).size
-              for s in range(0, rel.size, TARGET_BLOCK)]
-    assert np.mean(counts) <= 16
+@pytest.mark.parametrize("kernel", [free_kernel(2),
+                                    permutation_sum(free_kernel(3), Statistics.BOSE)],
+                         ids=["full_space", "three_particles"])
+def test_two_stage_values_refuses_all_but_a_pair_sector_kernel(kernel):
+    quad = PropagationQuad(-6.0, 6.0, 2, 4)
+    targets = np.zeros((1, kernel.n))
+    with pytest.raises(ValueError, match=f"n = {kernel.n}"):
+        two_stage_values(kernel, gaussian_profile([0.0] * kernel.n), 0.2, 0.2,
+                         targets, quad)
 
 
 def test_rule_routes_keep_their_kernel_evaluations():
     # The benchmark's tracer times kernel evaluation by wrapping
     # ``kernel.evaluate``; these are its calls and points on the default
-    # rule.  Stage 1 is 210 blocks of 64 rule points against the points
-    # from the block on, sum_k 64 (13,440 - 64 k) = 90,746,880 points;
-    # stage 2 and ``propagate_at`` are one 6-target block each, 80,640
-    # points.  Work moved out of ``evaluate`` would change these counts.
+    # rule.  Stage 1 is the 160 x 160 relative matrix, 25,600 points;
+    # stage 2 is one 6-target block against the 160 x 320 pair grid,
+    # 307,200 points, and ``propagate_at`` one against the 13,440-point
+    # sector rule, 80,640.  Work moved out of ``evaluate`` would change
+    # these counts.
     calls, points = [], []
     pk = robin_pair_kernel(robin(-1.0))
 
@@ -134,7 +135,7 @@ def test_rule_routes_keep_their_kernel_evaluations():
                         [0.1, 0.0], [-0.2, -1.5], [1.1, 0.9]])
     psi0 = gaussian_profile([1.0, -1.0])
     two_stage_values(kernel, psi0, 0.2, 0.2, targets, quad)
-    assert (len(calls), sum(points)) == (211, 90_746_880 + 80_640)
+    assert (len(calls), sum(points)) == (2, 160**2 + 6 * 51_200)
     calls.clear()
     points.clear()
     propagate_at(kernel, psi0, 0.4, targets, quad)
@@ -178,8 +179,9 @@ def traced_peak(call):
 
 
 def test_two_stage_values_hold_one_kernel_block():
-    # each 64 x 13,440 block of the default rule is dropped before the
-    # next is evaluated; holding two peaked at 16.1 MiB
+    # the factored first stage holds no kernel block; the second stage's
+    # 2 x 51,200 targets-by-grid block stays below one 64 x 13,440 block
+    # of the default sector rule
     psi0 = gaussian_profile([1.0, -1.0])
     targets = np.array([[1.2, -0.8], [0.6, -1.4]])
     quad = PropagationQuad(-7.0, 7.0, 20, 8)
@@ -188,7 +190,7 @@ def test_two_stage_values_hold_one_kernel_block():
     kernel = robin_pair_kernel(robin(-1.0))
     peak = traced_peak(lambda: two_stage_values(kernel, psi0, 0.2, 0.2, targets, quad))
     assert points == 13_440
-    assert peak < 1.5 * block, (peak, block)
+    assert peak < 1.0 * block, (peak, block)
 
 
 def test_real_time_check_frees_its_dense_copies():
