@@ -56,5 +56,5 @@ from .operators import (  # noqa: E402, F401
     build_sector,
     solve,
 )
-from .permutations import Permutation, Statistics  # noqa: E402, F401
+from .permutations import Statistics  # noqa: E402, F401
 from .spectra import duality_report, scale_invariance_report  # noqa: E402, F401

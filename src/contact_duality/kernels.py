@@ -15,14 +15,11 @@ The correction term reduces to the image sums in the Dirichlet
 (a -> 0) and Neumann (1/a -> 0) limits and carries the bound state for
 a < 0 through its e^{gamma^2 tau / 2} growth.  The Neumann face is this
 formula at gamma = 0, where the correction is exactly zero; only the
-Dirichlet face keeps a closed form of its own, the image difference.  Its erfcx/erfc calls are
-most of the pair kernel's cost, so when the point axes of the targets
-all come before those of the rule (targets against a rule) k_rel is
-tabulated over the distinct relative coordinates of each side, one
-table row per distinct target value is gathered over the rule, and the
-output is filled in cache-sized row slabs: the center-of-mass Gaussian
-in place, times the gathered rows.  Equal floats give equal values and the Gaussian runs
-one operation sequence on both paths, so the result is bitwise the
+Dirichlet face keeps a closed form of its own, the image difference.
+Its erfcx/erfc calls are most of the pair kernel's cost, so when the
+targets and the rule share no point axis (targets against a rule) k_rel
+is tabulated over the distinct relative coordinates of each side and
+gathered; equal floats give equal values, so the result is bitwise the
 direct evaluation: no key is rounded and nothing is cached between
 calls.
 
@@ -185,43 +182,21 @@ def relative_half_line_kernel(entry: BoundaryCoupling):
     return kernel, derivative
 
 
-#: Values per slab of the tabulated pair kernel: 512 KiB of doubles, well
-#: inside a per-core L2 cache of 1-2 MiB, so each slab stays in cache
-#: through its Gaussian and its product.  Of 8K to 1M values, 64K was the
-#: fastest on a 2-vCPU Xeon with 2 MiB of L2 per core (README, "Row slabs").
-SLAB_VALUES = 1 << 16
-
-
-def _x_leads(shape_x, shape_y, ndim) -> bool:
-    """Whether the point axes of x all come before those of y in the
-    broadcast of the two shapes; False for the reverse order and for
-    axes that meet or interleave.  Both shapes must hold more than one
-    point."""
-    axes_x = [i for i, s in enumerate(shape_x, ndim - len(shape_x)) if s > 1]
-    axes_y = [i for i, s in enumerate(shape_y, ndim - len(shape_y)) if s > 1]
-    return axes_x[-1] < axes_y[0]
-
-
 def robin_pair_kernel(entry: BoundaryCoupling) -> KernelEvaluator:
     """Two-body sector kernel: free center of mass times the half-line
     relative kernel satisfying the face condition of ``entry`` (robin,
     dirichlet or neumann).
 
-    When x and y both hold more than one point and the point axes of x
-    all come before those of y in their broadcast (the (b, 1, 2) x
-    (1, M, 2) blocks of propagation), the result is an outer product:
-    rows follow x, columns y.  k_rel is then evaluated once on the table
-    of distinct relative coordinates, u_x by u_y, and one row of it per
-    distinct u_x is gathered over the y points.  The output is filled in
-    row slabs of about ``SLAB_VALUES`` values, each in place: the
-    center-of-mass difference, ``_gaussian_in_place``, and the product
-    with the slab rows' k_rel rows.  k_rel acts elementwise and
-    np.unique merges only equal floats (and +0.0 with -0.0, which k_rel
-    does not tell apart), so the table holds exactly the values the
-    direct evaluation computes, and the Gaussian runs the same
-    operations as ``gaussian_1d``: the result is bitwise the direct
-    path's.  Single points, pairwise (N, 2) x (N, 2) inputs, y-leading
-    and interleaved axes take the direct path, with no sort.
+    The result is G(c_x - c_y) k_rel(u_x, u_y) with G = gaussian_1d,
+    computed in place in the output.  When x and y both hold more than
+    one point and share no point axis (an outer product in any axis
+    order, such as the (b, 1, 2) x (1, M, 2) blocks of propagation),
+    k_rel is evaluated once on the table of distinct relative
+    coordinates, u_x by u_y, and gathered over the broadcast.  k_rel
+    acts elementwise and np.unique merges only equal floats (and +0.0
+    with -0.0, which k_rel does not tell apart), so the result is
+    bitwise the unfactored formula's.  Single points, pairwise
+    (N, 2) x (N, 2) inputs and shared axes are evaluated elementwise.
     """
     k_rel, dk_rel = relative_half_line_kernel(entry)
 
@@ -234,22 +209,17 @@ def robin_pair_kernel(entry: BoundaryCoupling) -> KernelEvaluator:
     def evaluate(x, y, tau):
         ux, cx = split(x)
         uy, cy = split(y)
-        shape = np.broadcast_shapes(ux.shape, uy.shape)
-        if ux.size <= 1 or uy.size <= 1 or not _x_leads(ux.shape, uy.shape, len(shape)):
-            return gaussian_1d(cx - cy, tau) * k_rel(ux, uy, tau)
-        vx, ix = np.unique(ux, return_inverse=True)
-        vy, iy = np.unique(uy, return_inverse=True)
-        rows = k_rel(vx[:, None], vy[None, :], tau).take(iy.ravel(), axis=1)
-        row_of, cx, cy = ix.ravel(), cx.ravel(), cy.ravel()
-        out = np.empty((cx.size, cy.size))
-        height = max(1, SLAB_VALUES // cy.size)
-        for start in range(0, cx.size, height):
-            stop = start + height
-            slab = out[start:stop]
-            np.subtract(cx[start:stop, None], cy, out=slab)
-            _gaussian_in_place(slab, tau)
-            slab *= rows[row_of[start:stop]]
-        return out.reshape(shape)
+        out = np.subtract(cx, cy)
+        if min(ux.size, uy.size) > 1 and ux.size * uy.size == out.size:
+            vx, ix = np.unique(ux, return_inverse=True)
+            vy, iy = np.unique(uy, return_inverse=True)
+            rel = k_rel(vx[:, None], vy[None, :], tau)[ix.reshape(ux.shape),
+                                                      iy.reshape(uy.shape)]
+        else:
+            rel = k_rel(ux, uy, tau)
+        _gaussian_in_place(out, tau)
+        out *= rel
+        return out
 
     def face_residual(y, tau):
         """Robin face operator applied analytically at u = 0 (1/a = 0

@@ -88,7 +88,7 @@ from .permutations import permutation_ranks, sort_descending
 
 # Assembly calls neither of these here.  Both stay importable on this
 # module because the benchmark's tracer (perfbench/tracing.py) wraps them
-# here by name; ROADMAP item 7 drops them with that patching.
+# here by name; ROADMAP item 3, the benchmark repair, drops them.
 from .mesh import length_pattern_groups, sector_element_mask  # noqa: F401
 
 #: Minimum cells per axis so each face keeps a few interior layers.

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import eigh
 # Nothing here calls expm.  It stays importable on this module because
 # the benchmark's tracer (perfbench/tracing.py) wraps it here by name;
-# ROADMAP item 7 drops it with that patching.
+# ROADMAP item 3, the benchmark repair, drops it.
 from scipy.linalg import expm  # noqa: F401
 from scipy.sparse.linalg import expm_multiply
 

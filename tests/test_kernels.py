@@ -16,6 +16,7 @@ from contact_duality.kernels import (
     robin_pair_kernel,
 )
 from contact_duality.permutations import Statistics, group_table
+from contact_duality.propagation import PropagationQuad, _pair_points
 from contact_duality.quadrature import integrate_box, sector_rule
 
 
@@ -150,7 +151,15 @@ def _count_error_function_arguments(monkeypatch):
     return seen
 
 
-def _assert_slab_path_is_bitwise_direct(pk, targets, pts, tau):
+def _unfactored(entry, x, y, tau):
+    """The pair kernel as its defining formula, evaluated elementwise."""
+    k_rel, _ = relative_half_line_kernel(entry)
+    cx = (x[..., 0] + x[..., 1]) / SQRT2
+    cy = (y[..., 0] + y[..., 1]) / SQRT2
+    return gaussian_1d(cx - cy, tau) * k_rel(_relative(x), _relative(y), tau)
+
+
+def _assert_table_is_bitwise_direct(pk, targets, pts, tau):
     """Targets against points, in both orientations, equal the direct
     one-target-at-a-time evaluation bit for bit."""
     table = pk(targets[:, None, :], pts[None, :, :], tau)
@@ -165,11 +174,11 @@ def _assert_slab_path_is_bitwise_direct(pk, targets, pts, tau):
 
 def test_pair_kernel_table_is_bitwise_the_direct_path():
     # Targets against a point set (the propagation broadcast) tabulate the
-    # relative factor over distinct relative coordinates and fill the
-    # output in row slabs; one target at a time evaluates it directly.
-    # Equal floats give equal values and both paths run one Gaussian, so
-    # the two agree bit for bit, in both orientations, on the face u = 0
-    # and where the attractive correction takes its erfc branch
+    # relative factor over distinct relative coordinates; one target at a
+    # time evaluates it directly.  Equal floats give equal values and both
+    # paths run one Gaussian, so the two agree bit for bit, in both
+    # orientations and with interleaved point axes, on the face u = 0 and
+    # where the attractive correction takes its erfc branch
     # (w + gamma tau < 0) at every tau.
     rule, _ = sector_rule(-7.0, 7.0, 2, 20, 8)
     face = np.stack([np.linspace(-2.0, 2.0, 5)] * 2, axis=-1)
@@ -181,20 +190,16 @@ def test_pair_kernel_table_is_bitwise_the_direct_path():
     for tau in taus:
         assert attractive + tau / (SQRT2 * -1.0) < 0
     entries = (robin(1.0), robin(-1.0), robin(0.05), robin(-0.05), dirichlet(), neumann())
+    # (3, 1, 4, 1, 2) x (1, 5, 1, 6, 2): the point axes of x and y alternate
+    x = np.concatenate([face, near, rule[::1000]])[:12].reshape(3, 1, 4, 1, 2)
+    y = np.concatenate([near, face, rule[5::500]])[:30].reshape(1, 5, 1, 6, 2)
     for entry in entries:
         pk = robin_pair_kernel(entry)
         for tau in taus:
-            _assert_slab_path_is_bitwise_direct(pk, targets, pts, tau)
-    # Slab edges: with these columns a slab holds 65 rows, so the row
-    # counts below end inside, at the end of and past the first slab.
-    columns = pts[-(kernels.SLAB_VALUES // 65):]
-    assert kernels.SLAB_VALUES // columns.shape[0] == 65
-    pool = np.concatenate([face, near, rule[::100]])[:130]
-    for entry in entries:
-        pk = robin_pair_kernel(entry)
-        for tau in taus:
-            for rows in (1, 63, 64, 65, 130):
-                _assert_slab_path_is_bitwise_direct(pk, pool[:rows], columns, tau)
+            _assert_table_is_bitwise_direct(pk, targets, pts, tau)
+            interleaved = pk(x, y, tau)
+            assert interleaved.shape == (3, 5, 4, 6)
+            assert np.array_equal(interleaved, _unfactored(entry, x, y, tau)), (pk.label, tau)
 
 
 @pytest.mark.parametrize("a", [1.0, -1.0])
@@ -211,38 +216,44 @@ def test_pair_kernel_error_functions_see_distinct_relative_coordinates(monkeypat
 
 
 def test_pair_kernel_block_memory_is_about_its_output():
-    # One 64 x 13,440 block of the default rule ordered by x1 - x2: the
-    # slab path holds the output, the gathered k_rel rows and one slab, not
-    # block-sized temporaries (four or five of them peaked at 28 MB).
+    # A block of the propagate op, 6 targets against the 51,200-point pair
+    # grid, and a 64 x 13,440 block of the default rule ordered by x1 - x2:
+    # the table path holds the output, the gathered k_rel values and
+    # point-sized temporaries, not a chain of block-sized ones (four or five
+    # of them peaked at 28 MB for the 64-row block).
+    u, _, c, _ = PropagationQuad(-7.0, 7.0, 20, 8).pair_rule()
+    targets = np.array([[1.3, -0.3], [0.5, -1.2], [2.0, 1.0],
+                        [0.1, 0.0], [-0.2, -1.5], [1.1, 0.9]])
     rule, _ = sector_rule(-7.0, 7.0, 2, 20, 8)
-    pts = rule[np.argsort(rule[:, 0] - rule[:, 1], kind="stable")]
+    rule = rule[np.argsort(rule[:, 0] - rule[:, 1], kind="stable")]
     pk = robin_pair_kernel(robin(-1.0))
-    pk(pts[:64, None, :], pts[None, :, :], 0.2)
-    tracemalloc.start()
-    try:
-        out = pk(pts[:64, None, :], pts[None, :, :], 0.2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert out.shape == (64, 13440)
-    assert peak <= 1.5 * out.nbytes, (peak, out.nbytes)
+    for targets, pts in ((targets, _pair_points(u, c)), (rule[:64], rule)):
+        pk(targets[:, None, :], pts[None, :, :], 0.2)
+        tracemalloc.start()
+        try:
+            out = pk(targets[:, None, :], pts[None, :, :], 0.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (targets.shape[0], pts.shape[0])
+        assert peak <= 3.0 * out.nbytes, (peak, out.nbytes)
 
 
 def test_pair_kernel_pairwise_points_stay_elementwise(monkeypatch):
-    # (N, 2) x (N, 2) pairs each x with its own y: no table, one special
-    # function argument per pair, and the unfactored formula bit for bit.
+    # (N, 2) x (N, 2) pairs each x with its own y, and (5, 1, 2) x (5, 9, 2)
+    # shares the leading axis: no table, one special function argument per
+    # output value, and the unfactored formula bit for bit.
     rng = np.random.default_rng(11)
-    x = -np.sort(-rng.uniform(-2.0, 2.0, size=(40, 2)), axis=-1)
-    y = -np.sort(-rng.uniform(-2.0, 2.0, size=(40, 2)), axis=-1)
-    k_rel, _ = relative_half_line_kernel(robin(-1.0))
-    cx = (x[:, 0] + x[:, 1]) / SQRT2
-    cy = (y[:, 0] + y[:, 1]) / SQRT2
-    formula = gaussian_1d(cx - cy, 0.4) * k_rel(_relative(x), _relative(y), 0.4)
-    seen = _count_error_function_arguments(monkeypatch)
-    values = robin_pair_kernel(robin(-1.0))(x, y, 0.4)
-    assert sum(seen) == 40
-    assert values.shape == (40,)
-    assert np.array_equal(values, formula)
+    for shape_x, shape_y in (((40, 2), (40, 2)), ((5, 1, 2), (5, 9, 2))):
+        x = -np.sort(-rng.uniform(-2.0, 2.0, size=shape_x), axis=-1)
+        y = -np.sort(-rng.uniform(-2.0, 2.0, size=shape_y), axis=-1)
+        formula = _unfactored(robin(-1.0), x, y, 0.4)
+        with monkeypatch.context() as patch:
+            seen = _count_error_function_arguments(patch)
+            values = robin_pair_kernel(robin(-1.0))(x, y, 0.4)
+        assert sum(seen) == formula.size
+        assert values.shape == formula.shape == np.broadcast_shapes(shape_x, shape_y)[:-1]
+        assert np.array_equal(values, formula)
 
 
 def test_permutation_sum_face_values():
