@@ -19,11 +19,13 @@ of elements is one array: the cells (E, n) and, per row, an index into
 the (n!, n) table of ``insertion_orders``, which is the image table of
 ``permutations.group_table`` (``element_array``).  The per-element
 helpers take one order per row, or one order for all rows.  Vertex
-index tuples are ranked through ``DofTable``.
+index tuples are ranked through ``DofTable``, and ordered for
+elimination by ``dissection_order``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 
@@ -186,6 +188,79 @@ def length_pattern_groups(cells: np.ndarray, widths: np.ndarray):
     for g in range(uniq.shape[0]):
         rows = np.nonzero(inverse == g)[0]
         yield w[rows[0]], rows
+
+
+#: Segments of at most this many dofs are not split further.
+DISSECTION_LEAF = 16
+
+#: Least share of a segment's dofs each side of its separator keeps.
+DISSECTION_SHARE = 0.35
+
+
+def dissection_order(dofs: np.ndarray) -> np.ndarray:
+    """Nested-dissection elimination order of dofs from their lattice tuples.
+
+    Every stored entry of an operator joins dofs one axis step apart or
+    at the same vertex, so along c . x with c in {+-1}^n the value
+    changes by at most one per entry, and each plane c . x = s separates
+    the dofs below it from those above it.  Each segment (at first all
+    dofs) is split at the plane with the fewest dofs that leaves at
+    least ``DISSECTION_SHARE`` of the segment on both sides; c_1 = +1,
+    since c and -c give the same planes.  A segment of at most
+    ``DISSECTION_LEAF`` dofs, or with no such plane, is a leaf.  The
+    order is the post-order of the dissection tree: both halves, then
+    their separator, each leaf and separator in dof order.  Entry i is
+    the dof eliminated i-th.
+
+    All segments of one tree level are split together.  Each segment
+    histograms each direction over its own range of values, so the
+    histograms of a level hold as many bins as the segments span.
+    """
+    x = np.asarray(dofs, dtype=np.int64)
+    dim, n = x.shape
+    signs = np.array([(1, *rest) for rest in itertools.product((1, -1), repeat=n - 1)])
+    proj = x @ signs.T  # (dim, directions)
+    directions = signs.shape[0]
+    order = np.empty(dim, dtype=np.int64)
+    # the dofs of the open segments, segment after segment, and per
+    # segment its size and the first position of the order it fills
+    active, sizes, starts = np.arange(dim), np.array([dim]), np.array([0])
+    while active.size:
+        first = np.cumsum(sizes) - sizes
+        values = np.take(proj, active, axis=0)
+        low = np.minimum.reduceat(values, first, axis=0)
+        spans = np.maximum.reduceat(values, first, axis=0) - low + 1
+        base = np.cumsum(spans).reshape(spans.shape) - spans  # first bin per direction
+        bins = values + np.repeat(base - low, sizes, axis=0)
+        hist = np.bincount(bins.ravel(), minlength=int(spans.sum()))
+        # per bin: its segment's size and the dofs below and above it
+        total = np.repeat(sizes, spans.sum(axis=1))
+        below = np.cumsum(hist) - hist
+        below -= np.repeat(below[base.ravel()], spans.ravel())
+        above = total - below - hist
+        fit = (np.minimum(below, above) >= DISSECTION_SHARE * total) & (total > DISSECTION_LEAF)
+        # the first of each segment's smallest planes that fit
+        key = np.where(fit, hist, dim + 1) * hist.size + np.arange(hist.size)
+        best = np.minimum.reduceat(key, base[:, 0])
+        split, pick = best < (dim + 1) * hist.size, best % hist.size
+        plane = (np.searchsorted(base.ravel(), pick, side="right") - 1) % directions
+        # side 0 below the plane, 1 above it, 2 on it or in a leaf
+        height = np.take(bins, np.arange(active.size) * directions + np.repeat(plane, sizes))
+        height = (height - np.repeat(pick, sizes)) * np.repeat(split, sizes)
+        side = 2 - 2 * (height < 0).view(np.int8) - (height > 0).view(np.int8)
+        n_below, n_above = below[pick] * split, above[pick] * split
+        n_done = sizes - n_below - n_above
+        # every segment's dofs below, then above, then the rest, each in
+        # segment order; the rest take the end of their segment's span
+        moved = np.take(active, np.argsort(side, kind="stable"))
+        kept = int(np.sum(n_below + n_above))
+        done_first = np.cumsum(n_done) - n_done
+        order[np.repeat(starts + n_below + n_above - done_first, n_done)
+              + np.arange(moved.size - kept)] = moved[kept:]
+        active = moved[:kept]
+        sizes = np.concatenate([n_below[split], n_above[split]])
+        starts = np.concatenate([starts[split], (starts + n_below)[split]])
+    return order
 
 
 def insertion_orders(n: int) -> np.ndarray:

@@ -74,6 +74,7 @@ from .errors import (
 from .mesh import (
     DofTable,
     all_cells,
+    dissection_order,
     element_array,
     insertion_orders,
     local_matrices,
@@ -467,9 +468,10 @@ class SpectrumResult:
     ``rejected_cut`` holds the cut, its count and the reason it failed
     when the fallback ran after one.  ``factors`` and
     ``opinv_applications`` count the LU factors of this operator the
-    solve made and the Lanczos solves with them (a coarse grid's solve
-    counts its own).  Eigenvalues ascend, in the order ``_lanczos``
-    sorts them into.
+    solve made and the Lanczos solves with them, and ``fill`` sums the
+    nonzeros of L + U over those factors, as SuperLU counts them (a
+    coarse grid's solve counts its own).  Eigenvalues ascend, in the
+    order ``_lanczos`` sorts them into.
     """
 
     eigenvalues: np.ndarray
@@ -494,18 +496,25 @@ def gershgorin_shift(a: sparse.csr_matrix) -> float:
 
 
 def _factor(a: sparse.csr_matrix, shift: float):
-    """LU factor of a - shift I under a symmetric fill-reducing ordering.
+    """LU factor of a - shift I in the order of ``a``'s rows.
 
-    Diagonal pivoting keeps the row permutation equal to the column one,
-    so the factor is P (a - shift I) P^T = L U and U's diagonal carries
-    the inertia.  None if the factor is singular.
+    ``solve`` hands in the operator permuted into its nested-dissection
+    order (``mesh.dissection_order``), and SuperLU eliminates in that
+    order.  Diagonal pivoting keeps the row permutation equal to the
+    column one, so the factor is P (a - shift I) P^T = L U and U's
+    diagonal carries the inertia.  None if the factor is singular.
     """
     shifted = (a - shift * sparse.identity(a.shape[0], format="csr")).tocsc()
     try:
-        return splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+        return splu(shifted, permc_spec="NATURAL", diag_pivot_thresh=0,
                     options={"SymmetricMode": True})
     except RuntimeError:
         return None
+
+
+def _fill(lu) -> int:
+    """Nonzeros in L + U as SuperLU counts them; 0 for no factor."""
+    return 0 if lu is None else lu.nnz
 
 
 def _negative_pivots(lu) -> int | None:
@@ -531,7 +540,9 @@ def inertia_count(a: sparse.csr_matrix, shift: float) -> int | None:
 
     Sylvester's law of inertia on the symmetric LU factor of
     a - shift I: the count of negative pivots.  None when the factor is
-    singular or its pivoting was not a symmetric permutation.
+    singular or its pivoting was not a symmetric permutation.  The factor
+    eliminates in the order of ``a``'s rows (``_factor``), so its fill
+    and cost depend on that order, but the count does not.
     """
     return _negative_pivots(_factor(a, shift))
 
@@ -577,7 +588,8 @@ def _cut_attempt(a: sparse.csr_matrix, k: int, cut: float, v0: np.ndarray) -> di
     """
     lu = _factor(a, cut)
     count = _negative_pivots(lu)
-    out = {"cut": cut, "below_cut": count, "factors": 1, "opinv_applications": 0}
+    out = {"cut": cut, "below_cut": count, "factors": 1, "fill": _fill(lu),
+           "opinv_applications": 0}
     if count is None or not k <= count <= min(k + EXTRA_LEVELS, a.shape[0] - 1):
         out["reason"] = "count"
         return out
@@ -607,7 +619,7 @@ def _fallback_attempt(a: sparse.csr_matrix, k: int, v0: np.ndarray) -> dict:
     shift = gershgorin_shift(a)
     lu = _factor(a, shift)
     out = {"shift": shift, "below_shift": _negative_pivots(lu), "factors": 1,
-           "opinv_applications": 0}
+           "fill": _fill(lu), "opinv_applications": 0}
     if out["below_shift"] != 0:
         out["reason"] = "count"
         return out
@@ -619,8 +631,9 @@ def _fallback_attempt(a: sparse.csr_matrix, k: int, v0: np.ndarray) -> dict:
     top = float(np.max(pairs[0]))
     out["top_shift"] = top + max(10.0 * float(np.max(pairs[2])),
                                  1e-9 * max(1.0, abs(top)))
-    out["below_top"] = inertia_count(a, out["top_shift"])
-    out["factors"] = 2
+    lu = _factor(a, out["top_shift"])
+    out["below_top"] = _negative_pivots(lu)
+    out["factors"], out["fill"] = 2, out["fill"] + _fill(lu)
     if out["below_top"] == k:
         out["pairs"] = pairs
     else:
@@ -712,14 +725,21 @@ def solve(op: GridOperator, k: int, seed: int = 0, cut: float = None,
     count above the k-th eigenvalue (``_fallback_attempt``).
     NotConverged carries the counts of every attempt when that fails
     too.  Residual norms ||A v - lambda v|| are reported per pair.
+
+    Every factor, count, Lanczos run and Gershgorin shift of the solve
+    works on A and the start vector permuted once into the
+    nested-dissection order of ``op``'s dofs (``mesh.dissection_order``);
+    the eigenvectors come back in dof order.
     """
-    a = op.matrix
-    dim = a.shape[0]
+    dim = op.dimension
     if not 1 <= k < dim:
         raise LevelsOutOfRange(f"need 1 <= k < dimension, got k={k}, dim={dim}")
     if cut is None:
         cut = _coarse_cut(op, k, seed)
-    v0 = _start_vector(op, k, seed, coarse)
+    order = dissection_order(op.dofs)
+    a = op.matrix[order][:, order]
+    a.sort_indices()  # canonical, so that no later call sorts it in place
+    v0 = _start_vector(op, k, seed, coarse)[order]
     rejected = None
     found = None if cut is None else _cut_attempt(a, k, float(cut), v0)
     if found is None or "pairs" not in found:
@@ -729,7 +749,9 @@ def solve(op: GridOperator, k: int, seed: int = 0, cut: float = None,
             raise NotConverged("no cut or shift gave a certified lowest-k spectrum",
                                diagnostics={"k": k, "attempts": attempts})
     vals, vecs, residuals = found.pop("pairs")
-    node_vectors = vecs / np.sqrt(op.mass)[:, None]
+    node_vectors = np.empty_like(vecs)
+    node_vectors[order] = vecs
+    node_vectors /= np.sqrt(op.mass)[:, None]
     # fix an overall sign deterministically
     for i in range(node_vectors.shape[1]):
         j = int(np.argmax(np.abs(node_vectors[:, i])))
@@ -737,7 +759,7 @@ def solve(op: GridOperator, k: int, seed: int = 0, cut: float = None,
             node_vectors[:, i] *= -1
     # both attempts' work on this operator
     work = {key: found.pop(key) + (rejected.pop(key) if rejected else 0)
-            for key in ("factors", "opinv_applications")}
+            for key in ("factors", "fill", "opinv_applications")}
     certificate = {"path": "cut" if "cut" in found else "fallback",
                    **dict.fromkeys(("cut", "below_cut", "shift", "top_shift",
                                     "below_shift", "below_top")),

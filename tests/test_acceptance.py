@@ -149,6 +149,18 @@ def test_criterion_2_triple_isospectrality(run2_reports, announce):
     assert ok
 
 
+def test_finest_n3_rungs_factor_in_dissection_order(run2_reports):
+    # the 48-cell n=3 rungs' one factor each, read from the certificates;
+    # the bounds lie below SuperLU's own MMD_AT_PLUS_A fill, 4.45M and 4.64M
+    for key in (("n3", "a-1"), ("n3", "a+1"), ("n3", "mixed")):
+        finest = run2_reports[key]["levels"][-1]
+        assert finest["points"] == 48
+        certs = finest["certificates"]
+        assert [certs[form]["factors"] for form in FORMULATIONS] == [1, 1, 1]
+        assert certs["sector"]["fill"] < 3.5e6
+        assert certs["delta_bose"]["fill"] < 3.7e6
+
+
 def test_criterion_3_girardeau_limit(announce):
     length = math.pi
     dom = DomainSpec(n=2, length=length, points=96)

@@ -6,11 +6,21 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from contact_duality.coupling import neumann, robin, uniform_model
+from contact_duality.coupling import (
+    CouplingModel,
+    dirichlet,
+    neumann,
+    robin,
+    scale_invariant,
+    uniform_model,
+)
 from contact_duality.mesh import (
+    DISSECTION_LEAF,
+    DISSECTION_SHARE,
     DofTable,
     _vertex_offsets,
     all_cells,
+    dissection_order,
     element_array,
     insertion_orders,
     local_matrices,
@@ -256,3 +266,86 @@ def test_dof_table_ranks_match_itertools():
                                       [rank[tuple(t)] for t in wanted.tolist()])
         with pytest.raises(KeyError):
             table.rank(np.arange(n)[None, :])  # ascending: not in the table
+
+
+# every builder and face kind, reduced and unreduced, n = 2..4
+STENCIL_OPERATORS = [
+    (build_sector, DomainSpec(n=2, length=6.0, points=8), uniform_model(2, robin(-1.0)), True),
+    (build_sector, DomainSpec(n=2, length=6.0, points=8), uniform_model(2, dirichlet()), True),
+    (build_sector, DomainSpec(n=3, length=6.0, points=7),
+     CouplingModel((neumann(), robin(-2.0))), True),
+    (build_sector, DomainSpec(n=4, length=4.0, points=6), uniform_model(4, scale_invariant(1.0)),
+     True),
+    (build_delta_bose, DomainSpec(n=2, length=6.0, points=8), uniform_model(2, neumann()), True),
+    (build_delta_bose, DomainSpec(n=2, length=6.0, points=8), uniform_model(2, robin(1.0)),
+     False),
+    (build_delta_bose, DomainSpec(n=3, length=6.0, points=6),
+     CouplingModel((scale_invariant(1.0), robin(-1.0))), False),
+    (build_delta_bose, DomainSpec(n=4, length=4.0, points=6),
+     CouplingModel((robin(-1.0), scale_invariant(1.0), neumann())), True),
+    (build_epsilon_fermi, DomainSpec(n=2, length=6.0, points=8), uniform_model(2, dirichlet()),
+     True),
+    (build_epsilon_fermi, DomainSpec(n=2, length=6.0, points=8), uniform_model(2, robin(-1.0)),
+     False),
+    (build_epsilon_fermi, DomainSpec(n=3, length=6.0, points=6),
+     CouplingModel((dirichlet(), robin(-1.0))), False),
+    (build_epsilon_fermi, DomainSpec(n=3, length=6.0, points=6),
+     CouplingModel((robin(-1.0), scale_invariant(1.0))), False),
+    (build_epsilon_fermi, DomainSpec(n=4, length=4.0, points=6), uniform_model(4, robin(-1.0)),
+     False),
+]
+
+
+def _build(build, dom, model, reduced):
+    return build(dom, model) if reduced else build(dom, model, reduced=False)
+
+
+@pytest.mark.parametrize("build, dom, model, reduced", STENCIL_OPERATORS)
+def test_stored_entries_join_lattice_neighbours(build, dom, model, reduced):
+    # the premise of the dissection order: an off-diagonal entry joins
+    # tuples one unit step apart on one axis, or equal tuples, which only
+    # the cracked mesh has: its jump terms, across two regions
+    op = _build(build, dom, model, reduced)
+    coo = op.matrix.tocoo()
+    off = coo.row != coo.col
+    step = np.abs(op.dofs[coo.row[off]] - op.dofs[coo.col[off]])
+    one_step = (step.sum(axis=1) == 1) & (step.max(axis=1) == 1)
+    equal = step.sum(axis=1) == 0
+    assert np.all(one_step | equal)
+    cracked = build is build_epsilon_fermi and not reduced
+    assert np.any(equal) == cracked
+    if cracked:
+        ranks = op.region_ranks
+        assert np.all(ranks[coo.row[off][equal]] != ranks[coo.col[off][equal]])
+
+
+def _reference_dissection_order(dofs) -> np.ndarray:
+    """``dissection_order`` one segment at a time, by direct counting."""
+    n = dofs.shape[1]
+    signs = [(1, *rest) for rest in itertools.product((1, -1), repeat=n - 1)]
+
+    def visit(idx):
+        best = None
+        for sign in signs if idx.size > DISSECTION_LEAF else ():
+            v = dofs[idx] @ np.array(sign)
+            for s in range(v.min(), v.max() + 1):
+                below, on = np.sum(v < s), np.sum(v == s)
+                if (min(below, idx.size - below - on) >= DISSECTION_SHARE * idx.size
+                        and (best is None or on < best[0])):
+                    best = (on, v, s)
+        if best is None:
+            return list(idx)
+        _, v, s = best
+        return visit(idx[v < s]) + visit(idx[v > s]) + list(idx[v == s])
+
+    return np.array(visit(np.arange(dofs.shape[0])))
+
+
+@pytest.mark.parametrize("build, dom, model, reduced", STENCIL_OPERATORS[::3])
+def test_dissection_order_is_a_repeatable_permutation(build, dom, model, reduced):
+    op = _build(build, dom, model, reduced)
+    order = dissection_order(op.dofs)
+    np.testing.assert_array_equal(np.sort(order), np.arange(op.dimension))
+    np.testing.assert_array_equal(dissection_order(op.dofs), order)
+    np.testing.assert_array_equal(order, _reference_dissection_order(op.dofs))
+

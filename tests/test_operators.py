@@ -18,7 +18,7 @@ from contact_duality.coupling import (
     uniform_model,
 )
 from contact_duality.errors import GridTooCoarse, NotConverged, UnsupportedCoupling
-from contact_duality.mesh import DofTable
+from contact_duality.mesh import DofTable, dissection_order
 from contact_duality.operators import (
     DomainSpec,
     GridOperator,
@@ -325,10 +325,14 @@ def test_inertia_counts_match_dense_spectrum(build, dom, model):
     assert fields(cert, "path", "factors", "cut", "rejected_cut") == ("fallback", 2, None, None)
     assert cert["below_shift"] == np.count_nonzero(dense < cert["shift"]) == 0
     assert cert["below_top"] == np.count_nonzero(dense < cert["top_shift"]) == k
-    # between every pair of neighbouring levels, and beyond them
+    # between every pair of neighbouring levels, and beyond them, in dof
+    # order and in the dissection order every solve factors in
+    order = dissection_order(op.dofs)
+    ordered = op.matrix[order][:, order]
     probes = np.concatenate([[dense[0] - 1.0], 0.5 * (dense[:12] + dense[1:13])])
     for probe in probes:
-        assert inertia_count(op.matrix, probe) == np.count_nonzero(dense < probe)
+        for a in (op.matrix, ordered):
+            assert inertia_count(a, probe) == np.count_nonzero(dense < probe)
 
 
 @pytest.mark.parametrize("build, dom, model", SMALL_OPERATORS)
@@ -339,14 +343,16 @@ def test_inertia_count_empties_the_cached_factor_copies(build, dom, model):
     op = build(dom, model)
     dense = np.linalg.eigvalsh(op.matrix.toarray())
     cut = 0.5 * (dense[3] + dense[4])
-    untouched, lu = operators._factor(op.matrix, cut), operators._factor(op.matrix, cut)
-    assert operators._negative_pivots(lu) == 4
-    for copy in (lu.L, lu.U):
-        assert copy.shape == op.matrix.shape
-        assert copy.nnz == copy.data.size == copy.indices.size == 0
-        assert not np.any(copy.indptr)
-    rhs = np.random.default_rng(1).uniform(-1.0, 1.0, size=(op.dimension, 3))
-    assert np.array_equal(lu.solve(rhs), untouched.solve(rhs))
+    order = dissection_order(op.dofs)
+    for a in (op.matrix, op.matrix[order][:, order]):
+        untouched, lu = operators._factor(a, cut), operators._factor(a, cut)
+        assert operators._negative_pivots(lu) == 4
+        for copy in (lu.L, lu.U):
+            assert copy.shape == op.matrix.shape
+            assert copy.nnz == copy.data.size == copy.indices.size == 0
+            assert not np.any(copy.indptr)
+        rhs = np.random.default_rng(1).uniform(-1.0, 1.0, size=(op.dimension, 3))
+        assert np.array_equal(lu.solve(rhs), untouched.solve(rhs))
 
 
 @pytest.mark.parametrize("build, dom, model", SMALL_OPERATORS)
