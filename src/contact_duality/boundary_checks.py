@@ -96,6 +96,12 @@ def robin_residual(fn: MeshFunction, j: int) -> float:
     return float(np.max(res)) / scale
 
 
+def taylor_weights(u: np.ndarray) -> np.ndarray:
+    """Inverse Vandermonde of the offsets ``u``: row m maps samples at ``u``
+    to the m-th Taylor coefficient at 0 of the polynomial through them."""
+    return np.linalg.inv(np.vander(u, u.size, increasing=True))
+
+
 def one_sided_face_values(evaluate, plane_points: np.ndarray, j: int, u: np.ndarray,
                           sign: float):
     """Value and pair derivative (d/dx_j - d/dx_{j+1}) at the plane
@@ -113,10 +119,9 @@ def one_sided_face_values(evaluate, plane_points: np.ndarray, j: int, u: np.ndar
     direction[j] = -0.5
     samples = np.stack([evaluate(plane_points + sign * uk * direction[None, :])
                         for uk in u], axis=1)  # (M, len(u))
-    # rows 0 and 1 of the inverse Vandermonde (columns 1, u, u^2, ...)
-    # give the interpolant's value and d/du at 0; the pair derivative is
-    # 2 d/du
-    wv, wd = np.linalg.inv(np.vander(u, u.size, increasing=True))[:2]
+    # rows 0 and 1 give the interpolant's value and d/du at 0; the pair
+    # derivative is 2 d/du
+    wv, wd = taylor_weights(u)[:2]
     return samples @ wv, 2.0 * sign * (samples @ wd)
 
 

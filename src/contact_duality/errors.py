@@ -38,7 +38,7 @@ class NotConverged(ContactDualityError):
 
 
 class LevelsOutOfRange(ContactDualityError, ValueError):
-    """Eigenpair count outside 1 .. operator dimension - 1."""
+    """Eigenpair count outside 1 .. operator dimension - 2."""
 
 
 class ConfigError(ContactDualityError):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_checks import connection_residual, one_sided_face_values
+from .boundary_checks import connection_residual, one_sided_face_values, taylor_weights
 from .errors import UnsupportedN
 from .kernels import KernelEvaluator, permutation_sum
 from .permutations import Statistics, group_table, sort_descending
@@ -58,9 +58,11 @@ TAUS = (0.25, 0.35)
 #: Pair-separation step of the one-sided face stencils; the heat-equation
 #: stencils step by half of it.
 FD_STEP = 0.012
+#: Offsets, in steps, of the centred seven-point heat-equation stencils.
+HEAT_OFFSETS = np.arange(-3.0, 4.0)
 #: Largest time the residual suites evaluate a kernel at: the top time
 #: step of the heat-equation stencil at sum(TAUS).
-SUITE_TAU_MAX = sum(TAUS) * (1.0 + FD_STEP)
+SUITE_TAU_MAX = sum(TAUS) * (1.0 + HEAT_OFFSETS[-1] * 0.5 * FD_STEP)
 
 
 @dataclass
@@ -221,33 +223,31 @@ def initial_condition_intercept(kernel: KernelEvaluator, x, spec: SamplingSpec):
 
 
 def heat_equation_residual(kernel: KernelEvaluator, x, y, tau: float) -> float:
-    """|d/dtau K - (1/2) Laplacian_x K| via fourth-order stencils,
+    """|d/dtau K - (1/2) Laplacian_x K| via sixth-order centred stencils,
     relative to the larger of the two sides.
 
-    The stencils step by half of ``FD_STEP`` (relative to tau in time):
-    at the full step their truncation error alone reaches a few
-    1e-6 at some sample points, and halving it cuts that 16-fold.
+    The stencils sample at ``HEAT_OFFSETS`` steps of half of ``FD_STEP``
+    (relative to tau in time), weighted by rows 1 and 2 of their inverse
+    Vandermonde (``taylor_weights``).  Sixth order, since d/dtau K can be
+    a small fraction of K / tau, where fourth order's truncation error
+    reaches several 1e-6 of it.
     """
-    n = kernel.n
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     dx = 0.5 * FD_STEP
     dt = dx * tau
+    _, slope, half_curvature = taylor_weights(HEAT_OFFSETS)[:3]
+    centre = _value(kernel, x, y, tau)
 
-    def k_at(xx, tt):
-        return _value(kernel, xx, y, tt)
+    def samples(at):
+        return np.array([centre if u == 0 else at(u) for u in HEAT_OFFSETS])
 
-    dtau = (-k_at(x, tau + 2 * dt) + 8 * k_at(x, tau + dt)
-            - 8 * k_at(x, tau - dt) + k_at(x, tau - 2 * dt)) / (12 * dt)
-    lap = 0.0
-    for axis in range(n):
-        e = np.zeros(n)
-        e[axis] = dx
-        lap += (-k_at(x + 2 * e, tau) + 16 * k_at(x + e, tau) - 30 * k_at(x, tau)
-                + 16 * k_at(x - e, tau) - k_at(x - 2 * e, tau)) / (12 * dx * dx)
+    dtau = slope @ samples(lambda u: _value(kernel, x, y, tau + u * dt)) / dt
+    lap = sum(2.0 * half_curvature @ samples(lambda u: _value(kernel, x + u * e, y, tau))
+              for e in dx * np.eye(kernel.n)) / (dx * dx)
     lhs = dtau - 0.5 * lap
     scale = max(abs(dtau), abs(0.5 * lap), 1e-300)
-    return abs(lhs) / scale
+    return float(abs(lhs) / scale)
 
 
 def verify_assumptions(kernel: KernelEvaluator, spec: SamplingSpec) -> dict:

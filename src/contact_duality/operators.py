@@ -106,6 +106,10 @@ COARSENING = 4
 #: then certifies every level below the cut and returns the lowest k.
 EXTRA_LEVELS = 2
 
+#: ARPACK tolerance of the Gershgorin estimate, which only places a cut
+#: that ``_cut_attempt`` then certifies or refuses.
+ESTIMATE_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class DomainSpec:
@@ -456,22 +460,20 @@ def cached_build(formulation: str, dom: DomainSpec, model: CouplingModel) -> Gri
 class SpectrumResult:
     """Lowest eigenpairs of an operator with their inertia certificate.
 
-    ``certificate`` is a plain JSON dict that says which of the two paths
-    of ``solve`` ran.  On the ``"cut"`` path, ``cut`` lies above the k-th
-    eigenvalue, ``below_cut`` counts the eigenvalues below it by
-    Sylvester inertia (k to k + ``EXTRA_LEVELS``), and every one of them
-    was solved and lies below it by more than the residual norm of the
-    block.  On the ``"fallback"`` path, ``shift`` lies below the
-    Gershgorin bound and ``top_shift`` just above the highest reported
-    eigenvalue, and ``below_shift`` and ``below_top`` count the
-    eigenvalues below each: 0 and k.  The other path's entries are None.
-    ``rejected_cut`` holds the cut, its count and the reason it failed
-    when the fallback ran after one.  ``factors`` and
-    ``opinv_applications`` count the LU factors of this operator the
-    solve made and the Lanczos solves with them, and ``fill`` sums the
-    nonzeros of L + U over those factors, as SuperLU counts them (a
-    coarse grid's solve counts its own).  Eigenvalues ascend, in the
-    order ``_lanczos`` sorts them into.
+    ``certificate`` is a plain JSON dict with the same keys on every
+    solve.  ``cut`` lies above the k-th eigenvalue, ``below_cut`` counts
+    the eigenvalues below it by Sylvester inertia (k to
+    k + ``EXTRA_LEVELS``), and every one of them was solved and lies
+    below it by more than the residual norm of the block.  ``path`` says
+    where the cut came from: ``"cut"`` for the caller's or a coarser
+    grid's, ``"fallback"`` for the Gershgorin estimate, made at the
+    shift ``shift`` (None on the cut path).  ``rejected_cut`` holds the
+    cut, its count and the reason it failed when the estimate ran after
+    one.  ``factors`` and ``opinv_applications`` count the LU factors of
+    this operator the solve made and the Lanczos solves with them, and
+    ``fill`` sums the nonzeros of L + U over those factors, as SuperLU
+    counts them (a coarse grid's solve counts its own).  Eigenvalues
+    ascend, in the order ``_lanczos`` sorts them into.
     """
 
     eigenvalues: np.ndarray
@@ -488,9 +490,11 @@ class SpectrumResult:
 
 
 def gershgorin_shift(a: sparse.csr_matrix) -> float:
-    """A shift safely below the Gershgorin lower bound of ``a``."""
+    """A shift safely below the Gershgorin lower bound of ``a``, whose
+    arrays it leaves as they are (``abs(a)`` would sort their indices)."""
     diag = a.diagonal()
-    row_abs = np.asarray(abs(a).sum(axis=1)).ravel()
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    row_abs = np.bincount(rows, weights=np.abs(a.data), minlength=a.shape[0])
     lower = float(np.min(diag - (row_abs - np.abs(diag))))
     return lower - 0.1 * max(1.0, abs(lower))
 
@@ -518,8 +522,9 @@ def _fill(lu) -> int:
 
 
 def _negative_pivots(lu) -> int | None:
-    """Count of U's negative pivots, None for no factor or a nonsymmetric
-    permutation.
+    """Count of U's negative pivots, by Sylvester's law of inertia the
+    eigenvalues below the factor's shift; None for no factor or a
+    nonsymmetric permutation.
 
     Reading ``lu.U`` makes scipy cache CSC copies of L and U on the
     factor, about as large as the factor itself.  ``lu.solve`` reads
@@ -535,22 +540,11 @@ def _negative_pivots(lu) -> int | None:
     return count
 
 
-def inertia_count(a: sparse.csr_matrix, shift: float) -> int | None:
-    """Number of eigenvalues of symmetric ``a`` below ``shift``.
-
-    Sylvester's law of inertia on the symmetric LU factor of
-    a - shift I: the count of negative pivots.  None when the factor is
-    singular or its pivoting was not a symmetric permutation.  The factor
-    eliminates in the order of ``a``'s rows (``_factor``), so its fill
-    and cost depend on that order, but the count does not.
-    """
-    return _negative_pivots(_factor(a, shift))
-
-
-def _lanczos(a: sparse.csr_matrix, k: int, sigma: float, which: str, lu, v0):
-    """Shift-invert Lanczos at ``sigma`` through the factor ``lu``:
-    eigenvalues, eigenvectors and residual norms (None when ARPACK does
-    not converge), and the number of solves with the factor it made."""
+def _lanczos(a: sparse.csr_matrix, k: int, sigma: float, which: str, lu, v0, tol: float):
+    """Shift-invert Lanczos at ``sigma`` through the factor ``lu`` to
+    ARPACK's tolerance ``tol`` (0: machine precision): eigenvalues,
+    eigenvectors and residual norms (None when ARPACK does not converge),
+    and the number of solves with the factor it made."""
     applications = 0
 
     def apply(rhs):
@@ -560,13 +554,17 @@ def _lanczos(a: sparse.csr_matrix, k: int, sigma: float, which: str, lu, v0):
 
     opinv = LinearOperator(a.shape, matvec=apply, dtype=a.dtype)
     try:
-        vals, vecs = eigsh(a, k=k, sigma=sigma, which=which, v0=v0, tol=0, OPinv=opinv)
+        vals, vecs = eigsh(a, k=k, sigma=sigma, which=which, v0=v0, tol=tol, OPinv=opinv)
     except ArpackNoConvergence:
         return None, applications
     order = np.argsort(vals)
     vals, vecs = vals[order], vecs[:, order]
     residuals = np.linalg.norm(a @ vecs - vecs * vals[None, :], axis=0)
     return (vals, vecs, residuals), applications
+
+
+#: The work keys of an attempt, summed over a solve's attempts.
+_WORK = ("factors", "fill", "opinv_applications")
 
 
 def _cut_attempt(a: sparse.csr_matrix, k: int, cut: float, v0: np.ndarray) -> dict:
@@ -581,10 +579,10 @@ def _cut_attempt(a: sparse.csr_matrix, k: int, cut: float, v0: np.ndarray) -> di
     within r of the Ritz values, all below the cut, and the count says
     there are no others, so they are the lowest.  When the count is above
     k, the (k+1)-th Ritz value must also lie more than 2r above the k-th,
-    so that the lowest k split from the rest.  The returned dict holds
-    the count and the lowest k eigenpairs when certified, or the reason
-    it failed: ``"count"`` (out of range), ``"not converged"``,
-    ``"interval"`` or ``"split"``.
+    so that the lowest k split from the rest, wherever the cut came
+    from.  The returned dict holds the count and the lowest k eigenpairs
+    when certified, or the reason it failed: ``"count"`` (out of range),
+    ``"not converged"``, ``"interval"`` or ``"split"``.
     """
     lu = _factor(a, cut)
     count = _negative_pivots(lu)
@@ -593,7 +591,7 @@ def _cut_attempt(a: sparse.csr_matrix, k: int, cut: float, v0: np.ndarray) -> di
     if count is None or not k <= count <= min(k + EXTRA_LEVELS, a.shape[0] - 1):
         out["reason"] = "count"
         return out
-    pairs, out["opinv_applications"] = _lanczos(a, count, cut, "SA", lu, v0)
+    pairs, out["opinv_applications"] = _lanczos(a, count, cut, "SA", lu, v0, 0)
     if pairs is None:
         out["reason"] = "not converged"
         return out
@@ -608,36 +606,26 @@ def _cut_attempt(a: sparse.csr_matrix, k: int, cut: float, v0: np.ndarray) -> di
     return out
 
 
-def _fallback_attempt(a: sparse.csr_matrix, k: int, v0: np.ndarray) -> dict:
-    """The lowest k eigenpairs from two factors.
+def _gershgorin_cut(a: sparse.csr_matrix, k: int, v0: np.ndarray) -> dict:
+    """Cut and start vector for a k-level solve of ``a`` from an estimate
+    of its lowest k + 1 levels.
 
-    Lanczos runs at the Gershgorin shift, where the factor must count no
-    eigenvalue.  That factor is released before a second one, at a point
-    just above the highest eigenvalue found, must count exactly k.  The
-    returned dict holds the counts, and the eigenpairs when certified.
+    Lanczos runs for k + 1 levels to the loose ``ESTIMATE_TOL`` through
+    one factor at ``gershgorin_shift``, released on return.  The cut is
+    ``midpoint_cut`` of the estimates and the start vector the sum of the
+    lowest k estimated vectors.  No certificate rests on this factor, so
+    its inertia is never read.  The dict holds the ``shift``, the ``cut``
+    and ``start`` (None when Lanczos does not converge) and the factor's
+    work (``_WORK``).
     """
     shift = gershgorin_shift(a)
     lu = _factor(a, shift)
-    out = {"shift": shift, "below_shift": _negative_pivots(lu), "factors": 1,
-           "fill": _fill(lu), "opinv_applications": 0}
-    if out["below_shift"] != 0:
-        out["reason"] = "count"
-        return out
-    pairs, out["opinv_applications"] = _lanczos(a, k, shift, "LM", lu, v0)
-    del lu
-    if pairs is None:
-        out["reason"] = "not converged"
-        return out
-    top = float(np.max(pairs[0]))
-    out["top_shift"] = top + max(10.0 * float(np.max(pairs[2])),
-                                 1e-9 * max(1.0, abs(top)))
-    lu = _factor(a, out["top_shift"])
-    out["below_top"] = _negative_pivots(lu)
-    out["factors"], out["fill"] = 2, out["fill"] + _fill(lu)
-    if out["below_top"] == k:
-        out["pairs"] = pairs
-    else:
-        out["reason"] = "count"
+    pairs, applications = _lanczos(a, k + 1, shift, "LM", lu, v0, ESTIMATE_TOL)
+    out = {"shift": shift, "cut": None, "start": None, "factors": 1, "fill": _fill(lu),
+           "opinv_applications": applications}
+    if pairs is not None:
+        vals, vecs, _ = pairs
+        out["cut"], out["start"] = midpoint_cut(vals, k), np.sum(vecs[:, :k], axis=1)
     return out
 
 
@@ -692,7 +680,7 @@ def _coarse_cut(op: GridOperator, k: int, seed: int) -> float | None:
     The coarse grid has ``COARSENING`` times fewer cells per axis and is
     solved for k + 1 levels, taking its own cut from the next coarser
     grid in turn, as long as a grid keeps ``MIN_POINTS`` cells per axis
-    and more than k + 1 dofs.  None when there is no such grid or its
+    and at least k + 3 dofs.  None when there is no such grid or its
     solve fails.
     """
     points = op.dom.points // COARSENING
@@ -711,20 +699,20 @@ def solve(op: GridOperator, k: int, seed: int = 0, cut: float = None,
           coarse: SpectrumResult = None) -> SpectrumResult:
     """Lowest k eigenpairs of a grid operator, certified by inertia.
 
-    One LU factor of A - cut I, with ``cut`` above the k-th eigenvalue
-    and below the (k + ``EXTRA_LEVELS`` + 1)-th, gives both the inertia
-    count and the shift-invert Lanczos run (``_cut_attempt``).  Without
-    a cut from the caller, it is the midpoint of the k-th and (k+1)-th
-    levels of the same operator on a grid ``COARSENING`` times coarser.
-    Lanczos starts from the lowest k eigenvectors of ``coarse``, a solve
-    of the same formulation on a coarser lattice, prolonged onto this one
-    (``prolong``); without it, from a vector fixed by ``seed``.
-    When there is no cut, or the cut fails its certificate (a count out
-    of range, a Ritz value too close to it, or no convergence), the
-    solve falls back to Lanczos from the Gershgorin bound with a second
-    count above the k-th eigenvalue (``_fallback_attempt``).
-    NotConverged carries the counts of every attempt when that fails
-    too.  Residual norms ||A v - lambda v|| are reported per pair.
+    Every solve is certified by ``_cut_attempt``: one LU factor of
+    A - cut I, with the cut above the k-th eigenvalue and below the
+    (k + ``EXTRA_LEVELS`` + 1)-th, gives both the inertia count and the
+    shift-invert Lanczos run.  The cut comes from the caller or else from
+    the same operator on a grid ``COARSENING`` times coarser
+    (``_coarse_cut``).  Lanczos starts from the lowest k eigenvectors of
+    ``coarse``, a solve of the same formulation on a coarser lattice,
+    prolonged onto this one (``prolong``); without it, from a vector
+    fixed by ``seed``.  When there is no such cut or it fails its
+    certificate, a loose estimate from the Gershgorin bound places the
+    cut and the start vector (``_gershgorin_cut``).  It needs a (k+1)-th
+    level, so 1 <= k <= dimension - 2.  NotConverged carries every
+    attempt when its cut fails too.  Residual norms ||A v - lambda v||
+    are reported per pair.
 
     Every factor, count, Lanczos run and Gershgorin shift of the solve
     works on A and the start vector permuted once into the
@@ -732,22 +720,26 @@ def solve(op: GridOperator, k: int, seed: int = 0, cut: float = None,
     the eigenvectors come back in dof order.
     """
     dim = op.dimension
-    if not 1 <= k < dim:
-        raise LevelsOutOfRange(f"need 1 <= k < dimension, got k={k}, dim={dim}")
+    if not 1 <= k <= dim - 2:
+        raise LevelsOutOfRange(f"need 1 <= k <= dimension - 2, got k={k}, dim={dim}")
     if cut is None:
         cut = _coarse_cut(op, k, seed)
     order = dissection_order(op.dofs)
     a = op.matrix[order][:, order]
     a.sort_indices()  # canonical, so that no later call sorts it in place
     v0 = _start_vector(op, k, seed, coarse)[order]
-    rejected = None
-    found = None if cut is None else _cut_attempt(a, k, float(cut), v0)
-    if found is None or "pairs" not in found:
-        rejected, found = found, _fallback_attempt(a, k, v0)
-        if "pairs" not in found:
-            attempts = [attempt for attempt in (rejected, found) if attempt is not None]
-            raise NotConverged("no cut or shift gave a certified lowest-k spectrum",
-                               diagnostics={"k": k, "attempts": attempts})
+    attempts = [] if cut is None else [_cut_attempt(a, k, float(cut), v0)]
+    if not attempts or "pairs" not in attempts[0]:
+        estimate = _gershgorin_cut(a, k, v0)
+        attempt = {"cut": None, "below_cut": None, "reason": "not converged"}
+        if estimate["cut"] is not None:
+            attempt = _cut_attempt(a, k, estimate["cut"], estimate["start"])
+        attempts.append({**attempt, "shift": estimate["shift"],
+                         **{key: estimate[key] + attempt.get(key, 0) for key in _WORK}})
+    found = attempts[-1]
+    if "pairs" not in found:
+        raise NotConverged("no cut gave a certified lowest-k spectrum",
+                           diagnostics={"k": k, "attempts": attempts})
     vals, vecs, residuals = found.pop("pairs")
     node_vectors = np.empty_like(vecs)
     node_vectors[order] = vecs
@@ -757,12 +749,11 @@ def solve(op: GridOperator, k: int, seed: int = 0, cut: float = None,
         j = int(np.argmax(np.abs(node_vectors[:, i])))
         if node_vectors[j, i] < 0:
             node_vectors[:, i] *= -1
-    # both attempts' work on this operator
-    work = {key: found.pop(key) + (rejected.pop(key) if rejected else 0)
-            for key in ("factors", "fill", "opinv_applications")}
-    certificate = {"path": "cut" if "cut" in found else "fallback",
-                   **dict.fromkeys(("cut", "below_cut", "shift", "top_shift",
-                                    "below_shift", "below_top")),
-                   **found, **work, "rejected_cut": rejected}
+    # every attempt's work on this operator
+    work = {key: sum(attempt.pop(key) for attempt in attempts) for key in _WORK}
+    certificate = {"path": "fallback" if "shift" in found else "cut",
+                   "cut": found["cut"], "below_cut": found["below_cut"],
+                   "shift": found.get("shift"), **work,
+                   "rejected_cut": attempts[0] if len(attempts) > 1 else None}
     return SpectrumResult(eigenvalues=vals, residuals=residuals, operator=op,
                           vectors=node_vectors, certificate=certificate)

@@ -114,7 +114,7 @@ def _solve_formulations(dom: DomainSpec, model: CouplingModel, k: int, seed: int
     ops = {form: cached_build(form, dom, model) for form in ("sector", "delta_bose")}
     results = {}
     for form, op in ops.items():
-        wanted = k if levels is None else max(k, min(levels, op.dimension - 1))
+        wanted = k if levels is None else max(k, min(levels, op.dimension - 2))
         cut = None if cuts is None else cuts[form]
         start = None if coarse is None else coarse[form]
         results[form] = solve(op, wanted, seed=seed, cut=cut, coarse=start)
@@ -262,7 +262,7 @@ def scale_invariance_report(dom: DomainSpec, model: CouplingModel, dilation: flo
     break the scaling on purpose, take the cut ``solve`` finds itself:
     from a grid ``COARSENING`` times coarser when that grid keeps
     ``MIN_POINTS`` cells per axis (points >= 24); otherwise ``solve``
-    falls back to the Gershgorin shift.  ``control_model`` is the
+    takes it from the Gershgorin estimate.  ``control_model`` is the
     fixed-length control; a ``translation`` of None shifts the box by
     0.37 of its length.
     """

@@ -193,10 +193,10 @@ levels = 3
     assert rows[0] == "formulation,level,h,index,eigenvalue,residual"
     assert len(rows) == 4
     cert = json.loads((out / "report.json").read_text())["certificate"]
-    # 16 cells are too few for a coarser grid to cut the spectrum
-    assert (cert["path"], cert["cut"], cert["rejected_cut"]) == ("fallback", None, None)
-    assert (cert["below_shift"], cert["below_top"], cert["factors"]) == (0, 3, 2)
-    assert cert["shift"] < cert["top_shift"]
+    # 16 cells are too few for a coarser grid to cut the spectrum, so the
+    # Gershgorin estimate places the cut
+    assert (cert["path"], cert["below_cut"], cert["rejected_cut"]) == ("fallback", 3, None)
+    assert cert["factors"] == 2 and cert["shift"] < cert["cut"]
 
 
 def test_propagate_run(tmp_path):
@@ -327,7 +327,7 @@ def test_every_command_has_one_runner_and_one_schema():
         validate_config("command = nope\nn = 2\n")
 
 
-@pytest.mark.parametrize("seed", [19, 48])
+@pytest.mark.parametrize("seed", [19, 48, 3206])
 def test_kernel_properties_pair_heat_gate_at_hard_seeds(tmp_path, seed):
     # sample points where the heat-equation stencils used to exceed 1e-6
     cfg = write(tmp_path, "kph.cfg", f"""

@@ -28,7 +28,6 @@ from contact_duality.operators import (
     build_sector,
     content_hash,
     gershgorin_shift,
-    inertia_count,
     midpoint_cut,
     prolong,
     solve,
@@ -318,13 +317,13 @@ def test_inertia_counts_match_dense_spectrum(build, dom, model):
     op = build(dom, model)
     dense = np.linalg.eigvalsh(op.matrix.toarray())
     k = 4
-    # too few cells for a coarser grid: the Gershgorin path
+    # too few cells for a coarser grid: the Gershgorin estimate places the cut
     res = solve(op, k)
     cert = res.certificate
     np.testing.assert_allclose(res.eigenvalues, dense[:k], rtol=1e-10)
-    assert fields(cert, "path", "factors", "cut", "rejected_cut") == ("fallback", 2, None, None)
-    assert cert["below_shift"] == np.count_nonzero(dense < cert["shift"]) == 0
-    assert cert["below_top"] == np.count_nonzero(dense < cert["top_shift"]) == k
+    assert fields(cert, "path", "factors", "rejected_cut") == ("fallback", 2, None)
+    assert cert["below_cut"] == np.count_nonzero(dense < cert["cut"]) == k
+    assert cert["shift"] < dense[0]
     # between every pair of neighbouring levels, and beyond them, in dof
     # order and in the dissection order every solve factors in
     order = dissection_order(op.dofs)
@@ -332,7 +331,8 @@ def test_inertia_counts_match_dense_spectrum(build, dom, model):
     probes = np.concatenate([[dense[0] - 1.0], 0.5 * (dense[:12] + dense[1:13])])
     for probe in probes:
         for a in (op.matrix, ordered):
-            assert inertia_count(a, probe) == np.count_nonzero(dense < probe)
+            count = operators._negative_pivots(operators._factor(a, probe))
+            assert count == np.count_nonzero(dense < probe)
 
 
 @pytest.mark.parametrize("build, dom, model", SMALL_OPERATORS)
@@ -369,7 +369,7 @@ def test_cut_between_levels_certifies_from_one_factor(monkeypatch, build, dom, m
     assert cert["below_cut"] == np.count_nonzero(dense < cut) == k
     assert fields(cert, "path", "cut", "factors", "rejected_cut") == ("cut", cut, 1, None)
     assert np.max(res.eigenvalues) + np.linalg.norm(res.residuals) < cut
-    assert fields(cert, "shift", "top_shift", "below_shift", "below_top") == (None,) * 4
+    assert cert["shift"] is None
     # a cut between lambda_{k+1} and lambda_{k+2} counts one level more:
     # all k + 1 are solved and certified from the one factor, and the
     # lowest k are returned
@@ -382,10 +382,10 @@ def test_cut_between_levels_certifies_from_one_factor(monkeypatch, build, dom, m
     assert cert["below_cut"] == np.count_nonzero(dense < above) == k + 1
     assert fields(cert, "path", "cut", "factors", "rejected_cut") == ("cut", above, 1, None)
     assert dense[k] + np.linalg.norm(res.residuals) < above
-    assert fields(cert, "shift", "top_shift", "below_shift", "below_top") == (None,) * 4
+    assert cert["shift"] is None
     # a cut below lambda_k, or one that counts more levels than the cap,
-    # counts a number out of range, and the solve falls back to the
-    # Gershgorin path
+    # counts a number out of range, and the Gershgorin estimate places
+    # the cut instead
     cap = k + operators.EXTRA_LEVELS
     for wrong in (midpoint_cut(dense, k - 1), midpoint_cut(dense, cap + 1)):
         factors.clear()
@@ -394,10 +394,9 @@ def test_cut_between_levels_certifies_from_one_factor(monkeypatch, build, dom, m
         below = np.count_nonzero(dense < wrong)
         assert not k <= below <= cap
         assert cert["rejected_cut"] == {"cut": wrong, "below_cut": below, "reason": "count"}
-        assert fields(cert, "path", "cut", "below_cut") == ("fallback", None, None)
-        assert cert["shift"] == gershgorin_shift(op.matrix)
-        assert fields(cert, "below_shift", "below_top") == (0, k)
-        assert factors[0] == wrong and len(factors) == cert["factors"] == 3
+        assert fields(cert, "path", "below_cut") == ("fallback", k)
+        assert dense[k - 1] < cert["cut"] < dense[k] and cert["shift"] < dense[0]
+        assert factors == [wrong, cert["shift"], cert["cut"]] and cert["factors"] == 3
         np.testing.assert_allclose(res.eigenvalues, dense[:k], rtol=1e-10)
 
 
@@ -410,10 +409,11 @@ def test_shift_above_ground_level_is_rejected():
     retried = solve(op, 4, cut=bad)
     cert = retried.certificate
     assert cert["rejected_cut"] == {"cut": bad, "below_cut": 1, "reason": "count"}
-    assert cert["shift"] == plain.certificate["shift"] == gershgorin_shift(op.matrix)
+    # the same estimate places the same cut as without the bad one
+    assert fields(cert, "shift", "cut", "below_cut") == fields(
+        plain.certificate, "shift", "cut", "below_cut")
     assert cert["factors"] == plain.certificate["factors"] + 1 == 3
     np.testing.assert_allclose(retried.eigenvalues, plain.eigenvalues, rtol=1e-10)
-    assert fields(cert, "below_shift", "below_top") == (0, 4)
 
 
 @pytest.mark.parametrize("dom, model", [
@@ -423,17 +423,17 @@ def test_shift_above_ground_level_is_rejected():
 def test_ritz_value_within_its_residual_of_the_cut_fails_the_interval_test(
         monkeypatch, dom, model):
     # a cut counting 3 whose 3rd Ritz value lies within the residual norm
-    # of the block below it certifies nothing; the fallback returns the
-    # same levels.  A cut at the computed 3rd level hits this case only
-    # at some seeds, by rounding, so the cut attempt's residuals are
-    # widened to reach the midpoint cut instead
+    # of the block below it certifies nothing; the cut the Gershgorin
+    # estimate places returns the same levels.  A cut at the computed 3rd
+    # level hits this case only at some seeds, by rounding, so the cut
+    # attempt's residuals are widened to reach the midpoint cut instead
     op = build_sector(dom, model)
     dense = np.linalg.eigvalsh(op.matrix.toarray())
     cut = midpoint_cut(dense, 3)
     lanczos = operators._lanczos
 
-    def widened(a, k, sigma, which, lu, v0):
-        pairs, applications = lanczos(a, k, sigma, which, lu, v0)
+    def widened(a, k, sigma, which, lu, v0, tol):
+        pairs, applications = lanczos(a, k, sigma, which, lu, v0, tol)
         if sigma == cut:
             vals, vecs, residuals = pairs
             pairs = vals, vecs, np.full_like(residuals, cut - vals[-1])
@@ -443,7 +443,7 @@ def test_ritz_value_within_its_residual_of_the_cut_fails_the_interval_test(
     res = solve(op, 3, cut=cut)
     cert = res.certificate
     assert cert["rejected_cut"] == {"cut": cut, "below_cut": 3, "reason": "interval"}
-    assert fields(cert, "path", "below_shift", "below_top", "factors") == ("fallback", 0, 3, 3)
+    assert fields(cert, "path", "below_cut", "factors") == ("fallback", 3, 3)
     np.testing.assert_allclose(res.eigenvalues, dense[:3], rtol=1e-10)
 
 
@@ -463,13 +463,14 @@ def test_unconverged_cut_falls_back(monkeypatch):
 
     monkeypatch.setattr(operators, "eigsh", flaky)
     res = solve(op, k, cut=cut)
-    assert runs == ["SA", "LM"]
+    # the cut's run, the estimate's and the run at the estimate's cut
+    assert runs == ["SA", "LM", "SA"]
     cert = res.certificate
     assert cert["rejected_cut"] == {"cut": cut, "below_cut": k, "reason": "not converged"}
-    assert fields(cert, "below_shift", "below_top", "factors") == (0, k, 3)
+    assert fields(cert, "path", "below_cut", "factors") == ("fallback", k, 3)
     np.testing.assert_allclose(res.eigenvalues, dense[:k], rtol=1e-10)
 
-    # when the fallback does not converge either, every attempt is reported
+    # when the estimate does not converge either, every attempt is reported
     def failing(*args, **kwargs):
         raise ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
 
@@ -479,7 +480,8 @@ def test_unconverged_cut_falls_back(monkeypatch):
     attempts = err.value.diagnostics["attempts"]
     assert [a["reason"] for a in attempts] == ["not converged"] * 2
     assert fields(attempts[0], "cut", "below_cut") == (cut, k)
-    assert fields(attempts[1], "shift", "below_shift") == (gershgorin_shift(op.matrix), 0)
+    assert fields(attempts[1], "cut", "below_cut", "factors") == (None, None, 1)
+    assert attempts[1]["shift"] < dense[0]
 
 
 def test_seeded_and_gershgorin_shifts_agree(monkeypatch):
@@ -561,13 +563,14 @@ def test_seeded_shift_above_ground_level_falls_back_to_gershgorin(monkeypatch):
     k = 4
     plain = fallback_solve(monkeypatch, op, k)
     bad = 0.5 * (plain.eigenvalues[0] + plain.eigenvalues[1])
-    # the one coarse rung (N=16) cuts the fine spectrum above lambda_1 only
-    monkeypatch.setattr(operators, "midpoint_cut", lambda eigenvalues, k: bad)
+    # a coarse rung that cuts the fine spectrum above lambda_1 only
+    monkeypatch.setattr(operators, "_coarse_cut", lambda op, k, seed: bad)
     res = solve(op, k)
     cert = res.certificate
     assert cert["rejected_cut"] == {"cut": bad, "below_cut": 1, "reason": "count"}
-    assert fields(cert, "shift", "cut") == (gershgorin_shift(op.matrix), None)
-    assert fields(cert, "below_shift", "below_top", "factors") == (0, k, 3)
+    assert fields(cert, "path", "shift", "cut") == (
+        "fallback", plain.certificate["shift"], plain.certificate["cut"])
+    assert fields(cert, "below_cut", "factors") == (k, 3)
     np.testing.assert_allclose(res.eigenvalues, plain.eigenvalues, rtol=1e-10)
 
 
@@ -586,17 +589,18 @@ def test_failed_coarse_rung_leaves_the_gershgorin_solve(monkeypatch, error):
     monkeypatch.setattr(operators, "solve", failing)
     res = solve(op, k)
     cert = res.certificate
-    assert fields(cert, "shift", "cut", "rejected_cut") == (gershgorin_shift(op.matrix), None, None)
-    assert fields(cert, "below_shift", "below_top", "factors") == (0, k, 2)
+    assert fields(cert, "path", "shift", "cut", "rejected_cut") == (
+        "fallback", plain.certificate["shift"], plain.certificate["cut"], None)
+    assert fields(cert, "below_cut", "factors") == (k, 2)
     np.testing.assert_array_equal(res.eigenvalues, plain.eigenvalues)
 
 
 def test_coarse_grid_with_too_few_dofs_gives_no_seed():
     # the 6-cell coarse grid has 15 sector dofs, too few for 17 levels
+    # and the one more its own estimate needs
     op = build_sector(DomainSpec(n=2, length=10.0, points=24), uniform_model(2, robin(-1.0)))
     cert = solve(op, 16).certificate
-    assert fields(cert, "shift", "cut", "rejected_cut") == (gershgorin_shift(op.matrix), None, None)
-    assert fields(cert, "below_shift", "below_top") == (0, 16)
+    assert fields(cert, "path", "below_cut", "rejected_cut") == ("fallback", 16, None)
 
 
 def test_seeded_one_shot_solve_needs_few_fine_level_applications(monkeypatch):
@@ -629,8 +633,8 @@ def test_seeded_one_shot_solve_needs_few_fine_level_applications(monkeypatch):
 
 def test_degenerate_cut_fails_certificate():
     # a double eigenvalue at the k-th place leaves the lowest k ambiguous:
-    # no cut splits it, and the Gershgorin path counts 3 levels below the
-    # top, so the solve refuses
+    # no cut splits it, and the Gershgorin estimate's cut lands on the
+    # double level, so the solve refuses
     dom = DomainSpec(n=2, length=6.0, points=6)
     diag = np.array([1.0, 2.0, 2.0, 3.0, 4.0, 5.0])
     op = GridOperator(matrix=sparse.diags(diag).tocsr(), mass=np.ones(6),
@@ -644,10 +648,114 @@ def test_degenerate_cut_fails_certificate():
             solve(op, 2, cut=cut)
         attempts = err.value.diagnostics["attempts"]
         assert fields(attempts[0], "cut", "below_cut", "reason") == (cut, below, reason)
-        assert fields(attempts[1], "below_shift", "below_top", "reason") == (0, 3, "count")
+        assert fields(attempts[1], "reason", "factors") == ("count", 2)
+        assert attempts[1]["cut"] == pytest.approx(2.0)
     np.testing.assert_allclose(solve(op, 3).eigenvalues, [1.0, 2.0, 2.0], rtol=1e-14)
     certified = solve(op, 3, cut=2.5).certificate
     assert fields(certified, "cut", "below_cut", "factors") == (2.5, 3, 1)
+
+
+@pytest.mark.parametrize("build, dom, model", [
+    (build_sector, DomainSpec(n=2, length=10.0, points=16), uniform_model(2, robin(-1.0))),
+    (build_delta_bose, DomainSpec(n=3, length=6.0, points=12),
+     CouplingModel((robin(-1.0), robin(-2.0)))),
+])
+def test_gershgorin_estimate_places_a_certified_cut(build, dom, model):
+    # too few cells for a coarser grid: the estimate's cut splits the k-th
+    # level from the (k+1)-th, and one count there certifies the solve
+    op = build(dom, model)
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    k = 3
+    res = solve(op, k)
+    cert = res.certificate
+    assert fields(cert, "path", "factors", "below_cut") == ("fallback", 2, k)
+    assert dense[k - 1] < cert["cut"] < dense[k]
+    np.testing.assert_allclose(res.eigenvalues, dense[:k], rtol=1e-10)
+
+
+def test_every_path_reports_the_same_certificate_keys():
+    op = build_sector(DomainSpec(n=3, length=6.0, points=8),
+                      CouplingModel((robin(-1.0), robin(-2.0))))
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    k = 4
+    certs = [solve(op, k, cut=midpoint_cut(dense, k)).certificate, solve(op, k).certificate,
+             solve(op, k, cut=midpoint_cut(dense, 1)).certificate]
+    assert [cert["path"] for cert in certs] == ["cut", "fallback", "fallback"]
+    assert certs[2]["rejected_cut"] is not None
+    assert {tuple(cert) for cert in certs} == {(
+        "path", "cut", "below_cut", "shift", "factors", "fill", "opinv_applications",
+        "rejected_cut")}
+
+
+def test_misplaced_estimate_cut_is_refused(monkeypatch):
+    # the estimate only places a cut: one that counts a single level below
+    # it certifies nothing, with or without a cut before it
+    op = build_sector(DomainSpec(n=3, length=6.0, points=8),
+                      CouplingModel((robin(-1.0), robin(-2.0))))
+    dense = np.linalg.eigvalsh(op.matrix.toarray())
+    k = 4
+    wrong = midpoint_cut(dense, 1)
+    estimate = {"shift": dense[0] - 1.0, "cut": wrong, "start": None, "factors": 1,
+                "fill": 0, "opinv_applications": 0}
+    monkeypatch.setattr(operators, "_gershgorin_cut", lambda a, k, v0: dict(estimate))
+    for cut in (None, midpoint_cut(dense, k - 1)):
+        tried = [wrong] if cut is None else [cut, wrong]
+        with pytest.raises(NotConverged) as err:
+            solve(op, k, cut=cut)
+        attempts = err.value.diagnostics["attempts"]
+        assert [attempt["cut"] for attempt in attempts] == tried
+        assert [attempt["reason"] for attempt in attempts] == ["count"] * len(tried)
+        assert attempts[-1]["shift"] == estimate["shift"]
+        assert attempts[-1]["factors"] == 2
+
+
+def test_gershgorin_shift_leaves_a_noncanonical_matrix_alone():
+    op = build_sector(DomainSpec(n=2, length=6.0, points=12), uniform_model(2, robin(-1.0)))
+    a = op.matrix.copy()
+    # each row's entries reversed: the same matrix with unsorted indices
+    for row in range(a.shape[0]):
+        span = slice(a.indptr[row], a.indptr[row + 1])
+        a.indices[span], a.data[span] = a.indices[span][::-1].copy(), a.data[span][::-1].copy()
+    a.has_sorted_indices = False
+    before = [array.copy() for array in (a.indices, a.indptr, a.data)]
+    shift = gershgorin_shift(a)
+    assert not a.has_sorted_indices
+    for array, copy in zip((a.indices, a.indptr, a.data), before):
+        assert array.tobytes() == copy.tobytes()
+    assert shift == pytest.approx(gershgorin_shift(op.matrix), rel=1e-14)
+    assert shift < np.linalg.eigvalsh(op.matrix.toarray())[0]
+
+
+def test_fallback_holds_one_factor_at_a_time(monkeypatch):
+    # the estimate's factor is released before the cut's is made, and its
+    # L and U, which only a count reads, are never read
+    op = build_delta_bose(DomainSpec(n=3, length=6.0, points=12),
+                          CouplingModel((robin(-1.0), robin(-2.0))))
+    alive, peak, read = [0], [0], []
+
+    class TrackedFactor:
+        def __init__(self, lu, shift):
+            self.lu, self.shift = lu, shift
+            alive[0] += 1
+            peak[0] = max(peak[0], alive[0])
+
+        def __del__(self):
+            alive[0] -= 1
+
+        def __getattr__(self, name):
+            if name in ("L", "U"):
+                read.append(self.shift)
+            return getattr(self.lu, name)
+
+    def factor(a, shift):
+        return TrackedFactor(operators_factor(a, shift), shift)
+
+    operators_factor = operators._factor
+    monkeypatch.setattr(operators, "_factor", factor)
+    cert = solve(op, 3).certificate
+    assert fields(cert, "path", "factors") == ("fallback", 2)
+    assert (peak[0], alive[0]) == (1, 0)
+    assert read and set(read) == {cert["cut"]}
 
 
 def test_eigenvector_equivariance_through_extension():

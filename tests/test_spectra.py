@@ -118,8 +118,8 @@ def assert_certified(cert: dict, levels: int, extra: int = 0):
             levels + extra, 1, None)
         assert cert["cut"] is not None and cert["shift"] is None
     else:
-        assert cert["path"] == "fallback" and cert["cut"] is None
-        assert (cert["below_shift"], cert["below_top"]) == (0, levels)
+        assert cert["path"] == "fallback" and cert["shift"] < cert["cut"]
+        assert cert["below_cut"] == levels
         assert cert["factors"] == 2 + (cert["rejected_cut"] is not None)
 
 
@@ -244,13 +244,16 @@ def test_every_rung_of_a_three_body_ladder_holds_its_cut(monkeypatch):
 
 
 def test_duality_report_solves_no_more_levels_than_a_rung_has():
-    # the 6-cell sector operator has 15 dofs, so rung 0 solves 14 levels
-    # instead of k + 2 = 16 and the 12-cell rung gets no sector cut from it
+    # the 6-cell sector operator has 15 dofs, so rung 0 solves 13 levels,
+    # the most its estimate's one more level leaves, instead of k + 2 = 15,
+    # and the 12-cell rung gets no sector cut from it
     rep = duality_report(DomainSpec(n=2, length=6.0, points=6), uniform_model(2, robin(-1.0)),
-                         k=14, refinements=2, seed=0)
-    assert [len(lv["eigenvalues"]["sector"]) for lv in rep["levels"]] == [14, 14]
+                         k=13, refinements=2, seed=0)
+    assert [len(lv["eigenvalues"]["sector"]) for lv in rep["levels"]] == [13, 13]
     first = rep["levels"][0]["certificates"]
-    assert (first["sector"]["below_top"], first["delta_bose"]["below_top"]) == (14, 16)
+    assert (first["sector"]["below_cut"], first["delta_bose"]["below_cut"]) == (13, 15)
+    second = rep["levels"][1]["certificates"]["sector"]
+    assert (second["path"], second["rejected_cut"]) == ("fallback", None)
 
 
 def test_reports_never_build_the_epsilon_operator(monkeypatch):
