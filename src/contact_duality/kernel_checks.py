@@ -205,7 +205,8 @@ def initial_condition_intercept(kernel: KernelEvaluator, x, spec: SamplingSpec):
 
     def probe(y):
         d = np.asarray(y) - x[None, :]
-        return np.exp(-np.sum(d * d, axis=-1) / (2.0 * w * w))
+        # column by column: bitwise np.sum below 8 columns, and faster
+        return np.exp(-sum(d[..., i] * d[..., i] for i in range(d.shape[-1])) / (2.0 * w * w))
 
     ladder = []
     for tau in spec.initial_taus():

@@ -2,12 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy import sparse
-from scipy.sparse.linalg import splu
+from scipy.linalg import expm
 
 from contact_duality.coupling import SQRT2, dirichlet, neumann, robin
 from contact_duality.errors import ContactDualityError, UnsupportedN
-from contact_duality.heat_solver import evolve_half_line, pair_kernel_pde_gate
+from contact_duality import heat_solver
+from contact_duality.heat_solver import GATE_WIDTH, evolve_half_line, pair_kernel_pde_gate
 from contact_duality import kernel_checks
 from contact_duality.kernel_checks import (
     SamplingSpec,
@@ -79,10 +79,10 @@ def test_pair_kernel_properties():
 
 
 def test_pair_kernel_pde_gate():
-    # strong attraction (|a| < 1) refines the gate's mesh with 1/|a|; at
-    # a = -0.1 the bound state's growth also sets the mesh and the step
-    # count (about 6 s on its own)
-    for a in (-1.0, 1.0, -0.3, -0.5, -0.1):
+    # strong attraction (|a| < 1) refines the gate's mesh with 1/|a|, and
+    # below a = -0.12 the bound state's growth sets it; the evolution is
+    # exact in time, so each reading is the mesh error alone
+    for a in (-1.0, 1.0, -0.3, -0.5, -0.1, -0.05):
         assert pair_kernel_pde_gate(robin(a)) < 1e-6
 
 
@@ -91,50 +91,65 @@ def test_pde_gate_limits():
     assert pair_kernel_pde_gate(neumann()) < 1e-6
 
 
-def _splu_evolve(w0, width, gamma, tau_span, steps):
-    """Reference Crank-Nicolson stepping: the finite-volume system as
-    sparse matrices, a SuperLU factor and a CSR right-hand side."""
-    points = w0.size if gamma is not None else w0.size + 1
-    h = width / points
-    size = w0.size
-    diag = np.full(size, 2.0 / h)
-    mass = np.full(size, h)
-    if gamma is not None:
-        diag[0] = 1.0 / h + gamma
-        mass[0] = h / 2.0
-    off = np.full(size - 1, -1.0 / h)
-    stiff = 0.5 * sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
-    dt = tau_span / steps
-    m = sparse.diags(mass)
-    lu = splu((m + (dt / 2.0) * stiff).tocsc())
-    rhs = (m - (dt / 2.0) * stiff).tocsr()
-    w = w0.copy()
-    for _ in range(steps):
-        w = lu.solve(rhs @ w)
-    return w
+HALF_LINE_FACES = [robin(1.0), robin(-1.0), dirichlet(), neumann(), robin(-0.1)]
 
 
-@pytest.mark.parametrize("entry", [robin(1.0), robin(-1.0), dirichlet(), neumann()])
-def test_tridiagonal_stepping_matches_splu_reference(entry):
+def _half_line_profile(entry, points):
+    """The gate's profile at tau = 0.25 on `points` cells of GATE_WIDTH,
+    with the face's gamma (None for Dirichlet)."""
     kernel, _ = relative_half_line_kernel(entry)
-    width, points = 24.0, 20000
-    h = width / points
+    h = GATE_WIDTH / points
     if entry.kind == "dirichlet":
         gamma, grid = None, np.arange(1, points) * h
     else:
         gamma = 0.0 if entry.kind == "neumann" else 1.0 / (SQRT2 * entry.value)
         grid = np.arange(0, points) * h
-    w0 = kernel(grid, np.full_like(grid, 0.8), 0.25)
-    got = evolve_half_line(w0, width, gamma, 0.025, 200)
-    ref = _splu_evolve(w0, width, gamma, 0.025, 200)
+    return kernel(grid, np.full_like(grid, 0.8), 0.25), gamma
+
+
+@pytest.mark.parametrize("entry", HALF_LINE_FACES)
+def test_half_line_exponential_matches_dense_expm(entry):
+    # reference: the finite-volume system as dense matrices, evolved by
+    # scipy's expm of -tau M^-1 K
+    points, span = 600, 0.25
+    w0, gamma = _half_line_profile(entry, points)
+    h = GATE_WIDTH / points
+    mass = np.full(w0.size, h)
+    stiff = np.diag(np.full(w0.size, 1.0 / h)) - np.diag(np.full(w0.size - 1, 0.5 / h), 1)
+    stiff = stiff + np.triu(stiff, 1).T
+    if gamma is not None:
+        mass[0] = h / 2.0
+        stiff[0, 0] = 0.5 * (1.0 / h + gamma)
+    ref = expm(-span * stiff / mass[:, None]) @ w0
+    got = evolve_half_line(w0, GATE_WIDTH, gamma, span)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_evolve_half_line_refuses_an_indefinite_step_matrix():
-    # a face coupling far too attractive for the mesh makes the first
-    # diagonal entry of M + (dt/2) K negative
+@pytest.mark.parametrize("entry", HALF_LINE_FACES)
+def test_half_line_exponential_is_a_semigroup(entry):
+    # two half spans (with their own shift) land where one full span does:
+    # a time-stepping error of either would show
+    w0, gamma = _half_line_profile(entry, 600)
+    full = evolve_half_line(w0, GATE_WIDTH, gamma, 0.25)
+    half = evolve_half_line(w0, GATE_WIDTH, gamma, 0.125)
+    twice = evolve_half_line(half, GATE_WIDTH, gamma, 0.125)
+    assert np.max(np.abs(twice - full)) <= 1e-12 * np.max(np.abs(full))
+
+
+def test_evolve_half_line_refuses_an_indefinite_step_matrix(monkeypatch):
+    # the shift's bound-state cap keeps M + sK positive definite on every
+    # face; without it, the shift dtau / 10 makes this far too attractive
+    # face's first pivot of M + sK negative
+    monkeypatch.setattr(heat_solver, "BOUND_SHIFT", np.inf)
     with pytest.raises(ContactDualityError, match="positive definite"):
-        evolve_half_line(np.ones(2000), 24.0, -1e4, 0.25, 10)
+        evolve_half_line(np.ones(2000), 24.0, -1e4, 0.25)
+
+
+def test_evolve_half_line_refuses_an_unconverged_exponential(monkeypatch):
+    monkeypatch.setattr(heat_solver, "EXPM_MAX_STEPS", 2)
+    w0, gamma = _half_line_profile(robin(-1.0), 600)
+    with pytest.raises(ContactDualityError, match="did not converge in 2"):
+        evolve_half_line(w0, GATE_WIDTH, gamma, 0.25)
 
 
 def test_sector_sum_properties_bose():
