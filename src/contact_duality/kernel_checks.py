@@ -4,13 +4,21 @@
 the composition law under adaptive quadrature, the short-time limit
 against smooth probes (reported as the tau -> 0 limit of a dyadic tau
 ladder under iterated Richardson steps), real symmetry of the
-arguments, the heat equation through fourth-order finite differences,
+arguments, the heat equation through sixth-order finite differences,
 and relabeling invariance.  ``verify_sector_properties`` runs the same
 program for sector kernels, composing over the sector only and adding
 the face boundary condition as the fifth check.
 ``dual_reconstruction_check`` compares the two character-weighted sums
 built from exchange-symmetric kernel pairs and reports the connection
 residuals of each input.
+
+The face and connection checks act on evaluators, maps from points
+(M, n) to values, such as kernel slices.  Every face value and pair
+derivative comes from one one-sided extrapolation along e_j - e_{j+1},
+``one_sided_face_values``, and every stencil takes its weights from one
+inverse Vandermonde, ``taylor_weights``.  The connection residual
+measures the jump/continuity data of the delta- and epsilon-type
+interactions across a coincidence plane.
 
 Both quadrature checks truncate their integrand to a per-axis box of
 radius ``_support_radius`` about the fixed arguments: prod_k [x_k - r,
@@ -36,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_checks import connection_residual, one_sided_face_values, taylor_weights
 from .errors import UnsupportedN
 from .kernels import KernelEvaluator, permutation_sum
 from .permutations import Statistics, group_table, sort_descending
@@ -223,6 +230,12 @@ def initial_condition_intercept(kernel: KernelEvaluator, x, spec: SamplingSpec):
     return abs(_richardson_intercept(ladder)), ladder
 
 
+def taylor_weights(u: np.ndarray) -> np.ndarray:
+    """Inverse Vandermonde of the offsets ``u``: row m maps samples at ``u``
+    to the m-th Taylor coefficient at 0 of the polynomial through them."""
+    return np.linalg.inv(np.vander(u, u.size, increasing=True))
+
+
 def heat_equation_residual(kernel: KernelEvaluator, x, y, tau: float) -> float:
     """|d/dtau K - (1/2) Laplacian_x K| via sixth-order centred stencils,
     relative to the larger of the two sides.
@@ -311,6 +324,74 @@ def face_points(spec: SamplingSpec, n: int, j: int, count: int) -> np.ndarray:
     pts[:, j - 1] = mean
     pts[:, j] = mean
     return pts
+
+
+def one_sided_face_values(evaluate, plane_points: np.ndarray, j: int, u: np.ndarray,
+                          sign: float):
+    """Value and pair derivative (d/dx_j - d/dx_{j+1}) at the plane
+    x_j = x_{j+1}, extrapolated from one side.
+
+    ``evaluate`` maps points (M, n) to values; the samples sit at the two
+    or more pair separations x_j - x_{j+1} = sign * u_k from
+    ``plane_points``, on the side x_j > x_{j+1} for sign +1; a separation
+    of 0 samples the plane point itself.  The polynomial through them
+    gives the value and slope at u = 0.  Returns (values, pair
+    derivatives), one per plane point.
+    """
+    direction = np.zeros(plane_points.shape[1])
+    direction[j - 1] = 0.5
+    direction[j] = -0.5
+    samples = np.stack([evaluate(plane_points + sign * uk * direction[None, :])
+                        for uk in u], axis=1)  # (M, len(u))
+    # rows 0 and 1 give the interpolant's value and d/du at 0; the pair
+    # derivative is 2 d/du
+    wv, wd = taylor_weights(u)[:2]
+    return samples @ wv, 2.0 * sign * (samples @ wd)
+
+
+def connection_residual(evaluate, kind: str, a: float, plane_points: np.ndarray,
+                        j: int, u_offsets) -> dict:
+    """Relative connection-condition residuals across the plane
+    x_j = x_{j+1}: ``jump``, the condition carrying the coupling
+    strength, and ``continuity``, its partner.
+
+    ``evaluate`` maps points (M, n) to values; ``plane_points`` lie on
+    the plane; ``u_offsets`` are three positive pair separations
+    u = x_j - x_{j+1} at which one-sided samples are taken on each side.
+    Writing V, D for the one-sided boundary values and pair derivatives
+    (d/dx_j - d/dx_{j+1}),
+
+    * kind='delta': jump condition D+ - D- = (1/a)(V+ + V-), value
+      continuous;
+    * kind='epsilon': jump condition V+ - V- = a (D+ + D-), derivative
+      continuous.
+    """
+    plane_points = np.atleast_2d(np.asarray(plane_points, dtype=float))
+    u = np.asarray(u_offsets, dtype=float)
+    if u.shape != (3,) or np.any(u <= 0):
+        raise ValueError("need three positive pair separations")
+    v_plus, d_plus = one_sided_face_values(evaluate, plane_points, j, u, +1.0)
+    v_minus, d_minus = one_sided_face_values(evaluate, plane_points, j, u, -1.0)
+
+    scale = float(np.max(np.abs(np.concatenate([v_plus, v_minus]))))
+    dscale = float(np.max(np.abs(np.concatenate([d_plus, d_minus]))))
+    u_span = float(np.max(u))
+    norm = max(scale, u_span * dscale, 1e-300)
+
+    if kind == "delta":
+        jump = np.abs((d_plus - d_minus) - (v_plus + v_minus) / a)
+        cont = np.abs(v_plus - v_minus)
+        jump_norm = max(dscale, scale / abs(a) if a != 0 else np.inf, 1e-300)
+        return {"jump": float(np.max(jump)) / jump_norm,
+                "continuity": float(np.max(cont)) / norm}
+    if kind == "epsilon":
+        jump = np.abs((v_plus - v_minus) - a * (d_plus + d_minus))
+        cont = np.abs(d_plus - d_minus)
+        jump_norm = max(scale, abs(a) * dscale, 1e-300)
+        cont_norm = max(dscale, scale / u_span, 1e-300)
+        return {"jump": float(np.max(jump)) / jump_norm,
+                "continuity": float(np.max(cont)) / cont_norm}
+    raise ValueError(f"kind must be 'delta' or 'epsilon', got {kind!r}")
 
 
 def face_boundary_residual(kernel: KernelEvaluator, j: int, spec: SamplingSpec) -> float:

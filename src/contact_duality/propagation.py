@@ -23,6 +23,10 @@ which a kernel with a free centre of mass makes the rule-on-rule matrix
 a Kronecker product.  ``propagate_at``, which it is compared with,
 evaluates the full kernel, so a kernel whose centre of mass does not
 separate shows as a semigroup deviation.
+
+The ``propagate`` command runs routes 1 and 2 and the semigroup check.
+Only tests reach route 3 (``propagate_operator``) until ROADMAP item 13
+gives it a caller.
 """
 
 from __future__ import annotations

@@ -106,11 +106,13 @@ def _solve_formulations(dom: DomainSpec, model: CouplingModel, k: int, seed: int
     built and solved.  At reduced level the epsilon build assembles the
     same sector form on the same staggered lattice with the same n! mass
     factor as the delta one, so once the model passes the epsilon
-    builder's checks its result is the delta one, with the operator
-    relabelled.  Both operators are built before either is factored: a
-    factor's large frees raise glibc's dynamic mmap threshold, and an
-    assembly after them would keep its temporaries resident on the heap.
+    builder's checks, run first, its result is the delta one, with the
+    operator relabelled.  Both operators are built before either is
+    factored: a factor's large frees raise glibc's dynamic mmap
+    threshold, and an assembly after them would keep its temporaries
+    resident on the heap.
     """
+    check_model("epsilon_fermi", model, dom.n)
     ops = {form: cached_build(form, dom, model) for form in ("sector", "delta_bose")}
     results = {}
     for form, op in ops.items():
@@ -118,7 +120,6 @@ def _solve_formulations(dom: DomainSpec, model: CouplingModel, k: int, seed: int
         cut = None if cuts is None else cuts[form]
         start = None if coarse is None else coarse[form]
         results[form] = solve(op, wanted, seed=seed, cut=cut, coarse=start)
-    check_model("epsilon_fermi", model, dom.n)
     delta = results["delta_bose"]
     results["epsilon_fermi"] = replace(
         delta, operator=replace(delta.operator, formulation="epsilon_fermi"))

@@ -9,6 +9,9 @@ A module is reachable when the command line imports it, directly or
 through other modules.  Imports are read from the AST, and the package
 ``__init__`` is not followed, since its re-exports would reach every
 module it names.
+
+A top-level function or class has a library caller when package code
+names it outside an import, as a name or as an attribute.
 """
 
 import ast
@@ -18,6 +21,12 @@ import contact_duality
 
 #: Settable values in the package; raise it only together with a new option.
 SETTABLE_BOUND = 33
+#: Top-level names no package code calls, and why each stays.
+UNCALLED = {
+    "Permutation": "perfbench/tracing.py wraps it by name (ROADMAP item 3)",
+    "length_pattern_groups": "perfbench/tracing.py wraps it by name (ROADMAP item 3)",
+    "ground_state_projection_check": "criterion 10's check (ROADMAP items 13 and 14)",
+}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -115,3 +124,52 @@ def test_every_module_is_reached_from_the_command_line():
     assert modules <= reached, (
         f"modules no command imports: {sorted(modules - reached)}; "
         "wire them into a command or delete them")
+
+
+def defined_names(source: str) -> set:
+    """Names of a source file's top-level functions and classes."""
+    return {node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def referenced_names(source: str) -> set:
+    """Names a source file uses as a name or an attribute; imports do not
+    count."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_census_reads_definitions_and_references():
+    source = '''
+from .mesh import imported_only
+
+class Kept:
+    pass
+
+def used():
+    return Kept, module.attribute
+
+def unused():
+    def nested():
+        pass
+'''
+    assert defined_names(source) == {"Kept", "used", "unused"}
+    assert referenced_names(source) == {"Kept", "module", "attribute"}
+
+
+def test_every_library_name_has_a_library_caller():
+    package = pathlib.Path(contact_duality.__file__).parent
+    sources = [path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))]
+    defined = set().union(*map(defined_names, sources))
+    referenced = set().union(*map(referenced_names, sources))
+    uncalled = defined - referenced
+    assert uncalled <= set(UNCALLED), (
+        f"library code no package code calls: {sorted(uncalled - set(UNCALLED))}; "
+        "give it a caller, delete it, or list it in UNCALLED with its reason")
+    assert set(UNCALLED) <= uncalled, (
+        f"listed in UNCALLED but called: {sorted(set(UNCALLED) - uncalled)}")

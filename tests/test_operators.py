@@ -761,17 +761,16 @@ def test_fallback_holds_one_factor_at_a_time(monkeypatch):
 def test_eigenvector_equivariance_through_extension():
     # reduced boson eigenvectors extend symmetrically, fermion ones
     # antisymmetrically; their strict-node magnitudes coincide level by level
-    from contact_duality.boundary_checks import MeshFunction, reduced_state_evaluator
+    from states import state_at
+
     from contact_duality.permutations import Statistics
 
     dom = DomainSpec(n=2, length=10.0, points=24)
     model = uniform_model(2, robin(-1.0))
     rb = solve(build_delta_bose(dom, model), 2)
     rf = solve(build_epsilon_fermi(dom, model), 2)
-    ev_b = reduced_state_evaluator(MeshFunction(rb.operator, rb.vectors[:, 0]),
-                                   Statistics.BOSE)
-    ev_f = reduced_state_evaluator(MeshFunction(rf.operator, rf.vectors[:, 0]),
-                                   Statistics.FERMI)
+    ev_b = state_at(rb.operator, rb.vectors[:, 0], Statistics.BOSE)
+    ev_f = state_at(rf.operator, rf.vectors[:, 0], Statistics.FERMI)
     lat = rb.operator.lattice
     pts = np.array([[lat[5], lat[9]], [lat[9], lat[5]], [lat[3], lat[11]]])
     vb = ev_b(pts)

@@ -286,6 +286,21 @@ def test_reports_refuse_a_neumann_face_for_the_epsilon_model():
                                 dilation=2.0, k=2)
 
 
+def test_reports_refuse_an_epsilon_model_before_any_solve(monkeypatch):
+    from contact_duality import spectra
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solved before the model was checked")
+
+    monkeypatch.setattr(spectra, "solve", unreachable)
+    with pytest.raises(UnsupportedCoupling, match="epsilon builder"):
+        duality_report(DomainSpec(n=3, length=6.0, points=6),
+                       CouplingModel((neumann(), robin(-1.0))), k=2, refinements=2, seed=0)
+    with pytest.raises(UnsupportedCoupling, match="epsilon builder"):
+        _scale_report(DomainSpec(n=3, length=6.0, points=6),
+                      CouplingModel((scale_invariant(1.0), neumann())), dilation=2.0, k=2)
+
+
 def test_scale_invariance_report():
     dom = DomainSpec(n=3, length=6.0, points=12)
     model = uniform_model(3, scale_invariant(1.0))
