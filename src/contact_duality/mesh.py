@@ -103,10 +103,15 @@ class DofTable:
         return ranks
 
     def find(self, idx: np.ndarray) -> np.ndarray:
-        """Rank of each tuple, or -1 where a tuple is not in the table."""
+        """Rank of each tuple, or -1 where a tuple is not in the table.
+
+        A tuple with an entry outside range(base) reads -1: its key could
+        equal that of a tuple in the table."""
+        idx = np.asarray(idx, dtype=np.int64)
         keys = _encode(idx, self.base)
         pos = np.clip(np.searchsorted(self._sorted, keys), 0, self._sorted.size - 1)
-        return np.where(self._sorted[pos] == keys, self._order[pos], -1)
+        inside = np.all((idx >= 0) & (idx < self.base), axis=-1)
+        return np.where(inside & (self._sorted[pos] == keys), self._order[pos], -1)
 
 
 @lru_cache(maxsize=None)
@@ -164,16 +169,39 @@ def sector_element_mask(cells: np.ndarray, seqs) -> np.ndarray:
     return np.all((cells[:, :-1] > cells[:, 1:]) | tie_ok, axis=1)
 
 
+def _sector_patterns(orders: np.ndarray) -> np.ndarray:
+    """Sector membership by tie pattern: entry (k, p) tells whether a
+    weakly descending cell whose adjacent pairs (i, i+1) tie exactly where
+    bit i of p is set holds a sector element with insertion order
+    ``orders[k]``.  Shape (n!, 2^(n-1)), from ``sector_element_mask`` on
+    one cell per pattern."""
+    n = orders.shape[1]
+    ties = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    # each untied step down the cell lowers the index by one
+    steps = np.cumsum((1 - ties)[:, ::-1], axis=1)[:, ::-1]
+    cells = np.column_stack([steps, np.zeros(len(ties), dtype=np.int64)])
+    mask = sector_element_mask(np.repeat(cells, len(orders), axis=0),
+                               np.tile(orders, (len(cells), 1)))
+    return mask.reshape(len(cells), len(orders)).T
+
+
 def element_array(cells: np.ndarray, orders: np.ndarray, sector: bool):
-    """Elements as (cells (E, n), index into ``orders`` (E,)): every cell
+    """Elements as (cells (E, n), index into ``orders`` (E,)), order after
+    order and, within one order, in the row order of ``cells``: every cell
     with every order, or with ``sector`` only the pairs in the sector, so
-    a cell with tie groups of sizes k_1..k_r keeps n! / prod k_g! of them."""
-    order_of = np.repeat(np.arange(len(orders)), cells.shape[0])
-    cells = np.tile(cells, (len(orders), 1))
+    a cell with tie groups of sizes k_1..k_r keeps n! / prod k_g! of them.
+
+    A sector cell is weakly descending, and which orders it keeps depends
+    only on its tie pattern (``_sector_patterns``), so no cell is repeated
+    before the sector elements are picked."""
     if not sector:
-        return cells, order_of
-    keep = sector_element_mask(cells, orders[order_of])
-    return cells[keep], order_of[keep]
+        order_of = np.repeat(np.arange(len(orders)), cells.shape[0])
+        return np.tile(cells, (len(orders), 1)), order_of
+    ties = cells[:, :-1] == cells[:, 1:]
+    pattern = ties.astype(np.int64) @ (1 << np.arange(cells.shape[1] - 1))
+    descending = np.all(cells[:, :-1] >= cells[:, 1:], axis=1)
+    order_of, rows = np.nonzero(_sector_patterns(orders)[:, pattern] & descending)
+    return cells[rows], order_of
 
 
 def length_pattern_groups(cells: np.ndarray, widths: np.ndarray):

@@ -85,7 +85,7 @@ from .mesh import (
     _encode,
     _vertex_offsets,
 )
-from .permutations import permutation_ranks, sort_descending
+from .permutations import permutation_ranks
 
 # Assembly calls neither of these here.  Both stay importable on this
 # module because the benchmark's tracer (perfbench/tracing.py) wraps them
@@ -109,6 +109,10 @@ EXTRA_LEVELS = 2
 #: ARPACK tolerance of the Gershgorin estimate, which only places a cut
 #: that ``_cut_attempt`` then certifies or refuses.
 ESTIMATE_TOL = 1e-6
+
+#: ARPACK tolerance of the Lanczos run at a cut.  It only stops the run:
+#: the certificate reads the residuals recomputed from the returned pairs.
+LANCZOS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -283,6 +287,15 @@ def check_model(formulation: str, model: CouplingModel, n: int):
             )
 
 
+def _rank_table(keys: np.ndarray, size: int):
+    """Rank of every key in range(size) among the distinct ``keys``, and
+    those keys in sorted order: ``np.unique`` and ``np.searchsorted`` as
+    one mark, one cumulative sum and one gather, with no sort."""
+    mark = np.zeros(size, dtype=bool)
+    mark[keys.ravel()] = True
+    return np.cumsum(mark) - 1, np.flatnonzero(mark)
+
+
 def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
               formulation: str, reduced: bool):
     """Assemble one formulation's operator on ``lattice``.
@@ -302,17 +315,16 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
     cells, order_of = element_array(cells, orders, sector=reduced)
     seqs = orders[order_of]
 
-    # key of every element vertex, one vertex position at a time; on the
-    # cracked mesh a key is a (vertex, region) pair.  The dofs are the
-    # distinct keys the elements touch, in sorted order.
-    ids = np.empty((cells.shape[0], n + 1), dtype=np.int64)
+    # key of every element vertex: the key is linear in the index tuple,
+    # so it is the cell's key plus the key of the vertex's offset in its
+    # order.  On the cracked mesh a key is a (vertex, region) pair.  The
+    # dofs are the distinct keys the elements touch, in sorted order.
     offsets = np.stack([_vertex_offsets(tuple(seq)) for seq in orders])
-    for k in range(n + 1):
-        ids[:, k] = _encode(cells + offsets[order_of, k], pts)
+    ids = _encode(cells, pts)[:, None] + _encode(offsets, pts)[order_of]
     if cracked:
         ids += pts**n * permutation_ranks(region_orderings(cells, seqs))[:, None]
-    dof_keys = np.unique(ids)
-    ids = np.searchsorted(dof_keys, ids)
+    rank, dof_keys = _rank_table(ids, pts**n * (len(orders) if cracked else 1))
+    ids = rank[ids]
     vertex_keys = dof_keys % pts**n
     region_ranks = dof_keys // pts**n if cracked else None
     dof_tuples = np.stack(np.unravel_index(vertex_keys, (pts,) * n), axis=-1)
@@ -352,8 +364,7 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
             # the same vertices in the region with the colliding pair swapped
             mirror = np.where(fpis == p_axis[:, None], q_axis[:, None],
                               np.where(fpis == q_axis[:, None], p_axis[:, None], fpis))
-            ids_minus = np.searchsorted(dof_keys, vertex_keys[ids_f]
-                                        + pts**n * permutation_ranks(mirror)[:, None])
+            ids_minus = rank[vertex_keys[ids_f] + pts**n * permutation_ranks(mirror)[:, None]]
 
         for j in range(1, n):
             sel = jstar == j
@@ -371,7 +382,7 @@ def _assemble(lattice: np.ndarray, dom: DomainSpec, model: CouplingModel,
                 acc.edges(face[live], ids_minus[sel][live], share)
             else:
                 acc.diagonal(face[live], share)
-    del cells, seqs, order_of, ids, elem_vol, w  # before the CSR conversion's peak
+    del cells, seqs, order_of, ids, rank, elem_vol, w  # before the CSR conversion's peak
 
     # potential on the lumped diagonal
     acc.diagonal(np.arange(dim), dom.potential(coords) * mass_diag)
@@ -573,8 +584,9 @@ def _cut_attempt(a: sparse.csr_matrix, k: int, cut: float, v0: np.ndarray) -> di
     The factor's inertia must count from k to k + ``EXTRA_LEVELS``
     eigenvalues below the cut.  Those are the most negative
     1 / (lambda - cut), so Lanczos returns all of them with
-    ``which="SA"``.  Every Ritz value must then lie below the cut by more
-    than the Frobenius norm r of the residual block, which bounds its
+    ``which="SA"``; it stops at ``LANCZOS_TOL``.  Every Ritz value must
+    then lie below the cut by more than the Frobenius norm r of the
+    residual block, recomputed from the returned pairs, which bounds its
     2-norm: by Kahan's theorem as many eigenvalues as the count lie
     within r of the Ritz values, all below the cut, and the count says
     there are no others, so they are the lowest.  When the count is above
@@ -591,7 +603,7 @@ def _cut_attempt(a: sparse.csr_matrix, k: int, cut: float, v0: np.ndarray) -> di
     if count is None or not k <= count <= min(k + EXTRA_LEVELS, a.shape[0] - 1):
         out["reason"] = "count"
         return out
-    pairs, out["opinv_applications"] = _lanczos(a, count, cut, "SA", lu, v0, 0)
+    pairs, out["opinv_applications"] = _lanczos(a, count, cut, "SA", lu, v0, LANCZOS_TOL)
     if pairs is None:
         out["reason"] = "not converged"
         return out
@@ -644,20 +656,25 @@ def prolong(coarse: SpectrumResult, op: GridOperator) -> np.ndarray:
     interpolant over the coarse cell that holds it; a coarse corner is
     read at its index tuple sorted descending (the symmetric extension of
     the sector state) through ``DofTable.find``, and corners that are not
-    dofs (walls and eliminated faces) are zero.  On the sector lattice
-    every even fine vertex is a coarse vertex and takes its value.
-    Columns are node-value vectors, one per coarse level.
+    dofs (walls and eliminated faces) read a zero row.  The ranks come
+    from one table over every coarse index tuple, whose values alone are
+    sorted, so no corner is sorted.  On the sector lattice every even
+    fine vertex is a coarse vertex and takes its value.  Columns are
+    node-value vectors, one per coarse level.
     """
-    lattice = coarse.operator.lattice
-    table = DofTable(coarse.operator.dofs, lattice.size)
-    lo = np.clip(np.searchsorted(lattice, op.coords, side="right") - 1, 0, lattice.size - 2)
+    lattice, n = coarse.operator.lattice, op.dom.n
+    size = lattice.size
+    every = np.stack(np.unravel_index(np.arange(size**n), (size,) * n), axis=-1)
+    rank = DofTable(coarse.operator.dofs, size).find(np.sort(every, axis=-1)[:, ::-1])
+    # rank -1 (not a dof) reads the zero row appended last
+    vectors = np.vstack([coarse.vectors, np.zeros(coarse.vectors.shape[1])])
+    lo = np.clip(np.searchsorted(lattice, op.coords, side="right") - 1, 0, size - 2)
     frac = (op.coords - lattice[lo]) / (lattice[lo + 1] - lattice[lo])
+    rest = 1.0 - frac
     values = np.zeros((op.dimension, coarse.vectors.shape[1]))
-    for corner in itertools.product((0, 1), repeat=op.dom.n):
-        weight = np.prod(np.where(corner, frac, 1.0 - frac), axis=-1)
-        rank = table.find(sort_descending(lo + corner)[0])
-        hit = rank >= 0
-        values[hit] += weight[hit, None] * coarse.vectors[rank[hit]]
+    for corner in itertools.product((0, 1), repeat=n):
+        weight = np.prod(np.where(corner, frac, rest), axis=-1)
+        values += weight[:, None] * vectors[rank[_encode(lo + corner, size)]]
     return values
 
 
@@ -674,14 +691,15 @@ def _start_vector(op: GridOperator, k: int, seed: int, coarse: SpectrumResult | 
     return np.sum(scaled / np.linalg.norm(scaled, axis=0), axis=1)
 
 
-def _coarse_cut(op: GridOperator, k: int, seed: int) -> float | None:
-    """Cut for ``op`` from the same operator on a coarser grid.
+def _coarse_cut(op: GridOperator, k: int, seed: int) -> tuple[float, SpectrumResult] | None:
+    """Cut for ``op`` from the same operator on a coarser grid, and that
+    grid's solve.
 
     The coarse grid has ``COARSENING`` times fewer cells per axis and is
     solved for k + 1 levels, taking its own cut from the next coarser
     grid in turn, as long as a grid keeps ``MIN_POINTS`` cells per axis
-    and at least k + 3 dofs.  None when there is no such grid or its
-    solve fails.
+    and at least k + 3 dofs.  Returns (cut, coarse result), or None when
+    there is no such grid or its solve fails.
     """
     points = op.dom.points // COARSENING
     if points < MIN_POINTS:
@@ -690,9 +708,10 @@ def _coarse_cut(op: GridOperator, k: int, seed: int) -> float | None:
     build = BUILDERS[op.formulation]
     try:
         coarse = build(dom, op.model) if op.reduced else build(dom, op.model, reduced=False)
-        return midpoint_cut(solve(coarse, k + 1, seed=seed).eigenvalues, k)
+        result = solve(coarse, k + 1, seed=seed)
     except (GridTooCoarse, LevelsOutOfRange, NotConverged):
         return None
+    return midpoint_cut(result.eigenvalues, k), result
 
 
 def solve(op: GridOperator, k: int, seed: int = 0, cut: float = None,
@@ -706,8 +725,9 @@ def solve(op: GridOperator, k: int, seed: int = 0, cut: float = None,
     the same operator on a grid ``COARSENING`` times coarser
     (``_coarse_cut``).  Lanczos starts from the lowest k eigenvectors of
     ``coarse``, a solve of the same formulation on a coarser lattice,
-    prolonged onto this one (``prolong``); without it, from a vector
-    fixed by ``seed``.  When there is no such cut or it fails its
+    prolonged onto this one (``prolong``); without it, from those of the
+    coarser grid the cut came from, or else from a vector fixed by
+    ``seed``.  When there is no such cut or it fails its
     certificate, a loose estimate from the Gershgorin bound places the
     cut and the start vector (``_gershgorin_cut``).  It needs a (k+1)-th
     level, so 1 <= k <= dimension - 2.  NotConverged carries every
@@ -723,7 +743,8 @@ def solve(op: GridOperator, k: int, seed: int = 0, cut: float = None,
     if not 1 <= k <= dim - 2:
         raise LevelsOutOfRange(f"need 1 <= k <= dimension - 2, got k={k}, dim={dim}")
     if cut is None:
-        cut = _coarse_cut(op, k, seed)
+        cut, grid = _coarse_cut(op, k, seed) or (None, None)
+        coarse = grid if coarse is None else coarse
     order = dissection_order(op.dofs)
     a = op.matrix[order][:, order]
     a.sort_indices()  # canonical, so that no later call sorts it in place

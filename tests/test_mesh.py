@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -230,6 +231,46 @@ def test_sector_mask_counts():
             np.testing.assert_array_equal(region_orderings(elem_cells[i:i + 1], seq), pis[i:i + 1])
 
 
+def _tiled_sector_elements(cells, orders):
+    """Sector elements by tiling every cell once per order and masking."""
+    order_of = np.repeat(np.arange(len(orders)), cells.shape[0])
+    tiled = np.tile(cells, (len(orders), 1))
+    keep = sector_element_mask(tiled, orders[order_of])
+    return tiled[keep], order_of[keep]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sector_elements_match_the_tiled_and_masked_reference(n):
+    orders = insertion_orders(n)
+    patterns = set()
+    for cells in [weakly_descending_tuples(points, n) for points in (1, 2, n, n + 3)] + [
+            all_cells(3, n)]:
+        got = element_array(cells, orders, sector=True)
+        want = _tiled_sector_elements(cells, orders)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        patterns |= set(map(tuple, (cells[:, :-1] == cells[:, 1:]).tolist()))
+    # with n cells per axis every tie pattern occurs
+    assert len(patterns) == 2 ** (n - 1)
+
+
+def test_sector_elements_build_no_candidate_per_order():
+    # tiling the n! orders over the cells first would allocate the
+    # candidate rows, about twice the sector elements at n = 5
+    n = 5
+    orders = insertion_orders(n)
+    cells = weakly_descending_tuples(12, n)
+    tracemalloc.start()
+    try:
+        elem_cells, order_of = element_array(cells, orders, sector=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    candidates = len(orders) * cells.nbytes
+    assert peak - elem_cells.nbytes - order_of.nbytes < candidates / 4
+
+
 def test_region_orderings_signs():
     cells = np.array([[2, 1, 0], [1, 1, 0], [0, 1, 2]])
     seq = (0, 1, 2)
@@ -266,6 +307,15 @@ def test_dof_table_ranks_match_itertools():
                                       [rank[tuple(t)] for t in wanted.tolist()])
         with pytest.raises(KeyError):
             table.rank(np.arange(n)[None, :])  # ascending: not in the table
+
+
+def test_dof_table_reads_no_tuple_outside_its_base():
+    table = DofTable(np.array([[1, 2], [3, 0]]), 5)
+    # (0, 7) and (2, -3) pack to the key of (1, 2): 0 * 5 + 7 = 2 * 5 - 3 = 1 * 5 + 2
+    np.testing.assert_array_equal(table.find([[0, 7], [2, -3], [1, 2], [3, 0], [5, 0]]),
+                                  [-1, -1, 0, 1, -1])
+    with pytest.raises(KeyError):
+        table.rank([[0, 7]])
 
 
 # every builder and face kind, reduced and unreduced, n = 2..4

@@ -176,6 +176,37 @@ def test_stored_pattern_does_not_depend_on_rounding():
     assert np.count_nonzero(coo.row == coo.col) == op.dimension
 
 
+@pytest.mark.parametrize("build, dom, model, reduced", [
+    (build_sector, DomainSpec(n=3, length=6.0, points=8),
+     CouplingModel((robin(-1.0), robin(-2.0))), True),
+    (build_delta_bose, DomainSpec(n=4, length=4.0, points=6), uniform_model(4, robin(-1.0)), True),
+    (build_delta_bose, DomainSpec(n=3, length=6.0, points=6),
+     CouplingModel((robin(-1.0), scale_invariant(1.0))), False),
+    (build_epsilon_fermi, DomainSpec(n=2, length=6.0, points=8), uniform_model(2, robin(-1.0)),
+     False),
+    (build_epsilon_fermi, DomainSpec(n=3, length=6.0, points=6),
+     CouplingModel((dirichlet(), robin(-1.0))), False),
+])
+def test_dense_dof_ranks_match_unique_and_searchsorted(monkeypatch, build, dom, model, reduced):
+    # the reduced, unreduced and cracked key sets of real builds
+    seen = []
+
+    def recorded(keys, size):
+        table = rank_table(keys, size)
+        seen.append((keys.copy(), size, *table))
+        return table
+
+    rank_table = operators._rank_table
+    monkeypatch.setattr(operators, "_rank_table", recorded)
+    op = build(dom, model) if reduced else build(dom, model, reduced=False)
+    (keys, size, rank, dof_keys), = seen
+    assert rank.shape == (size,) and 0 <= keys.min() and keys.max() < size
+    np.testing.assert_array_equal(dof_keys, np.unique(keys))
+    np.testing.assert_array_equal(rank[keys], np.searchsorted(dof_keys, keys))
+    assert rank.dtype == dof_keys.dtype == np.searchsorted(dof_keys, keys).dtype
+    assert dof_keys.size >= op.dimension
+
+
 def test_operator_symmetry():
     dom = DomainSpec(n=3, length=6.0, points=10)
     for build in (build_sector, build_delta_bose, build_epsilon_fermi):
@@ -546,6 +577,14 @@ def test_one_shot_solve_is_seeded_from_a_coarser_grid(monkeypatch, build):
     # the 16-cell grid, solved for k + 1 levels, gives the cut
     coarse = solve(build(dataclasses.replace(ROBIN_N64[0], points=16), ROBIN_N64[1]), k + 1)
     factors = count_factors(monkeypatch)
+    starts = []
+
+    def start_vector(op, k, seed, coarse):
+        starts.append((op.dom.points, None if coarse is None else coarse.operator.dom.points))
+        return make_start(op, k, seed, coarse)
+
+    make_start = operators._start_vector
+    monkeypatch.setattr(operators, "_start_vector", start_vector)
     res = solve(op, k)
     cert = res.certificate
     cut = midpoint_cut(coarse.eigenvalues, k)
@@ -553,9 +592,49 @@ def test_one_shot_solve_is_seeded_from_a_coarser_grid(monkeypatch, build):
     assert cert["rejected_cut"] is None and cert["shift"] is None
     # one factor of the fine operator, after the coarse grid's two
     assert len(factors) == 3 and factors[-1] == cut
+    # the fine run starts from the grid its cut came from; that grid's
+    # cut comes from the Gershgorin estimate, whose vectors start its run
+    assert starts == [(16, None), (64, 16)]
     plain = fallback_solve(monkeypatch, op, k)
     assert plain.certificate["path"] == "fallback"
     np.testing.assert_allclose(res.eigenvalues, plain.eigenvalues, rtol=1e-10)
+
+
+def at_tolerance(monkeypatch, tol, call):
+    """``call()`` with the Lanczos run at a cut stopping at ARPACK's ``tol``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(operators, "LANCZOS_TOL", tol)
+        return call()
+
+
+def assert_tolerance_keeps_the_solve(monkeypatch, call):
+    """The solve at ``LANCZOS_TOL`` against one to machine precision."""
+    loose, exact = call(), at_tolerance(monkeypatch, 0, call)
+    np.testing.assert_allclose(loose.eigenvalues, exact.eigenvalues, rtol=1e-12, atol=0)
+    assert np.max(loose.residuals) < 1e-9
+    assert fields(loose.certificate, "path", "below_cut", "factors") == fields(
+        exact.certificate, "path", "below_cut", "factors")
+    # a one-shot solve's cut comes from a coarse solve at the same tolerance
+    assert loose.certificate["cut"] == pytest.approx(exact.certificate["cut"], rel=1e-12)
+    assert loose.certificate["opinv_applications"] <= exact.certificate["opinv_applications"]
+
+
+@pytest.mark.parametrize("build", [build_sector, build_delta_bose])
+def test_lanczos_tolerance_keeps_the_ladder_rungs(monkeypatch, build):
+    # the benchmark ladder's 12-cell rung (Gershgorin path) and its
+    # 24-cell rung, cut and started from the 12-cell one
+    model = CouplingModel((robin(-1.0), robin(-2.0)))
+    ops = {points: build(DomainSpec(n=3, length=6.0, points=points), model) for points in (12, 24)}
+    rung = solve(ops[12], 8, seed=1)
+    cut = midpoint_cut(rung.eigenvalues, 7)
+    assert_tolerance_keeps_the_solve(monkeypatch, lambda: solve(ops[12], 8, seed=1))
+    assert_tolerance_keeps_the_solve(
+        monkeypatch, lambda: solve(ops[24], 7, seed=1, cut=cut, coarse=rung))
+
+
+def test_lanczos_tolerance_keeps_the_one_shot_solve(monkeypatch):
+    op = build_sector(DomainSpec(n=2, length=10.0, points=256), uniform_model(2, robin(-1.0)))
+    assert_tolerance_keeps_the_solve(monkeypatch, lambda: solve(op, 5, seed=1))
 
 
 def test_seeded_shift_above_ground_level_falls_back_to_gershgorin(monkeypatch):
@@ -563,8 +642,9 @@ def test_seeded_shift_above_ground_level_falls_back_to_gershgorin(monkeypatch):
     k = 4
     plain = fallback_solve(monkeypatch, op, k)
     bad = 0.5 * (plain.eigenvalues[0] + plain.eigenvalues[1])
-    # a coarse rung that cuts the fine spectrum above lambda_1 only
-    monkeypatch.setattr(operators, "_coarse_cut", lambda op, k, seed: bad)
+    # a coarse rung that cuts the fine spectrum above lambda_1 only, with
+    # no coarse result to start from
+    monkeypatch.setattr(operators, "_coarse_cut", lambda op, k, seed: (bad, None))
     res = solve(op, k)
     cert = res.certificate
     assert cert["rejected_cut"] == {"cut": bad, "below_cut": 1, "reason": "count"}
