@@ -185,6 +185,11 @@ def run_dual_kernels(cfg: ExperimentConfig) -> RunArtifacts:
             cfg.domain(), uniform_model(2, entry), t=cfg["realtime_time"])
         gates.append(Gate("realtime_bose", chk["bose_deviation"], cfg["gate.realtime"]))
         gates.append(Gate("realtime_fermi", chk["fermi_deviation"], cfg["gate.realtime"]))
+        # the sums read off the symmetry blocks hold only for commuting operators
+        gates.append(Gate("realtime_bose_commutation", chk["bose_commutation"],
+                          cfg["gate.realtime"]))
+        gates.append(Gate("realtime_fermi_commutation", chk["fermi_commutation"],
+                          cfg["gate.realtime"]))
     return RunArtifacts(report=report, gates=gates)
 
 

@@ -15,7 +15,12 @@ integration schemes.  The real-time finite-matrix cross-check
 (``real_time_cross_check``) tests the same identity at matrix level:
 the character-weighted sums of the full delta and epsilon evolution
 kernels must reproduce the reduced sector evolution exactly.  It reads
-each kernel's entries off one eigendecomposition of its operator.
+the reduced kernel off one eigendecomposition of the reduced operator,
+and each full kernel's character sum off one of the full operator's
+symmetric (delta) or antisymmetric (epsilon) block, about 1/n! of it:
+an operator that commutes with the permutations of its dofs maps that
+block to itself, and the sum sees nothing else.  How far each full
+operator is from commuting is measured and reported with the sums.
 
 The semigroup check (``two_stage_values``) runs on a tensor rule in the
 pair coordinates u = (x_1 - x_2)/sqrt2 and c = (x_1 + x_2)/sqrt2, on
@@ -35,6 +40,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import eigh
 # Nothing here calls expm.  It stays importable on this module because
 # the benchmark's tracer (perfbench/tracing.py) wraps it here by name;
@@ -52,7 +58,7 @@ from .operators import (
     build_epsilon_fermi,
     solve,
 )
-from .permutations import Statistics, group_sum, group_table, permutation_ranks, sort_descending
+from .permutations import Statistics, group_sum, group_table, permutation_ranks
 from .quadrature import box_rule, sector_rule
 
 
@@ -221,56 +227,125 @@ def _kernel_entries(op: GridOperator, t: float, rows: np.ndarray,
     return left @ right.T
 
 
+def _group_action(op: GridOperator):
+    """S_n acting on the dofs of an unreduced operator.
+
+    Returns the dofs' ``DofTable`` and the (n!, dim) table whose row s
+    maps each dof d to sigma_s d, sigma_s the row s of ``group_table``.
+    A vertex tuple x goes to x[..., sigma]; on the cracked mesh a dof is
+    keyed by its vertex and its region's rank, and the region order pi
+    of x goes to sigma^-1 pi, the descending order of x[..., sigma].
+    """
+    images = group_table(op.dom.n)[0]
+    keys = op.dofs
+    moved = op.dofs[:, images]  # (dim, n!, n)
+    if op.region_ranks is not None:
+        keys = np.column_stack([op.dofs, op.region_ranks])
+        inverse = np.argsort(images, axis=1)
+        regions = permutation_ranks(inverse[:, images[op.region_ranks]]).T
+        moved = np.concatenate([moved, regions[..., None]], axis=-1)
+    table = DofTable(keys, max(op.lattice.size, images.shape[0]))
+    return table, table.rank(moved).T
+
+
+def _commutation_residual(op: GridOperator, action: np.ndarray) -> float:
+    """max over sigma of |R_sigma A_hat R_sigma^T - A_hat|_max / |A_hat|_max."""
+    a = op.matrix
+    worst = max(abs(a[perm][:, perm] - a).max() for perm in action)
+    return float(worst / abs(a).max())
+
+
+def _character_basis(action: np.ndarray, chi: np.ndarray) -> sparse.csr_matrix:
+    """Orthonormal basis (dim, orbits) of the vectors v with
+    v[sigma d] = chi(sigma) v[d]: per orbit of the action, the sum of
+    chi(sigma) e_(sigma d) over the group from its first dof d, scaled to
+    unit norm, or dropped where it cancels (an odd permutation fixing d
+    under the sign character)."""
+    first = np.unique(action.min(axis=0))
+    rows = action[:, first].ravel()
+    cols = np.repeat(np.arange(first.size)[None, :], action.shape[0], axis=0).ravel()
+    vals = np.repeat(chi, first.size).astype(float)
+    basis = sparse.csc_matrix((vals, (rows, cols)), shape=(action.shape[1], first.size))
+    norms = np.sqrt(np.asarray(basis.multiply(basis).sum(axis=0))).ravel()
+    live = np.flatnonzero(norms)
+    return (basis[:, live] @ sparse.diags(1.0 / norms[live])).tocsr()
+
+
+def _character_sums(op: GridOperator, stat: Statistics, t: float,
+                    strict: np.ndarray) -> tuple[np.ndarray, float]:
+    """sum_sigma chi(sigma) K(x, sigma y) at every pair of strict
+    descending vertex tuples x, y of ``strict``, K the evolution kernel
+    of ``_kernel_entries`` for the unreduced ``op``, and the commutation
+    residual of ``op`` (``_commutation_residual``).
+
+    With P = (1/n!) sum_sigma chi(sigma) R_sigma, the sum is n! (K P)(x, y).
+    When A_hat and the mass commute with every R_sigma, K P = M^-1/2 B
+    exp(-i t B^T A_hat B) B^T M^-1/2 for an orthonormal basis B of the
+    range of P (``_character_basis``), so only the dense B^T A_hat B is
+    diagonalized, about dim / n! rows.  The lumped mass is the same at
+    every dof of an orbit, since the n! images of an element have one
+    volume; A_hat is measured by the residual.
+    """
+    signs = group_table(op.dom.n)[1]
+    table, action = _group_action(op)
+    if op.region_ranks is not None:
+        # a strict descending tuple lies in the identity's region, rank 0
+        strict = np.column_stack([strict, np.zeros(len(strict), dtype=np.int64)])
+    rows = table.rank(strict)
+    basis = _character_basis(action, np.broadcast_to(stat.character(signs), signs.shape))
+    block = (basis.T @ op.matrix @ basis).toarray(order="F")
+    lam, vec = eigh(block, driver="evd", overwrite_a=True)
+    low = (basis[rows] @ vec) / np.sqrt(op.mass[rows])[:, None]
+    del vec
+    sums = (low * np.exp(-1j * t * lam)) @ low.T
+    sums *= signs.size  # in place: the check holds one kernel-sized block less
+    return sums, _commutation_residual(op, action)
+
+
 def real_time_cross_check(dom: DomainSpec, model, t: float) -> dict:
     """Finite-matrix test of the dual kernel reconstruction in real time.
 
     Builds the unreduced full-space delta and epsilon Hamiltonians and
-    the reduced sector pencil on the same staggered lattice and
-    diagonalizes each once (``_kernel_entries``).  Of the full kernels it
-    forms only the rows of the strict nodes and the columns of their
-    group images; of the reduced one the whole matrix, whose largest
-    entry sets the scale.  It compares the character-weighted sums of the
-    full kernels at strict node pairs with the direct sector kernel
-    (times the group order, which converts full-box node weights to
-    sector ones).  Returns the max-norm deviations of the two sums,
-    ``bose_deviation`` and ``fermi_deviation``, relative to that scale,
-    and the ``time``.
+    the reduced sector pencil on the same staggered lattice.  The reduced
+    kernel comes whole from one eigendecomposition (``_kernel_entries``);
+    its largest entry sets the scale.  Of each full kernel only its
+    character-weighted sum over the group images of the second argument
+    is formed, at the strict node pairs: the sum is the kernel on the
+    symmetric (delta, chi = 1) or antisymmetric (epsilon, chi = sign)
+    block, so only that block, about 1/n! of the operator, is
+    diagonalized (``_character_sums``).  It compares these sums with the
+    direct sector kernel (times the group order, which converts full-box
+    node weights to sector ones).
+
+    The block carries the whole image sum only if the operator commutes
+    with the group action on its dofs; ``bose_commutation`` and
+    ``fermi_commutation`` are max_sigma |R_sigma A_hat R_sigma^T -
+    A_hat|_max / |A_hat|_max.  Returns these, the max-norm deviations of
+    the two sums, ``bose_deviation`` and ``fermi_deviation``, relative to
+    the scale, and the ``time``.
     """
-    n = dom.n
-    images, signs = group_table(n)
-    fact = math.factorial(n)
+    fact = math.factorial(dom.n)
 
     op_red = build_delta_bose(dom, model, reduced=True)
     op_bose = build_delta_bose(dom, model, reduced=False)
     op_fermi = build_epsilon_fermi(dom, model, reduced=False)
 
-    pts = op_red.lattice.size
-    red_table = DofTable(op_red.dofs, pts)
-    bose_table = DofTable(op_bose.dofs, pts)
-    # cracked dofs are keyed by vertex and region rank
-    fermi_table = DofTable(np.column_stack([op_fermi.dofs, op_fermi.region_ranks]),
-                           max(pts, fact))
-
-    def fermi_rank(tuples):
-        region = permutation_ranks(sort_descending(tuples)[1])
-        return fermi_table.rank(np.column_stack([tuples, region]))
-
     strict = np.all(op_red.dofs[:, :-1] > op_red.dofs[:, 1:], axis=-1)
     strict_tuples = op_red.dofs[strict]
-    red_idx = red_table.rank(strict_tuples)
+    red_idx = DofTable(op_red.dofs, op_red.lattice.size).rank(strict_tuples)
 
     every = np.arange(op_red.dimension)
     k_red = _kernel_entries(op_red, t, every, every)
     scale = float(np.max(np.abs(k_red)))
-    # columns: the strict nodes' images, one group element after another
-    mapped = strict_tuples[:, images].transpose(1, 0, 2).reshape(-1, n)
-    k_bose = _kernel_entries(op_bose, t, bose_table.rank(strict_tuples),
-                             bose_table.rank(mapped))
-    k_fermi = _kernel_entries(op_fermi, t, fermi_rank(strict_tuples), fermi_rank(mapped))
-    by_image = (strict_tuples.shape[0], fact, strict_tuples.shape[0])
-    sum_b = k_bose.reshape(by_image).sum(axis=1)
-    sum_f = (k_fermi.reshape(by_image) * signs[None, :, None]).sum(axis=1)
     direct = fact * k_red[np.ix_(red_idx, red_idx)]
-    dev_b = float(np.max(np.abs(sum_b - direct))) / scale
-    dev_f = float(np.max(np.abs(sum_f - direct))) / scale
-    return {"bose_deviation": dev_b, "fermi_deviation": dev_f, "time": t}
+    del k_red
+
+    deviation, commutation = {}, {}
+    for name, op, stat in (("bose", op_bose, Statistics.BOSE),
+                           ("fermi", op_fermi, Statistics.FERMI)):
+        sums, commutation[name] = _character_sums(op, stat, t, strict_tuples)
+        deviation[name] = float(np.max(np.abs(sums - direct))) / scale
+        del sums
+    return {"bose_deviation": deviation["bose"], "fermi_deviation": deviation["fermi"],
+            "bose_commutation": commutation["bose"],
+            "fermi_commutation": commutation["fermi"], "time": t}

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh, expm
 
+from contact_duality import cli, propagation
+from contact_duality.configio import validate_config
 from contact_duality.coupling import dirichlet, neumann, robin, uniform_model
 from contact_duality.kernels import (
     dual_pair_from_sector,
@@ -18,11 +20,18 @@ from contact_duality.operators import (
     build_epsilon_fermi,
     build_sector,
 )
-from contact_duality.permutations import Statistics
+from contact_duality.mesh import DofTable
+from contact_duality.permutations import (
+    Statistics,
+    group_table,
+    permutation_ranks,
+    sort_descending,
+)
 from contact_duality.propagation import (
     TARGET_BLOCK,
     PropagationQuad,
     _factored_stage,
+    _character_sums,
     _integrate_rule,
     _kernel_entries,
     _pair_points,
@@ -32,6 +41,9 @@ from contact_duality.propagation import (
     real_time_cross_check,
     two_stage_values,
 )
+
+
+EPS = np.finfo(float).eps
 
 
 def gaussian_profile(centers):
@@ -194,13 +206,150 @@ def test_two_stage_values_hold_one_kernel_block():
 
 
 def test_real_time_check_frees_its_dense_copies():
-    # the benchmark's 24-point box: the eigendecompositions overwrite
-    # their dense copies, and each scaled eigenvector matrix is freed
-    # before its kernel product (the copies peaked at 21.9 MiB)
+    # the benchmark's 24-point box: only the 300-row reduced operator and
+    # symmetry blocks are made dense, each eigendecomposition overwrites
+    # its copy, and each image sum is freed once compared.  The peak
+    # reads 6.4 MiB; the bound leaves 1.1 MiB of margin (the whole
+    # unreduced operators' eigendecompositions peaked at 16.4 MiB)
     dom = DomainSpec(n=2, length=6.0, points=24)
     model = uniform_model(2, robin(-1.0))
     peak = traced_peak(lambda: real_time_cross_check(dom, model, t=0.1))
-    assert peak < 18 * 2**20, peak / 2**20
+    assert peak < 7.5 * 2**20, peak / 2**20
+
+
+def whole_operator_image_sums(op, stat, t, strict):
+    """sum_sigma chi(sigma) K(x, sigma y) at the strict tuples' pairs from
+    the whole unreduced operator's eigendecomposition: the kernel's rows
+    at the strict nodes and its columns at their group images, one group
+    element after another, summed with the character.  On the cracked
+    mesh a node is keyed by its vertex and the rank of its sorting
+    permutation."""
+    n = op.dom.n
+    images, signs = group_table(n)
+    if op.region_ranks is None:
+        rank = DofTable(op.dofs, op.lattice.size).rank
+    else:
+        table = DofTable(np.column_stack([op.dofs, op.region_ranks]),
+                         max(op.lattice.size, len(images)))
+
+        def rank(tuples):
+            region = permutation_ranks(sort_descending(tuples)[1])
+            return table.rank(np.column_stack([tuples, region]))
+
+    mapped = strict[:, images].transpose(1, 0, 2).reshape(-1, n)
+    k = _kernel_entries(op, t, rank(strict), rank(mapped))
+    chi = np.broadcast_to(stat.character(signs), signs.shape)
+    return (k.reshape(len(strict), len(images), len(strict)) * chi[None, :, None]).sum(axis=1)
+
+
+@pytest.mark.parametrize("n, points, a, t", [
+    (2, 10, -1.0, 0.1),
+    (2, 12, 1.0, -0.3),
+    (2, 24, -0.5, 1.0),
+    (2, 24, -1.0, 1.0),
+    (3, 6, -1.0, 0.1),
+    (3, 8, 1.0, -0.3),
+])
+def test_character_blocks_carry_the_whole_image_sum(n, points, a, t):
+    # the sums read off the symmetric and antisymmetric blocks equal the
+    # whole operators' ones to rounding: 1e-13 of the scale, or 16 eps of
+    # the largest phase |t| |A_hat|_1 where that is more.  Both routes
+    # round each eigenvalue by about eps |A_hat|, so at t = 1 on the
+    # 24-point box they differ by up to 1.1e-13, 6 eps of that phase;
+    # over 60 coupling, grid, time and BLAS-thread cases no difference
+    # passed 8 eps of it
+    dom = DomainSpec(n=n, length=6.0, points=points)
+    model = uniform_model(n, robin(a))
+    red = build_delta_bose(dom, model)
+    strict = red.dofs[np.all(red.dofs[:, :-1] > red.dofs[:, 1:], axis=-1)]
+    every = np.arange(red.dimension)
+    scale = np.max(np.abs(_kernel_entries(red, t, every, every)))
+    for build, stat in ((build_delta_bose, Statistics.BOSE),
+                        (build_epsilon_fermi, Statistics.FERMI)):
+        op = build(dom, model, reduced=False)
+        sums, residual = _character_sums(op, stat, t, strict)
+        want = whole_operator_image_sums(op, stat, t, strict)
+        phase = abs(t) * abs(op.matrix).sum(axis=0).max()
+        assert np.max(np.abs(sums - want)) <= max(1e-13, 16 * EPS * phase) * scale
+        assert residual <= 1e-14
+
+
+@pytest.mark.parametrize("n, points", [(2, 12), (3, 6)])
+def test_real_time_check_diagonalizes_no_unreduced_operator_whole(n, points, monkeypatch):
+    # one eigendecomposition each of the reduced operator and the two
+    # blocks: one row per orbit, the distinct sorted vertex tuples for
+    # delta and n! cracked nodes, none of them fixed, for epsilon
+    dom = DomainSpec(n=n, length=6.0, points=points)
+    model = uniform_model(n, robin(-1.0))
+    bose = build_delta_bose(dom, model, reduced=False)
+    fermi = build_epsilon_fermi(dom, model, reduced=False)
+    blocks = [build_delta_bose(dom, model).dimension,
+              len(np.unique(np.sort(bose.dofs), axis=0)),
+              fermi.dimension // len(group_table(n)[0])]
+    sizes = []
+
+    def spy(a, **kwargs):
+        sizes.append(a.shape[0])
+        return eigh(a, **kwargs)
+
+    monkeypatch.setattr(propagation, "eigh", spy)
+    real_time_cross_check(dom, model, 0.1)
+    assert sizes == blocks
+    assert max(sizes) < min(bose.dimension, fermi.dimension) / 1.5
+
+
+def _perturb_unreduced(monkeypatch, name, change):
+    """Route the unreduced builds of ``propagation.<name>`` through
+    ``change``; reduced builds pass through."""
+    build = getattr(propagation, name)
+
+    def perturbed(dom, model, reduced=True):
+        return build(dom, model, reduced=True) if reduced else change(build, dom, model)
+
+    monkeypatch.setattr(propagation, name, perturbed)
+
+
+def _off_diagonal_bump(build, dom, model):
+    # one stored pair (i, j), (j, i) raised, its group images not: A_hat
+    # stays symmetric but no longer commutes with the permutations
+    op = build(dom, model, reduced=False)
+    a = op.matrix.tolil()
+    i = int(np.flatnonzero(op.dofs[:, 0] != op.dofs[:, 1])[0])
+    j = next(k for k in a.rows[i] if k != i)
+    bump = 1e-6 * abs(op.matrix).max()
+    a[i, j] += bump
+    a[j, i] += bump
+    return dataclasses.replace(op, matrix=a.tocsr())
+
+
+def _facet_weight_change(build, dom, model):
+    # every facet weight changed alike: the operator still commutes, but
+    # it is another coupling's than the reduced one's
+    return build(dom, uniform_model(dom.n, robin(-1.1)), reduced=False)
+
+
+@pytest.mark.parametrize("name, stat", [("build_delta_bose", "bose"),
+                                        ("build_epsilon_fermi", "fermi")])
+@pytest.mark.parametrize("change", [_off_diagonal_bump, _facet_weight_change],
+                         ids=["asymmetric", "symmetric"])
+def test_realtime_gates_catch_a_perturbed_unreduced_operator(monkeypatch, name, stat,
+                                                             change):
+    # an operator that does not commute fails its commutation gate; one
+    # that commutes with the wrong facet weight passes it and fails its
+    # deviation gate; the other statistics' gates pass either way
+    monkeypatch.setattr(cli, "dual_reconstruction_check",
+                        lambda *args: {"max_deviation": 0.0})
+    _perturb_unreduced(monkeypatch, name, change)
+    cfg = validate_config("command = dual-kernels\nn = 2\ncoupling = robin:-1\n"
+                          "realtime = yes\nrealtime_points = 10\n")
+    art = cli.run_dual_kernels(cfg)
+    failed = {g.name for g in art.gates if not g.passed}
+    residual = art.report["realtime"][f"{stat}_commutation"]
+    if change is _off_diagonal_bump:
+        assert f"realtime_{stat}_commutation" in failed and residual > 1e-7
+        assert failed <= {f"realtime_{stat}", f"realtime_{stat}_commutation"}
+    else:
+        assert failed == {f"realtime_{stat}"} and residual <= 1e-14
 
 
 def test_ground_state_projection():
@@ -216,6 +365,7 @@ def test_real_time_identity():
     chk = real_time_cross_check(dom, model, t=0.1)
     assert chk["bose_deviation"] < 1e-8
     assert chk["fermi_deviation"] < 1e-8
+    assert chk["bose_commutation"] <= 1e-14 and chk["fermi_commutation"] <= 1e-14
     assert (build_epsilon_fermi(dom, model, reduced=False).dimension
             > build_delta_bose(dom, model, reduced=False).dimension)
 
