@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .coupling import (
-    SQRT2,
     BoundaryCoupling,
     CouplingModel,
     dirichlet,
@@ -370,7 +369,7 @@ def _check_kernels(command: str, values: dict) -> None:
     if pair and coupling.length < 0:
         tau = {"propagate": values.get("tau"), "kernel-properties": SUITE_TAU_MAX,
                "dual-kernels": sum(TAUS)}[command]
-        gamma = 1.0 / (SQRT2 * coupling.length)
+        gamma = coupling.rate
         growth = gamma * gamma * tau / 2.0
         if growth >= LOG_HUGE:
             raise ConfigError(

@@ -63,6 +63,15 @@ class BoundaryCoupling:
             raise UnsupportedCoupling("a scale-invariant face has no constant length")
         return {"robin": self.value, "neumann": math.inf, "dirichlet": 0.0}[self.kind]
 
+    @property
+    def rate(self) -> float:
+        """Robin rate gamma = 1 / (sqrt2 a) of the face in the pair
+        coordinate u = (x_j - x_{j+1}) / sqrt2: 0.0 for Neumann.  A
+        Dirichlet or scale-invariant face has none."""
+        if self.kind in ("dirichlet", "scale"):
+            raise UnsupportedCoupling(f"a {self.kind} face has no Robin rate")
+        return 1.0 / (SQRT2 * self.length)
+
     def label(self) -> str:
         if self.kind == "robin":
             return f"robin:{self.value:g}"

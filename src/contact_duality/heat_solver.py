@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .coupling import SQRT2, BoundaryCoupling
+from .coupling import BoundaryCoupling
 from .errors import ContactDualityError
 from .kernels import relative_half_line_kernel
 
@@ -136,7 +136,7 @@ def pair_kernel_pde_gate(entry: BoundaryCoupling) -> float:
         gamma = None
         grid = np.arange(1, points) * h
     else:
-        gamma = 1.0 / (SQRT2 * entry.length)
+        gamma = entry.rate
         grid = np.arange(0, points) * h
     source = np.full_like(grid, GATE_SOURCE)
     w0 = kernel(grid, source, GATE_TAU0)

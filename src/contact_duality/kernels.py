@@ -149,7 +149,7 @@ def relative_half_line_kernel(entry: BoundaryCoupling):
             return gaussian_1d(u - v, tau) - gaussian_1d(u + v, tau)
 
         return kernel, None
-    gamma = 1.0 / (SQRT2 * entry.length)
+    gamma = entry.rate
 
     def correction(w, tau):
         # gamma * exp(gamma w + gamma^2 tau / 2) erfc((w + gamma tau)/sqrt(2 tau)),

@@ -169,6 +169,13 @@ def sector_element_mask(cells: np.ndarray, seqs) -> np.ndarray:
     return np.all((cells[:, :-1] > cells[:, 1:]) | tie_ok, axis=1)
 
 
+def tie_codes(cells: np.ndarray) -> np.ndarray:
+    """Tie pattern of each index tuple of ``cells`` (K, n) as an integer:
+    bit i is set where entries i and i + 1 are equal."""
+    ties = cells[:, :-1] == cells[:, 1:]
+    return ties.astype(np.int64) @ (1 << np.arange(cells.shape[1] - 1))
+
+
 def _sector_patterns(orders: np.ndarray) -> np.ndarray:
     """Sector membership by tie pattern: entry (k, p) tells whether a
     weakly descending cell whose adjacent pairs (i, i+1) tie exactly where
@@ -197,10 +204,8 @@ def element_array(cells: np.ndarray, orders: np.ndarray, sector: bool):
     if not sector:
         order_of = np.repeat(np.arange(len(orders)), cells.shape[0])
         return np.tile(cells, (len(orders), 1)), order_of
-    ties = cells[:, :-1] == cells[:, 1:]
-    pattern = ties.astype(np.int64) @ (1 << np.arange(cells.shape[1] - 1))
     descending = np.all(cells[:, :-1] >= cells[:, 1:], axis=1)
-    order_of, rows = np.nonzero(_sector_patterns(orders)[:, pattern] & descending)
+    order_of, rows = np.nonzero(_sector_patterns(orders)[:, tie_codes(cells)] & descending)
     return cells[rows], order_of
 
 

@@ -14,13 +14,14 @@ parameters, so their agreement reflects convergence of two distinct
 integration schemes.  The real-time finite-matrix cross-check
 (``real_time_cross_check``) tests the same identity at matrix level:
 the character-weighted sums of the full delta and epsilon evolution
-kernels must reproduce the reduced sector evolution exactly.  It reads
-the reduced kernel off one eigendecomposition of the reduced operator,
-and each full kernel's character sum off one of the full operator's
-symmetric (delta) or antisymmetric (epsilon) block, about 1/n! of it:
-an operator that commutes with the permutations of its dofs maps that
-block to itself, and the sum sees nothing else.  How far each full
-operator is from commuting is measured and reported with the sums.
+kernels must reproduce the reduced sector evolution exactly.  Every
+kernel it forms comes from one eigendecomposition of an operator on an
+orthonormal basis (``_evolution_kernel``): the reduced operator on the
+identity, and each full operator on its symmetric (delta) or
+antisymmetric (epsilon) block, about 1/n! of it.  An operator that
+commutes with the permutations of its dofs maps that block to itself,
+and the character sum sees nothing else.  How far each full operator is
+from commuting is measured and reported with the sums.
 
 The semigroup check (``two_stage_values``) runs on a tensor rule in the
 pair coordinates u = (x_1 - x_2)/sqrt2 and c = (x_1 + x_2)/sqrt2, on
@@ -36,28 +37,22 @@ gives it a caller.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-# Nothing here calls expm.  It stays importable on this module because
-# the benchmark's tracer (perfbench/tracing.py) wraps it here by name;
-# ROADMAP item 3, the benchmark repair, drops it.
-from scipy.linalg import expm  # noqa: F401
 from scipy.sparse.linalg import expm_multiply
 
 from .coupling import SQRT2
 from .kernels import KernelEvaluator, gaussian_1d
 from .mesh import DofTable
-from .operators import (
-    DomainSpec,
-    GridOperator,
-    build_delta_bose,
-    build_epsilon_fermi,
-    solve,
-)
+from .operators import DomainSpec, GridOperator, build_delta_bose, build_epsilon_fermi
+# Nothing here calls expm or solve.  Both stay importable on this module
+# because the benchmark's tracer (perfbench/tracing.py) wraps them here
+# by name; ROADMAP item 3, the benchmark repair, drops them.
+from scipy.linalg import expm  # noqa: F401
+from .operators import solve  # noqa: F401
 from .permutations import Statistics, group_sum, group_table, permutation_ranks
 from .quadrature import box_rule, sector_rule
 
@@ -162,33 +157,6 @@ def propagate_operator(op: GridOperator, psi0_values: np.ndarray, tau: float) ->
     return evolved / np.sqrt(op.mass)
 
 
-def ground_state_projection_check(op: GridOperator, tau: float) -> dict:
-    """Long-time evolution against the eigensolver's ground state.
-
-    Returns the overlap of the normalized evolved state with the ground
-    eigenvector (mass inner product) and the spectral gap used.  The two
-    lowest levels are solved from seed 0, which also draws the noise
-    added to the Gaussian start.
-    """
-    res = solve(op, 2, seed=0)
-    rng = np.random.default_rng(0)
-    center = op.dom.offset + op.dom.length / 2.0
-    spreadd = op.dom.length / 4.0
-    psi0 = np.exp(-np.sum((op.coords - center) ** 2, axis=-1) / (2 * spreadd**2))
-    psi0 += 0.05 * rng.uniform(size=op.dimension)
-    evolved = propagate_operator(op, psi0, tau)
-    w = op.mass
-    ground = res.vectors[:, 0]
-    num = abs(float(np.sum(w * evolved * ground)))
-    den = math.sqrt(float(np.sum(w * evolved**2) * np.sum(w * ground**2)))
-    return {
-        "overlap": num / den,
-        "gap": float(res.eigenvalues[1] - res.eigenvalues[0]),
-        "tau": tau,
-        "eigenvalues": res.eigenvalues.tolist(),
-    }
-
-
 def two_stage_values(kernel: KernelEvaluator, psi0, tau1: float, tau2: float,
                      targets: np.ndarray, quad: PropagationQuad) -> np.ndarray:
     """Propagate by tau1, then by tau2, through the pair rule of ``quad``:
@@ -206,25 +174,26 @@ def two_stage_values(kernel: KernelEvaluator, psi0, tau1: float, tau2: float,
     return _integrate_rule(kernel, targets, grid, (wts * stage1).ravel(), tau2)
 
 
-def _kernel_entries(op: GridOperator, t: float, rows: np.ndarray,
-                    cols: np.ndarray) -> np.ndarray:
-    """Entries (rows, cols) of the evolution kernel exp(-i t M^{-1} A) M^{-1}
-    in node coordinates.
+def _evolution_kernel(op: GridOperator, basis: sparse.csr_matrix, rows: np.ndarray,
+                      t: float) -> np.ndarray:
+    """The evolution kernel exp(-i t M^{-1} A) M^{-1} of ``op`` on the span
+    of the orthonormal ``basis`` (dim, k), at the pairs of node ``rows``.
 
     ``op.matrix`` is the real symmetric A_hat = M^{-1/2} A M^{-1/2}; with
-    A_hat = V diag(lam) V^T the kernel is L diag(exp(-i t lam)) L^T,
-    L = M^{-1/2} V, so one eigendecomposition gives any block of it.
-    The eigendecomposition overwrites a Fortran-ordered dense copy of
-    A_hat, whose buffer then holds V and, scaled in place, L; L is freed
-    once the two blocks' rows are gathered, before their product.  Each
-    step runs the same operations on the same values as copying ones, so
-    the entries are bitwise theirs.
+    B^T A_hat B = V diag(lam) V^T the kernel is L diag(exp(-i t lam)) L^T,
+    L = M^{-1/2} B V, so one eigendecomposition of the dense k-row
+    B^T A_hat B gives it.  The identity basis gives the whole kernel.  The
+    eigendecomposition overwrites its Fortran-ordered copy of the block,
+    and the rows of L are freed, once their complex transpose is formed,
+    before the product.
     """
-    lam, low = eigh(op.matrix.toarray(order="F"), driver="evd", overwrite_a=True)
-    low /= np.sqrt(op.mass)[:, None]
-    left, right = low[rows] * np.exp(-1j * t * lam), low[cols]
+    block = (basis.T @ op.matrix @ basis).toarray(order="F")
+    lam, vec = eigh(block, driver="evd", overwrite_a=True)
+    low = (basis[rows] @ vec) / np.sqrt(op.mass[rows])[:, None]
+    del vec
+    left, right = low * np.exp(-1j * t * lam), low.T.astype(complex)
     del low
-    return left @ right.T
+    return left @ right
 
 
 def _group_action(op: GridOperator):
@@ -271,51 +240,23 @@ def _character_basis(action: np.ndarray, chi: np.ndarray) -> sparse.csr_matrix:
     return (basis[:, live] @ sparse.diags(1.0 / norms[live])).tocsr()
 
 
-def _character_sums(op: GridOperator, stat: Statistics, t: float,
-                    strict: np.ndarray) -> tuple[np.ndarray, float]:
-    """sum_sigma chi(sigma) K(x, sigma y) at every pair of strict
-    descending vertex tuples x, y of ``strict``, K the evolution kernel
-    of ``_kernel_entries`` for the unreduced ``op``, and the commutation
-    residual of ``op`` (``_commutation_residual``).
-
-    With P = (1/n!) sum_sigma chi(sigma) R_sigma, the sum is n! (K P)(x, y).
-    When A_hat and the mass commute with every R_sigma, K P = M^-1/2 B
-    exp(-i t B^T A_hat B) B^T M^-1/2 for an orthonormal basis B of the
-    range of P (``_character_basis``), so only the dense B^T A_hat B is
-    diagonalized, about dim / n! rows.  The lumped mass is the same at
-    every dof of an orbit, since the n! images of an element have one
-    volume; A_hat is measured by the residual.
-    """
-    signs = group_table(op.dom.n)[1]
-    table, action = _group_action(op)
-    if op.region_ranks is not None:
-        # a strict descending tuple lies in the identity's region, rank 0
-        strict = np.column_stack([strict, np.zeros(len(strict), dtype=np.int64)])
-    rows = table.rank(strict)
-    basis = _character_basis(action, np.broadcast_to(stat.character(signs), signs.shape))
-    block = (basis.T @ op.matrix @ basis).toarray(order="F")
-    lam, vec = eigh(block, driver="evd", overwrite_a=True)
-    low = (basis[rows] @ vec) / np.sqrt(op.mass[rows])[:, None]
-    del vec
-    sums = (low * np.exp(-1j * t * lam)) @ low.T
-    sums *= signs.size  # in place: the check holds one kernel-sized block less
-    return sums, _commutation_residual(op, action)
-
-
 def real_time_cross_check(dom: DomainSpec, model, t: float) -> dict:
     """Finite-matrix test of the dual kernel reconstruction in real time.
 
     Builds the unreduced full-space delta and epsilon Hamiltonians and
-    the reduced sector pencil on the same staggered lattice.  The reduced
-    kernel comes whole from one eigendecomposition (``_kernel_entries``);
-    its largest entry sets the scale.  Of each full kernel only its
-    character-weighted sum over the group images of the second argument
-    is formed, at the strict node pairs: the sum is the kernel on the
+    the reduced sector pencil on the same staggered lattice.  Every kernel
+    comes from ``_evolution_kernel``.  The reduced kernel is formed whole,
+    on the identity basis; its largest entry sets the scale.  Of each full
+    kernel only its character-weighted sum over the group images of the
+    second argument is formed, at the strict node pairs.  With
+    P = (1/n!) sum_sigma chi(sigma) R_sigma the sum is n! (K P)(x, y), and
+    when A_hat and the mass commute with every R_sigma, K P is the kernel
+    on an orthonormal basis of the range of P (``_character_basis``): the
     symmetric (delta, chi = 1) or antisymmetric (epsilon, chi = sign)
-    block, so only that block, about 1/n! of the operator, is
-    diagonalized (``_character_sums``).  It compares these sums with the
-    direct sector kernel (times the group order, which converts full-box
-    node weights to sector ones).
+    block, about 1/n! of the operator.  The lumped mass is the same at
+    every dof of an orbit, since the n! images of an element have one
+    volume.  It compares these sums with the direct sector kernel (times
+    the group order, which converts full-box node weights to sector ones).
 
     The block carries the whole image sum only if the operator commutes
     with the group action on its dofs; ``bose_commutation`` and
@@ -324,28 +265,28 @@ def real_time_cross_check(dom: DomainSpec, model, t: float) -> dict:
     the two sums, ``bose_deviation`` and ``fermi_deviation``, relative to
     the scale, and the ``time``.
     """
-    fact = math.factorial(dom.n)
-
+    signs = group_table(dom.n)[1]
     op_red = build_delta_bose(dom, model, reduced=True)
-    op_bose = build_delta_bose(dom, model, reduced=False)
-    op_fermi = build_epsilon_fermi(dom, model, reduced=False)
-
-    strict = np.all(op_red.dofs[:, :-1] > op_red.dofs[:, 1:], axis=-1)
-    strict_tuples = op_red.dofs[strict]
-    red_idx = DofTable(op_red.dofs, op_red.lattice.size).rank(strict_tuples)
-
-    every = np.arange(op_red.dimension)
-    k_red = _kernel_entries(op_red, t, every, every)
+    strict = op_red.dofs[np.all(op_red.dofs[:, :-1] > op_red.dofs[:, 1:], axis=-1)]
+    red_idx = DofTable(op_red.dofs, op_red.lattice.size).rank(strict)
+    dim = op_red.dimension
+    k_red = _evolution_kernel(op_red, sparse.identity(dim, format="csr"), np.arange(dim), t)
     scale = float(np.max(np.abs(k_red)))
-    direct = fact * k_red[np.ix_(red_idx, red_idx)]
+    direct = signs.size * k_red[np.ix_(red_idx, red_idx)]
     del k_red
 
-    deviation, commutation = {}, {}
-    for name, op, stat in (("bose", op_bose, Statistics.BOSE),
-                           ("fermi", op_fermi, Statistics.FERMI)):
-        sums, commutation[name] = _character_sums(op, stat, t, strict_tuples)
-        deviation[name] = float(np.max(np.abs(sums - direct))) / scale
+    out = {"time": t}
+    for name, build, stat in (("bose", build_delta_bose, Statistics.BOSE),
+                              ("fermi", build_epsilon_fermi, Statistics.FERMI)):
+        op = build(dom, model, reduced=False)
+        table, action = _group_action(op)
+        # a strict descending tuple lies in the identity's region, rank 0
+        keys = (strict if op.region_ranks is None
+                else np.column_stack([strict, np.zeros(len(strict), dtype=np.int64)]))
+        basis = _character_basis(action, np.broadcast_to(stat.character(signs), signs.shape))
+        sums = _evolution_kernel(op, basis, table.rank(keys), t)
+        sums *= signs.size  # in place: the check holds one kernel-sized block less
+        out[f"{name}_deviation"] = float(np.max(np.abs(sums - direct))) / scale
         del sums
-    return {"bose_deviation": deviation["bose"], "fermi_deviation": deviation["fermi"],
-            "bose_commutation": commutation["bose"],
-            "fermi_commutation": commutation["fermi"], "time": t}
+        out[f"{name}_commutation"] = _commutation_residual(op, action)
+    return out

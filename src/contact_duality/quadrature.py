@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import QuadratureNotConverged
-from .mesh import all_cells, descending_combinations
+from .mesh import all_cells, descending_combinations, tie_codes
 
 
 @lru_cache(maxsize=None)
@@ -158,7 +158,7 @@ def _pattern_groups(tuples):
     """(tie pattern, row indices) of the cells ``tuples``, patterns in order
     of first appearance and each pattern's rows in order."""
     n = tuples.shape[1]
-    codes = (tuples[:, :-1] == tuples[:, 1:]) @ (1 << np.arange(n - 1))
+    codes = tie_codes(tuples)
     found, first = np.unique(codes, return_index=True)
     for code in found[np.argsort(first)]:
         yield _tie_pattern(int(code), n), np.flatnonzero(codes == code)

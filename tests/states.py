@@ -1,16 +1,23 @@
-"""Grid-operator eigenvectors read as states, for the face tests.
+"""Grid-operator eigenvectors read as states, for the face and
+propagation tests.
 
 A state is an operator's dof values; both readers address them by
 vertex index tuples through ``mesh.DofTable``, and a tuple that is not
 a dof (a wall node, a node eliminated at assembly, an ascending tuple
 of a reduced operator) reads NaN or is skipped.
+``ground_state_projection_check`` evolves a state to long times and
+compares it with the eigensolver's ground state.
 """
+
+import math
 
 import numpy as np
 
 from contact_duality.coupling import coupling_values_batch
 from contact_duality.mesh import DofTable
+from contact_duality.operators import solve
 from contact_duality.permutations import sort_descending
+from contact_duality.propagation import propagate_operator
 
 
 def state_at(op, values, stat):
@@ -59,3 +66,30 @@ def robin_residual(op, values, j):
     pair_derivative = (-3.0 * s0 + 4.0 * s1 - s2) / (2.0 * op.dom.spacing)
     a = coupling_values_batch(op.model, j, op.lattice[face[fits]])
     return float(np.max(np.abs(pair_derivative - s0 / a))) / float(np.max(np.abs(values)))
+
+
+def ground_state_projection_check(op, tau):
+    """Long-time evolution against the eigensolver's ground state.
+
+    Returns the overlap of the normalized evolved state with the ground
+    eigenvector (mass inner product) and the spectral gap used.  The two
+    lowest levels are solved from seed 0, which also draws the noise
+    added to the Gaussian start.
+    """
+    res = solve(op, 2, seed=0)
+    rng = np.random.default_rng(0)
+    center = op.dom.offset + op.dom.length / 2.0
+    spreadd = op.dom.length / 4.0
+    psi0 = np.exp(-np.sum((op.coords - center) ** 2, axis=-1) / (2 * spreadd**2))
+    psi0 += 0.05 * rng.uniform(size=op.dimension)
+    evolved = propagate_operator(op, psi0, tau)
+    w = op.mass
+    ground = res.vectors[:, 0]
+    num = abs(float(np.sum(w * evolved * ground)))
+    den = math.sqrt(float(np.sum(w * evolved**2) * np.sum(w * ground**2)))
+    return {
+        "overlap": num / den,
+        "gap": float(res.eigenvalues[1] - res.eigenvalues[0]),
+        "tau": tau,
+        "eigenvalues": res.eigenvalues.tolist(),
+    }

@@ -41,13 +41,13 @@ from contact_duality.operators import DomainSpec, build_epsilon_fermi, build_sec
 from contact_duality.permutations import Statistics
 from contact_duality.propagation import (
     PropagationQuad,
-    ground_state_projection_check,
     propagate_at,
     propagate_equivariant,
     real_time_cross_check,
     two_stage_values,
 )
 from contact_duality.spectra import FORMULATIONS, duality_report
+from states import ground_state_projection_check
 
 
 @pytest.fixture

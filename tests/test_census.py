@@ -11,7 +11,8 @@ through other modules.  Imports are read from the AST, and the package
 module it names.
 
 A top-level function or class has a library caller when package code
-names it outside an import, as a name or as an attribute.
+names it outside an import, as a name or as an attribute.  A
+module-level import is used when its module names what it binds.
 """
 
 import ast
@@ -25,7 +26,16 @@ SETTABLE_BOUND = 33
 UNCALLED = {
     "Permutation": "perfbench/tracing.py wraps it by name (ROADMAP item 3)",
     "length_pattern_groups": "perfbench/tracing.py wraps it by name (ROADMAP item 3)",
-    "ground_state_projection_check": "criterion 10's check (ROADMAP items 13 and 14)",
+    "propagate_operator": "route 3, reached by tests until ROADMAP item 13 gives it a caller",
+}
+#: Module-level imports no code in their module uses, and why each stays.
+UNUSED_IMPORTS = {
+    ("operators", "length_pattern_groups"):
+        "perfbench/tracing.py wraps it here by name (ROADMAP item 3)",
+    ("operators", "sector_element_mask"):
+        "perfbench/tracing.py wraps it here by name (ROADMAP item 3)",
+    ("propagation", "expm"): "perfbench/tracing.py wraps it here by name (ROADMAP item 3)",
+    ("propagation", "solve"): "perfbench/tracing.py wraps it here by name (ROADMAP item 3)",
 }
 
 
@@ -173,3 +183,43 @@ def test_every_library_name_has_a_library_caller():
         "give it a caller, delete it, or list it in UNCALLED with its reason")
     assert set(UNCALLED) <= uncalled, (
         f"listed in UNCALLED but called: {sorted(set(UNCALLED) - uncalled)}")
+
+
+def unused_imports(source: str) -> set:
+    """Names a source file's module-level imports bind that it never uses
+    as a name; ``from __future__`` imports bind none."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_unused_imports_reads_module_level_imports():
+    source = '''
+from __future__ import annotations
+import numpy as np
+import scipy.sparse
+import os.path
+from .mesh import DofTable, all_cells as cells, dead
+
+def f(x: DofTable):
+    import json
+    return np.asarray(cells(x)), scipy.sparse
+'''
+    assert unused_imports(source) == {"os", "dead"}
+
+
+def test_every_import_is_used():
+    package = pathlib.Path(contact_duality.__file__).parent
+    unused = {(path.stem, name) for path in sorted(package.glob("*.py"))
+              if path.stem != "__init__"
+              for name in unused_imports(path.read_text(encoding="utf-8"))}
+    assert unused <= set(UNUSED_IMPORTS), (
+        f"imports nothing uses: {sorted(unused - set(UNUSED_IMPORTS))}; "
+        "delete them, or list them in UNUSED_IMPORTS with the reason")
+    assert set(UNUSED_IMPORTS) <= unused, (
+        f"listed in UNUSED_IMPORTS but used or gone: {sorted(set(UNUSED_IMPORTS) - unused)}")

@@ -691,6 +691,27 @@ def test_negative_realtime_time_is_valid():
     assert cfg["realtime_time"] == -0.1
 
 
+#: A small run per command whose gates pass: the valid settings above,
+#: with duality's box and ladder those of ``DUALITY_CFG``.
+SMALL_RUNS = {**UNUSABLE_BASE,
+              "duality": {"n": "2", "length": "10.0", "points": "12",
+                          "coupling.1": "robin:-1", "levels": "3", "refinements": "3"}}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_every_command_writes_the_same_report_twice(tmp_path, command):
+    # a config fixes every number a report holds: two runs of it write
+    # byte-identical report.json files (dual-kernels with its real-time
+    # check)
+    values = {"command": command, **SMALL_RUNS[command]}
+    cfg = write(tmp_path, "run.cfg", "".join(f"{k} = {v}\n" for k, v in values.items()))
+    reports = []
+    for out in (tmp_path / "r1", tmp_path / "r2"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("command", ["spectrum", "duality"])
 def test_more_levels_than_dofs_is_a_config_error(tmp_path, capsys, command):
     # n=2 N=6 has 15 sector dofs and fewer on the staggered lattices

@@ -65,6 +65,16 @@ def test_length_of_every_kind():
         scale_invariant(2.0).length
 
 
+def test_rate_of_every_kind():
+    # gamma = 1 / (sqrt2 a), the expression the pair kernel, its PDE gate
+    # and the config's growth check each read
+    assert robin(-1.5).rate == 1.0 / (math.sqrt(2.0) * -1.5)
+    assert neumann().rate == 0.0
+    for face in (dirichlet(), scale_invariant(2.0)):
+        with pytest.raises(UnsupportedCoupling, match="no Robin rate"):
+            face.rate
+
+
 def test_coupling_values_are_bitwise_the_per_kind_constants():
     # every constant face reads its length; the scale-invariant one g r
     pts = np.array([[1.0, 1.0, -0.5], [0.3, 0.3, 0.2], [2.0, 2.0, 2.0], [-1.0, -1.0, -4.0]])

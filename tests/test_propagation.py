@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import eigh, expm
 
 from contact_duality import cli, propagation
@@ -30,17 +31,16 @@ from contact_duality.permutations import (
 from contact_duality.propagation import (
     TARGET_BLOCK,
     PropagationQuad,
+    _evolution_kernel,
     _factored_stage,
-    _character_sums,
     _integrate_rule,
-    _kernel_entries,
     _pair_points,
-    ground_state_projection_check,
     propagate_at,
     propagate_equivariant,
     real_time_cross_check,
     two_stage_values,
 )
+from states import ground_state_projection_check
 
 
 EPS = np.finfo(float).eps
@@ -160,7 +160,8 @@ def test_rule_routes_keep_their_kernel_evaluations():
     (build_epsilon_fermi, False),
 ], ids=["reduced", "delta", "cracked_epsilon"])
 def test_kernel_entries_match_the_matrix_exponential(build, reduced):
-    # exp(-i t M^-1 A) M^-1 from one eigendecomposition against expm
+    # exp(-i t M^-1 A) M^-1 from one eigendecomposition on the identity
+    # basis against expm
     dom = DomainSpec(n=2, length=6.0, points=10)
     op = build(dom, uniform_model(2, robin(-1.0)), reduced=reduced)
     t = 0.1
@@ -168,16 +169,15 @@ def test_kernel_entries_match_the_matrix_exponential(build, reduced):
     oracle = inv_sqrt[:, None] * expm(-1j * t * op.matrix.toarray()) * inv_sqrt[None, :]
     rng = np.random.default_rng(0)
     rows = rng.permutation(op.dimension)[:20]
-    cols = np.arange(op.dimension)[::-1]
-    entries = _kernel_entries(op, t, rows, cols)
-    assert entries.shape == (rows.size, cols.size)
-    want = oracle[np.ix_(rows, cols)]
+    entries = _evolution_kernel(op, sparse.identity(op.dimension, format="csr"), rows, t)
+    assert entries.shape == (rows.size, rows.size)
+    want = oracle[np.ix_(rows, rows)]
     assert np.max(np.abs(entries - want)) <= 1e-12 * np.max(np.abs(want))
-    # the in-place eigendecomposition and scaling are bitwise the
+    # the in-place eigendecomposition and the freed rows are bitwise the
     # expression that copies at every step
     lam, vec = eigh(op.matrix.toarray(), driver="evd")
     low = vec / np.sqrt(op.mass)[:, None]
-    assert np.array_equal(entries, (low[rows] * np.exp(-1j * t * lam)) @ low[cols].T)
+    assert np.array_equal(entries, (low[rows] * np.exp(-1j * t * lam)) @ low[rows].T)
 
 
 def traced_peak(call):
@@ -208,9 +208,10 @@ def test_two_stage_values_hold_one_kernel_block():
 def test_real_time_check_frees_its_dense_copies():
     # the benchmark's 24-point box: only the 300-row reduced operator and
     # symmetry blocks are made dense, each eigendecomposition overwrites
-    # its copy, and each image sum is freed once compared.  The peak
-    # reads 6.4 MiB; the bound leaves 1.1 MiB of margin (the whole
-    # unreduced operators' eigendecompositions peaked at 16.4 MiB)
+    # its copy, the rows of L are freed before the kernel product, and
+    # each image sum is freed once compared.  The peak reads 5.7 MiB; the
+    # bound leaves 1.8 MiB of margin (the whole unreduced operators'
+    # eigendecompositions peaked at 16.4 MiB)
     dom = DomainSpec(n=2, length=6.0, points=24)
     model = uniform_model(2, robin(-1.0))
     peak = traced_peak(lambda: real_time_cross_check(dom, model, t=0.1))
@@ -219,11 +220,11 @@ def test_real_time_check_frees_its_dense_copies():
 
 def whole_operator_image_sums(op, stat, t, strict):
     """sum_sigma chi(sigma) K(x, sigma y) at the strict tuples' pairs from
-    the whole unreduced operator's eigendecomposition: the kernel's rows
-    at the strict nodes and its columns at their group images, one group
-    element after another, summed with the character.  On the cracked
-    mesh a node is keyed by its vertex and the rank of its sorting
-    permutation."""
+    the whole unreduced operator's eigendecomposition (the identity
+    basis): the kernel's rows at the strict nodes and its columns at their
+    group images, one group element after another, summed with the
+    character.  On the cracked mesh a node is keyed by its vertex and the
+    rank of its sorting permutation."""
     n = op.dom.n
     images, signs = group_table(n)
     if op.region_ranks is None:
@@ -237,7 +238,9 @@ def whole_operator_image_sums(op, stat, t, strict):
             return table.rank(np.column_stack([tuples, region]))
 
     mapped = strict[:, images].transpose(1, 0, 2).reshape(-1, n)
-    k = _kernel_entries(op, t, rank(strict), rank(mapped))
+    nodes = np.concatenate([rank(strict), rank(mapped)])
+    k = _evolution_kernel(op, sparse.identity(op.dimension, format="csr"), nodes, t)
+    k = k[:len(strict), len(strict):]
     chi = np.broadcast_to(stat.character(signs), signs.shape)
     return (k.reshape(len(strict), len(images), len(strict)) * chi[None, :, None]).sum(axis=1)
 
@@ -250,28 +253,33 @@ def whole_operator_image_sums(op, stat, t, strict):
     (3, 6, -1.0, 0.1),
     (3, 8, 1.0, -0.3),
 ])
-def test_character_blocks_carry_the_whole_image_sum(n, points, a, t):
-    # the sums read off the symmetric and antisymmetric blocks equal the
-    # whole operators' ones to rounding: 1e-13 of the scale, or 16 eps of
-    # the largest phase |t| |A_hat|_1 where that is more.  Both routes
-    # round each eigenvalue by about eps |A_hat|, so at t = 1 on the
-    # 24-point box they differ by up to 1.1e-13, 6 eps of that phase;
+def test_character_blocks_carry_the_whole_image_sum(n, points, a, t, monkeypatch):
+    # the sums the check reads off the symmetric and antisymmetric blocks
+    # equal the whole operators' ones to rounding: 1e-13 of the scale, or
+    # 16 eps of the largest phase |t| |A_hat|_1 where that is more.  Both
+    # routes round each eigenvalue by about eps |A_hat|, so at t = 1 on
+    # the 24-point box they differ by up to 1.1e-13, 6 eps of that phase;
     # over 60 coupling, grid, time and BLAS-thread cases no difference
     # passed 8 eps of it
+    kernels = []
+
+    def spy(op, basis, rows, time):
+        out = _evolution_kernel(op, basis, rows, time)
+        kernels.append((op, out.copy()))
+        return out
+
+    monkeypatch.setattr(propagation, "_evolution_kernel", spy)
     dom = DomainSpec(n=n, length=6.0, points=points)
-    model = uniform_model(n, robin(a))
-    red = build_delta_bose(dom, model)
+    chk = real_time_cross_check(dom, uniform_model(n, robin(a)), t)
+    (red, k_red), bose, fermi = kernels
     strict = red.dofs[np.all(red.dofs[:, :-1] > red.dofs[:, 1:], axis=-1)]
-    every = np.arange(red.dimension)
-    scale = np.max(np.abs(_kernel_entries(red, t, every, every)))
-    for build, stat in ((build_delta_bose, Statistics.BOSE),
-                        (build_epsilon_fermi, Statistics.FERMI)):
-        op = build(dom, model, reduced=False)
-        sums, residual = _character_sums(op, stat, t, strict)
+    scale = np.max(np.abs(k_red))
+    for (op, block), stat in ((bose, Statistics.BOSE), (fermi, Statistics.FERMI)):
+        sums = len(group_table(n)[1]) * block
         want = whole_operator_image_sums(op, stat, t, strict)
         phase = abs(t) * abs(op.matrix).sum(axis=0).max()
         assert np.max(np.abs(sums - want)) <= max(1e-13, 16 * EPS * phase) * scale
-        assert residual <= 1e-14
+    assert chk["bose_commutation"] <= 1e-14 and chk["fermi_commutation"] <= 1e-14
 
 
 @pytest.mark.parametrize("n, points", [(2, 12), (3, 6)])
@@ -353,6 +361,8 @@ def test_realtime_gates_catch_a_perturbed_unreduced_operator(monkeypatch, name, 
 
 
 def test_ground_state_projection():
+    # long-time evolution by the grid Hamiltonian (route 3) lands on the
+    # eigensolver's ground state
     dom = DomainSpec(n=2, length=10.0, points=40)
     op = build_sector(dom, uniform_model(2, robin(-1.0)))
     out = ground_state_projection_check(op, tau=80.0)
